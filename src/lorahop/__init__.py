@@ -31,7 +31,6 @@ from .protocol import (
     frame_time,
 )
 from .planner import (
-    NetworkPlan,
     PlanError,
     PowerProfile,
     app_period,
@@ -74,7 +73,6 @@ __all__ = [
     "build_schedule",
     "frame_time",
     "PowerProfile",
-    "NetworkPlan",
     "PlanError",
     "app_period",
     "mean_power",

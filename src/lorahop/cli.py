@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 bad input (usage, schema, radio params),
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -31,7 +30,7 @@ from .planner import (
     recommend_frame,
 )
 from .protocol import ACK_ONAIR_BYTES, BEACON_ONAIR_BYTES, MAC_HEADER_BYTES
-from .scenario import ScenarioError, apply_override, parse_scenario
+from .scenario import ScenarioError, apply_override, parse_scenario, read_scenario_doc
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -168,14 +167,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     path = Path(args.scenario)
-    try:
-        doc = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ScenarioError(f"{path}: no such scenario file") from None
-    except json.JSONDecodeError as e:
-        raise ScenarioError(f"{path}:{e.lineno}: invalid JSON: {e.msg}") from None
-    if not isinstance(doc, dict):
-        raise ScenarioError(f"{path}: top level must be an object")
+    doc = read_scenario_doc(path)
     for item in args.overrides:
         if "=" not in item:
             raise ScenarioError(f"--set {item}: expected key=value")

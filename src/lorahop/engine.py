@@ -27,8 +27,6 @@ from pathlib import Path
 
 from .phy import lorawan_time_on_air, time_on_air
 from .protocol import (
-    AckMatched,
-    AppDelivery,
     BecameSynchronized,
     CandidateBeacon,
     FrameSchedule,
@@ -47,7 +45,7 @@ from .protocol import (
     make_beacon,
     make_relay,
 )
-from .scenario import Scenario, ScenarioError
+from .scenario import Scenario
 from .timebase import VirtualClock, local_tick_duration, resync
 
 LORAWAN_CHANNEL = "lorawan"
@@ -55,11 +53,10 @@ LORAWAN_CHANNEL = "lorawan"
 # Event priorities: frame bookkeeping first, then radio edges in causal
 # order, then slot services and timers.
 _P_FRAME = 0
-_P_OPEN = 1
-_P_TX_START = 2
-_P_TX_END = 3
-_P_CLOSE = 4
-_P_SVC = 5
+_P_TX_START = 1
+_P_TX_END = 2
+_P_CLOSE = 3
+_P_SVC = 4
 
 
 @dataclass(frozen=True)
@@ -88,7 +85,6 @@ class _Window:
     purpose: str
     slot: int
     frame: int
-    opened: bool = False
     closed: bool = False
     early_close: float | None = None
 
@@ -151,21 +147,14 @@ class SimulationTrace:
     addresses: dict[int, int]
     node_counters: dict[int, dict[str, int]]
 
-    def intervals_for(self, node_id: int) -> list[tuple[str, float, float, str]]:
-        return [
-            (state, s, e, ch)
-            for (n, state, s, e, ch) in self.radio_intervals
-            if n == node_id
-        ]
-
 
 class _NodeRt:
     """Engine-side runtime wrapped around one protocol NodeState."""
 
-    def __init__(self, st: NodeState, drift_ppm: float):
+    def __init__(self, st: NodeState, frame_ticks: int):
         self.st = st
         self.tick = local_tick_duration(st.clock)
-        self.drift_ppm = drift_ppm
+        self.frame_local = frame_ticks * self.tick
         self.anchor: float | None = None
         self.frame: int = -1
         self.sync_slot: int = 0
@@ -180,21 +169,7 @@ class _NodeRt:
         self.pending_accept_tx: list[MacPacket] = []
         self.beacon_misses_total = 0
         self.own_tx: list[tuple[float, float]] = []
-        self._resume_listen = False
-        self._frame_local = 0.0
-
-    @property
-    def frame_local(self) -> float:
-        # engine sets this after construction (needs the schedule)
-        return self._frame_local
-
-    @property
-    def mode(self) -> NodeMode:
-        return self.st.mode
-
-
-def _audible(links: dict, sender: int, listener: int) -> bool:
-    return (sender, listener) in links
+        self.resume_listen = False
 
 
 class Simulator:
@@ -205,12 +180,10 @@ class Simulator:
         self.rng = random.Random(scenario.seed)
         self.t_slot = scenario.slot_seconds
         self.t_frame = scenario.frame_seconds
-        self.t_bcn = scenario.timing.t_bcn
-        self.t_ack_air = time_on_air(2, scenario.radio)
         self.t_bcn_air = time_on_air(3, scenario.radio)
+        self.t_join_accept = scenario.join.accept_offset(scenario.timing)
         self._toa_cache: dict[int, float] = {}
         self.end_time = scenario.frames * self.t_frame
-        self._validate()
 
         self.nodes: dict[int, _NodeRt] = {}
         for cfg in scenario.nodes:
@@ -223,8 +196,7 @@ class Simulator:
                 st = NodeState(node_id=cfg.node_id, clock=clock)
             st.network_id = scenario.network_id
             st.queue_capacity = scenario.queue_capacity
-            rt = _NodeRt(st, cfg.drift_ppm)
-            rt._frame_local = self.sched.frame_ticks * rt.tick
+            rt = _NodeRt(st, self.sched.frame_ticks)
             rt.eff_guard = scenario.guard.base_guard
             self.nodes[cfg.node_id] = rt
         self.relay_id = scenario.relay_id
@@ -244,36 +216,6 @@ class Simulator:
 
     # ------------------------------------------------------------ setup
 
-    def _validate(self) -> None:
-        sc = self.sc
-        ids = {n.node_id for n in sc.nodes}
-        relay = sc.relay_id
-        undirected = {(a, b) for (a, b) in sc.links if (b, a) in sc.links}
-        reached = {relay}
-        frontier = [relay]
-        while frontier:
-            u = frontier.pop()
-            for a, b in undirected:
-                if a == u and b not in reached:
-                    reached.add(b)
-                    frontier.append(b)
-        missing = sorted(ids - reached)
-        if missing:
-            raise ScenarioError(
-                f"topology: nodes {missing} cannot reach the relay over bidirectional links"
-            )
-        req_air = time_on_air(5, sc.radio)
-        if sc.join.backoff_step < req_air:
-            raise ScenarioError(
-                f"join.backoff_step {sc.join.backoff_step:.3f} s below the "
-                f"JoinRequest airtime {req_air:.3f} s: adjacent backoffs would overlap"
-            )
-        accept_end = self._join_accept_offset() + time_on_air(8, sc.radio)
-        if accept_end > self.t_slot:
-            raise ScenarioError(
-                f"join slot anatomy needs {accept_end:.3f} s but a slot lasts {self.t_slot:.3f} s"
-            )
-
     def _toa(self, payload_bytes: int) -> float:
         if payload_bytes not in self._toa_cache:
             self._toa_cache[payload_bytes] = time_on_air(payload_bytes, self.sc.radio)
@@ -281,13 +223,6 @@ class Simulator:
 
     def _join_req_offset(self, backoff: int) -> float:
         return self.timing.t_offset + self.timing.t_guard / 2.0 + backoff * self.sc.join.backoff_step
-
-    def _join_accept_offset(self) -> float:
-        return (
-            self.timing.t_offset
-            + self.timing.t_guard
-            + self.sc.join.backoff_slots * self.sc.join.backoff_step
-        )
 
     # ------------------------------------------------------- event plumbing
 
@@ -408,17 +343,9 @@ class Simulator:
         # quantization residual, so guard = min_guard is truly sufficient.
         open_t = center - half - rt.tick
         close_t = center + half + self.t_bcn_air
-        win = _Window(
-            node_id=rt.st.node_id,
-            channel=0,
-            open_t=open_t,
-            close_t=close_t,
-            purpose="beacon",
-            slot=rt.sync_slot,
-            frame=frame,
+        self._listen(
+            rt, "beacon", rt.sync_slot, frame, open_t, close_t, self._ev_beacon_window_close
         )
-        self._add_window(rt, win)
-        self._push(close_t, _P_CLOSE, rt.st.node_id, self._ev_beacon_window_close, rt, win)
 
     def _ev_beacon_window_close(self, rt: _NodeRt, win: _Window) -> None:
         if win.closed:
@@ -503,50 +430,20 @@ class Simulator:
         start = t_slot_start + self.timing.data_tx_offset
         self._transmit(rt, pkt, 0, start, frame, slot)
         aw = self.timing.ack_window
-        win = _Window(
-            node_id=st.node_id,
-            channel=0,
-            open_t=t_slot_start + aw[0],
-            close_t=t_slot_start + aw[1],
-            purpose="ack",
-            slot=slot,
-            frame=frame,
-        )
-        self._add_window(rt, win)
-        self._push(win.close_t, _P_CLOSE, st.node_id, self._ev_plain_window_close, rt, win)
+        self._listen(rt, "ack", slot, frame, t_slot_start + aw[0], t_slot_start + aw[1])
 
     def _ev_child_uplink(self, rt: _NodeRt, frame: int, slot: int, t_slot_start: float) -> None:
         if rt.st.mode is not NodeMode.SYNCHRONIZED:
             return
         dw = self.timing.data_window
-        win = _Window(
-            node_id=rt.st.node_id,
-            channel=0,
-            open_t=t_slot_start + dw[0],
-            close_t=t_slot_start + dw[1],
-            purpose="uplink_rx",
-            slot=slot,
-            frame=frame,
-        )
-        self._add_window(rt, win)
-        self._push(win.close_t, _P_CLOSE, rt.st.node_id, self._ev_plain_window_close, rt, win)
+        self._listen(rt, "uplink_rx", slot, frame, t_slot_start + dw[0], t_slot_start + dw[1])
 
     def _ev_own_downlink(self, rt: _NodeRt, frame: int, slot: int, t_slot_start: float) -> None:
         st = rt.st
         if st.mode is not NodeMode.SYNCHRONIZED or not st.expecting_downlink:
             return
         dw = self.timing.data_window
-        win = _Window(
-            node_id=st.node_id,
-            channel=0,
-            open_t=t_slot_start + dw[0],
-            close_t=t_slot_start + dw[1],
-            purpose="downlink_rx",
-            slot=slot,
-            frame=frame,
-        )
-        self._add_window(rt, win)
-        self._push(win.close_t, _P_CLOSE, st.node_id, self._ev_plain_window_close, rt, win)
+        self._listen(rt, "downlink_rx", slot, frame, t_slot_start + dw[0], t_slot_start + dw[1])
 
     def _ev_child_downlink(self, rt: _NodeRt, frame: int, slot: int, t_slot_start: float) -> None:
         st = rt.st
@@ -564,19 +461,13 @@ class Simulator:
         if st.mode is not NodeMode.SYNCHRONIZED:
             return
         rt.pending_accept_tx = []
-        win = _Window(
-            node_id=st.node_id,
-            channel=0,
-            open_t=t_slot_start + self.timing.t_offset,
-            close_t=t_slot_start + self._join_accept_offset() - 0.005,
-            purpose="join_rx",
-            slot=self.sched.join_slot,
-            frame=frame,
+        self._listen(
+            rt, "join_rx", self.sched.join_slot, frame,
+            t_slot_start + self.timing.t_offset,
+            t_slot_start + self.t_join_accept - 0.005,
         )
-        self._add_window(rt, win)
-        self._push(win.close_t, _P_CLOSE, st.node_id, self._ev_plain_window_close, rt, win)
         if st.is_relay:
-            t_acc = t_slot_start + self._join_accept_offset()
+            t_acc = t_slot_start + self.t_join_accept
             self._push(t_acc, _P_SVC, st.node_id, self._ev_join_respond, rt, frame, t_acc)
 
     def _ev_join_respond(self, rt: _NodeRt, frame: int, t: float) -> None:
@@ -623,12 +514,16 @@ class Simulator:
 
     # ------------------------------------------------------------ radio
 
-    def _add_window(self, rt: _NodeRt, win: _Window) -> None:
+    def _listen(
+        self, rt: _NodeRt, purpose: str, slot: int, frame: int, open_t: float,
+        close_t: float, on_close=None,
+    ) -> None:
+        """Open a receive window on channel 0 and schedule its close."""
+        win = _Window(rt.st.node_id, 0, open_t, close_t, purpose, slot, frame)
         rt.windows.append(win)
-        self._push(win.open_t, _P_OPEN, rt.st.node_id, self._ev_window_open, rt, win)
-
-    def _ev_window_open(self, rt: _NodeRt, win: _Window) -> None:
-        win.opened = True
+        self._push(
+            close_t, _P_CLOSE, rt.st.node_id, on_close or self._ev_plain_window_close, rt, win
+        )
 
     def _ev_plain_window_close(self, rt: _NodeRt, win: _Window) -> None:
         if not win.closed:
@@ -669,11 +564,8 @@ class Simulator:
             self.radio_intervals.append(
                 (rt.st.node_id, "receive", rt.listen_from, tx.start, "0")
             )
-        if rt.listen_from is not None:
-            rt.listen_from = None
-            rt._resume_listen = True
-        else:
-            rt._resume_listen = False
+        rt.resume_listen = rt.listen_from is not None
+        rt.listen_from = None
         rt.own_tx.append((tx.start, tx.end))
         self.active_tx.append(tx)
 
@@ -682,13 +574,13 @@ class Simulator:
             (rt.st.node_id, "transmit", tx.start, tx.end, str(tx.channel))
         )
         self._log_packet(tx.start, rt.st.node_id, "tx", tx.packet, str(tx.channel), tx.frame, tx.slot)
-        if getattr(rt, "_resume_listen", False) and rt.st.mode in (
+        if rt.resume_listen and rt.st.mode in (
             NodeMode.UNJOINED,
             NodeMode.JOINING,
             NodeMode.DESYNCHRONIZED,
         ):
             rt.listen_from = tx.end
-            rt._resume_listen = False
+            rt.resume_listen = False
         self.tx_history.append(tx)
         if tx in self.active_tx:
             self.active_tx.remove(tx)
@@ -696,27 +588,6 @@ class Simulator:
             self._deliver(tx)
 
     # ------------------------------------------------------------ delivery
-
-    def _collided(self, tx: Transmission, listener: int) -> bool:
-        for other in self.tx_history:
-            if other is tx or other.channel != tx.channel:
-                continue
-            if other.end <= tx.start or other.start >= tx.end:
-                continue
-            if other.sender == listener:
-                continue
-            if _audible(self.sc.links, other.sender, listener):
-                return True
-        for other in self.active_tx:
-            if other is tx or other.channel != tx.channel:
-                continue
-            if other.start >= tx.end:
-                continue
-            if other.sender == listener:
-                continue
-            if _audible(self.sc.links, other.sender, listener):
-                return True
-        return False
 
     def _listening_state(self, rt: _NodeRt, tx: Transmission) -> tuple[bool, bool]:
         """(fully_covered, heard_at_all) for one listener and one tx."""
@@ -745,27 +616,20 @@ class Simulator:
         self.tx_history = [
             t for t in self.tx_history if t.end > tx.start - 2.0
         ]
+        links = self.sc.links
+        listeners = []
         for nid in sorted(self.nodes):
-            if nid == tx.sender:
+            if nid == tx.sender or (tx.sender, nid) not in links:
                 continue
-            if not _audible(self.sc.links, tx.sender, nid):
-                continue
-            rt = self.nodes[nid]
-            covered, heard = self._listening_state(rt, tx)
-            if not heard:
-                continue
-            if not covered:
-                self._log_packet(tx.end, nid, "lost_window", tx.packet, str(tx.channel), tx.frame, tx.slot)
-                continue
-            if self._collided(tx, nid):
-                self._log_packet(tx.end, nid, "lost_collision", tx.packet, str(tx.channel), tx.frame, tx.slot)
-                continue
-            per = self.sc.links[(tx.sender, nid)]
-            if per > 0.0 and self.rng.random() < per:
-                self._log_packet(tx.end, nid, "lost_per", tx.packet, str(tx.channel), tx.frame, tx.slot)
-                continue
-            self._log_packet(tx.end, nid, "rx", tx.packet, str(tx.channel), tx.frame, tx.slot)
-            self._receive(rt, tx)
+            covered, heard = self._listening_state(self.nodes[nid], tx)
+            if heard:
+                listeners.append((nid, covered, links[(tx.sender, nid)]))
+        outcomes = deliver(tx, listeners, self.tx_history + self.active_tx, links, self.rng)
+        for nid, outcome in outcomes.items():
+            event = "rx" if outcome == "received" else outcome
+            self._log_packet(tx.end, nid, event, tx.packet, str(tx.channel), tx.frame, tx.slot)
+            if event == "rx":
+                self._receive(self.nodes[nid], tx)
 
     def _receive(self, rt: _NodeRt, tx: Transmission) -> None:
         st = rt.st
@@ -827,10 +691,6 @@ class Simulator:
                 rt.gw_queue.append(act.packet)
         elif isinstance(act, BecameSynchronized):
             self._on_synchronized(rt, act, tx)
-        elif isinstance(act, AppDelivery):
-            pass  # already logged as rx; nothing further to schedule
-        elif isinstance(act, AckMatched):
-            pass
 
     def _maybe_schedule_attempt(self, rt: _NodeRt, now: float) -> None:
         st = rt.st
@@ -957,7 +817,7 @@ class Simulator:
                 )
                 rt.listen_from = None
             for win in rt.windows:
-                if win.opened and not win.closed and win.open_t < end:
+                if not win.closed and win.open_t < end:
                     self.radio_intervals.append(
                         (rt.st.node_id, "receive", win.open_t, min(win.close_t, end), "0")
                     )
@@ -1034,31 +894,37 @@ def deliver(
     tx: Transmission,
     listeners: list[tuple[int, bool, float]],
     concurrent: list[Transmission],
+    links: dict[tuple[int, int], float],
     rng: random.Random,
 ) -> dict[int, str]:
-    """Outcome of one transmission at each listener.
+    """Outcome of one transmission at each listener; the engine's delivery rule.
 
     ``listeners`` holds (node_id, window_fully_covers_tx, link_per);
-    ``concurrent`` the other transmissions audible at the listeners.
-    No capture: any audible overlap on the channel destroys reception.
+    ``concurrent`` the other transmissions on the air around ``tx``. An
+    interferer counts at a listener only if ``(sender, listener)`` is in
+    ``links``. No capture: any audible overlap on the channel destroys
+    reception. PER draws happen in listener-id order.
     """
+    # Same-channel transmissions overlapping tx; the cheap time test first.
+    overlapping = []
+    for o in concurrent:
+        if o.start >= tx.end or o.end <= tx.start or o is tx or o.channel != tx.channel:
+            continue
+        overlapping.append(o)
     out: dict[int, str] = {}
     for nid, covered, per in sorted(listeners):
         if not covered:
             out[nid] = "lost_window"
             continue
-        overlap = any(
-            o.channel == tx.channel and o.start < tx.end and o.end > tx.start
-            for o in concurrent
-            if o is not tx and o.sender != nid
-        )
-        if overlap:
-            out[nid] = "lost_collision"
-            continue
-        if per > 0.0 and rng.random() < per:
-            out[nid] = "lost_per"
-            continue
-        out[nid] = "received"
+        for o in overlapping:
+            if o.sender != nid and (o.sender, nid) in links:
+                out[nid] = "lost_collision"
+                break
+        else:
+            if per > 0.0 and rng.random() < per:
+                out[nid] = "lost_per"
+            else:
+                out[nid] = "received"
     return out
 
 

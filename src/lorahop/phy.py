@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 #: Largest payload the modem length field can describe.
 MAX_PHY_PAYLOAD_BYTES = 255
@@ -18,14 +17,6 @@ MAX_PHY_PAYLOAD_BYTES = 255
 #: Framing overhead (MHDR + FHDR + FPort + MIC) added to an application
 #: payload when it is re-encapsulated as a LoRaWAN uplink.
 LORAWAN_OVERHEAD_BYTES = 12
-
-
-class RadioState(Enum):
-    """Coarse radio power states used for timelines and energy accounting."""
-
-    SLEEP = "sleep"
-    RECEIVE = "receive"
-    TRANSMIT = "transmit"
 
 
 @dataclass(frozen=True)

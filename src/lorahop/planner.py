@@ -14,7 +14,7 @@ be the LoRaWAN one; every other node uses the in-network data airtime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class PlanError(Exception):
@@ -51,33 +51,6 @@ class PowerProfile:
             raise ValueError("active power below sleep power")
         if self.tau_app < 0:
             raise ValueError("application run time cannot be negative")
-
-
-@dataclass(frozen=True)
-class NetworkPlan:
-    """Result of dimensioning one deployment."""
-
-    n: int
-    k: int
-    slots_per_frame: int
-    slot_seconds: float
-    channels: int = 1
-    frame_seconds: float = 0.0
-    app_period_seconds: float = 0.0
-    duty_cycles: dict[int, float] = field(default_factory=dict)
-    mean_power_w: float | None = None
-    feasible: bool = True
-
-    def __post_init__(self) -> None:
-        frame = self.slots_per_frame * self.slot_seconds
-        if self.frame_seconds == 0.0:
-            object.__setattr__(self, "frame_seconds", frame)
-        if self.app_period_seconds == 0.0:
-            object.__setattr__(self, "app_period_seconds", self.k * frame)
-        if not math.isclose(self.app_period_seconds, self.k * frame, rel_tol=1e-9):
-            raise ValueError("app period inconsistent with k*N*T_SL")
-        if self.feasible and self.n > self.k:
-            raise ValueError("plan marked feasible with n > k")
 
 
 def app_period(k: int, slots_per_frame: int, slot_seconds: float) -> float:

@@ -52,15 +52,13 @@ class PacketKind(IntEnum):
 
 
 class SlotRole(Enum):
-    """Role of one slot, either in the frame template or for one node.
+    """Role of one slot in the frame template (``FrameSchedule.layout``).
 
-    The template uses BEACON_TX for every beacon slot; resolving the
-    template for a particular node turns the parent's beacon slot into
-    BEACON_RX and everything the node does not participate in into IDLE.
+    The template uses BEACON_TX for every beacon slot and IDLE for the
+    padding after the join slot.
     """
 
     BEACON_TX = "beacon_tx"
-    BEACON_RX = "beacon_rx"
     LORAWAN_UPLINK = "lorawan_uplink"
     UPLINK_EXCHANGE = "uplink_exchange"
     DOWNLINK_EXCHANGE = "downlink_exchange"
@@ -396,46 +394,6 @@ Action = (
 )
 
 
-@dataclass(frozen=True)
-class RadioPlan:
-    """Timed radio intentions for one slot, relative to the slot start.
-
-    ``intervals`` lists (state, start, end) with state "transmit",
-    "receive" or "sleep"; a transmit interval of zero length at the
-    packet emission instant marks ``packet``'s start (the caller knows
-    the airtime).
-    """
-
-    intervals: tuple[tuple[str, float, float], ...]
-    packet: MacPacket | None = None
-    tx_at: float | None = None
-
-
-def node_slot_role(
-    node: NodeState, slot_index: int, schedule: FrameSchedule
-) -> tuple[SlotRole, int | None]:
-    """Resolve the frame template into this node's role for one slot."""
-    role, owner = schedule.layout[slot_index]
-    addr = node.address
-    if role is SlotRole.BEACON_TX:
-        if owner == addr:
-            return SlotRole.BEACON_TX, owner
-        if owner == node.parent_id:
-            return SlotRole.BEACON_RX, owner
-        return SlotRole.IDLE, None
-    if role is SlotRole.LORAWAN_UPLINK:
-        return (role, 0) if node.is_relay else (SlotRole.IDLE, None)
-    if role is SlotRole.UPLINK_EXCHANGE:
-        if owner == addr or owner in node.children:
-            return role, owner
-        return SlotRole.IDLE, None
-    if role is SlotRole.DOWNLINK_EXCHANGE:
-        if owner == addr or owner in node.children:
-            return role, owner
-        return SlotRole.IDLE, None
-    return role, owner
-
-
 def make_beacon(node: NodeState, frame_index: int) -> MacPacket:
     return MacPacket(
         kind=PacketKind.BEACON,
@@ -445,61 +403,6 @@ def make_beacon(node: NodeState, frame_index: int) -> MacPacket:
         origin_id=node.address if node.address is not None else BROADCAST_ID,
         seq=frame_index % SEQ_MODULO,
     )
-
-
-def on_slot_start(
-    node: NodeState,
-    slot_index: int,
-    schedule: FrameSchedule,
-    timing: SlotTiming,
-    guard_seconds: float | None = None,
-) -> RadioPlan:
-    """Radio action plan for one slot of a Synchronized node.
-
-    This is the declarative view of what the engine schedules; tests
-    compare engine-produced timelines against it. ``guard_seconds``
-    overrides the beacon-listening guard (the engine widens it after
-    misses); data/ack exchanges always use the configured t_guard.
-    """
-    role, owner = node_slot_role(node, slot_index, schedule)
-    g = timing.t_guard if guard_seconds is None else guard_seconds
-
-    if role is SlotRole.BEACON_TX:
-        t0 = timing.beacon_tx_offset
-        return RadioPlan(
-            intervals=(("sleep", 0.0, t0), ("transmit", t0, t0 + timing.t_bcn)),
-            packet=None,
-            tx_at=t0,
-        )
-    if role is SlotRole.BEACON_RX:
-        t0 = timing.beacon_tx_offset
-        return RadioPlan(
-            intervals=(("receive", t0 - g / 2.0, t0 + g / 2.0 + timing.t_bcn),),
-        )
-    if role is SlotRole.LORAWAN_UPLINK:
-        return RadioPlan(intervals=(), tx_at=timing.data_tx_offset)
-    if role is SlotRole.UPLINK_EXCHANGE and owner == node.address:
-        head = node.uplink_queue[0] if node.uplink_queue else None
-        if head is None:
-            return RadioPlan(intervals=(("sleep", 0.0, 0.0),))
-        aw = timing.ack_window
-        return RadioPlan(
-            intervals=(("receive", aw[0], aw[1]),),
-            packet=head,
-            tx_at=timing.data_tx_offset,
-        )
-    if role is SlotRole.UPLINK_EXCHANGE:
-        dw = timing.data_window
-        return RadioPlan(
-            intervals=(("receive", dw[0], dw[1]),),
-            tx_at=timing.ack_tx_offset,
-        )
-    if role is SlotRole.DOWNLINK_EXCHANGE and owner != node.address:
-        return RadioPlan(intervals=(), tx_at=timing.data_tx_offset)
-    if role is SlotRole.DOWNLINK_EXCHANGE and node.expecting_downlink:
-        dw = timing.data_window
-        return RadioPlan(intervals=(("receive", dw[0], dw[1]),))
-    return RadioPlan(intervals=(("sleep", 0.0, 0.0),))
 
 
 def forwarding_step(node: NodeState) -> MacPacket | None:

@@ -15,9 +15,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .phy import RadioParams
+from .phy import RadioParams, time_on_air
 from .planner import PowerProfile
-from .protocol import MAX_DATA_PAYLOAD_BYTES, FrameSchedule, SlotTiming, build_schedule
+from .protocol import (
+    JOIN_ACCEPT_PAYLOAD_BYTES,
+    MAC_HEADER_BYTES,
+    MAX_DATA_PAYLOAD_BYTES,
+    FrameSchedule,
+    SlotTiming,
+    build_schedule,
+)
 from .timebase import GuardConfig
 
 SCHEMA_VERSION = 1
@@ -62,6 +69,11 @@ class JoinConfig:
             raise ValueError("need at least one backoff position")
         if self.retry_frames < 1:
             raise ValueError("retry period must be at least one frame")
+
+    def accept_offset(self, timing: SlotTiming) -> float:
+        """Start of the relay's JoinAccept within the contention slot: after
+        the guard and every backoff position."""
+        return timing.t_offset + timing.t_guard + self.backoff_slots * self.backoff_step
 
 
 @dataclass(frozen=True)
@@ -336,6 +348,20 @@ def parse_scenario(doc: dict, source: str = "scenario") -> Scenario:
         timing.validate_for(slot_seconds)
     except ValueError as e:
         raise ScenarioError(f"{tc}: {e}") from e
+    req_air = time_on_air(MAC_HEADER_BYTES, radio)
+    if join.backoff_step < req_air:
+        raise ScenarioError(
+            f"{jc}.backoff_step {join.backoff_step:.3f} s below the JoinRequest "
+            f"airtime {req_air:.3f} s: adjacent backoffs would overlap"
+        )
+    accept_end = join.accept_offset(timing) + time_on_air(
+        MAC_HEADER_BYTES + JOIN_ACCEPT_PAYLOAD_BYTES, radio
+    )
+    if accept_end > slot_seconds:
+        raise ScenarioError(
+            f"{jc}: join slot anatomy needs {accept_end:.3f} s "
+            f"but a slot lasts {slot_seconds:.3f} s"
+        )
 
     relay_id = next(n.node_id for n in nodes if n.is_relay)
     _check_connected(nodes, links, relay_id)
@@ -362,7 +388,8 @@ def parse_scenario(doc: dict, source: str = "scenario") -> Scenario:
     )
 
 
-def load_scenario(path: str | Path) -> Scenario:
+def read_scenario_doc(path: str | Path) -> dict:
+    """The raw JSON object of one scenario file, before validation."""
     p = Path(path)
     try:
         doc = json.loads(p.read_text())
@@ -370,7 +397,13 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"{p}: no such scenario file") from None
     except json.JSONDecodeError as e:
         raise ScenarioError(f"{p}:{e.lineno}: invalid JSON: {e.msg}") from None
-    return parse_scenario(doc, source=p.name)
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{p}: top level must be an object")
+    return doc
+
+
+def load_scenario(path: str | Path) -> Scenario:
+    return parse_scenario(read_scenario_doc(path), source=Path(path).name)
 
 
 def apply_override(doc: dict, dotted_key: str, raw_value: str) -> None:

@@ -35,14 +35,17 @@ def _tx(sender=0, start=1.0, end=1.1, channel=0, seq=0):
 
 # --- delivery semantics ---
 
+# Every node hears every other one, so each overlap in these cases is audible.
+MESH = {(a, b): 0.0 for a in range(4) for b in range(4) if a != b}
+
 
 def test_deliver_clean():
-    out = deliver(_tx(), [(2, True, 0.0)], [], random.Random(1))
+    out = deliver(_tx(), [(2, True, 0.0)], [], MESH, random.Random(1))
     assert out == {2: "received"}
 
 
 def test_deliver_window_miss():
-    out = deliver(_tx(), [(2, False, 0.0)], [], random.Random(1))
+    out = deliver(_tx(), [(2, False, 0.0)], [], MESH, random.Random(1))
     assert out == {2: "lost_window"}
 
 
@@ -50,14 +53,25 @@ def test_deliver_collision_same_channel_only():
     tx = _tx(sender=1, start=1.0, end=1.1)
     same = _tx(sender=3, start=1.05, end=1.2, channel=0, seq=1)
     other = _tx(sender=3, start=1.05, end=1.2, channel=1, seq=2)
-    assert deliver(tx, [(2, True, 0.0)], [same], random.Random(1)) == {2: "lost_collision"}
-    assert deliver(tx, [(2, True, 0.0)], [other], random.Random(1)) == {2: "received"}
+    assert deliver(tx, [(2, True, 0.0)], [same], MESH, random.Random(1)) == {2: "lost_collision"}
+    assert deliver(tx, [(2, True, 0.0)], [other], MESH, random.Random(1)) == {2: "received"}
+
+
+def test_deliver_interferer_counts_only_over_a_link():
+    # Node 3 overlaps on the same channel, but node 2 cannot hear it:
+    # a hidden terminal leaves the reception intact until the link exists.
+    tx = _tx(sender=1, start=1.0, end=1.1)
+    hidden = _tx(sender=3, start=1.05, end=1.2, seq=1)
+    links = {(1, 2): 0.0, (2, 1): 0.0}
+    assert deliver(tx, [(2, True, 0.0)], [hidden], links, random.Random(1)) == {2: "received"}
+    links[(3, 2)] = 0.0
+    assert deliver(tx, [(2, True, 0.0)], [hidden], links, random.Random(1)) == {2: "lost_collision"}
 
 
 def test_deliver_adjacent_not_collision():
     tx = _tx(sender=1, start=1.0, end=1.1)
     after = _tx(sender=3, start=1.1, end=1.2, seq=1)
-    assert deliver(tx, [(2, True, 0.0)], [after], random.Random(1)) == {2: "received"}
+    assert deliver(tx, [(2, True, 0.0)], [after], MESH, random.Random(1)) == {2: "received"}
 
 
 def test_deliver_own_transmission_not_interference():
@@ -65,13 +79,13 @@ def test_deliver_own_transmission_not_interference():
     # own concurrent tx is excluded (the window carve handles that case).
     tx = _tx(sender=1, start=1.0, end=1.1)
     own = _tx(sender=2, start=1.0, end=1.05, seq=1)
-    assert deliver(tx, [(2, True, 0.0)], [own], random.Random(1)) == {2: "received"}
+    assert deliver(tx, [(2, True, 0.0)], [own], MESH, random.Random(1)) == {2: "received"}
 
 
 def test_deliver_per_extremes_and_determinism():
-    assert deliver(_tx(), [(2, True, 1.0)], [], random.Random(1)) == {2: "lost_per"}
+    assert deliver(_tx(), [(2, True, 1.0)], [], MESH, random.Random(1)) == {2: "lost_per"}
     outs = {
-        tuple(sorted(deliver(_tx(), [(2, True, 0.5), (3, True, 0.5)], [], random.Random(s)).items()))
+        tuple(sorted(deliver(_tx(), [(2, True, 0.5), (3, True, 0.5)], [], MESH, random.Random(s)).items()))
         for s in (7, 7, 7)
     }
     assert len(outs) == 1  # same seed, same outcome

@@ -30,8 +30,6 @@ from lorahop.protocol import (
     join_procedure,
     make_beacon,
     make_relay,
-    node_slot_role,
-    on_slot_start,
 )
 
 TIMING = SlotTiming()
@@ -135,41 +133,6 @@ def _synced_leaf(node_id: int, address: int, parent: int = 0) -> NodeState:
     st.parent_id = parent
     st.assigned_slots = SCHED.slot_triple(address)
     return st
-
-
-def test_node_slot_role_leaf():
-    leaf = _synced_leaf(11, 2)
-    assert node_slot_role(leaf, 2, SCHED) == (SlotRole.BEACON_TX, 2)
-    assert node_slot_role(leaf, 0, SCHED) == (SlotRole.BEACON_RX, 0)
-    assert node_slot_role(leaf, 1, SCHED) == (SlotRole.IDLE, None)
-    assert node_slot_role(leaf, SCHED.uplink_slot(2), SCHED) == (SlotRole.UPLINK_EXCHANGE, 2)
-    assert node_slot_role(leaf, SCHED.lorawan_slot, SCHED) == (SlotRole.IDLE, None)
-
-
-def test_node_slot_role_relay_with_child():
-    relay = make_relay(10, SCHED)
-    relay.children.add(1)
-    assert node_slot_role(relay, 0, SCHED) == (SlotRole.BEACON_TX, 0)
-    assert node_slot_role(relay, SCHED.lorawan_slot, SCHED) == (SlotRole.LORAWAN_UPLINK, 0)
-    assert node_slot_role(relay, SCHED.uplink_slot(1), SCHED) == (SlotRole.UPLINK_EXCHANGE, 1)
-    assert node_slot_role(relay, SCHED.uplink_slot(2), SCHED) == (SlotRole.IDLE, None)
-
-
-def test_on_slot_start_plans():
-    leaf = _synced_leaf(11, 2)
-    own_beacon = on_slot_start(leaf, 2, SCHED, TIMING)
-    assert own_beacon.tx_at == TIMING.beacon_tx_offset
-
-    parent_beacon = on_slot_start(leaf, 0, SCHED, TIMING, guard_seconds=0.004)
-    (state, lo, hi), = parent_beacon.intervals
-    assert state == "receive"
-    assert lo == pytest.approx(TIMING.beacon_tx_offset - 0.002)
-    assert hi == pytest.approx(TIMING.beacon_tx_offset + 0.002 + TIMING.t_bcn)
-
-    leaf.uplink_queue.append(MacPacket(PacketKind.UP_DATA, 1, 2, 0, 2, 0, b"z"))
-    up = on_slot_start(leaf, SCHED.uplink_slot(2), SCHED, TIMING)
-    assert up.tx_at == TIMING.data_tx_offset
-    assert up.intervals[0][0] == "receive"  # waits for the ack
 
 
 # --- forwarding ---

@@ -153,6 +153,18 @@ def test_slot_too_short_for_anatomy():
         parse_scenario(doc)
 
 
+def test_backoff_step_below_join_request_airtime():
+    # The 5-byte JoinRequest lasts 0.124 s at SF9: adjacent backoffs would overlap.
+    with pytest.raises(ScenarioError, match="backoff_step 0.050 s below the JoinRequest airtime"):
+        parse_scenario(_minimal(join={"backoff_step": 0.05}))
+
+
+def test_join_accept_must_end_inside_the_slot():
+    # A fourth 0.130 s backoff position pushes the JoinAccept past the 0.649 s slot.
+    with pytest.raises(ScenarioError, match="join slot anatomy needs 0.684 s but a slot lasts 0.649 s"):
+        parse_scenario(_minimal(join={"backoff_slots": 4}))
+
+
 def test_payload_bounds():
     parse_scenario(_minimal(app_payload_bytes=0))
     parse_scenario(_minimal(app_payload_bytes=59))
