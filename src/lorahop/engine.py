@@ -180,7 +180,6 @@ class Simulator:
         self.rng = random.Random(scenario.seed)
         self.t_slot = scenario.slot_seconds
         self.t_frame = scenario.frame_seconds
-        self.t_bcn_air = time_on_air(3, scenario.radio)
         self.t_join_accept = scenario.join.accept_offset(scenario.timing)
         self._toa_cache: dict[int, float] = {}
         self.end_time = scenario.frames * self.t_frame
@@ -342,7 +341,7 @@ class Simulator:
         # One extra local tick on the early side absorbs the resync
         # quantization residual, so guard = min_guard is truly sufficient.
         open_t = center - half - rt.tick
-        close_t = center + half + self.t_bcn_air
+        close_t = center + half + self.timing.t_bcn
         self._listen(
             rt, "beacon", rt.sync_slot, frame, open_t, close_t, self._ev_beacon_window_close
         )

@@ -21,6 +21,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 
+from .phy import RadioParams, time_on_air
 from .timebase import VirtualClock
 
 #: Fixed MAC header: network_id, sender_id, dest_id, origin_id, seq/kind.
@@ -123,25 +124,27 @@ class SlotTiming:
 
     A data slot runs [t_offset][guard/2 | data | guard/2][t_offset]
     [guard/2 | ack | guard/2]. A beacon slot is just [t_offset][beacon],
-    received through a guard window centered on the nominal start.
+    received through a guard window centered on the nominal start. The
+    beacon, ack and largest data airtimes follow from ``radio``.
     """
 
+    radio: RadioParams = RadioParams()
     t_offset: float = 0.030
     t_guard: float = 0.010
-    t_data_max: float = 0.390144
-    t_ack: float = 0.103424
-    t_bcn: float = 0.103424
+    t_bcn: float = field(init=False)
+    t_ack: float = field(init=False)
+    t_data_max: float = field(init=False)
 
     def __post_init__(self) -> None:
-        for label, v in (
-            ("t_offset", self.t_offset),
-            ("t_guard", self.t_guard),
-            ("t_data_max", self.t_data_max),
-            ("t_ack", self.t_ack),
-            ("t_bcn", self.t_bcn),
-        ):
+        for label, v in (("t_offset", self.t_offset), ("t_guard", self.t_guard)):
             if v <= 0:
                 raise ValueError(f"{label} must be positive")
+        for label, size in (
+            ("t_bcn", BEACON_ONAIR_BYTES),
+            ("t_ack", ACK_ONAIR_BYTES),
+            ("t_data_max", MAX_ONAIR_BYTES),
+        ):
+            object.__setattr__(self, label, time_on_air(size, self.radio))
 
     # Offsets below are relative to the slot start, in seconds.
 

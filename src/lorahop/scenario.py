@@ -91,7 +91,6 @@ class Scenario:
     frames: int
     seed: int = 1
     k: int = 1
-    channel_count: int = 1
     app_payload_bytes: int = 24
     network_id: int = 1
     queue_capacity: int = 64
@@ -232,7 +231,6 @@ def parse_scenario(doc: dict, source: str = "scenario") -> Scenario:
     frames = _take(d, "frames", int, source)
     seed = _take(d, "seed", int, source, default=1)
     k = _take(d, "k", int, source, default=1)
-    channels = _take(d, "channel_count", int, source, default=1)
     app_bytes = _take(d, "app_payload_bytes", int, source, default=24)
     network_id = _take(d, "network_id", int, source, default=1)
     capacity = _take(d, "queue_capacity", int, source, default=64)
@@ -265,7 +263,7 @@ def parse_scenario(doc: dict, source: str = "scenario") -> Scenario:
     timing_d = dict(_take(d, "slot_timing", dict, source, default={}))
     tc = f"{source}.slot_timing"
     timing_kwargs = {}
-    for key in ("t_offset", "t_guard", "t_data_max", "t_ack", "t_bcn"):
+    for key in ("t_offset", "t_guard"):
         if key in timing_d:
             timing_kwargs[key] = _take(timing_d, key, float, tc)
     _reject_unknown(timing_d, tc)
@@ -319,8 +317,6 @@ def parse_scenario(doc: dict, source: str = "scenario") -> Scenario:
         raise ScenarioError(f"{source}.frames: must be at least 1")
     if k < 1:
         raise ScenarioError(f"{source}.k: must be at least 1")
-    if channels < 1:
-        raise ScenarioError(f"{source}.channel_count: must be at least 1")
     if not 0 <= app_bytes <= MAX_DATA_PAYLOAD_BYTES:
         raise ScenarioError(
             f"{source}.app_payload_bytes: must be 0..{MAX_DATA_PAYLOAD_BYTES}"
@@ -337,7 +333,7 @@ def parse_scenario(doc: dict, source: str = "scenario") -> Scenario:
     try:
         schedule = build_schedule(max_nodes, slots, ticks)
         radio = RadioParams(**radio_kwargs)
-        timing = SlotTiming(**timing_kwargs)
+        timing = SlotTiming(radio, **timing_kwargs)
         guard = GuardConfig(**guard_kwargs)
         join = JoinConfig(**join_kwargs)
     except ValueError as e:
@@ -378,7 +374,6 @@ def parse_scenario(doc: dict, source: str = "scenario") -> Scenario:
         frames=frames,
         seed=seed,
         k=k,
-        channel_count=channels,
         app_payload_bytes=app_bytes,
         network_id=network_id,
         queue_capacity=capacity,

@@ -21,7 +21,7 @@ from lorahop import (
     sync_pairs,
     write_trace_csvs,
 )
-from lorahop.scenario import parse_scenario
+from lorahop.scenario import ScenarioError, parse_scenario, read_scenario_doc
 
 REPO = Path(__file__).resolve().parent.parent
 T_SLOT = 21281 / 32768
@@ -276,3 +276,51 @@ def test_join_contention_resolves():
     tr = run(sc)
     addr = tr.addresses
     assert sorted(addr[n] for n in (1, 2, 3)) == [1, 2, 3]
+
+
+# --- spreading-factor sweep ---
+
+
+def _sf_doc(topology: str, sf: int, ticks_per_slot=None, backoff_step=None, ldro=False) -> dict:
+    doc = read_scenario_doc(REPO / "scenarios" / f"{topology}.json")
+    doc["frames"] = 60
+    doc["radio"] = {"spreading_factor": sf}
+    if ldro:
+        doc["radio"]["low_data_rate_opt"] = True
+    if ticks_per_slot is not None:
+        doc["schedule"]["ticks_per_slot"] = ticks_per_slot
+    if backoff_step is not None:
+        doc["join"] = {"backoff_step": backoff_step}
+    return doc
+
+
+@pytest.mark.parametrize("topology", ["star4", "line4"])
+@pytest.mark.parametrize("sf", range(6, 13))
+def test_spreading_factor_sweep(topology, sf):
+    # At the committed 0.649 s slot SF6..9 must sync every node within the
+    # single-hop bound of criterion 3; SF10..12 cannot fit a 64-byte data
+    # exchange plus its ack, and must be rejected for it.
+    doc = _sf_doc(topology, sf)
+    if sf >= 10:
+        with pytest.raises(ScenarioError, match="slot anatomy"):
+            parse_scenario(doc)
+        return
+    _assert_syncs_every_edge(run(parse_scenario(doc)))
+
+
+@pytest.mark.parametrize("topology", ["star4", "line4"])
+@pytest.mark.parametrize(
+    "sf, ticks_per_slot, backoff_step, ldro",
+    [(10, 36000, 0.26, False), (11, 70000, 0.50, True)],
+)
+def test_spreading_factor_with_a_slot_sized_for_it(topology, sf, ticks_per_slot, backoff_step, ldro):
+    doc = _sf_doc(topology, sf, ticks_per_slot, backoff_step, ldro)
+    _assert_syncs_every_edge(run(parse_scenario(doc)))
+
+
+def _assert_syncs_every_edge(trace) -> None:
+    assert trace.final_modes == {i: "synchronized" for i in range(4)}
+    for child, parent in trace.parents.items():
+        errs = measure_sync_error(trace, parent, child)
+        assert errs
+        assert max(abs(e) for e in errs) <= 30.6e-6

@@ -9,10 +9,12 @@ from lorahop import (
     MacPacket,
     NodeState,
     PacketKind,
+    RadioParams,
     SlotRole,
     SlotTiming,
     build_schedule,
     frame_time,
+    time_on_air,
 )
 from lorahop.protocol import (
     AckMatched,
@@ -114,6 +116,9 @@ def test_slot_timing_anatomy():
     t.validate_for(21281 / 32768)
     with pytest.raises(ValueError):
         t.validate_for(0.5)
+    sf7 = RadioParams(spreading_factor=7)
+    t7 = SlotTiming(sf7)
+    assert t7.data_window[1] == 0.040 + time_on_air(64, sf7)
 
 
 # --- relay bootstrap and roles ---
@@ -182,6 +187,12 @@ def test_parent_beacon_resyncs():
     assert isinstance(act, Resync)
     assert act.reference_global == pytest.approx(arrival - TIMING.t_bcn - TIMING.beacon_tx_offset)
     assert leaf.consecutive_beacon_misses == 0
+    # The reference backs off the beacon airtime of the radio in use.
+    sf8 = RadioParams(spreading_factor=8)
+    (act,) = handle_rx(
+        leaf, make_beacon(make_relay(10, SCHED), 4), arrival, SCHED, SlotTiming(sf8)
+    )
+    assert act.reference_global == pytest.approx(arrival - time_on_air(3, sf8) - 0.030)
 
 
 def test_non_parent_beacon_no_resync():

@@ -73,6 +73,14 @@ def test_unknown_keys_rejected():
     doc["schedule"]["bogus"] = 3
     with pytest.raises(ScenarioError, match="unknown key"):
         parse_scenario(doc)
+    # The airtimes follow from the radio, and the engine has one channel.
+    for key in ("t_bcn", "t_ack", "t_data_max"):
+        with pytest.raises(ScenarioError, match=f"slot_timing: unknown key '{key}'"):
+            parse_scenario(_minimal(slot_timing={key: 0.1}))
+    with pytest.raises(ScenarioError, match="unknown key 'channel_count'"):
+        parse_scenario(_minimal(channel_count=1))
+    sc = parse_scenario(_minimal(slot_timing={"t_offset": 0.03, "t_guard": 0.01}))
+    assert (sc.timing.t_offset, sc.timing.t_guard) == (0.03, 0.01)
 
 
 def test_missing_required_key():
