@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import heapq
 import random
-from collections import deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .phy import lorawan_time_on_air, time_on_air
@@ -132,7 +133,11 @@ class ProtocolEvent:
 
 @dataclass
 class SimulationTrace:
-    """Everything a run produced, ready for measurement and export."""
+    """Everything a run produced, ready for measurement and export.
+
+    A trace is read-only after ``run()``: the measures read per-node views
+    of its lists, each built once on first use.
+    """
 
     scenario: Scenario
     end_time: float
@@ -146,6 +151,31 @@ class SimulationTrace:
     parents: dict[int, int]
     addresses: dict[int, int]
     node_counters: dict[int, dict[str, int]]
+
+    @cached_property
+    def intervals_by_node(self) -> dict[int, list[tuple[int, str, float, float, str]]]:
+        """``radio_intervals`` grouped by node, each list in trace order."""
+        return dict(_group_by_node(self.radio_intervals))
+
+    @cached_property
+    def resynced_by_node(self) -> dict[int, dict[int, float]]:
+        """Per node, ``{frame: t_syn}`` of its resynced sync samples; a later
+        sample of the same frame replaces an earlier one."""
+        by_node: dict[int, dict[int, float]] = defaultdict(dict)
+        for s in self.sync_samples:
+            if s.resynced:
+                by_node[s.node][s.frame] = s.t_syn
+        return dict(by_node)
+
+
+def _group_by_node(
+    rows: list[tuple[int, str, float, float, str]],
+) -> defaultdict[int, list[tuple[int, str, float, float, str]]]:
+    """Interval rows grouped by their node, each group in input order."""
+    by_node: defaultdict[int, list[tuple[int, str, float, float, str]]] = defaultdict(list)
+    for row in rows:
+        by_node[row[0]].append(row)
+    return by_node
 
 
 class _NodeRt:
@@ -199,6 +229,12 @@ class Simulator:
             rt.eff_guard = scenario.guard.base_guard
             self.nodes[cfg.node_id] = rt
         self.relay_id = scenario.relay_id
+        # Who hears each sender: (node_id, runtime, link PER) in node-id order.
+        self.hearers: dict[int, list[tuple[int, _NodeRt, float]]] = {n: [] for n in self.nodes}
+        for (src, dst), per in scenario.links.items():
+            self.hearers[src].append((dst, self.nodes[dst], per))
+        for hearers in self.hearers.values():
+            hearers.sort()  # by node id alone: a sender's link ends are distinct
 
         self.heap: list = []
         self._seq = 0
@@ -615,15 +651,12 @@ class Simulator:
         self.tx_history = [
             t for t in self.tx_history if t.end > tx.start - 2.0
         ]
-        links = self.sc.links
         listeners = []
-        for nid in sorted(self.nodes):
-            if nid == tx.sender or (tx.sender, nid) not in links:
-                continue
-            covered, heard = self._listening_state(self.nodes[nid], tx)
+        for nid, rt, per in self.hearers[tx.sender]:
+            covered, heard = self._listening_state(rt, tx)
             if heard:
-                listeners.append((nid, covered, links[(tx.sender, nid)]))
-        outcomes = deliver(tx, listeners, self.tx_history + self.active_tx, links, self.rng)
+                listeners.append((nid, covered, per))
+        outcomes = deliver(tx, listeners, self.tx_history + self.active_tx, self.sc.links, self.rng)
         for nid, outcome in outcomes.items():
             event = "rx" if outcome == "received" else outcome
             self._log_packet(tx.end, nid, event, tx.packet, str(tx.channel), tx.frame, tx.slot)
@@ -822,14 +855,14 @@ class Simulator:
                     )
                     win.closed = True
 
+        raw = _group_by_node(self.radio_intervals)
+        self.radio_intervals = []  # the buckets hold every record; free the list before the output grows
         intervals: list[tuple[int, str, float, float, str]] = []
         for nid in sorted(self.nodes):
             rows = sorted(
-                (
-                    (max(0.0, s), min(e, end), state, ch)
-                    for (n, state, s, e, ch) in self.radio_intervals
-                    if n == nid and e > 0.0 and s < end and e > s
-                ),
+                (max(0.0, s), min(e, end), state, ch)
+                for (_n, state, s, e, ch) in raw.pop(nid, ())
+                if e > 0.0 and s < end and e > s
             )
             cursor = 0.0
             for s, e, state, ch in rows:
@@ -938,12 +971,8 @@ def measure_sync_error(
     Uses only frames where both nodes re-anchored on a fresh reference
     (the flywheel after a missed beacon is an estimate, not a sample).
     """
-    parent = {
-        s.frame: s.t_syn for s in trace.sync_samples if s.node == parent_id and s.resynced
-    }
-    child = {
-        s.frame: s.t_syn for s in trace.sync_samples if s.node == child_id and s.resynced
-    }
+    parent = trace.resynced_by_node.get(parent_id, {})
+    child = trace.resynced_by_node.get(child_id, {})
     return [parent[f] - child[f] for f in sorted(parent.keys() & child.keys())]
 
 
@@ -959,8 +988,8 @@ def measure_duty_cycle(
         raise ValueError("window must be positive")
     end_s = start_s + window_seconds
     total = 0.0
-    for n, state, s, e, ch in trace.radio_intervals:
-        if n != node_id or state != "transmit":
+    for _n, state, s, e, ch in trace.intervals_by_node.get(node_id, ()):
+        if state != "transmit":
             continue
         if channel is not None and ch != str(channel):
             continue
@@ -990,9 +1019,7 @@ def measure_avg_power(
         raise ValueError("measurement span must be positive")
     state_p = {"sleep": profile.p_sleep, "receive": profile.p_rx, "transmit": profile.p_tx}
     energy = 0.0
-    for n, state, s, e, _ch in trace.radio_intervals:
-        if n != node_id:
-            continue
+    for _n, state, s, e, _ch in trace.intervals_by_node.get(node_id, ()):
         lo, hi = max(s, start_s), min(e, end_s)
         if hi > lo:
             energy += state_p[state] * (hi - lo)
@@ -1037,22 +1064,15 @@ def write_trace_csvs(trace: SimulationTrace, out_dir: str | Path) -> list[Path]:
     with p.open("w", newline="") as f:
         f.write("frame,parent,child,epsilon_us\n")
         for parent_id, child_id in sync_pairs(trace):
-            pmap = {
-                s.frame: s.t_syn
-                for s in trace.sync_samples
-                if s.node == parent_id and s.resynced
-            }
-            cmap = {
-                s.frame: s.t_syn
-                for s in trace.sync_samples
-                if s.node == child_id and s.resynced
-            }
+            pmap = trace.resynced_by_node.get(parent_id, {})
+            cmap = trace.resynced_by_node.get(child_id, {})
             for fr in sorted(pmap.keys() & cmap.keys()):
                 eps_us = (pmap[fr] - cmap[fr]) * 1e6
                 f.write(f"{fr},{parent_id},{child_id},{eps_us:.3f}\n")
     paths.append(p)
 
     p = out / "summary.csv"
+    counts = Counter((ev.node, ev.event) for ev in trace.packet_events)
     with p.open("w", newline="") as f:
         f.write(
             "node,final_mode,address,duty_cycle,avg_power_w,tx_count,rx_count,"
@@ -1064,8 +1084,7 @@ def write_trace_csvs(trace: SimulationTrace, out_dir: str | Path) -> list[Path]:
                 power = f"{measure_avg_power(trace, nid, trace.scenario.power):.9e}"
             else:
                 power = ""
-            txc = sum(1 for ev in trace.packet_events if ev.node == nid and ev.event == "tx")
-            rxc = sum(1 for ev in trace.packet_events if ev.node == nid and ev.event == "rx")
+            txc, rxc = counts[(nid, "tx")], counts[(nid, "rx")]
             addr = trace.addresses.get(nid, "")
             ctr = trace.node_counters[nid]
             drops = ctr["uplink_drops"] + ctr["downlink_drops"] + ctr["gateway_drops"]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from pathlib import Path
 
@@ -21,7 +22,9 @@ from lorahop import (
     sync_pairs,
     write_trace_csvs,
 )
+from lorahop.engine import Simulator
 from lorahop.scenario import ScenarioError, parse_scenario, read_scenario_doc
+from test_regression import GENERATED
 
 REPO = Path(__file__).resolve().parent.parent
 T_SLOT = 21281 / 32768
@@ -244,6 +247,86 @@ def test_write_trace_csvs(tmp_path, star_trace):
     assert headers["packet_events.csv"].startswith("t_s,node,event,kind")
     summary_rows = (tmp_path / "summary.csv").read_text().splitlines()[1:]
     assert len(summary_rows) == 4
+
+
+# --- measures against full scans of the trace ---
+
+
+def _scan_duty_cycle(trace, node_id, window_seconds, channel=None, start_s=0.0):
+    end_s = start_s + window_seconds
+    total = 0.0
+    for n, state, s, e, ch in trace.radio_intervals:
+        if n != node_id or state != "transmit":
+            continue
+        if channel is not None and ch != str(channel):
+            continue
+        lo, hi = max(s, start_s), min(e, end_s)
+        if hi > lo:
+            total += hi - lo
+    return total / window_seconds
+
+
+def _scan_avg_power(trace, node_id, profile, start_s=0.0, end_s=None):
+    if end_s is None:
+        end_s = trace.end_time
+    state_p = {"sleep": profile.p_sleep, "receive": profile.p_rx, "transmit": profile.p_tx}
+    energy = 0.0
+    for n, state, s, e, _ch in trace.radio_intervals:
+        if n != node_id:
+            continue
+        lo, hi = max(s, start_s), min(e, end_s)
+        if hi > lo:
+            energy += state_p[state] * (hi - lo)
+    for s, e in trace.app_intervals.get(node_id, []):
+        lo, hi = max(s, start_s), min(e, end_s)
+        if hi > lo:
+            energy += (profile.p_app - profile.p_sleep) * (hi - lo)
+    return energy / (end_s - start_s)
+
+
+def _scan_sync_error(trace, parent_id, child_id):
+    parent = {s.frame: s.t_syn for s in trace.sync_samples if s.node == parent_id and s.resynced}
+    child = {s.frame: s.t_syn for s in trace.sync_samples if s.node == child_id and s.resynced}
+    return [parent[f] - child[f] for f in sorted(parent.keys() & child.keys())]
+
+
+@pytest.mark.parametrize("name", ["star4", "line4", "tree16", "tree16_resampled"])
+def test_measures_equal_full_scans(name):
+    if name.startswith("tree16"):
+        trace = run(parse_scenario(GENERATED["tree16"]()))
+    else:
+        trace = run(load_scenario(REPO / "scenarios" / f"{name}.json"))
+    if name == "tree16_resampled":
+        # A second resynced sample of a (node, frame) replaces the first.
+        extra = [dataclasses.replace(s, t_syn=s.t_syn + 1e-3) for s in trace.sync_samples[::7]]
+        trace = dataclasses.replace(trace, sync_samples=trace.sync_samples + extra)
+    end = trace.end_time
+    nodes = sorted(trace.final_modes) + [999]  # 999 has no record in the trace
+    prof = PowerProfile(p_sleep=1e-5, p_rx=0.036, p_tx=0.120, p_app=0.030, tau_app=1.0)
+    windows = [(0.0, end), (0.0, 100.0), (8 * T_SLOT, 4 * T_FRAME), (end / 3, end / 2), (end - 10.0, 25.0)]
+    spans = [(0.0, None), (8 * T_SLOT, end / 2), (end / 3, end - 1.0), (end - 10.0, end + 15.0)]
+    for nid in nodes:
+        for start_s, window in windows:
+            for channel in (None, "0", 0, "lorawan"):
+                assert measure_duty_cycle(trace, nid, window, channel, start_s) == _scan_duty_cycle(
+                    trace, nid, window, channel, start_s
+                )
+        for start_s, end_s in spans:
+            assert measure_avg_power(trace, nid, prof, start_s, end_s) == _scan_avg_power(
+                trace, nid, prof, start_s, end_s
+            )
+        for other in nodes:
+            assert measure_sync_error(trace, nid, other) == _scan_sync_error(trace, nid, other)
+    assert measure_duty_cycle(trace, 999, end) == 0.0
+    assert measure_avg_power(trace, 999, prof) == 0.0
+    assert measure_sync_error(trace, 0, 999) == []
+
+
+def test_finalize_rejects_overlapping_intervals():
+    sim = Simulator(load_scenario(REPO / "scenarios" / "star4.json"))
+    sim.radio_intervals += [(1, "transmit", 1.0, 2.0, "0"), (1, "receive", 1.5, 2.5, "0")]
+    with pytest.raises(RuntimeError, match="overlapping radio intervals"):
+        sim._finalize()
 
 
 # --- lossy and degraded paths ---

@@ -1,10 +1,11 @@
-"""Regression pins: exact CSV bytes of the shipped scenarios, and the names
-the traced benchmark run wraps."""
+"""Regression pins: exact CSV bytes of the shipped scenarios and of two
+generated multi-node ones, and the names the traced benchmark run wraps."""
 
 from __future__ import annotations
 
 import hashlib
 import importlib.util
+import random
 from pathlib import Path
 
 import pytest
@@ -12,10 +13,12 @@ import pytest
 import lorahop.cli
 import lorahop.engine
 from lorahop import load_scenario, run, write_trace_csvs
+from lorahop.scenario import parse_scenario
 
 REPO = Path(__file__).resolve().parent.parent
 
-# SHA-256 of each CSV at the scenario's committed seed and frame count.
+# SHA-256 of each CSV at the scenario's committed seed and frame count
+# (the generated scenarios are in GENERATED below).
 # A change that moves any output byte must update these on purpose.
 PINNED = {
     "star4": {
@@ -30,12 +33,70 @@ PINNED = {
         "summary.csv": "a767826177a9285124bbdb0e5a884a2dbb07a65e35d10aba351b1478417fc88c",
         "sync_samples.csv": "87e2c11b841935328f65c2d7a943c788fa9458631ae392ca12193aca9419a660",
     },
+    "star16": {
+        "packet_events.csv": "bcd920002181d27781da71196dc9b30c935c30ef390a315454b2ce8199fd8393",
+        "radio_states.csv": "46918d34f834aa79654ce9fb74ee9a8f232e6b7ac831fc690c00bb76727e8988",
+        "summary.csv": "91cdffeb1868feaa81e779b9096ab2c610b661394ea34dd4d150fb1546fd9a32",
+        "sync_samples.csv": "be27bb282f6a6a310832e29af3c5f77ca6047ecd34e32560dfdcbc745131eaed",
+    },
+    "tree16": {
+        "packet_events.csv": "32cd4e9ad2adcb0f95703f56008141991e2c7711e205ad70d0d3b602545d7749",
+        "radio_states.csv": "c28cfa10c1cd1b2ee174b2bd7b1405dccc438f8fbc2f4c7f73fdbd5c34b263fd",
+        "summary.csv": "b01453a7edbf802e12d148d2e2677669f625f220aa6712e6343829b71ed90103",
+        "sync_samples.csv": "4c490ab88291694e049ce8e195672f763653c496f9a8fc10c0beae8a6aebd94e",
+    },
 }
+
+
+def generated_doc(name: str, edges: list[tuple[int, int]], frames: int, seed: int, power: bool) -> dict:
+    """A scenario whose relay is node 0, with the given bidirectional links.
+
+    Every other node drifts by a seeded draw in +-20 ppm; the frame holds
+    3n + 2 slots of the committed SF9 length, and k = n.
+    """
+    n = len(edges) + 1
+    rng = random.Random(seed)
+    drifts = [0.0] + [round(rng.uniform(-20.0, 20.0), 3) for _ in range(n - 1)]
+    doc = {
+        "schema_version": 1,
+        "name": name,
+        "frames": frames,
+        "seed": seed,
+        "k": n,
+        "app_payload_bytes": 24,
+        "schedule": {
+            "max_nodes": n,
+            "slots_per_frame": 3 * n + 2,
+            "ticks_per_slot": 21281,
+            "tick_rate_hz": 32768,
+        },
+        "guard": {"base_guard": 0.010},
+        "nodes": [{"id": i, "relay": i == 0, "drift_ppm": d} for i, d in enumerate(drifts)],
+        "links": [{"from": a, "to": b} for a, b in edges],
+    }
+    if power:
+        doc["power"] = {"p_sleep": 1e-5, "p_rx": 0.036, "p_tx": 0.120, "p_app": 0.030, "tau_app": 1.0}
+    return doc
+
+
+# Generated scenarios: a 16-node binary tree (node i hangs under (i - 1) // 2)
+# with a power profile, and 16 leaves joining one relay from cold, whose
+# JoinRequests collide.
+GENERATED = {
+    "tree16": lambda: generated_doc("tree16", [((i - 1) // 2, i) for i in range(1, 16)], 40, 16, True),
+    "star16": lambda: generated_doc("star16", [(0, i) for i in range(1, 17)], 60, 20, False),
+}
+
+
+def _scenario(name: str):
+    if name in GENERATED:
+        return parse_scenario(GENERATED[name]())
+    return load_scenario(REPO / "scenarios" / f"{name}.json")
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_csv_bytes_pinned(name, tmp_path):
-    paths = write_trace_csvs(run(load_scenario(REPO / "scenarios" / f"{name}.json")), tmp_path)
+    paths = write_trace_csvs(run(_scenario(name)), tmp_path)
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
     assert got == PINNED[name]
 
