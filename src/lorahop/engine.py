@@ -24,7 +24,9 @@ import random
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .phy import lorawan_time_on_air, time_on_air
 from .protocol import (
@@ -60,9 +62,9 @@ _P_CLOSE = 3
 _P_SVC = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Transmission:
-    """One packet on the air."""
+    """One packet on the air; compared by identity."""
 
     sender: int
     packet: MacPacket
@@ -77,7 +79,7 @@ class Transmission:
             raise ValueError("transmission must have positive airtime")
 
 
-@dataclass
+@dataclass(eq=False)
 class _Window:
     node_id: int
     channel: int | str
@@ -90,8 +92,7 @@ class _Window:
     early_close: float | None = None
 
 
-@dataclass(frozen=True)
-class PacketEvent:
+class PacketEvent(NamedTuple):
     t: float
     node: int
     event: str
@@ -106,6 +107,8 @@ class PacketEvent:
     slot: int
 
 
+# A frozen dataclass, not a named tuple: callers derive edited samples
+# with ``dataclasses.replace``.
 @dataclass(frozen=True)
 class SyncSample:
     frame: int
@@ -114,8 +117,7 @@ class SyncSample:
     resynced: bool
 
 
-@dataclass(frozen=True)
-class QueueSample:
+class QueueSample(NamedTuple):
     frame: int
     node: int
     uplink_depth: int
@@ -123,8 +125,7 @@ class QueueSample:
     gateway_depth: int
 
 
-@dataclass(frozen=True)
-class ProtocolEvent:
+class ProtocolEvent(NamedTuple):
     t: float
     node: int
     event: str
@@ -135,8 +136,9 @@ class ProtocolEvent:
 class SimulationTrace:
     """Everything a run produced, ready for measurement and export.
 
-    A trace is read-only after ``run()``: the measures read per-node views
-    of its lists, each built once on first use.
+    A trace stays read-only after ``run()``: its records are immutable, and
+    the measures read per-node views of its lists, each built once on first
+    use, which would go stale if a list changed.
     """
 
     scenario: Scenario
@@ -166,6 +168,9 @@ class SimulationTrace:
             if s.resynced:
                 by_node[s.node][s.frame] = s.t_syn
         return dict(by_node)
+
+
+_KIND_NAMES = {k: k.name.lower() for k in PacketKind}
 
 
 def _group_by_node(
@@ -239,7 +244,9 @@ class Simulator:
         self.heap: list = []
         self._seq = 0
         self.active_tx: list[Transmission] = []
-        self.tx_history: list[Transmission] = []
+        # Ended transmissions in end order, pruned to those that may still
+        # overlap a later one (see _deliver).
+        self.tx_history: deque[Transmission] = deque()
         self.radio_intervals: list[tuple[int, str, float, float, str]] = []
         self.packet_events: list[PacketEvent] = []
         self.sync_samples: list[SyncSample] = []
@@ -648,15 +655,19 @@ class Simulator:
         return False, False
 
     def _deliver(self, tx: Transmission) -> None:
-        self.tx_history = [
-            t for t in self.tx_history if t.end > tx.start - 2.0
-        ]
+        # A transmission delivered later ends no earlier than tx and lasts at
+        # most t_data_max, so one that ended before tx.start - t_data_max
+        # cannot overlap it. Ends arrive in time order, so prune from the left.
+        history = self.tx_history
+        horizon = tx.start - self.timing.t_data_max
+        while history[0].end <= horizon:
+            history.popleft()
         listeners = []
         for nid, rt, per in self.hearers[tx.sender]:
             covered, heard = self._listening_state(rt, tx)
             if heard:
                 listeners.append((nid, covered, per))
-        outcomes = deliver(tx, listeners, self.tx_history + self.active_tx, self.sc.links, self.rng)
+        outcomes = deliver(tx, listeners, [*history, *self.active_tx], self.sc.links, self.rng)
         for nid, outcome in outcomes.items():
             event = "rx" if outcome == "received" else outcome
             self._log_packet(tx.end, nid, event, tx.packet, str(tx.channel), tx.frame, tx.slot)
@@ -815,18 +826,8 @@ class Simulator:
     ) -> None:
         self.packet_events.append(
             PacketEvent(
-                t=t,
-                node=node,
-                event=event,
-                kind=pkt.kind.name.lower(),
-                sender=pkt.sender_id,
-                dest=pkt.dest_id,
-                origin=pkt.origin_id,
-                seq=pkt.seq,
-                size_bytes=pkt.onair_bytes,
-                channel=str(channel),
-                frame=frame,
-                slot=slot,
+                t, node, event, _KIND_NAMES[pkt.kind], pkt.sender_id, pkt.dest_id,
+                pkt.origin_id, pkt.seq, pkt.onair_bytes, str(channel), frame, slot,
             )
         )
 
@@ -899,7 +900,7 @@ class Simulator:
             for nid, rt in self.nodes.items()
         }
 
-        self.packet_events.sort(key=lambda ev: (ev.t, ev.node, ev.event))
+        self.packet_events.sort(key=itemgetter(0, 1, 2))  # (t, node, event)
 
         return SimulationTrace(
             scenario=self.sc,
@@ -1033,10 +1034,6 @@ def measure_avg_power(
 # ------------------------------------------------------------- export
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.9f}"
-
-
 def write_trace_csvs(trace: SimulationTrace, out_dir: str | Path) -> list[Path]:
     """Write the four CSV artifacts; returns the paths written."""
     out = Path(out_dir)
@@ -1046,18 +1043,13 @@ def write_trace_csvs(trace: SimulationTrace, out_dir: str | Path) -> list[Path]:
     p = out / "radio_states.csv"
     with p.open("w", newline="") as f:
         f.write("node,state,start_s,end_s\n")
-        for n, state, s, e, _ch in trace.radio_intervals:
-            f.write(f"{n},{state},{_fmt(s)},{_fmt(e)}\n")
+        f.writelines(f"{n},{state},{s:.9f},{e:.9f}\n" for n, state, s, e, _ch in trace.radio_intervals)
     paths.append(p)
 
     p = out / "packet_events.csv"
     with p.open("w", newline="") as f:
         f.write("t_s,node,event,kind,sender,dest,origin,seq,size_bytes,channel,frame,slot\n")
-        for ev in trace.packet_events:
-            f.write(
-                f"{_fmt(ev.t)},{ev.node},{ev.event},{ev.kind},{ev.sender},{ev.dest},"
-                f"{ev.origin},{ev.seq},{ev.size_bytes},{ev.channel},{ev.frame},{ev.slot}\n"
-            )
+        f.writelines("%.9f,%d,%s,%s,%d,%d,%d,%d,%d,%s,%d,%d\n" % ev for ev in trace.packet_events)
     paths.append(p)
 
     p = out / "sync_samples.csv"

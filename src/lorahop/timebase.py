@@ -12,7 +12,7 @@ one local tick.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 DEFAULT_TICK_RATE_HZ = 32768
 
@@ -106,7 +106,7 @@ def resync(clock: VirtualClock, beacon_ref_global: float, expected_local_tick: i
     the quantization residual, in [0, one local tick).
     """
     edge = next_tick_edge(clock, beacon_ref_global)
-    return replace(clock, anchor_tick=expected_local_tick, epoch_global=edge)
+    return VirtualClock(clock.tick_rate_hz, clock.drift_ppm, expected_local_tick, edge)
 
 
 def min_guard(relative_drift_ppm: float, frame_seconds: float) -> float:

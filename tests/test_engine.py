@@ -22,7 +22,8 @@ from lorahop import (
     sync_pairs,
     write_trace_csvs,
 )
-from lorahop.engine import Simulator
+from lorahop.engine import PacketEvent, Simulator
+from lorahop.protocol import MAX_DATA_PAYLOAD_BYTES
 from lorahop.scenario import ScenarioError, parse_scenario, read_scenario_doc
 from test_regression import GENERATED
 
@@ -329,6 +330,40 @@ def test_finalize_rejects_overlapping_intervals():
         sim._finalize()
 
 
+# --- trace records ---
+
+
+def test_trace_records_are_immutable(star_trace):
+    for rec, field in (
+        (star_trace.packet_events[0], "t"),
+        (star_trace.queue_samples[0], "uplink_depth"),
+        (star_trace.protocol_events[0], "detail"),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(rec, field, 0)
+
+
+def test_packet_event_fields_are_the_csv_columns(tmp_path, star_trace):
+    write_trace_csvs(star_trace, tmp_path)
+    lines = (tmp_path / "packet_events.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    assert [c.removesuffix("_s") for c in header] == list(PacketEvent._fields)
+    for line, ev in zip(lines[1:50], star_trace.packet_events):
+        assert line.split(",") == [f"{ev.t:.9f}", *map(str, ev[1:])]
+
+
+def test_closing_a_window_leaves_an_equal_one_open():
+    sim = Simulator(load_scenario(REPO / "scenarios" / "star4.json"))
+    rt = sim.nodes[1]
+    for _ in range(2):
+        sim._listen(rt, "ack", 5, 0, 1.0, 1.1)
+    first, second = rt.windows
+    sim._close_window(rt, second)
+    assert rt.windows == [first] and rt.windows[0] is first and not first.closed
+    sim._close_window(rt, first)
+    assert rt.windows == []
+
+
 # --- lossy and degraded paths ---
 
 
@@ -407,3 +442,28 @@ def _assert_syncs_every_edge(trace) -> None:
         errs = measure_sync_error(trace, parent, child)
         assert errs
         assert max(abs(e) for e in errs) <= 30.6e-6
+
+
+def test_delivery_remembers_transmissions_a_long_packet_overlaps():
+    # SF12 at coding rate 4/8: a 64-byte packet lasts 4.07 s, an ack 0.93 s.
+    # Node 1 hears 0 and 2 but not 3. B ends, and is delivered, more than
+    # 2 s after A ends and before C does; C overlapped A, so node 1 must
+    # still lose C to the collision.
+    doc = _sf_doc("line4", 12, ticks_per_slot=180000, backoff_step=1.0, ldro=True)
+    doc["radio"]["coding_rate_denominator"] = 8
+    sim = Simulator(parse_scenario(doc))
+    sim.nodes[1].listen_from = 0.0
+
+    def tx(sender, kind, payload, start):
+        pkt = MacPacket(kind, 1, sender, 1, sender, 0, payload)
+        return Transmission(sender, pkt, 0, start, start + sim._toa(pkt.onair_bytes), frame=0, slot=5)
+
+    a = tx(0, PacketKind.ACK, b"", 0.0)
+    c = tx(2, PacketKind.UP_DATA, bytes(MAX_DATA_PAYLOAD_BYTES), a.end - 0.1)
+    b = tx(3, PacketKind.ACK, b"", a.end + 2.1)
+    assert b.end < c.end
+    for step, t in ((sim._ev_tx_start, a), (sim._ev_tx_start, c), (sim._ev_tx_end, a),
+                    (sim._ev_tx_start, b), (sim._ev_tx_end, b), (sim._ev_tx_end, c)):
+        step(sim.nodes[t.sender], t)
+    at_1 = {ev.sender: ev.event for ev in sim.packet_events if ev.node == 1 and ev.event != "tx"}
+    assert at_1 == {0: "lost_collision", 2: "lost_collision"}

@@ -45,6 +45,12 @@ PINNED = {
         "summary.csv": "b01453a7edbf802e12d148d2e2677669f625f220aa6712e6343829b71ed90103",
         "sync_samples.csv": "4c490ab88291694e049ce8e195672f763653c496f9a8fc10c0beae8a6aebd94e",
     },
+    "star32": {
+        "packet_events.csv": "89f595d6246b73f5a6de90ff9940c30e52c469cd6b7c40bc7c876897070ecf4b",
+        "radio_states.csv": "eafc1105940ac66f7346907f55c1086ea8c33a774a22c013c2f5f82d31f306ca",
+        "summary.csv": "200a95c7625d38337115ad66a00129ea9e4a5011e80e2381c6862a6760364670",
+        "sync_samples.csv": "bbc36402bca77067eb38466e11f2cd5e4f8cee9454eed9c5148c646f9c48ac2f",
+    },
 }
 
 
@@ -80,11 +86,12 @@ def generated_doc(name: str, edges: list[tuple[int, int]], frames: int, seed: in
 
 
 # Generated scenarios: a 16-node binary tree (node i hangs under (i - 1) // 2)
-# with a power profile, and 16 leaves joining one relay from cold, whose
-# JoinRequests collide.
+# with a power profile, and 16 or 31 leaves joining one relay from cold, whose
+# JoinRequests collide. In star32 every relay beacon reaches 31 listeners.
 GENERATED = {
     "tree16": lambda: generated_doc("tree16", [((i - 1) // 2, i) for i in range(1, 16)], 40, 16, True),
     "star16": lambda: generated_doc("star16", [(0, i) for i in range(1, 17)], 60, 20, False),
+    "star32": lambda: generated_doc("star32", [(0, i) for i in range(1, 32)], 150, 32, False),
 }
 
 
