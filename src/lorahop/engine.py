@@ -11,6 +11,17 @@ and the flywheel after a miss — runs on the node's own drifted crystal.
 That split is exactly the regime the guard-time bound T_g/2 >= D_R*T_F
 protects.
 
+A synchronized node's fixed work for a frame is set up when the frame is
+scheduled: its beacon goes on the air, and its child-uplink and join
+windows open. Slot services that read a queue or a flag at slot time (own
+uplink and downlink, child downlink, LoRaWAN, application sample, the
+relay's JoinAccept answer) stay heap events, and so do beacon windows,
+whose close decides between a miss, the flywheel and a desync. Every other
+receive window is plain: it closes at its end time, so its receive
+interval is recorded when it opens. A sender that is not listening takes
+its transmission start when it is scheduled; a listening one keeps a
+start event, which cuts its listen interval (half-duplex).
+
 Radio model: zero propagation delay, no capture (overlapping on-channel
 transmissions at a listener destroy each other), per-link Bernoulli
 packet error rate drawn at transmission end in listener-id order. The
@@ -22,6 +33,7 @@ from __future__ import annotations
 import heapq
 import random
 from collections import Counter, defaultdict, deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -88,6 +100,8 @@ class _Window:
     purpose: str
     slot: int
     frame: int
+    # A plain window closes at close_t by time alone; the others close by event.
+    plain: bool = False
     closed: bool = False
     early_close: float | None = None
 
@@ -330,15 +344,34 @@ class Simulator:
         return anchor + (slot - rt.sync_slot) * self.t_slot
 
     def _schedule_frame(self, rt: _NodeRt, frame: int, anchor: float) -> None:
-        """Queue every activity of one synchronized node for one frame."""
+        """Set up every activity of one synchronized node for one frame.
+
+        What is fixed once the node is synchronized happens here: the
+        beacon goes on the air, the child-uplink and join windows open, and
+        the relay's JoinAccept answer is queued. A synchronized node leaves
+        that mode only at the next frame's beacon-window close, after every
+        slot of this frame, so none of these needs a check at slot time.
+        Slot services that read a queue or a flag at slot time stay events.
+        """
         st = rt.st
         if st.mode is not NodeMode.SYNCHRONIZED or st.assigned_slots is None:
             return
         b, up, down = st.assigned_slots
         nid = st.node_id
 
+        # Every transmission resolved from now on ends at or after the
+        # anchor, so a plain window that closed a slot before it can no
+        # longer hear one.
+        horizon = anchor - self.t_slot
+        rt.windows = [w for w in rt.windows if not w.plain or w.close_t >= horizon]
+        # The next beacon window goes before this frame's windows: _receive
+        # takes the first window that covers a packet, and a widened beacon
+        # window can overlap the join window at the end of this frame.
+        if not st.is_relay:
+            self._schedule_beacon_window(rt, frame + 1, anchor)
+
         t_beacon = self._slot_time(rt, anchor, b) + self.timing.beacon_tx_offset
-        self._push(t_beacon, _P_SVC, nid, self._ev_beacon_tx, rt, frame, b, t_beacon)
+        self._transmit(rt, make_beacon(st, frame), 0, t_beacon, frame, b)
 
         if st.is_relay:
             t_lw = self._slot_time(rt, anchor, self.sched.lorawan_slot)
@@ -347,17 +380,14 @@ class Simulator:
             t_up = self._slot_time(rt, anchor, up)
             self._push(t_up, _P_SVC, nid, self._ev_own_uplink, rt, frame, up, t_up)
 
+        dw = self.timing.data_window
         for child in sorted(st.children):
-            t_cu = self._slot_time(rt, anchor, self.sched.uplink_slot(child))
-            self._push(
-                t_cu, _P_SVC, nid, self._ev_child_uplink, rt, frame,
-                self.sched.uplink_slot(child), t_cu,
-            )
-            t_cd = self._slot_time(rt, anchor, self.sched.downlink_slot(child))
-            self._push(
-                t_cd, _P_SVC, nid, self._ev_child_downlink, rt, frame,
-                self.sched.downlink_slot(child), t_cd,
-            )
+            slot = self.sched.uplink_slot(child)
+            t_cu = self._slot_time(rt, anchor, slot)
+            self._listen(rt, "uplink_rx", slot, frame, t_cu + dw[0], t_cu + dw[1])
+            slot = self.sched.downlink_slot(child)
+            t_cd = self._slot_time(rt, anchor, slot)
+            self._push(t_cd, _P_SVC, nid, self._ev_child_downlink, rt, frame, slot, t_cd)
 
         if st.expecting_downlink:
             t_od = self._slot_time(rt, anchor, down)
@@ -366,14 +396,17 @@ class Simulator:
         lu = self.sc.join.listen_until_frame
         if lu is None or frame <= lu:
             t_join = self._slot_time(rt, anchor, self.sched.join_slot)
-            self._push(t_join, _P_SVC, nid, self._ev_join_slot, rt, frame, t_join)
+            self._listen(
+                rt, "join_rx", self.sched.join_slot, frame,
+                t_join + self.timing.t_offset, t_join + self.t_join_accept - 0.005,
+            )
+            if st.is_relay:
+                t_acc = t_join + self.t_join_accept
+                self._push(t_acc, _P_SVC, nid, self._ev_join_respond, rt, frame, t_acc)
 
         if rt.app_phase is not None and frame % self.sc.k == rt.app_phase:
             t_app = self._slot_time(rt, anchor, self.sched.first_idle_slot)
             self._push(t_app, _P_SVC, nid, self._ev_app, rt, frame, t_app)
-
-        if not st.is_relay:
-            self._schedule_beacon_window(rt, frame + 1, anchor)
 
     def _schedule_beacon_window(
         self, rt: _NodeRt, frame: int, prev_anchor: float
@@ -438,19 +471,13 @@ class Simulator:
 
     # --------------------------------------------------------- slot services
 
-    def _ev_beacon_tx(self, rt: _NodeRt, frame: int, slot: int, t: float) -> None:
-        if rt.st.mode is not NodeMode.SYNCHRONIZED:
-            return
-        pkt = make_beacon(rt.st, frame)
-        self._transmit(rt, pkt, 0, t, frame, slot)
-
     def _ev_lorawan(self, rt: _NodeRt, frame: int, t_slot_start: float) -> None:
         if rt.st.mode is not NodeMode.SYNCHRONIZED or not rt.gw_queue:
             return
         pkt = rt.gw_queue.popleft()
         start = t_slot_start + self.timing.data_tx_offset
         airtime = lorawan_time_on_air(len(pkt.payload), self.sc.radio)
-        tx = Transmission(
+        self._put_on_air(rt, Transmission(
             sender=rt.st.node_id,
             packet=pkt,
             channel=LORAWAN_CHANNEL,
@@ -458,9 +485,7 @@ class Simulator:
             end=start + airtime,
             frame=frame,
             slot=self.sched.lorawan_slot,
-        )
-        self._push(start, _P_TX_START, rt.st.node_id, self._ev_tx_start, rt, tx)
-        self._push(tx.end, _P_TX_END, rt.st.node_id, self._ev_tx_end, rt, tx)
+        ))
 
     def _ev_own_uplink(self, rt: _NodeRt, frame: int, slot: int, t_slot_start: float) -> None:
         st = rt.st
@@ -473,12 +498,6 @@ class Simulator:
         self._transmit(rt, pkt, 0, start, frame, slot)
         aw = self.timing.ack_window
         self._listen(rt, "ack", slot, frame, t_slot_start + aw[0], t_slot_start + aw[1])
-
-    def _ev_child_uplink(self, rt: _NodeRt, frame: int, slot: int, t_slot_start: float) -> None:
-        if rt.st.mode is not NodeMode.SYNCHRONIZED:
-            return
-        dw = self.timing.data_window
-        self._listen(rt, "uplink_rx", slot, frame, t_slot_start + dw[0], t_slot_start + dw[1])
 
     def _ev_own_downlink(self, rt: _NodeRt, frame: int, slot: int, t_slot_start: float) -> None:
         st = rt.st
@@ -497,20 +516,6 @@ class Simulator:
                 start = t_slot_start + self.timing.data_tx_offset
                 self._transmit(rt, pkt, 0, start, frame, slot)
                 return
-
-    def _ev_join_slot(self, rt: _NodeRt, frame: int, t_slot_start: float) -> None:
-        st = rt.st
-        if st.mode is not NodeMode.SYNCHRONIZED:
-            return
-        rt.pending_accept_tx = []
-        self._listen(
-            rt, "join_rx", self.sched.join_slot, frame,
-            t_slot_start + self.timing.t_offset,
-            t_slot_start + self.t_join_accept - 0.005,
-        )
-        if st.is_relay:
-            t_acc = t_slot_start + self.t_join_accept
-            self._push(t_acc, _P_SVC, st.node_id, self._ev_join_respond, rt, frame, t_acc)
 
     def _ev_join_respond(self, rt: _NodeRt, frame: int, t: float) -> None:
         if rt.st.mode is not NodeMode.SYNCHRONIZED or not rt.pending_accept_tx:
@@ -560,18 +565,27 @@ class Simulator:
         self, rt: _NodeRt, purpose: str, slot: int, frame: int, open_t: float,
         close_t: float, on_close=None,
     ) -> None:
-        """Open a receive window on channel 0 and schedule its close."""
-        win = _Window(rt.st.node_id, 0, open_t, close_t, purpose, slot, frame)
-        rt.windows.append(win)
-        self._push(
-            close_t, _P_CLOSE, rt.st.node_id, on_close or self._ev_plain_window_close, rt, win
-        )
+        """Open a receive window on channel 0.
 
-    def _ev_plain_window_close(self, rt: _NodeRt, win: _Window) -> None:
-        if not win.closed:
-            self._close_window(rt, win)
+        A window with an ``on_close`` handler closes by that event, which
+        may also come early. A plain window has none: it stays open up to
+        ``close_t``, so its receive interval is recorded now.
+        """
+        nid = rt.st.node_id
+        win = _Window(nid, 0, open_t, close_t, purpose, slot, frame, plain=on_close is None)
+        rt.windows.append(win)
+        if on_close is not None:
+            self._push(close_t, _P_CLOSE, nid, on_close, rt, win)
+            return
+        end = min(close_t, self.end_time)
+        if end > open_t:
+            self.radio_intervals.append((nid, "receive", open_t, end, "0"))
 
     def _close_window(self, rt: _NodeRt, win: _Window) -> None:
+        if win.plain:
+            raise RuntimeError(
+                f"node {win.node_id}: plain {win.purpose} window of frame {win.frame} closed early"
+            )
         win.closed = True
         end = win.early_close if win.early_close is not None else win.close_t
         end = min(end, self.end_time)
@@ -587,7 +601,7 @@ class Simulator:
         frame: int, slot: int,
     ) -> None:
         airtime = self._toa(pkt.onair_bytes)
-        tx = Transmission(
+        self._put_on_air(rt, Transmission(
             sender=rt.st.node_id,
             packet=pkt,
             channel=channel,
@@ -595,8 +609,17 @@ class Simulator:
             end=start + airtime,
             frame=frame,
             slot=slot,
-        )
-        self._push(start, _P_TX_START, rt.st.node_id, self._ev_tx_start, rt, tx)
+        ))
+
+    def _put_on_air(self, rt: _NodeRt, tx: Transmission) -> None:
+        if rt.listen_from is None:
+            # The start would cut no listen interval, so take it now: delivery
+            # ignores a transmission that starts at or after the one it resolves.
+            rt.resume_listen = False
+            rt.own_tx.append((tx.start, tx.end))
+            self.active_tx.append(tx)
+        else:
+            self._push(tx.start, _P_TX_START, rt.st.node_id, self._ev_tx_start, rt, tx)
         self._push(tx.end, _P_TX_END, rt.st.node_id, self._ev_tx_end, rt, tx)
 
     def _ev_tx_start(self, rt: _NodeRt, tx: Transmission) -> None:
@@ -645,10 +668,19 @@ class Simulator:
                 continue
             if win.open_t <= tx.start and tx.end <= win.close_t:
                 return True, True
+        end_ns = None
         for win in rt.windows:
             if win.channel != tx.channel or win.closed:
                 continue
             if win.open_t < tx.end and win.close_t > tx.start:
+                if win.plain:
+                    # A plain window that closed before the packet ended no
+                    # longer hears it. At an equal nanosecond it still does:
+                    # an end came before a close there (_P_TX_END < _P_CLOSE).
+                    if end_ns is None:
+                        end_ns = round(tx.end * 1e9)
+                    if round(win.close_t * 1e9) < end_ns:
+                        continue
                 return False, True
         if rt.listen_from is not None and rt.listen_from < tx.end:
             return False, True
@@ -850,7 +882,7 @@ class Simulator:
                 )
                 rt.listen_from = None
             for win in rt.windows:
-                if not win.closed and win.open_t < end:
+                if not (win.plain or win.closed) and win.open_t < end:
                     self.radio_intervals.append(
                         (rt.st.node_id, "receive", win.open_t, min(win.close_t, end), "0")
                     )
@@ -988,11 +1020,15 @@ def measure_duty_cycle(
     if window_seconds <= 0:
         raise ValueError("window must be positive")
     end_s = start_s + window_seconds
+    want = None if channel is None else str(channel)
     total = 0.0
     for _n, state, s, e, ch in trace.intervals_by_node.get(node_id, ()):
         if state != "transmit":
             continue
-        if channel is not None and ch != str(channel):
+        if want is not None and ch != want:
+            continue
+        if start_s <= s and e <= end_s:
+            total += e - s  # the clip below would give the same hi - lo
             continue
         lo, hi = max(s, start_s), min(e, end_s)
         if hi > lo:
@@ -1021,6 +1057,9 @@ def measure_avg_power(
     state_p = {"sleep": profile.p_sleep, "receive": profile.p_rx, "transmit": profile.p_tx}
     energy = 0.0
     for _n, state, s, e, _ch in trace.intervals_by_node.get(node_id, ()):
+        if start_s <= s and e <= end_s:
+            energy += state_p[state] * (e - s)
+            continue
         lo, hi = max(s, start_s), min(e, end_s)
         if hi > lo:
             energy += state_p[state] * (hi - lo)
@@ -1043,7 +1082,7 @@ def write_trace_csvs(trace: SimulationTrace, out_dir: str | Path) -> list[Path]:
     p = out / "radio_states.csv"
     with p.open("w", newline="") as f:
         f.write("node,state,start_s,end_s\n")
-        f.writelines(f"{n},{state},{s:.9f},{e:.9f}\n" for n, state, s, e, _ch in trace.radio_intervals)
+        f.writelines(_radio_state_lines(trace.radio_intervals))
     paths.append(p)
 
     p = out / "packet_events.csv"
@@ -1086,6 +1125,18 @@ def write_trace_csvs(trace: SimulationTrace, out_dir: str | Path) -> list[Path]:
             )
     paths.append(p)
     return paths
+
+
+def _radio_state_lines(rows: list[tuple[int, str, float, float, str]]) -> Iterator[str]:
+    """``radio_states.csv`` rows; an instant shared by one row's end and
+    the next row's start is formatted once."""
+    last_end = None
+    end_text = ""
+    for n, state, s, e, _ch in rows:
+        start_text = end_text if s == last_end else f"{s:.9f}"
+        last_end = e
+        end_text = f"{e:.9f}"
+        yield f"{n},{state},{start_text},{end_text}\n"
 
 
 def sync_pairs(trace: SimulationTrace) -> list[tuple[int, int]]:

@@ -29,6 +29,12 @@ from .timebase import GuardConfig
 
 SCHEMA_VERSION = 1
 
+# The packet codec carries node ids, the network id and each slot of a
+# JoinAccept's slot triple in one byte. The largest slot handed out is the
+# last downlink slot, 3 * max_nodes, so max_nodes is at most 85.
+_BYTE_MAX = 255
+_MAX_NODES = _BYTE_MAX // 3
+
 _REQUIRED = object()
 
 
@@ -152,6 +158,8 @@ def _parse_nodes(raw: Any, ctx: str) -> tuple[NodeConfig, ...]:
             raise ScenarioError(f"{c}: expected an object")
         item = dict(item)
         node_id = _take(item, "id", int, c)
+        if not 0 <= node_id <= _BYTE_MAX:
+            raise ScenarioError(f"{c}.id: {node_id} does not fit the one-byte node id (0..{_BYTE_MAX})")
         is_relay = _take(item, "relay", bool, c, default=False)
         drift = _take(item, "drift_ppm", float, c, default=0.0)
         _reject_unknown(item, c)
@@ -323,6 +331,15 @@ def parse_scenario(doc: dict, source: str = "scenario") -> Scenario:
         )
     if capacity < 1:
         raise ScenarioError(f"{source}.queue_capacity: must be at least 1")
+    if not 0 <= network_id <= _BYTE_MAX:
+        raise ScenarioError(
+            f"{source}.network_id: {network_id} does not fit the one-byte network id (0..{_BYTE_MAX})"
+        )
+    if max_nodes > _MAX_NODES:
+        raise ScenarioError(
+            f"{sc}.max_nodes: {max_nodes} exceeds {_MAX_NODES}: a JoinAccept carries each "
+            f"assigned slot in one byte, and the last downlink slot is 3 * max_nodes"
+        )
     if tick_rate < 1:
         raise ScenarioError(f"{sc}.tick_rate_hz: must be positive")
     if len(nodes) > max_nodes:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import random
 from pathlib import Path
 
@@ -356,12 +357,81 @@ def test_closing_a_window_leaves_an_equal_one_open():
     sim = Simulator(load_scenario(REPO / "scenarios" / "star4.json"))
     rt = sim.nodes[1]
     for _ in range(2):
-        sim._listen(rt, "ack", 5, 0, 1.0, 1.1)
+        sim._listen(rt, "ack", 5, 0, 1.0, 1.1, on_close=sim._close_window)
     first, second = rt.windows
     sim._close_window(rt, second)
     assert rt.windows == [first] and rt.windows[0] is first and not first.closed
     sim._close_window(rt, first)
     assert rt.windows == []
+
+
+# --- plain receive windows against packet timing ---
+
+
+def _drain(sim: Simulator) -> None:
+    """Handle the queued events up to the end of the run, as run() does."""
+    end_ns = round(sim.end_time * 1e9)
+    while sim.heap and sim.heap[0][0] <= end_ns:
+        *_, fn, args = heapq.heappop(sim.heap)
+        fn(*args)
+
+
+def _events_at(sim: Simulator, node: int) -> list[str]:
+    return [ev.event for ev in sim.packet_events if ev.node == node]
+
+
+def _ack_from_relay(sim: Simulator, start: float) -> float:
+    """Queue an ack from relay 0 to leaf 1 starting at ``start``; return its end."""
+    ack = MacPacket(PacketKind.ACK, 1, 0, 1, 1, 0)
+    sim._transmit(sim.nodes[0], ack, 0, start, 0, 5)
+    return start + sim._toa(ack.onair_bytes)
+
+
+def test_packet_ending_at_a_plain_window_close_is_received():
+    sim = Simulator(load_scenario(REPO / "scenarios" / "star4.json"))
+    end = _ack_from_relay(sim, 1.01)
+    sim._listen(sim.nodes[1], "ack", 5, 0, 1.0, end)
+    _drain(sim)
+    assert _events_at(sim, 1) == ["rx"]
+
+
+def test_plain_window_that_closes_mid_packet_does_not_receive_it():
+    # Closed before the packet ends, the window no longer hears it: no rx
+    # and no loss at the listener. A window that opens mid-packet, and so
+    # is still open at its end, loses it to the window.
+    sim = Simulator(load_scenario(REPO / "scenarios" / "star4.json"))
+    end = _ack_from_relay(sim, 1.01)
+    sim._listen(sim.nodes[1], "ack", 5, 0, 1.0, (1.01 + end) / 2)
+    sim._listen(sim.nodes[2], "ack", 5, 0, (1.01 + end) / 2, end + 0.1)
+    _drain(sim)
+    assert _events_at(sim, 1) == []
+    assert _events_at(sim, 2) == ["lost_window"]
+
+
+def test_plain_window_interval_is_recorded_once_and_clipped_at_the_end():
+    sim = Simulator(load_scenario(REPO / "scenarios" / "star4.json"))
+    end = sim.end_time
+    sim._listen(sim.nodes[1], "ack", 5, 0, 1.0, 1.5)
+    sim._listen(sim.nodes[1], "ack", 5, 0, end - 0.5, end + 1.0)
+    _drain(sim)
+    trace = sim._finalize()
+    receive = [(s, e) for n, state, s, e, _ in trace.radio_intervals if n == 1 and state == "receive"]
+    assert receive == [(1.0, 1.5), (end - 0.5, end)]
+
+
+def test_closing_a_plain_window_early_is_an_error():
+    sim = Simulator(load_scenario(REPO / "scenarios" / "star4.json"))
+    rt = sim.nodes[1]
+    sim._listen(rt, "ack", 5, 0, 1.0, 1.1)
+    with pytest.raises(RuntimeError, match="plain ack window of frame 0 closed early"):
+        sim._close_window(rt, rt.windows[0])
+
+
+def test_committed_line4_needs_few_heap_events_per_frame():
+    sc = load_scenario(REPO / "scenarios" / "line4.json")
+    sim = Simulator(sc)
+    sim.run()
+    assert sim._seq / sc.frames < 30
 
 
 # --- lossy and degraded paths ---

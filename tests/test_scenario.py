@@ -149,6 +149,43 @@ def test_too_many_nodes_for_schedule():
         parse_scenario(doc)
 
 
+@pytest.mark.parametrize("node_id", [-1, 256, 300])
+def test_node_id_must_fit_one_byte(node_id):
+    doc = _minimal(
+        nodes=[{"id": 0, "relay": True}, {"id": node_id}],
+        links=[{"from": 0, "to": node_id}],
+    )
+    with pytest.raises(ScenarioError, match=r"nodes\[1\]\.id: "):
+        parse_scenario(doc)
+
+
+@pytest.mark.parametrize("network_id", [-1, 256])
+def test_network_id_must_fit_one_byte(network_id):
+    with pytest.raises(ScenarioError, match="network_id: "):
+        parse_scenario(_minimal(network_id=network_id))
+
+
+def test_largest_one_byte_ids_parse():
+    doc = _minimal(
+        network_id=255,
+        nodes=[{"id": 0, "relay": True}, {"id": 255}],
+        links=[{"from": 0, "to": 255}],
+    )
+    sc = parse_scenario(doc)
+    assert sc.network_id == 255
+    assert {n.node_id for n in sc.nodes} == {0, 255}
+
+
+def test_max_nodes_must_keep_join_accept_slots_in_one_byte():
+    # The last downlink slot, 3 * max_nodes, travels in one JoinAccept byte.
+    doc = _minimal(schedule={"max_nodes": 86, "slots_per_frame": 260, "ticks_per_slot": 21281})
+    with pytest.raises(ScenarioError, match="schedule.max_nodes: 86 exceeds 85"):
+        parse_scenario(doc)
+    doc["schedule"].update(max_nodes=85, slots_per_frame=257)
+    schedule = parse_scenario(doc).schedule
+    assert max(schedule.slot_triple(84)) == 255
+
+
 def test_frame_too_short_for_layout():
     doc = _minimal(schedule={"max_nodes": 2, "slots_per_frame": 7, "ticks_per_slot": 21281})
     with pytest.raises(ScenarioError, match="3M\\+2"):
