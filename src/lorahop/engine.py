@@ -217,7 +217,9 @@ class _NodeRt:
         self.app_phase: int | None = None
         self.pending_accept_tx: list[MacPacket] = []
         self.beacon_misses_total = 0
-        self.own_tx: list[tuple[float, float]] = []
+        # (start, end) of this node's transmissions in time order, pruned to
+        # those a later packet may still overlap (see _ev_tx_end).
+        self.own_tx: deque[tuple[float, float]] = deque()
         self.resume_listen = False
 
 
@@ -296,11 +298,17 @@ class Simulator:
                 rt.listen_from = 0.0
         self._push(0.0, _P_FRAME, self.relay_id, self._ev_relay_frame, relay, 0, 0.0)
         end_ns = round(self.end_time * 1e9)
-        while self.heap:
-            t_ns, _prio, _nid, _seq, fn, args = heapq.heappop(self.heap)
-            if t_ns > end_ns:
-                break
-            fn(*args)
+        try:
+            while self.heap:
+                t_ns, _prio, _nid, _seq, fn, args = heapq.heappop(self.heap)
+                if t_ns > end_ns:
+                    break
+                fn(*args)
+        finally:
+            # Events left past the end hold bound methods of this simulator:
+            # a reference cycle that would keep the whole run alive until the
+            # cycle collector ran, also when a handler raised.
+            self.heap.clear()
         return self._finalize()
 
     # ------------------------------------------------------- frame driving
@@ -635,10 +643,23 @@ class Simulator:
         self.active_tx.append(tx)
 
     def _ev_tx_end(self, rt: _NodeRt, tx: Transmission) -> None:
-        self.radio_intervals.append(
-            (rt.st.node_id, "transmit", tx.start, tx.end, str(tx.channel))
+        nid = rt.st.node_id
+        pkt = tx.packet
+        channel = str(tx.channel)
+        self.radio_intervals.append((nid, "transmit", tx.start, tx.end, channel))
+        # The packet's columns, shared by its tx event and every listener's.
+        cols = (
+            _KIND_NAMES[pkt.kind], pkt.sender_id, pkt.dest_id, pkt.origin_id, pkt.seq,
+            pkt.onair_bytes, channel, tx.frame, tx.slot,
         )
-        self._log_packet(tx.start, rt.st.node_id, "tx", tx.packet, str(tx.channel), tx.frame, tx.slot)
+        self.packet_events.append(PacketEvent(tx.start, nid, "tx", *cols))
+        # A packet delivered later ends at or after tx.end and lasts at most
+        # t_data_max < t_slot, so it starts after tx.end - t_slot, and
+        # _listening_state stops at an own transmission that ended before.
+        own_tx = rt.own_tx
+        horizon = tx.end - self.t_slot
+        while own_tx[0][1] < horizon:
+            own_tx.popleft()
         if rt.resume_listen and rt.st.mode in (
             NodeMode.UNJOINED,
             NodeMode.JOINING,
@@ -650,24 +671,35 @@ class Simulator:
         if tx in self.active_tx:
             self.active_tx.remove(tx)
         if tx.channel != LORAWAN_CHANNEL:
-            self._deliver(tx)
+            self._deliver(tx, cols)
 
     # ------------------------------------------------------------ delivery
 
-    def _listening_state(self, rt: _NodeRt, tx: Transmission) -> tuple[bool, bool]:
-        """(fully_covered, heard_at_all) for one listener and one tx."""
-        if rt.listen_from is not None and rt.listen_from <= tx.start:
+    def _listening_state(
+        self, rt: _NodeRt, tx: Transmission
+    ) -> tuple[bool, bool, _Window | None]:
+        """(fully_covered, heard_at_all, covering_window) for one listener and one tx.
+
+        The covering window is the first open window that spans the whole
+        packet. A node that listens without pause covers the packet unless
+        its own transmission cut into it, and still reports a covering
+        window if one exists.
+        """
+        listening = rt.listen_from is not None and rt.listen_from <= tx.start
+        if listening:
             for s, e in reversed(rt.own_tx):
                 if e <= tx.start:
                     break
                 if s < tx.end and e > tx.start:
-                    return False, True
-            return True, True
+                    return False, True, None
         for win in rt.windows:
-            if win.channel != tx.channel or win.closed:
-                continue
-            if win.open_t <= tx.start and tx.end <= win.close_t:
-                return True, True
+            if (
+                win.open_t <= tx.start and tx.end <= win.close_t
+                and not win.closed and win.channel == tx.channel
+            ):
+                return True, True, win
+        if listening:
+            return True, True, None
         end_ns = None
         for win in rt.windows:
             if win.channel != tx.channel or win.closed:
@@ -681,12 +713,14 @@ class Simulator:
                         end_ns = round(tx.end * 1e9)
                     if round(win.close_t * 1e9) < end_ns:
                         continue
-                return False, True
+                return False, True, None
         if rt.listen_from is not None and rt.listen_from < tx.end:
-            return False, True
-        return False, False
+            return False, True, None
+        return False, False, None
 
-    def _deliver(self, tx: Transmission) -> None:
+    def _deliver(self, tx: Transmission, cols: tuple) -> None:
+        """Resolve tx at every node that hears it; ``cols`` are its
+        packet-event columns after the event name."""
         # A transmission delivered later ends no earlier than tx and lasts at
         # most t_data_max, so one that ended before tx.start - t_data_max
         # cannot overlap it. Ends arrive in time order, so prune from the left.
@@ -695,27 +729,23 @@ class Simulator:
         while history[0].end <= horizon:
             history.popleft()
         listeners = []
+        covering: dict[int, _Window | None] = {}
         for nid, rt, per in self.hearers[tx.sender]:
-            covered, heard = self._listening_state(rt, tx)
+            covered, heard, win = self._listening_state(rt, tx)
             if heard:
                 listeners.append((nid, covered, per))
+                covering[nid] = win
         outcomes = deliver(tx, listeners, [*history, *self.active_tx], self.sc.links, self.rng)
+        packet_events = self.packet_events
         for nid, outcome in outcomes.items():
             event = "rx" if outcome == "received" else outcome
-            self._log_packet(tx.end, nid, event, tx.packet, str(tx.channel), tx.frame, tx.slot)
+            packet_events.append(PacketEvent(tx.end, nid, event, *cols))
             if event == "rx":
-                self._receive(self.nodes[nid], tx)
+                self._receive(self.nodes[nid], tx, covering[nid])
 
-    def _receive(self, rt: _NodeRt, tx: Transmission) -> None:
+    def _receive(self, rt: _NodeRt, tx: Transmission, covering: _Window | None) -> None:
         st = rt.st
-        in_join_slot = False
-        covering = None
-        for win in rt.windows:
-            if not win.closed and win.open_t <= tx.start and tx.end <= win.close_t:
-                covering = win
-                break
-        if covering is not None and covering.purpose == "join_rx":
-            in_join_slot = True
+        in_join_slot = covering is not None and covering.purpose == "join_rx"
         drops_before = st.uplink_drops + st.downlink_drops
         actions = handle_rx(
             st, tx.packet, tx.end, self.sched, self.timing, in_join_slot=in_join_slot
@@ -830,6 +860,12 @@ class Simulator:
             # parent was chosen from heard beacons), but fail loud.
             raise RuntimeError(f"node {st.node_id} synchronized on unheard parent {parent}")
         _rssi, ref, frame = info
+        # The reference may be frames old (later beacons, requests or
+        # accepts were lost): step it forward on the nominal frame grid, as
+        # _ev_join_attempt does, so the next beacon window lies ahead.
+        while ref + self.t_frame <= tx.end:
+            ref += self.t_frame
+            frame += 1
         expected_tick = frame * self.sched.frame_ticks + parent * self.sched.ticks_per_slot
         st.clock = resync(st.clock, ref, expected_tick)
         rt.anchor = st.clock.epoch_global

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import heapq
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -23,8 +25,8 @@ from lorahop import (
     sync_pairs,
     write_trace_csvs,
 )
-from lorahop.engine import PacketEvent, Simulator
-from lorahop.protocol import MAX_DATA_PAYLOAD_BYTES
+from lorahop.engine import _P_SVC, PacketEvent, Simulator
+from lorahop.protocol import MAX_DATA_PAYLOAD_BYTES, BecameSynchronized
 from lorahop.scenario import ScenarioError, parse_scenario, read_scenario_doc
 from test_regression import GENERATED
 
@@ -432,6 +434,128 @@ def test_committed_line4_needs_few_heap_events_per_frame():
     sim = Simulator(sc)
     sim.run()
     assert sim._seq / sc.frames < 30
+
+
+# --- memory after a run ---
+
+
+def _freed_without_the_collector(simulate) -> None:
+    """``simulate(sim)`` runs a Simulator built on committed line4; once it
+    returns, reference counting alone must have freed that Simulator."""
+    gc.collect()
+    gc.disable()
+    try:
+        sim = Simulator(load_scenario(REPO / "scenarios" / "line4.json"))
+        ref = weakref.ref(sim)
+        simulate(sim)
+        del sim
+        assert ref() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_finished_run_is_freed_by_reference_counting():
+    def simulate(sim):
+        trace = sim.run()
+        assert trace.final_modes == {i: "synchronized" for i in range(4)}
+
+    _freed_without_the_collector(simulate)
+
+
+def _raise_now():
+    raise RuntimeError("handler failed")
+
+
+@pytest.mark.parametrize("where", ["handler", "finalize"])
+def test_run_that_raises_is_freed_by_reference_counting(where):
+    def simulate(sim):
+        if where == "handler":
+            sim._push(30.0, _P_SVC, 0, _raise_now)
+            match = "handler failed"
+        else:
+            sim.radio_intervals += [(1, "transmit", 1.0, 2.0, "0"), (1, "receive", 1.5, 2.5, "0")]
+            match = "overlapping radio intervals"
+        try:
+            sim.run()
+        except RuntimeError as e:
+            assert match in str(e)
+        else:
+            pytest.fail("run() did not raise")
+
+    _freed_without_the_collector(simulate)
+
+
+def test_own_transmission_log_stays_short():
+    sim = Simulator(load_scenario(REPO / "scenarios" / "line4.json"))
+    sim.run()
+    assert all(len(rt.own_tx) <= 2 for rt in sim.nodes.values())
+
+
+# --- joining on an old parent reference ---
+
+
+def test_accept_after_an_old_reference_arms_a_beacon_window_after_it():
+    # Node 1 last heard the relay's beacon in frame 0; the JoinAccept comes
+    # in the join slot of frame 5. The next beacon window must lie ahead of
+    # the accept, in frame 6, not in frame 1.
+    sim = Simulator(load_scenario(REPO / "scenarios" / "star4.json"))
+    rt = sim.nodes[1]
+    rt.candidates[0] = (-60.0, 0.0, 0)
+    start = 5 * sim.t_frame + sim.sched.join_slot * sim.t_slot + sim.t_join_accept
+    accept = MacPacket(PacketKind.JOIN_ACCEPT, 1, 0, 1, 1, 0, bytes([1, 2, 3]))
+    tx = Transmission(0, accept, 0, start, start + sim._toa(accept.onair_bytes), frame=5, slot=sim.sched.join_slot)
+    rt.st.assigned_slots = (1, sim.sched.uplink_slot(1), sim.sched.downlink_slot(1))
+    sim._apply_action(rt, BecameSynchronized(rt.st.assigned_slots, 0), tx, None)
+    (win,) = [w for w in rt.windows if w.purpose == "beacon"]
+    assert win.frame == 6
+    assert win.open_t > tx.end
+    assert rt.frame == 5 and sim.sync_samples[-1].frame == 5
+
+
+def _random_doc(seed: int) -> dict:
+    """A random scenario: 2-12 nodes on a random tree plus extra links, PER
+    up to 0.5 on about half the links, drifts in +-60 ppm, a 0.5-50 ms base
+    guard and 10-60 frames."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 12)
+    edges = {(rng.randrange(i), i) for i in range(1, n)}
+    for _ in range(rng.randint(0, n)):
+        a, b = rng.sample(range(n), 2)
+        if (b, a) not in edges:
+            edges.add((a, b))
+    links = []
+    for a, b in sorted(edges):
+        link = {"from": a, "to": b}
+        if rng.random() < 0.5:
+            link["per"] = round(rng.uniform(0.0, 0.5), 3)
+        links.append(link)
+    drifts = [0.0] + [round(rng.uniform(-60.0, 60.0), 3) for _ in range(n - 1)]
+    return {
+        "schema_version": 1,
+        "name": f"random{seed}",
+        "frames": rng.randint(10, 60),
+        "seed": seed,
+        "k": n,
+        "app_payload_bytes": 24,
+        "schedule": {"max_nodes": n, "slots_per_frame": 3 * n + 2, "ticks_per_slot": 21281},
+        "guard": {"base_guard": round(rng.uniform(0.0005, 0.05), 4)},
+        "nodes": [{"id": i, "relay": i == 0, "drift_ppm": d} for i, d in enumerate(drifts)],
+        "links": links,
+    }
+
+
+def test_random_scenarios_run_to_the_end():
+    # Lost beacons, accepts and requests leave joiners holding parent
+    # references several frames old; every run must still finish with a
+    # gapless, non-overlapping timeline (_finalize checks the overlap).
+    for seed in range(40):
+        trace = run(parse_scenario(_random_doc(seed)))
+        cursor = dict.fromkeys(trace.final_modes, 0.0)
+        for n, _state, s, e, _ch in trace.radio_intervals:
+            assert s == pytest.approx(cursor[n], abs=1e-9), (seed, n)
+            cursor[n] = e
+        assert all(c == pytest.approx(trace.end_time) for c in cursor.values()), seed
 
 
 # --- lossy and degraded paths ---
