@@ -25,7 +25,6 @@ from .protocol import (
     MacPacket,
     NodeState,
     PacketKind,
-    SlotRole,
     SlotTiming,
     build_schedule,
     frame_time,
@@ -66,7 +65,6 @@ __all__ = [
     "min_guard",
     "PacketKind",
     "MacPacket",
-    "SlotRole",
     "SlotTiming",
     "FrameSchedule",
     "NodeState",

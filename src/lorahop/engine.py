@@ -54,6 +54,8 @@ from .protocol import (
     SendAck,
     SendJoinAccept,
     SlotTiming,
+    enqueue_down,
+    enqueue_up,
     forwarding_step,
     handle_rx,
     join_procedure,
@@ -93,12 +95,12 @@ class Transmission:
 
 @dataclass(eq=False)
 class _Window:
+    """A receive window on channel 0, the only channel delivered to nodes."""
+
     node_id: int
-    channel: int | str
     open_t: float
     close_t: float
     purpose: str
-    slot: int
     frame: int
     # A plain window closes at close_t by time alone; the others close by event.
     plain: bool = False
@@ -379,7 +381,7 @@ class Simulator:
             self._schedule_beacon_window(rt, frame + 1, anchor)
 
         t_beacon = self._slot_time(rt, anchor, b) + self.timing.beacon_tx_offset
-        self._transmit(rt, make_beacon(st, frame), 0, t_beacon, frame, b)
+        self._transmit(rt, make_beacon(st, frame), t_beacon, frame, b)
 
         if st.is_relay:
             t_lw = self._slot_time(rt, anchor, self.sched.lorawan_slot)
@@ -392,20 +394,20 @@ class Simulator:
         for child in sorted(st.children):
             slot = self.sched.uplink_slot(child)
             t_cu = self._slot_time(rt, anchor, slot)
-            self._listen(rt, "uplink_rx", slot, frame, t_cu + dw[0], t_cu + dw[1])
+            self._listen(rt, "uplink_rx", frame, t_cu + dw[0], t_cu + dw[1])
             slot = self.sched.downlink_slot(child)
             t_cd = self._slot_time(rt, anchor, slot)
             self._push(t_cd, _P_SVC, nid, self._ev_child_downlink, rt, frame, slot, t_cd)
 
         if st.expecting_downlink:
             t_od = self._slot_time(rt, anchor, down)
-            self._push(t_od, _P_SVC, nid, self._ev_own_downlink, rt, frame, down, t_od)
+            self._push(t_od, _P_SVC, nid, self._ev_own_downlink, rt, frame, t_od)
 
         lu = self.sc.join.listen_until_frame
         if lu is None or frame <= lu:
             t_join = self._slot_time(rt, anchor, self.sched.join_slot)
             self._listen(
-                rt, "join_rx", self.sched.join_slot, frame,
+                rt, "join_rx", frame,
                 t_join + self.timing.t_offset, t_join + self.t_join_accept - 0.005,
             )
             if st.is_relay:
@@ -426,9 +428,7 @@ class Simulator:
         # quantization residual, so guard = min_guard is truly sufficient.
         open_t = center - half - rt.tick
         close_t = center + half + self.timing.t_bcn
-        self._listen(
-            rt, "beacon", rt.sync_slot, frame, open_t, close_t, self._ev_beacon_window_close
-        )
+        self._listen(rt, "beacon", frame, open_t, close_t, self._ev_beacon_window_close)
 
     def _ev_beacon_window_close(self, rt: _NodeRt, win: _Window) -> None:
         if win.closed:
@@ -503,16 +503,16 @@ class Simulator:
         if pkt is None:
             return
         start = t_slot_start + self.timing.data_tx_offset
-        self._transmit(rt, pkt, 0, start, frame, slot)
+        self._transmit(rt, pkt, start, frame, slot)
         aw = self.timing.ack_window
-        self._listen(rt, "ack", slot, frame, t_slot_start + aw[0], t_slot_start + aw[1])
+        self._listen(rt, "ack", frame, t_slot_start + aw[0], t_slot_start + aw[1])
 
-    def _ev_own_downlink(self, rt: _NodeRt, frame: int, slot: int, t_slot_start: float) -> None:
+    def _ev_own_downlink(self, rt: _NodeRt, frame: int, t_slot_start: float) -> None:
         st = rt.st
         if st.mode is not NodeMode.SYNCHRONIZED or not st.expecting_downlink:
             return
         dw = self.timing.data_window
-        self._listen(rt, "downlink_rx", slot, frame, t_slot_start + dw[0], t_slot_start + dw[1])
+        self._listen(rt, "downlink_rx", frame, t_slot_start + dw[0], t_slot_start + dw[1])
 
     def _ev_child_downlink(self, rt: _NodeRt, frame: int, slot: int, t_slot_start: float) -> None:
         st = rt.st
@@ -522,17 +522,19 @@ class Simulator:
             if target_slot == slot:
                 del st.downlink_queue[i]
                 start = t_slot_start + self.timing.data_tx_offset
-                self._transmit(rt, pkt, 0, start, frame, slot)
+                self._transmit(rt, pkt, start, frame, slot)
                 return
 
     def _ev_join_respond(self, rt: _NodeRt, frame: int, t: float) -> None:
         if rt.st.mode is not NodeMode.SYNCHRONIZED or not rt.pending_accept_tx:
             return
-        first, rest = rt.pending_accept_tx[0], rt.pending_accept_tx[1:]
-        self._transmit(rt, first, 0, t, frame, self.sched.join_slot)
+        first, *rest = rt.pending_accept_tx
+        self._transmit(rt, first, t, frame, self.sched.join_slot)
+        # The others wait for each joiner's new downlink slot (triple[2]).
         for pkt in rest:
-            triple = tuple(pkt.payload)
-            self._enqueue_down_logged(rt, pkt, triple[2], t)
+            slot = pkt.payload[2]
+            if not enqueue_down(rt.st, pkt, slot):
+                self._log_packet(t, rt.st.node_id, "queue_drop", pkt, "0", -1, slot)
         rt.pending_accept_tx = []
 
     def _ev_app(self, rt: _NodeRt, frame: int, t: float) -> None:
@@ -555,23 +557,15 @@ class Simulator:
             payload=payload,
         )
         if st.is_relay:
-            if len(rt.gw_queue) >= st.queue_capacity:
-                rt.gw_drops += 1
-                self._log_packet(t, st.node_id, "queue_drop", pkt, LORAWAN_CHANNEL, frame, -1)
-            else:
-                rt.gw_queue.append(pkt)
-        else:
-            if len(st.uplink_queue) >= st.queue_capacity:
-                st.uplink_drops += 1
-                self._log_packet(t, st.node_id, "queue_drop", pkt, "0", frame, -1)
-            else:
-                st.uplink_queue.append(pkt)
+            self._enqueue_gateway(rt, pkt, t, frame, -1)
+        elif not enqueue_up(st, pkt):
+            self._log_packet(t, st.node_id, "queue_drop", pkt, "0", frame, -1)
 
     # ------------------------------------------------------------ radio
 
     def _listen(
-        self, rt: _NodeRt, purpose: str, slot: int, frame: int, open_t: float,
-        close_t: float, on_close=None,
+        self, rt: _NodeRt, purpose: str, frame: int, open_t: float, close_t: float,
+        on_close=None,
     ) -> None:
         """Open a receive window on channel 0.
 
@@ -580,7 +574,7 @@ class Simulator:
         ``close_t``, so its receive interval is recorded now.
         """
         nid = rt.st.node_id
-        win = _Window(nid, 0, open_t, close_t, purpose, slot, frame, plain=on_close is None)
+        win = _Window(nid, open_t, close_t, purpose, frame, plain=on_close is None)
         rt.windows.append(win)
         if on_close is not None:
             self._push(close_t, _P_CLOSE, nid, on_close, rt, win)
@@ -604,15 +598,13 @@ class Simulator:
         if win in rt.windows:
             rt.windows.remove(win)
 
-    def _transmit(
-        self, rt: _NodeRt, pkt: MacPacket, channel: int | str, start: float,
-        frame: int, slot: int,
-    ) -> None:
+    def _transmit(self, rt: _NodeRt, pkt: MacPacket, start: float, frame: int, slot: int) -> None:
+        """Put a MAC packet on the air on channel 0."""
         airtime = self._toa(pkt.onair_bytes)
         self._put_on_air(rt, Transmission(
             sender=rt.st.node_id,
             packet=pkt,
-            channel=channel,
+            channel=0,
             start=start,
             end=start + airtime,
             frame=frame,
@@ -683,7 +675,8 @@ class Simulator:
         The covering window is the first open window that spans the whole
         packet. A node that listens without pause covers the packet unless
         its own transmission cut into it, and still reports a covering
-        window if one exists.
+        window if one exists. Only channel-0 packets come here: LoRaWAN
+        uplinks are never delivered.
         """
         listening = rt.listen_from is not None and rt.listen_from <= tx.start
         if listening:
@@ -693,16 +686,13 @@ class Simulator:
                 if s < tx.end and e > tx.start:
                     return False, True, None
         for win in rt.windows:
-            if (
-                win.open_t <= tx.start and tx.end <= win.close_t
-                and not win.closed and win.channel == tx.channel
-            ):
+            if win.open_t <= tx.start and tx.end <= win.close_t and not win.closed:
                 return True, True, win
         if listening:
             return True, True, None
         end_ns = None
         for win in rt.windows:
-            if win.channel != tx.channel or win.closed:
+            if win.closed:
                 continue
             if win.open_t < tx.end and win.close_t > tx.start:
                 if win.plain:
@@ -785,15 +775,11 @@ class Simulator:
                 origin_id=act.dest_id,
                 seq=act.seq,
             )
-            self._transmit(rt, ack, 0, t_ack, tx.frame, tx.slot)
+            self._transmit(rt, ack, t_ack, tx.frame, tx.slot)
         elif isinstance(act, SendJoinAccept):
             rt.pending_accept_tx.append(act.packet)
         elif isinstance(act, GatewayEnqueue):
-            if len(rt.gw_queue) >= st.queue_capacity:
-                rt.gw_drops += 1
-                self._log_packet(tx.end, st.node_id, "queue_drop", act.packet, LORAWAN_CHANNEL, tx.frame, tx.slot)
-            else:
-                rt.gw_queue.append(act.packet)
+            self._enqueue_gateway(rt, act.packet, tx.end, tx.frame, tx.slot)
         elif isinstance(act, BecameSynchronized):
             self._on_synchronized(rt, act, tx)
 
@@ -830,7 +816,7 @@ class Simulator:
         while t_tx <= t_evt:
             t_tx += self.t_frame
             frame += 1
-        self._transmit(rt, req, 0, t_tx, frame, self.sched.join_slot)
+        self._transmit(rt, req, t_tx, frame, self.sched.join_slot)
         self.protocol_events.append(
             ProtocolEvent(t=t_tx, node=st.node_id, event="join_request", detail=f"parent={parent} backoff={backoff}")
         )
@@ -899,13 +885,15 @@ class Simulator:
             )
         )
 
-    def _enqueue_down_logged(self, rt: _NodeRt, pkt: MacPacket, slot: int, t: float) -> None:
-        st = rt.st
-        if len(st.downlink_queue) >= st.queue_capacity:
-            st.downlink_drops += 1
-            self._log_packet(t, st.node_id, "queue_drop", pkt, "0", -1, slot)
+    def _enqueue_gateway(
+        self, rt: _NodeRt, pkt: MacPacket, t: float, frame: int, slot: int
+    ) -> None:
+        """Queue a payload for the relay's LoRaWAN slot, or count and log its drop."""
+        if len(rt.gw_queue) >= rt.st.queue_capacity:
+            rt.gw_drops += 1
+            self._log_packet(t, rt.st.node_id, "queue_drop", pkt, LORAWAN_CHANNEL, frame, slot)
         else:
-            st.downlink_queue.append((pkt, slot))
+            rt.gw_queue.append(pkt)
 
     # ------------------------------------------------------------ finalize
 

@@ -18,7 +18,7 @@ event scheduling or radio physics beyond packet sizes.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
 
 from .phy import RadioParams, time_on_air
@@ -48,23 +48,7 @@ class PacketKind(IntEnum):
     JOIN_REQUEST = 1
     JOIN_ACCEPT = 2
     UP_DATA = 3
-    DOWN_DATA = 4
     ACK = 5
-
-
-class SlotRole(Enum):
-    """Role of one slot in the frame template (``FrameSchedule.layout``).
-
-    The template uses BEACON_TX for every beacon slot and IDLE for the
-    padding after the join slot.
-    """
-
-    BEACON_TX = "beacon_tx"
-    LORAWAN_UPLINK = "lorawan_uplink"
-    UPLINK_EXCHANGE = "uplink_exchange"
-    DOWNLINK_EXCHANGE = "downlink_exchange"
-    JOIN_CONTENTION = "join_contention"
-    IDLE = "idle"
 
 
 class NodeMode(Enum):
@@ -183,12 +167,11 @@ class SlotTiming:
 
 @dataclass(frozen=True)
 class FrameSchedule:
-    """Frame template: who may do what in each of the N slots."""
+    """Frame geometry and the slot index of each section, per address."""
 
     slots_per_frame: int
     ticks_per_slot: int
     max_nodes: int
-    layout: tuple[tuple[SlotRole, int | None], ...]
 
     @property
     def lorawan_slot(self) -> int:
@@ -241,15 +224,7 @@ def build_schedule(
             f"{slots_per_frame} slots cannot hold {max_nodes} nodes: "
             f"layout needs 3M+2 = {needed} slots"
         )
-    m = max_nodes
-    layout: list[tuple[SlotRole, int | None]] = []
-    layout += [(SlotRole.BEACON_TX, b) for b in range(m)]
-    layout.append((SlotRole.LORAWAN_UPLINK, 0))
-    layout += [(SlotRole.UPLINK_EXCHANGE, b) for b in range(m)]
-    layout += [(SlotRole.DOWNLINK_EXCHANGE, b) for b in range(m)]
-    layout.append((SlotRole.JOIN_CONTENTION, None))
-    layout += [(SlotRole.IDLE, None)] * (slots_per_frame - needed)
-    return FrameSchedule(slots_per_frame, ticks_per_slot, max_nodes, tuple(layout))
+    return FrameSchedule(slots_per_frame, ticks_per_slot, max_nodes)
 
 
 def frame_time(schedule: FrameSchedule, tick_rate_hz: int = 32768) -> float:
@@ -283,7 +258,6 @@ class NodeState:
     queue_capacity: int = 64
     seq_counter: int = 0
     routes: dict[int, int | None] = field(default_factory=dict)
-    addr_routes: dict[int, int | None] = field(default_factory=dict)
     allocations: dict[int, tuple[int, int, int]] = field(default_factory=dict)
     next_address: int = 1
     pending_accepts: set[int] = field(default_factory=set)
@@ -339,13 +313,6 @@ class SendAck:
 
 
 @dataclass(frozen=True)
-class AckMatched:
-    """The in-flight uplink head was acknowledged and popped."""
-
-    seq: int
-
-
-@dataclass(frozen=True)
 class SendJoinAccept:
     """Relay answers a join request heard directly in the contention slot."""
 
@@ -359,22 +326,10 @@ class BecameSynchronized:
 
 
 @dataclass(frozen=True)
-class ExpectDownlink:
-    """Listen in the own downlink slot (a forwarded accept may arrive)."""
-
-
-@dataclass(frozen=True)
 class CandidateBeacon:
     """A beacon heard while not joined; input for join_procedure."""
 
     sender_id: int
-
-
-@dataclass(frozen=True)
-class AppDelivery:
-    """DownData reached its destination application."""
-
-    packet: MacPacket
 
 
 @dataclass(frozen=True)
@@ -384,17 +339,7 @@ class GatewayEnqueue:
     packet: MacPacket
 
 
-Action = (
-    Resync
-    | SendAck
-    | AckMatched
-    | SendJoinAccept
-    | BecameSynchronized
-    | ExpectDownlink
-    | CandidateBeacon
-    | AppDelivery
-    | GatewayEnqueue
-)
+Action = Resync | SendAck | SendJoinAccept | BecameSynchronized | CandidateBeacon | GatewayEnqueue
 
 
 def make_beacon(node: NodeState, frame_index: int) -> MacPacket:
@@ -452,7 +397,8 @@ def join_procedure(
     return parent, req
 
 
-def _enqueue_up(node: NodeState, packet: MacPacket) -> bool:
+def enqueue_up(node: NodeState, packet: MacPacket) -> bool:
+    """Append to the uplink queue if it has room; else count a drop and return False."""
     if len(node.uplink_queue) >= node.queue_capacity:
         node.uplink_drops += 1
         return False
@@ -460,7 +406,8 @@ def _enqueue_up(node: NodeState, packet: MacPacket) -> bool:
     return True
 
 
-def _enqueue_down(node: NodeState, packet: MacPacket, slot_index: int) -> bool:
+def enqueue_down(node: NodeState, packet: MacPacket, slot_index: int) -> bool:
+    """Queue for a downlink slot if there is room; else count a drop and return False."""
     if len(node.downlink_queue) >= node.queue_capacity:
         node.downlink_drops += 1
         return False
@@ -555,7 +502,6 @@ def handle_rx(
             and packet.seq == node.uplink_queue[0].seq
         ):
             node.uplink_queue.popleft()
-            actions.append(AckMatched(seq=packet.seq))
         return actions
 
     if kind in (PacketKind.UP_DATA, PacketKind.JOIN_REQUEST) and not in_join_slot:
@@ -576,16 +522,15 @@ def handle_rx(
                 if triple is None:
                     node.protocol_errors += 1
                     return actions
-                node.addr_routes[triple[0]] = packet.sender_id
                 accept = _make_join_accept(
                     node, packet.origin_id, packet.sender_id, triple
                 )
-                _enqueue_down(node, accept, schedule.downlink_slot(packet.sender_id))
+                enqueue_down(node, accept, schedule.downlink_slot(packet.sender_id))
         else:
             if kind is PacketKind.JOIN_REQUEST:
                 node.routes.setdefault(packet.origin_id, packet.sender_id)
                 node.pending_accepts.add(packet.origin_id)
-            _enqueue_up(node, packet)
+            enqueue_up(node, packet)
         return actions
 
     if kind is PacketKind.JOIN_REQUEST and in_join_slot:
@@ -599,13 +544,11 @@ def handle_rx(
                 node.protocol_errors += 1
                 return actions
             node.children.add(triple[0])
-            node.addr_routes[triple[0]] = None
             accept = _make_join_accept(node, packet.origin_id, packet.origin_id, triple)
             actions.append(SendJoinAccept(packet=accept))
         else:
             node.pending_accepts.add(packet.origin_id)
-            _enqueue_up(node, packet)
-            actions.append(ExpectDownlink())
+            enqueue_up(node, packet)
         return actions
 
     if kind is PacketKind.JOIN_ACCEPT:
@@ -617,58 +560,17 @@ def handle_rx(
             return actions
         nxt = node.routes[packet.origin_id]
         node.pending_accepts.discard(packet.origin_id)
-        triple = tuple(packet.payload)
-        sender = node.address if node.address is not None else 0
         if nxt is None:
             # The joiner is our own child-to-be: deliver in its new
             # downlink slot (triple[2]), which it cannot know yet but we
             # can schedule; it listens continuously until synchronized.
+            triple = tuple(packet.payload)
             node.children.add(triple[0])
-            node.addr_routes[triple[0]] = None
-            fwd = MacPacket(
-                kind=PacketKind.JOIN_ACCEPT,
-                network_id=packet.network_id,
-                sender_id=sender,
-                dest_id=packet.origin_id,
-                origin_id=packet.origin_id,
-                seq=packet.seq,
-                payload=packet.payload,
-            )
-            _enqueue_down(node, fwd, triple[2])
+            dest, slot = packet.origin_id, triple[2]
         else:
-            node.addr_routes[triple[0]] = nxt
-            fwd = MacPacket(
-                kind=PacketKind.JOIN_ACCEPT,
-                network_id=packet.network_id,
-                sender_id=sender,
-                dest_id=nxt,
-                origin_id=packet.origin_id,
-                seq=packet.seq,
-                payload=packet.payload,
-            )
-            _enqueue_down(node, fwd, schedule.downlink_slot(nxt))
-        return actions
-
-    if kind is PacketKind.DOWN_DATA:
-        if packet.dest_id == node.address:
-            actions.append(AppDelivery(packet=packet))
-            return actions
-        nxt = node.addr_routes.get(packet.dest_id, "missing")
-        if nxt == "missing":
-            node.protocol_errors += 1
-            return actions
+            dest, slot = nxt, schedule.downlink_slot(nxt)
         sender = node.address if node.address is not None else 0
-        hop = packet.dest_id if nxt is None else nxt
-        fwd = MacPacket(
-            kind=PacketKind.DOWN_DATA,
-            network_id=packet.network_id,
-            sender_id=sender,
-            dest_id=packet.dest_id,
-            origin_id=packet.origin_id,
-            seq=packet.seq,
-            payload=packet.payload,
-        )
-        _enqueue_down(node, fwd, schedule.downlink_slot(hop))
+        enqueue_down(node, replace(packet, sender_id=sender, dest_id=dest), slot)
         return actions
 
     node.protocol_errors += 1

@@ -26,7 +26,7 @@ from lorahop import (
     write_trace_csvs,
 )
 from lorahop.engine import _P_SVC, PacketEvent, Simulator
-from lorahop.protocol import MAX_DATA_PAYLOAD_BYTES, BecameSynchronized
+from lorahop.protocol import MAX_DATA_PAYLOAD_BYTES, BecameSynchronized, NodeMode
 from lorahop.scenario import ScenarioError, parse_scenario, read_scenario_doc
 from test_regression import GENERATED
 
@@ -359,7 +359,7 @@ def test_closing_a_window_leaves_an_equal_one_open():
     sim = Simulator(load_scenario(REPO / "scenarios" / "star4.json"))
     rt = sim.nodes[1]
     for _ in range(2):
-        sim._listen(rt, "ack", 5, 0, 1.0, 1.1, on_close=sim._close_window)
+        sim._listen(rt, "ack", 0, 1.0, 1.1, on_close=sim._close_window)
     first, second = rt.windows
     sim._close_window(rt, second)
     assert rt.windows == [first] and rt.windows[0] is first and not first.closed
@@ -385,14 +385,14 @@ def _events_at(sim: Simulator, node: int) -> list[str]:
 def _ack_from_relay(sim: Simulator, start: float) -> float:
     """Queue an ack from relay 0 to leaf 1 starting at ``start``; return its end."""
     ack = MacPacket(PacketKind.ACK, 1, 0, 1, 1, 0)
-    sim._transmit(sim.nodes[0], ack, 0, start, 0, 5)
+    sim._transmit(sim.nodes[0], ack, start, 0, 5)
     return start + sim._toa(ack.onair_bytes)
 
 
 def test_packet_ending_at_a_plain_window_close_is_received():
     sim = Simulator(load_scenario(REPO / "scenarios" / "star4.json"))
     end = _ack_from_relay(sim, 1.01)
-    sim._listen(sim.nodes[1], "ack", 5, 0, 1.0, end)
+    sim._listen(sim.nodes[1], "ack", 0, 1.0, end)
     _drain(sim)
     assert _events_at(sim, 1) == ["rx"]
 
@@ -403,8 +403,8 @@ def test_plain_window_that_closes_mid_packet_does_not_receive_it():
     # is still open at its end, loses it to the window.
     sim = Simulator(load_scenario(REPO / "scenarios" / "star4.json"))
     end = _ack_from_relay(sim, 1.01)
-    sim._listen(sim.nodes[1], "ack", 5, 0, 1.0, (1.01 + end) / 2)
-    sim._listen(sim.nodes[2], "ack", 5, 0, (1.01 + end) / 2, end + 0.1)
+    sim._listen(sim.nodes[1], "ack", 0, 1.0, (1.01 + end) / 2)
+    sim._listen(sim.nodes[2], "ack", 0, (1.01 + end) / 2, end + 0.1)
     _drain(sim)
     assert _events_at(sim, 1) == []
     assert _events_at(sim, 2) == ["lost_window"]
@@ -413,8 +413,8 @@ def test_plain_window_that_closes_mid_packet_does_not_receive_it():
 def test_plain_window_interval_is_recorded_once_and_clipped_at_the_end():
     sim = Simulator(load_scenario(REPO / "scenarios" / "star4.json"))
     end = sim.end_time
-    sim._listen(sim.nodes[1], "ack", 5, 0, 1.0, 1.5)
-    sim._listen(sim.nodes[1], "ack", 5, 0, end - 0.5, end + 1.0)
+    sim._listen(sim.nodes[1], "ack", 0, 1.0, 1.5)
+    sim._listen(sim.nodes[1], "ack", 0, end - 0.5, end + 1.0)
     _drain(sim)
     trace = sim._finalize()
     receive = [(s, e) for n, state, s, e, _ in trace.radio_intervals if n == 1 and state == "receive"]
@@ -424,7 +424,7 @@ def test_plain_window_interval_is_recorded_once_and_clipped_at_the_end():
 def test_closing_a_plain_window_early_is_an_error():
     sim = Simulator(load_scenario(REPO / "scenarios" / "star4.json"))
     rt = sim.nodes[1]
-    sim._listen(rt, "ack", 5, 0, 1.0, 1.1)
+    sim._listen(rt, "ack", 0, 1.0, 1.1)
     with pytest.raises(RuntimeError, match="plain ack window of frame 0 closed early"):
         sim._close_window(rt, rt.windows[0])
 
@@ -558,6 +558,105 @@ def test_random_scenarios_run_to_the_end():
         assert all(c == pytest.approx(trace.end_time) for c in cursor.values()), seed
 
 
+# --- queue admission ---
+
+
+def _capacity_one_sim(topology: str) -> Simulator:
+    doc = read_scenario_doc(REPO / "scenarios" / f"{topology}.json")
+    doc["queue_capacity"] = 1
+    return Simulator(parse_scenario(doc))
+
+
+def _synchronize(sim: Simulator, node: int, address: int, parent: int) -> None:
+    st = sim.nodes[node].st
+    st.mode = NodeMode.SYNCHRONIZED
+    st.parent_id = parent
+    st.assigned_slots = sim.sched.slot_triple(address)
+
+
+def _drop_rows(sim: Simulator) -> list[tuple]:
+    return [
+        (ev.t, ev.node, ev.kind, ev.channel, ev.frame, ev.slot)
+        for ev in sim.packet_events
+        if ev.event == "queue_drop"
+    ]
+
+
+def _up_data(sender: int, dest: int, seq: int) -> MacPacket:
+    return MacPacket(PacketKind.UP_DATA, 1, sender, dest, sender, seq, b"abc")
+
+
+def test_leaf_sample_into_a_full_uplink_queue_is_dropped():
+    sim = _capacity_one_sim("star4")
+    _synchronize(sim, 1, address=1, parent=0)
+    rt = sim.nodes[1]
+    rt.st.uplink_queue.append(_up_data(1, 0, 9))
+    sim._ev_app(rt, 7, 12.5)
+    assert _drop_rows(sim) == [(12.5, 1, "up_data", "0", 7, -1)]
+    assert rt.st.uplink_drops == 1
+    assert len(rt.st.uplink_queue) == 1
+
+
+def test_relay_sample_into_a_full_gateway_queue_is_dropped():
+    sim = _capacity_one_sim("star4")
+    relay = sim.nodes[0]
+    relay.gw_queue.append(_up_data(1, 0, 9))
+    sim._ev_app(relay, 4, 3.25)
+    assert _drop_rows(sim) == [(3.25, 0, "up_data", "lorawan", 4, -1)]
+    assert relay.gw_drops == 1
+    assert len(relay.gw_queue) == 1
+
+
+def test_child_data_into_a_full_gateway_queue_is_dropped():
+    sim = _capacity_one_sim("star4")
+    relay = sim.nodes[0]
+    relay.st.children.add(1)
+    relay.gw_queue.append(_up_data(2, 0, 9))
+    slot = sim.sched.uplink_slot(1)
+    tx = Transmission(1, _up_data(1, 0, 4), 0, 20.0, 20.2, frame=3, slot=slot)
+    sim._receive(relay, tx, None)
+    assert _drop_rows(sim) == [(20.2, 0, "up_data", "lorawan", 3, slot)]
+    assert relay.gw_drops == 1
+    assert len(relay.gw_queue) == 1
+    # The packet was still acknowledged: the drop is the relay's, not the link's.
+    assert [t.packet.kind for t in sim.active_tx] == [PacketKind.ACK]
+
+
+def test_join_accepts_past_the_first_queue_for_the_downlink_and_drop_beyond_it():
+    sim = _capacity_one_sim("star4")
+    relay = sim.nodes[0]
+    accepts = [
+        MacPacket(PacketKind.JOIN_ACCEPT, 1, 0, hw, hw, hw, bytes(sim.sched.slot_triple(a)))
+        for a, hw in ((1, 11), (2, 12), (3, 13))
+    ]
+    relay.pending_accept_tx = list(accepts)
+    sim._ev_join_respond(relay, 2, 40.0)
+    assert [t.packet for t in sim.active_tx] == [accepts[0]]
+    assert list(relay.st.downlink_queue) == [(accepts[1], sim.sched.downlink_slot(2))]
+    assert _drop_rows(sim) == [(40.0, 0, "join_accept", "0", -1, sim.sched.downlink_slot(3))]
+    assert relay.st.downlink_drops == 1
+    assert relay.pending_accept_tx == []
+
+
+def test_child_data_into_a_full_forwarder_queue_is_dropped():
+    sim = _capacity_one_sim("line4")
+    _synchronize(sim, 1, address=1, parent=0)
+    mid = sim.nodes[1]
+    mid.st.children.add(2)
+    mid.st.uplink_queue.append(_up_data(1, 0, 9))
+    slot = sim.sched.uplink_slot(2)
+    tx = Transmission(2, _up_data(2, 1, 4), 0, 30.0, 30.2, frame=5, slot=slot)
+    sim._receive(mid, tx, None)
+    assert _drop_rows(sim) == [(30.2, 1, "up_data", "0", 5, slot)]
+    assert mid.st.uplink_drops == 1
+    assert [p.seq for p in mid.st.uplink_queue] == [9]
+
+
+def test_packet_kind_codes_are_stable():
+    names = ("BEACON", "JOIN_REQUEST", "JOIN_ACCEPT", "UP_DATA", "ACK")
+    assert [PacketKind[n].value for n in names] == [0, 1, 2, 3, 5]
+
+
 # --- lossy and degraded paths ---
 
 
@@ -597,6 +696,8 @@ def _sf_doc(topology: str, sf: int, ticks_per_slot=None, backoff_step=None, ldro
     doc = read_scenario_doc(REPO / "scenarios" / f"{topology}.json")
     doc["frames"] = 60
     doc["radio"] = {"spreading_factor": sf}
+    if sf == 6:
+        doc["radio"]["explicit_header"] = False
     if ldro:
         doc["radio"]["low_data_rate_opt"] = True
     if ticks_per_slot is not None:
@@ -611,8 +712,10 @@ def _sf_doc(topology: str, sf: int, ticks_per_slot=None, backoff_step=None, ldro
 def test_spreading_factor_sweep(topology, sf):
     # At the committed 0.649 s slot SF6..9 must sync every node within the
     # single-hop bound of criterion 3; SF10..12 cannot fit a 64-byte data
-    # exchange plus its ack, and must be rejected for it.
-    doc = _sf_doc(topology, sf)
+    # exchange plus its ack, and must be rejected for it. SF6 runs with an
+    # implicit header, and SF11/12 (symbols past 16 ms) with low data rate
+    # optimization, as the modem requires.
+    doc = _sf_doc(topology, sf, ldro=sf >= 11)
     if sf >= 10:
         with pytest.raises(ScenarioError, match="slot anatomy"):
             parse_scenario(doc)

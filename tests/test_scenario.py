@@ -198,6 +198,37 @@ def test_slot_too_short_for_anatomy():
         parse_scenario(doc)
 
 
+@pytest.mark.parametrize(
+    "radio, key",
+    [
+        # SF6 runs only in implicit-header mode; the header is explicit by default.
+        ({"spreading_factor": 6}, "explicit_header"),
+        ({"spreading_factor": 6, "explicit_header": True}, "explicit_header"),
+        # Symbols past 16 ms need low data rate optimization.
+        ({"spreading_factor": 11}, "low_data_rate_opt"),
+        ({"spreading_factor": 12, "low_data_rate_opt": False}, "low_data_rate_opt"),
+        ({"spreading_factor": 10, "bandwidth_hz": 62500.0}, "low_data_rate_opt"),
+    ],
+)
+def test_radio_settings_no_modem_can_run_are_rejected(radio, key):
+    with pytest.raises(ScenarioError, match=rf"^scenario\.radio\.{key}: "):
+        parse_scenario(_minimal(radio=radio))
+
+
+def test_radio_settings_the_modem_can_run_pass_the_radio_check():
+    parse_scenario(_minimal(radio={"spreading_factor": 6, "explicit_header": False}))
+    # A symbol of exactly 16 ms (SF11 at 128 kHz) does not need the optimization.
+    wide = {"max_nodes": 2, "slots_per_frame": 8, "ticks_per_slot": 70000}
+    for radio in (
+        {"spreading_factor": 11, "bandwidth_hz": 128000.0},
+        {"spreading_factor": 11, "low_data_rate_opt": True},
+    ):
+        parse_scenario(_minimal(radio=radio, schedule=dict(wide), join={"backoff_step": 0.5}))
+    # With the optimization on, SF11 at the committed slot fails on the anatomy.
+    with pytest.raises(ScenarioError, match="slot anatomy"):
+        parse_scenario(_minimal(radio={"spreading_factor": 11, "low_data_rate_opt": True}))
+
+
 def test_backoff_step_below_join_request_airtime():
     # The 5-byte JoinRequest lasts 0.124 s at SF9: adjacent backoffs would overlap.
     with pytest.raises(ScenarioError, match="backoff_step 0.050 s below the JoinRequest airtime"):
