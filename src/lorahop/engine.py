@@ -22,10 +22,11 @@ interval is recorded when it opens. A sender that is not listening takes
 its transmission start when it is scheduled; a listening one keeps a
 start event, which cuts its listen interval (half-duplex).
 
-Radio model: zero propagation delay, no capture (overlapping on-channel
-transmissions at a listener destroy each other), per-link Bernoulli
-packet error rate drawn at transmission end in listener-id order. The
-LoRaWAN backhaul is a pure sink on its own pseudo-channel.
+Radio model: one channel, zero propagation delay, no capture
+(overlapping transmissions at a listener destroy each other), per-link
+Bernoulli packet error rate drawn at transmission end in listener-id
+order. The relay's LoRaWAN uplink reaches no node: it is logged, not
+delivered.
 """
 
 from __future__ import annotations
@@ -82,7 +83,6 @@ class Transmission:
 
     sender: int
     packet: MacPacket
-    channel: int | str
     start: float
     end: float
     frame: int
@@ -95,7 +95,7 @@ class Transmission:
 
 @dataclass(eq=False)
 class _Window:
-    """A receive window on channel 0, the only channel delivered to nodes."""
+    """A receive window of one node."""
 
     node_id: int
     open_t: float
@@ -104,6 +104,8 @@ class _Window:
     frame: int
     # A plain window closes at close_t by time alone; the others close by event.
     plain: bool = False
+    # Set when the window leaves rt.windows; a beacon window's close event
+    # reads it, to ignore a window a received beacon closed early.
     closed: bool = False
     early_close: float | None = None
 
@@ -159,7 +161,7 @@ class SimulationTrace:
 
     scenario: Scenario
     end_time: float
-    radio_intervals: list[tuple[int, str, float, float, str]]
+    radio_intervals: list[tuple[int, str, float, float]]
     packet_events: list[PacketEvent]
     sync_samples: list[SyncSample]
     queue_samples: list[QueueSample]
@@ -171,9 +173,22 @@ class SimulationTrace:
     node_counters: dict[int, dict[str, int]]
 
     @cached_property
-    def intervals_by_node(self) -> dict[int, list[tuple[int, str, float, float, str]]]:
+    def intervals_by_node(self) -> dict[int, list[tuple[int, str, float, float]]]:
         """``radio_intervals`` grouped by node, each list in trace order."""
         return dict(_group_by_node(self.radio_intervals))
+
+    @cached_property
+    def node_measures(self) -> dict[int, tuple[float, float | None]]:
+        """Per node, its whole-run duty cycle and mean power (None without a
+        power profile): what ``summary.csv`` and the CLI report."""
+        power = self.scenario.power
+        return {
+            nid: (
+                measure_duty_cycle(self, nid, self.end_time),
+                None if power is None else measure_avg_power(self, nid, power),
+            )
+            for nid in sorted(self.final_modes)
+        }
 
     @cached_property
     def resynced_by_node(self) -> dict[int, dict[int, float]]:
@@ -190,10 +205,10 @@ _KIND_NAMES = {k: k.name.lower() for k in PacketKind}
 
 
 def _group_by_node(
-    rows: list[tuple[int, str, float, float, str]],
-) -> defaultdict[int, list[tuple[int, str, float, float, str]]]:
+    rows: list[tuple[int, str, float, float]],
+) -> defaultdict[int, list[tuple[int, str, float, float]]]:
     """Interval rows grouped by their node, each group in input order."""
-    by_node: defaultdict[int, list[tuple[int, str, float, float, str]]] = defaultdict(list)
+    by_node: defaultdict[int, list[tuple[int, str, float, float]]] = defaultdict(list)
     for row in rows:
         by_node[row[0]].append(row)
     return by_node
@@ -265,7 +280,7 @@ class Simulator:
         # Ended transmissions in end order, pruned to those that may still
         # overlap a later one (see _deliver).
         self.tx_history: deque[Transmission] = deque()
-        self.radio_intervals: list[tuple[int, str, float, float, str]] = []
+        self.radio_intervals: list[tuple[int, str, float, float]] = []
         self.packet_events: list[PacketEvent] = []
         self.sync_samples: list[SyncSample] = []
         self.queue_samples: list[QueueSample] = []
@@ -484,16 +499,13 @@ class Simulator:
             return
         pkt = rt.gw_queue.popleft()
         start = t_slot_start + self.timing.data_tx_offset
-        airtime = lorawan_time_on_air(len(pkt.payload), self.sc.radio)
-        self._put_on_air(rt, Transmission(
-            sender=rt.st.node_id,
-            packet=pkt,
-            channel=LORAWAN_CHANNEL,
-            start=start,
-            end=start + airtime,
-            frame=frame,
-            slot=self.sched.lorawan_slot,
-        ))
+        end = start + lorawan_time_on_air(len(pkt.payload), self.sc.radio)
+        # No node hears the uplink, so it is logged, not delivered, and only
+        # if it ends by the end of the run, like every other transmission.
+        if round(end * 1e9) <= round(self.end_time * 1e9):
+            nid = rt.st.node_id
+            self.radio_intervals.append((nid, "transmit", start, end))
+            self._log_packet(start, nid, "tx", pkt, LORAWAN_CHANNEL, frame, self.sched.lorawan_slot)
 
     def _ev_own_uplink(self, rt: _NodeRt, frame: int, slot: int, t_slot_start: float) -> None:
         st = rt.st
@@ -534,7 +546,7 @@ class Simulator:
         for pkt in rest:
             slot = pkt.payload[2]
             if not enqueue_down(rt.st, pkt, slot):
-                self._log_packet(t, rt.st.node_id, "queue_drop", pkt, "0", -1, slot)
+                self._log_packet(t, rt.st.node_id, "queue_drop", pkt, "0", frame, slot)
         rt.pending_accept_tx = []
 
     def _ev_app(self, rt: _NodeRt, frame: int, t: float) -> None:
@@ -567,7 +579,7 @@ class Simulator:
         self, rt: _NodeRt, purpose: str, frame: int, open_t: float, close_t: float,
         on_close=None,
     ) -> None:
-        """Open a receive window on channel 0.
+        """Open a receive window.
 
         A window with an ``on_close`` handler closes by that event, which
         may also come early. A plain window has none: it stays open up to
@@ -581,7 +593,7 @@ class Simulator:
             return
         end = min(close_t, self.end_time)
         if end > open_t:
-            self.radio_intervals.append((nid, "receive", open_t, end, "0"))
+            self.radio_intervals.append((nid, "receive", open_t, end))
 
     def _close_window(self, rt: _NodeRt, win: _Window) -> None:
         if win.plain:
@@ -592,26 +604,13 @@ class Simulator:
         end = win.early_close if win.early_close is not None else win.close_t
         end = min(end, self.end_time)
         if end > win.open_t:
-            self.radio_intervals.append(
-                (rt.st.node_id, "receive", win.open_t, end, "0")
-            )
+            self.radio_intervals.append((rt.st.node_id, "receive", win.open_t, end))
         if win in rt.windows:
             rt.windows.remove(win)
 
     def _transmit(self, rt: _NodeRt, pkt: MacPacket, start: float, frame: int, slot: int) -> None:
-        """Put a MAC packet on the air on channel 0."""
-        airtime = self._toa(pkt.onair_bytes)
-        self._put_on_air(rt, Transmission(
-            sender=rt.st.node_id,
-            packet=pkt,
-            channel=0,
-            start=start,
-            end=start + airtime,
-            frame=frame,
-            slot=slot,
-        ))
-
-    def _put_on_air(self, rt: _NodeRt, tx: Transmission) -> None:
+        """Put a MAC packet on the air."""
+        tx = Transmission(rt.st.node_id, pkt, start, start + self._toa(pkt.onair_bytes), frame, slot)
         if rt.listen_from is None:
             # The start would cut no listen interval, so take it now: delivery
             # ignores a transmission that starts at or after the one it resolves.
@@ -626,9 +625,7 @@ class Simulator:
         # Half-duplex: a continuously listening node stops receiving while
         # it transmits; the gap also voids coverage of overlapping packets.
         if rt.listen_from is not None and tx.start > rt.listen_from:
-            self.radio_intervals.append(
-                (rt.st.node_id, "receive", rt.listen_from, tx.start, "0")
-            )
+            self.radio_intervals.append((rt.st.node_id, "receive", rt.listen_from, tx.start))
         rt.resume_listen = rt.listen_from is not None
         rt.listen_from = None
         rt.own_tx.append((tx.start, tx.end))
@@ -637,12 +634,11 @@ class Simulator:
     def _ev_tx_end(self, rt: _NodeRt, tx: Transmission) -> None:
         nid = rt.st.node_id
         pkt = tx.packet
-        channel = str(tx.channel)
-        self.radio_intervals.append((nid, "transmit", tx.start, tx.end, channel))
+        self.radio_intervals.append((nid, "transmit", tx.start, tx.end))
         # The packet's columns, shared by its tx event and every listener's.
         cols = (
             _KIND_NAMES[pkt.kind], pkt.sender_id, pkt.dest_id, pkt.origin_id, pkt.seq,
-            pkt.onair_bytes, channel, tx.frame, tx.slot,
+            pkt.onair_bytes, "0", tx.frame, tx.slot,
         )
         self.packet_events.append(PacketEvent(tx.start, nid, "tx", *cols))
         # A packet delivered later ends at or after tx.end and lasts at most
@@ -662,8 +658,7 @@ class Simulator:
         self.tx_history.append(tx)
         if tx in self.active_tx:
             self.active_tx.remove(tx)
-        if tx.channel != LORAWAN_CHANNEL:
-            self._deliver(tx, cols)
+        self._deliver(tx, cols)
 
     # ------------------------------------------------------------ delivery
 
@@ -675,8 +670,7 @@ class Simulator:
         The covering window is the first open window that spans the whole
         packet. A node that listens without pause covers the packet unless
         its own transmission cut into it, and still reports a covering
-        window if one exists. Only channel-0 packets come here: LoRaWAN
-        uplinks are never delivered.
+        window if one exists.
         """
         listening = rt.listen_from is not None and rt.listen_from <= tx.start
         if listening:
@@ -686,14 +680,12 @@ class Simulator:
                 if s < tx.end and e > tx.start:
                     return False, True, None
         for win in rt.windows:
-            if win.open_t <= tx.start and tx.end <= win.close_t and not win.closed:
+            if win.open_t <= tx.start and tx.end <= win.close_t:
                 return True, True, win
         if listening:
             return True, True, None
         end_ns = None
         for win in rt.windows:
-            if win.closed:
-                continue
             if win.open_t < tx.end and win.close_t > tx.start:
                 if win.plain:
                     # A plain window that closed before the packet ended no
@@ -741,7 +733,7 @@ class Simulator:
             st, tx.packet, tx.end, self.sched, self.timing, in_join_slot=in_join_slot
         )
         if st.uplink_drops + st.downlink_drops > drops_before:
-            self._log_packet(tx.end, st.node_id, "queue_drop", tx.packet, str(tx.channel), tx.frame, tx.slot)
+            self._log_packet(tx.end, st.node_id, "queue_drop", tx.packet, "0", tx.frame, tx.slot)
         for act in actions:
             self._apply_action(rt, act, tx, covering)
 
@@ -835,9 +827,7 @@ class Simulator:
         st = rt.st
         parent = act.parent_id
         if rt.listen_from is not None and tx.end > rt.listen_from:
-            self.radio_intervals.append(
-                (st.node_id, "receive", rt.listen_from, tx.end, "0")
-            )
+            self.radio_intervals.append((st.node_id, "receive", rt.listen_from, tx.end))
         rt.listen_from = None
         rt.sync_slot = parent
         info = rt.candidates.get(parent)
@@ -881,7 +871,7 @@ class Simulator:
         self.packet_events.append(
             PacketEvent(
                 t, node, event, _KIND_NAMES[pkt.kind], pkt.sender_id, pkt.dest_id,
-                pkt.origin_id, pkt.seq, pkt.onair_bytes, str(channel), frame, slot,
+                pkt.origin_id, pkt.seq, pkt.onair_bytes, channel, frame, slot,
             )
         )
 
@@ -901,38 +891,35 @@ class Simulator:
         end = self.end_time
         for rt in self.nodes.values():
             if rt.listen_from is not None and rt.listen_from < end:
-                self.radio_intervals.append(
-                    (rt.st.node_id, "receive", rt.listen_from, end, "0")
-                )
+                self.radio_intervals.append((rt.st.node_id, "receive", rt.listen_from, end))
                 rt.listen_from = None
             for win in rt.windows:
-                if not (win.plain or win.closed) and win.open_t < end:
+                if not win.plain and win.open_t < end:
                     self.radio_intervals.append(
-                        (rt.st.node_id, "receive", win.open_t, min(win.close_t, end), "0")
+                        (rt.st.node_id, "receive", win.open_t, min(win.close_t, end))
                     )
-                    win.closed = True
 
         raw = _group_by_node(self.radio_intervals)
         self.radio_intervals = []  # the buckets hold every record; free the list before the output grows
-        intervals: list[tuple[int, str, float, float, str]] = []
+        intervals: list[tuple[int, str, float, float]] = []
         for nid in sorted(self.nodes):
             rows = sorted(
-                (max(0.0, s), min(e, end), state, ch)
-                for (_n, state, s, e, ch) in raw.pop(nid, ())
+                (max(0.0, s), min(e, end), state)
+                for (_n, state, s, e) in raw.pop(nid, ())
                 if e > 0.0 and s < end and e > s
             )
             cursor = 0.0
-            for s, e, state, ch in rows:
+            for s, e, state in rows:
                 if s > cursor:
-                    intervals.append((nid, "sleep", cursor, s, ""))
+                    intervals.append((nid, "sleep", cursor, s))
                 if s < cursor - 1e-9:
                     raise RuntimeError(
                         f"node {nid}: overlapping radio intervals at t={s:.9f}"
                     )
-                intervals.append((nid, state, s, e, ch))
+                intervals.append((nid, state, s, e))
                 cursor = max(cursor, e)
             if cursor < end:
-                intervals.append((nid, "sleep", cursor, end, ""))
+                intervals.append((nid, "sleep", cursor, end))
 
         parents: dict[int, int] = {}
         addresses: dict[int, int] = {}
@@ -991,13 +978,13 @@ def deliver(
     ``listeners`` holds (node_id, window_fully_covers_tx, link_per);
     ``concurrent`` the other transmissions on the air around ``tx``. An
     interferer counts at a listener only if ``(sender, listener)`` is in
-    ``links``. No capture: any audible overlap on the channel destroys
-    reception. PER draws happen in listener-id order.
+    ``links``. No capture: any audible overlap destroys reception. PER
+    draws happen in listener-id order.
     """
-    # Same-channel transmissions overlapping tx; the cheap time test first.
+    # Transmissions overlapping tx; the cheap time test first.
     overlapping = []
     for o in concurrent:
-        if o.start >= tx.end or o.end <= tx.start or o is tx or o.channel != tx.channel:
+        if o.start >= tx.end or o.end <= tx.start or o is tx:
             continue
         overlapping.append(o)
     out: dict[int, str] = {}
@@ -1028,28 +1015,29 @@ def measure_sync_error(
     Uses only frames where both nodes re-anchored on a fresh reference
     (the flywheel after a missed beacon is an estimate, not a sample).
     """
+    return [eps for _frame, eps in _sync_offsets(trace, parent_id, child_id)]
+
+
+def _sync_offsets(trace: SimulationTrace, parent_id: int, child_id: int) -> list[tuple[int, float]]:
+    """``(frame, parent minus child offset)`` of each frame both nodes resynced."""
     parent = trace.resynced_by_node.get(parent_id, {})
     child = trace.resynced_by_node.get(child_id, {})
-    return [parent[f] - child[f] for f in sorted(parent.keys() & child.keys())]
+    return [(f, parent[f] - child[f]) for f in sorted(parent.keys() & child.keys())]
 
 
 def measure_duty_cycle(
     trace: SimulationTrace,
     node_id: int,
     window_seconds: float,
-    channel: str | None = None,
     start_s: float = 0.0,
 ) -> float:
-    """Share of the window spent transmitting, optionally on one channel."""
+    """Share of the window spent transmitting."""
     if window_seconds <= 0:
         raise ValueError("window must be positive")
     end_s = start_s + window_seconds
-    want = None if channel is None else str(channel)
     total = 0.0
-    for _n, state, s, e, ch in trace.intervals_by_node.get(node_id, ()):
+    for _n, state, s, e in trace.intervals_by_node.get(node_id, ()):
         if state != "transmit":
-            continue
-        if want is not None and ch != want:
             continue
         if start_s <= s and e <= end_s:
             total += e - s  # the clip below would give the same hi - lo
@@ -1080,7 +1068,7 @@ def measure_avg_power(
         raise ValueError("measurement span must be positive")
     state_p = {"sleep": profile.p_sleep, "receive": profile.p_rx, "transmit": profile.p_tx}
     energy = 0.0
-    for _n, state, s, e, _ch in trace.intervals_by_node.get(node_id, ()):
+    for _n, state, s, e in trace.intervals_by_node.get(node_id, ()):
         if start_s <= s and e <= end_s:
             energy += state_p[state] * (e - s)
             continue
@@ -1119,11 +1107,8 @@ def write_trace_csvs(trace: SimulationTrace, out_dir: str | Path) -> list[Path]:
     with p.open("w", newline="") as f:
         f.write("frame,parent,child,epsilon_us\n")
         for parent_id, child_id in sync_pairs(trace):
-            pmap = trace.resynced_by_node.get(parent_id, {})
-            cmap = trace.resynced_by_node.get(child_id, {})
-            for fr in sorted(pmap.keys() & cmap.keys()):
-                eps_us = (pmap[fr] - cmap[fr]) * 1e6
-                f.write(f"{fr},{parent_id},{child_id},{eps_us:.3f}\n")
+            for fr, eps in _sync_offsets(trace, parent_id, child_id):
+                f.write(f"{fr},{parent_id},{child_id},{eps * 1e6:.3f}\n")
     paths.append(p)
 
     p = out / "summary.csv"
@@ -1133,12 +1118,8 @@ def write_trace_csvs(trace: SimulationTrace, out_dir: str | Path) -> list[Path]:
             "node,final_mode,address,duty_cycle,avg_power_w,tx_count,rx_count,"
             "uplink_drops,protocol_errors\n"
         )
-        for nid in sorted(trace.final_modes):
-            duty = measure_duty_cycle(trace, nid, trace.end_time)
-            if trace.scenario.power is not None:
-                power = f"{measure_avg_power(trace, nid, trace.scenario.power):.9e}"
-            else:
-                power = ""
+        for nid, (duty, avg) in trace.node_measures.items():
+            power = "" if avg is None else f"{avg:.9e}"
             txc, rxc = counts[(nid, "tx")], counts[(nid, "rx")]
             addr = trace.addresses.get(nid, "")
             ctr = trace.node_counters[nid]
@@ -1151,12 +1132,12 @@ def write_trace_csvs(trace: SimulationTrace, out_dir: str | Path) -> list[Path]:
     return paths
 
 
-def _radio_state_lines(rows: list[tuple[int, str, float, float, str]]) -> Iterator[str]:
+def _radio_state_lines(rows: list[tuple[int, str, float, float]]) -> Iterator[str]:
     """``radio_states.csv`` rows; an instant shared by one row's end and
     the next row's start is formatted once."""
     last_end = None
     end_text = ""
-    for n, state, s, e, _ch in rows:
+    for n, state, s, e in rows:
         start_text = end_text if s == last_end else f"{s:.9f}"
         last_end = e
         end_text = f"{e:.9f}"
@@ -1167,12 +1148,7 @@ def sync_pairs(trace: SimulationTrace) -> list[tuple[int, int]]:
     """Parent-child pairs to report: every tree edge, plus relay-to-node
     for nodes deeper than one hop (the per-hop accumulation view)."""
     relay = trace.scenario.relay_id
+    # Disjoint: (relay, c) is an edge only when c's parent is the relay.
     edges = sorted((p, c) for c, p in trace.parents.items())
     extra = sorted((relay, c) for c, p in trace.parents.items() if p != relay)
-    seen: set[tuple[int, int]] = set()
-    ordered: list[tuple[int, int]] = []
-    for pair in edges + extra:
-        if pair not in seen:
-            seen.add(pair)
-            ordered.append(pair)
-    return ordered
+    return edges + extra

@@ -18,6 +18,10 @@ MAX_PHY_PAYLOAD_BYTES = 255
 #: payload when it is re-encapsulated as a LoRaWAN uplink.
 LORAWAN_OVERHEAD_BYTES = 12
 
+# Longest symbol an SX127x modem sends without low data rate
+# optimization (SX1276 datasheet).
+_LDRO_SYMBOL_S = 0.016
+
 
 @dataclass(frozen=True)
 class RadioParams:
@@ -52,6 +56,23 @@ class RadioParams:
 def symbol_time(params: RadioParams = RadioParams()) -> float:
     """Duration of one LoRa symbol in seconds: 2**SF / BW."""
     return float(2**params.spreading_factor) / params.bandwidth_hz
+
+
+def check_modem(params: RadioParams) -> None:
+    """Raise ValueError, naming the setting first, for settings no SX127x
+    modem can run: SF6 needs an implicit header, and a symbol longer than
+    16 ms needs low data rate optimization.
+
+    Not a ``RadioParams`` invariant, so such settings can still be priced.
+    """
+    if params.spreading_factor == 6 and params.explicit_header:
+        raise ValueError("explicit_header: must be false at SF6, which has no explicit header")
+    t_sym = symbol_time(params)
+    if t_sym > _LDRO_SYMBOL_S and not params.low_data_rate_opt:
+        raise ValueError(
+            f"low_data_rate_opt: must be true: a {t_sym * 1e3:.3f} ms symbol "
+            f"exceeds the {_LDRO_SYMBOL_S * 1e3:.0f} ms past which the modem requires it"
+        )
 
 
 def time_on_air(payload_bytes: int, params: RadioParams = RadioParams()) -> float:

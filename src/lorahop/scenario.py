@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .phy import RadioParams, symbol_time, time_on_air
+from .phy import RadioParams, check_modem, time_on_air
 from .planner import PowerProfile
 from .protocol import (
     JOIN_ACCEPT_PAYLOAD_BYTES,
@@ -34,10 +34,6 @@ SCHEMA_VERSION = 1
 # last downlink slot, 3 * max_nodes, so max_nodes is at most 85.
 _BYTE_MAX = 255
 _MAX_NODES = _BYTE_MAX // 3
-
-# An SX127x modem needs low data rate optimization once a symbol lasts
-# longer than 16 ms (SX1276 datasheet).
-_LDRO_SYMBOL_S = 0.016
 
 _REQUIRED = object()
 
@@ -359,14 +355,10 @@ def parse_scenario(doc: dict, source: str = "scenario") -> Scenario:
         join = JoinConfig(**join_kwargs)
     except ValueError as e:
         raise ScenarioError(f"{source}: {e}") from e
-    if radio.spreading_factor == 6 and radio.explicit_header:
-        raise ScenarioError(f"{rc}.explicit_header: must be false at SF6, which has no explicit header")
-    t_sym = symbol_time(radio)
-    if t_sym > _LDRO_SYMBOL_S and not radio.low_data_rate_opt:
-        raise ScenarioError(
-            f"{rc}.low_data_rate_opt: must be true: a {t_sym * 1e3:.3f} ms symbol "
-            f"exceeds the {_LDRO_SYMBOL_S * 1e3:.0f} ms past which the modem requires it"
-        )
+    try:
+        check_modem(radio)
+    except ValueError as e:
+        raise ScenarioError(f"{rc}.{e}") from e
 
     slot_seconds = ticks / tick_rate
     try:

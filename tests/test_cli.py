@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import lorahop.cli
+import lorahop.engine
 from lorahop.cli import main
+from test_regression import GENERATED
 
 REPO = Path(__file__).resolve().parent.parent
 STAR = str(REPO / "scenarios" / "star4.json")
@@ -138,3 +142,45 @@ def test_default_out_dir(tmp_path, capsys, monkeypatch):
     assert rc == 0
     capsys.readouterr()
     assert (tmp_path / "runs" / "tiny" / "summary.csv").exists()
+
+
+def test_simulate_measures_each_node_once(tmp_path, capsys, monkeypatch):
+    # summary.csv and the per-node lines read the same numbers, so a node's
+    # duty cycle and mean power are each measured once per run.
+    calls: dict[str, Counter] = {}
+    for name in ("measure_duty_cycle", "measure_avg_power"):
+        counter = calls[name] = Counter()
+
+        def counted(trace, node_id, *args, _fn=getattr(lorahop.engine, name), _counter=counter, **kw):
+            _counter[node_id] += 1
+            return _fn(trace, node_id, *args, **kw)
+
+        for module in (lorahop.engine, lorahop.cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    doc = GENERATED["tree16"]()
+    path = tmp_path / "tree16.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path), "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    once = dict.fromkeys(range(len(doc["nodes"])), 1)
+    assert calls == {"measure_duty_cycle": once, "measure_avg_power": once}
+
+
+@pytest.mark.parametrize(
+    "flags, rc, out",
+    [
+        (["--sf", "12"], 2, ""),
+        (["--sf", "6"], 2, ""),
+        (["--sf", "12", "--ldro"], 0, "1482.752 ms\n"),
+        (["--sf", "6", "--implicit-header"], 0, "30.848 ms\n"),
+    ],
+    ids=["sf12_without_ldro", "sf6_explicit_header", "sf12_with_ldro", "sf6_implicit_header"],
+)
+def test_toa_applies_the_modem_rules(flags, rc, out, capsys):
+    # The rules a scenario's radio must meet: SF6 needs an implicit header,
+    # a symbol past 16 ms needs low data rate optimization.
+    assert main(["toa", "--payload", "24", *flags]) == rc
+    got = capsys.readouterr()
+    assert got.out == out
+    assert got.err.startswith("error:") == (rc == 2)

@@ -26,6 +26,7 @@ from lorahop import (
     write_trace_csvs,
 )
 from lorahop.engine import _P_SVC, PacketEvent, Simulator
+from lorahop.phy import lorawan_time_on_air
 from lorahop.protocol import MAX_DATA_PAYLOAD_BYTES, BecameSynchronized, NodeMode
 from lorahop.scenario import ScenarioError, parse_scenario, read_scenario_doc
 from test_regression import GENERATED
@@ -35,9 +36,9 @@ T_SLOT = 21281 / 32768
 T_FRAME = 90 * T_SLOT
 
 
-def _tx(sender=0, start=1.0, end=1.1, channel=0, seq=0):
+def _tx(sender=0, start=1.0, end=1.1, seq=0):
     pkt = MacPacket(PacketKind.UP_DATA, 1, sender, 0, sender, seq, b"x")
-    return Transmission(sender, pkt, channel, start, end, frame=0, slot=5)
+    return Transmission(sender, pkt, start, end, frame=0, slot=5)
 
 
 # --- delivery semantics ---
@@ -56,16 +57,14 @@ def test_deliver_window_miss():
     assert out == {2: "lost_window"}
 
 
-def test_deliver_collision_same_channel_only():
+def test_deliver_collision():
     tx = _tx(sender=1, start=1.0, end=1.1)
-    same = _tx(sender=3, start=1.05, end=1.2, channel=0, seq=1)
-    other = _tx(sender=3, start=1.05, end=1.2, channel=1, seq=2)
-    assert deliver(tx, [(2, True, 0.0)], [same], MESH, random.Random(1)) == {2: "lost_collision"}
-    assert deliver(tx, [(2, True, 0.0)], [other], MESH, random.Random(1)) == {2: "received"}
+    overlap = _tx(sender=3, start=1.05, end=1.2, seq=1)
+    assert deliver(tx, [(2, True, 0.0)], [overlap], MESH, random.Random(1)) == {2: "lost_collision"}
 
 
 def test_deliver_interferer_counts_only_over_a_link():
-    # Node 3 overlaps on the same channel, but node 2 cannot hear it:
+    # Node 3 overlaps, but node 2 cannot hear it:
     # a hidden terminal leaves the reception intact until the link exists.
     tx = _tx(sender=1, start=1.0, end=1.1)
     hidden = _tx(sender=3, start=1.05, end=1.2, seq=1)
@@ -148,7 +147,7 @@ def test_line_error_grows_with_depth(line_trace):
 
 def test_no_overlapping_radio_intervals(star_trace):
     by_node: dict[int, list[tuple[float, float]]] = {}
-    for n, _state, s, e, _ch in star_trace.radio_intervals:
+    for n, _state, s, e in star_trace.radio_intervals:
         assert e > s - 1e-12
         by_node.setdefault(n, []).append((s, e))
     for spans in by_node.values():
@@ -160,7 +159,7 @@ def test_no_overlapping_radio_intervals(star_trace):
 def test_radio_timeline_is_gapless(star_trace):
     # Sleep filling makes each node's intervals partition [0, end].
     for node in range(4):
-        spans = [(s, e) for n, _st, s, e, _ in star_trace.radio_intervals if n == node]
+        spans = [(s, e) for n, _st, s, e in star_trace.radio_intervals if n == node]
         spans.sort()
         assert spans[0][0] == 0.0
         assert spans[-1][1] == pytest.approx(star_trace.end_time)
@@ -256,13 +255,11 @@ def test_write_trace_csvs(tmp_path, star_trace):
 # --- measures against full scans of the trace ---
 
 
-def _scan_duty_cycle(trace, node_id, window_seconds, channel=None, start_s=0.0):
+def _scan_duty_cycle(trace, node_id, window_seconds, start_s=0.0):
     end_s = start_s + window_seconds
     total = 0.0
-    for n, state, s, e, ch in trace.radio_intervals:
+    for n, state, s, e in trace.radio_intervals:
         if n != node_id or state != "transmit":
-            continue
-        if channel is not None and ch != str(channel):
             continue
         lo, hi = max(s, start_s), min(e, end_s)
         if hi > lo:
@@ -275,7 +272,7 @@ def _scan_avg_power(trace, node_id, profile, start_s=0.0, end_s=None):
         end_s = trace.end_time
     state_p = {"sleep": profile.p_sleep, "receive": profile.p_rx, "transmit": profile.p_tx}
     energy = 0.0
-    for n, state, s, e, _ch in trace.radio_intervals:
+    for n, state, s, e in trace.radio_intervals:
         if n != node_id:
             continue
         lo, hi = max(s, start_s), min(e, end_s)
@@ -311,10 +308,9 @@ def test_measures_equal_full_scans(name):
     spans = [(0.0, None), (8 * T_SLOT, end / 2), (end / 3, end - 1.0), (end - 10.0, end + 15.0)]
     for nid in nodes:
         for start_s, window in windows:
-            for channel in (None, "0", 0, "lorawan"):
-                assert measure_duty_cycle(trace, nid, window, channel, start_s) == _scan_duty_cycle(
-                    trace, nid, window, channel, start_s
-                )
+            assert measure_duty_cycle(trace, nid, window, start_s) == _scan_duty_cycle(
+                trace, nid, window, start_s
+            )
         for start_s, end_s in spans:
             assert measure_avg_power(trace, nid, prof, start_s, end_s) == _scan_avg_power(
                 trace, nid, prof, start_s, end_s
@@ -328,7 +324,7 @@ def test_measures_equal_full_scans(name):
 
 def test_finalize_rejects_overlapping_intervals():
     sim = Simulator(load_scenario(REPO / "scenarios" / "star4.json"))
-    sim.radio_intervals += [(1, "transmit", 1.0, 2.0, "0"), (1, "receive", 1.5, 2.5, "0")]
+    sim.radio_intervals += [(1, "transmit", 1.0, 2.0), (1, "receive", 1.5, 2.5)]
     with pytest.raises(RuntimeError, match="overlapping radio intervals"):
         sim._finalize()
 
@@ -417,8 +413,30 @@ def test_plain_window_interval_is_recorded_once_and_clipped_at_the_end():
     sim._listen(sim.nodes[1], "ack", 0, end - 0.5, end + 1.0)
     _drain(sim)
     trace = sim._finalize()
-    receive = [(s, e) for n, state, s, e, _ in trace.radio_intervals if n == 1 and state == "receive"]
+    receive = [(s, e) for n, state, s, e in trace.radio_intervals if n == 1 and state == "receive"]
     assert receive == [(1.0, 1.5), (end - 0.5, end)]
+
+
+@pytest.mark.parametrize("past_end, logged", [(0.0, True), (1e-6, False)])
+def test_relay_uplink_is_logged_only_if_it_ends_by_the_end(past_end, logged):
+    # The LoRaWAN uplink reaches no node; its transmit interval and tx event
+    # are kept exactly when the run lasts until the uplink ends.
+    sim = Simulator(load_scenario(REPO / "scenarios" / "star4.json"))
+    relay = sim.nodes[0]
+    pkt = _up_data(1, 0, 4)
+    relay.gw_queue.append(pkt)
+    airtime = lorawan_time_on_air(len(pkt.payload), sim.sc.radio)
+    start = sim.end_time - airtime + past_end
+    sim._ev_lorawan(relay, sim.sc.frames - 1, start - sim.timing.data_tx_offset)
+    _drain(sim)
+    trace = sim._finalize()
+    sent = [r for r in trace.radio_intervals if r[0] == 0 and r[1] == "transmit"]
+    events = [(ev.t, ev.node, ev.event, ev.channel) for ev in trace.packet_events]
+    if logged:
+        assert sent == [(0, "transmit", pytest.approx(start), pytest.approx(trace.end_time))]
+        assert events == [(pytest.approx(start), 0, "tx", "lorawan")]
+    else:
+        assert sent == [] and events == []
 
 
 def test_closing_a_plain_window_early_is_an_error():
@@ -474,7 +492,7 @@ def test_run_that_raises_is_freed_by_reference_counting(where):
             sim._push(30.0, _P_SVC, 0, _raise_now)
             match = "handler failed"
         else:
-            sim.radio_intervals += [(1, "transmit", 1.0, 2.0, "0"), (1, "receive", 1.5, 2.5, "0")]
+            sim.radio_intervals += [(1, "transmit", 1.0, 2.0), (1, "receive", 1.5, 2.5)]
             match = "overlapping radio intervals"
         try:
             sim.run()
@@ -504,7 +522,7 @@ def test_accept_after_an_old_reference_arms_a_beacon_window_after_it():
     rt.candidates[0] = (-60.0, 0.0, 0)
     start = 5 * sim.t_frame + sim.sched.join_slot * sim.t_slot + sim.t_join_accept
     accept = MacPacket(PacketKind.JOIN_ACCEPT, 1, 0, 1, 1, 0, bytes([1, 2, 3]))
-    tx = Transmission(0, accept, 0, start, start + sim._toa(accept.onair_bytes), frame=5, slot=sim.sched.join_slot)
+    tx = Transmission(0, accept, start, start + sim._toa(accept.onair_bytes), frame=5, slot=sim.sched.join_slot)
     rt.st.assigned_slots = (1, sim.sched.uplink_slot(1), sim.sched.downlink_slot(1))
     sim._apply_action(rt, BecameSynchronized(rt.st.assigned_slots, 0), tx, None)
     (win,) = [w for w in rt.windows if w.purpose == "beacon"]
@@ -552,7 +570,7 @@ def test_random_scenarios_run_to_the_end():
     for seed in range(40):
         trace = run(parse_scenario(_random_doc(seed)))
         cursor = dict.fromkeys(trace.final_modes, 0.0)
-        for n, _state, s, e, _ch in trace.radio_intervals:
+        for n, _state, s, e in trace.radio_intervals:
             assert s == pytest.approx(cursor[n], abs=1e-9), (seed, n)
             cursor[n] = e
         assert all(c == pytest.approx(trace.end_time) for c in cursor.values()), seed
@@ -613,7 +631,7 @@ def test_child_data_into_a_full_gateway_queue_is_dropped():
     relay.st.children.add(1)
     relay.gw_queue.append(_up_data(2, 0, 9))
     slot = sim.sched.uplink_slot(1)
-    tx = Transmission(1, _up_data(1, 0, 4), 0, 20.0, 20.2, frame=3, slot=slot)
+    tx = Transmission(1, _up_data(1, 0, 4), 20.0, 20.2, frame=3, slot=slot)
     sim._receive(relay, tx, None)
     assert _drop_rows(sim) == [(20.2, 0, "up_data", "lorawan", 3, slot)]
     assert relay.gw_drops == 1
@@ -633,7 +651,7 @@ def test_join_accepts_past_the_first_queue_for_the_downlink_and_drop_beyond_it()
     sim._ev_join_respond(relay, 2, 40.0)
     assert [t.packet for t in sim.active_tx] == [accepts[0]]
     assert list(relay.st.downlink_queue) == [(accepts[1], sim.sched.downlink_slot(2))]
-    assert _drop_rows(sim) == [(40.0, 0, "join_accept", "0", -1, sim.sched.downlink_slot(3))]
+    assert _drop_rows(sim) == [(40.0, 0, "join_accept", "0", 2, sim.sched.downlink_slot(3))]
     assert relay.st.downlink_drops == 1
     assert relay.pending_accept_tx == []
 
@@ -645,7 +663,7 @@ def test_child_data_into_a_full_forwarder_queue_is_dropped():
     mid.st.children.add(2)
     mid.st.uplink_queue.append(_up_data(1, 0, 9))
     slot = sim.sched.uplink_slot(2)
-    tx = Transmission(2, _up_data(2, 1, 4), 0, 30.0, 30.2, frame=5, slot=slot)
+    tx = Transmission(2, _up_data(2, 1, 4), 30.0, 30.2, frame=5, slot=slot)
     sim._receive(mid, tx, None)
     assert _drop_rows(sim) == [(30.2, 1, "up_data", "0", 5, slot)]
     assert mid.st.uplink_drops == 1
@@ -753,7 +771,7 @@ def test_delivery_remembers_transmissions_a_long_packet_overlaps():
 
     def tx(sender, kind, payload, start):
         pkt = MacPacket(kind, 1, sender, 1, sender, 0, payload)
-        return Transmission(sender, pkt, 0, start, start + sim._toa(pkt.onair_bytes), frame=0, slot=5)
+        return Transmission(sender, pkt, start, start + sim._toa(pkt.onair_bytes), frame=0, slot=5)
 
     a = tx(0, PacketKind.ACK, b"", 0.0)
     c = tx(2, PacketKind.UP_DATA, bytes(MAX_DATA_PAYLOAD_BYTES), a.end - 0.1)

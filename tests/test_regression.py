@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+import json
 import random
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 import lorahop.cli
 import lorahop.engine
 from lorahop import load_scenario, run, write_trace_csvs
-from lorahop.scenario import parse_scenario
+from lorahop.scenario import parse_scenario, read_scenario_doc
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -106,6 +107,36 @@ def test_csv_bytes_pinned(name, tmp_path):
     paths = write_trace_csvs(run(_scenario(name)), tmp_path)
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
     assert got == PINNED[name]
+
+
+# SHA-256 of ``lorahop simulate``'s standard output without its ``wrote``
+# lines, at the committed seed and frame count. ``star4_reversed`` lists
+# star4's nodes last to first: the per-node lines follow the file's order.
+PINNED_STDOUT = {
+    "star4": "676f91016425ee8f30a330d63a31c493dea2e63bb3455fabc9bbb06a76e20fbb",
+    "line4": "af3025f895d559991285e16672ebf300583505190a6249629bd55aa128868b0e",
+    "tree16": "cc4bfc045cbb19dc04b631ce467f6c2592b9dd33a8976fb32e02b79fade6c619",
+    "star4_reversed": "98fc2ed1e7a9e7bff354367b8adb8f0ecd2b607c3c0bd40f05082704f7cbe75e",
+}
+
+
+def _stdout_doc(name: str) -> dict:
+    if name in GENERATED:
+        return GENERATED[name]()
+    doc = read_scenario_doc(REPO / "scenarios" / f"{name.removesuffix('_reversed')}.json")
+    if name.endswith("_reversed"):
+        doc["nodes"].reverse()
+    return doc
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_STDOUT))
+def test_simulate_stdout_pinned(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(_stdout_doc(name)))
+    assert lorahop.cli.main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    text = "".join(line for line in lines if not line.startswith("wrote "))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_STDOUT[name]
 
 
 def test_bench_span_targets_resolve(monkeypatch):
