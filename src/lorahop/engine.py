@@ -12,15 +12,16 @@ That split is exactly the regime the guard-time bound T_g/2 >= D_R*T_F
 protects.
 
 A synchronized node's fixed work for a frame is set up when the frame is
-scheduled: its beacon goes on the air, and its child-uplink and join
-windows open. Slot services that read a queue or a flag at slot time (own
-uplink and downlink, child downlink, LoRaWAN, application sample, the
-relay's JoinAccept answer) stay heap events, and so do beacon windows,
-whose close decides between a miss, the flywheel and a desync. Every other
-receive window is plain: it closes at its end time, so its receive
-interval is recorded when it opens. A sender that is not listening takes
-its transmission start when it is scheduled; a listening one keeps a
-start event, which cuts its listen interval (half-duplex).
+scheduled: its beacon goes on the air, and its child-uplink, join and
+(while a JoinAccept is due) own-downlink windows open. Slot services that
+read a queue at slot time (own uplink, child downlink, LoRaWAN,
+application sample, the relay's JoinAccept answer) stay heap events, and
+so do beacon windows, whose close decides between a miss, the flywheel and
+a desync. Every other receive window is plain: it closes at its end time,
+so its receive interval is recorded when it opens. A sender that is not
+listening takes its transmission start when it is scheduled; a listening
+one keeps a start event, which cuts its listen interval, and listens again
+from the transmission's end (half-duplex).
 
 Radio model: one channel, zero propagation delay, no capture
 (overlapping transmissions at a listener destroy each other), per-link
@@ -55,6 +56,7 @@ from .protocol import (
     SendAck,
     SendJoinAccept,
     SlotTiming,
+    best_parent,
     enqueue_down,
     enqueue_up,
     forwarding_step,
@@ -97,17 +99,12 @@ class Transmission:
 class _Window:
     """A receive window of one node."""
 
-    node_id: int
     open_t: float
     close_t: float
     purpose: str
     frame: int
     # A plain window closes at close_t by time alone; the others close by event.
     plain: bool = False
-    # Set when the window leaves rt.windows; a beacon window's close event
-    # reads it, to ignore a window a received beacon closed early.
-    closed: bool = False
-    early_close: float | None = None
 
 
 class PacketEvent(NamedTuple):
@@ -221,7 +218,7 @@ class _NodeRt:
         self.st = st
         self.tick = local_tick_duration(st.clock)
         self.frame_local = frame_ticks * self.tick
-        self.anchor: float | None = None
+        self.anchor: float = 0.0
         self.frame: int = -1
         self.sync_slot: int = 0
         self.eff_guard: float = 0.0
@@ -234,10 +231,6 @@ class _NodeRt:
         self.app_phase: int | None = None
         self.pending_accept_tx: list[MacPacket] = []
         self.beacon_misses_total = 0
-        # (start, end) of this node's transmissions in time order, pruned to
-        # those a later packet may still overlap (see _ev_tx_end).
-        self.own_tx: deque[tuple[float, float]] = deque()
-        self.resume_listen = False
 
 
 class Simulator:
@@ -307,8 +300,6 @@ class Simulator:
 
     def run(self) -> SimulationTrace:
         relay = self.nodes[self.relay_id]
-        relay.anchor = 0.0
-        relay.sync_slot = 0
         relay.app_phase = 0
         for rt in self.nodes.values():
             if rt.st.node_id != self.relay_id:
@@ -333,10 +324,7 @@ class Simulator:
     def _ev_relay_frame(self, rt: _NodeRt, frame: int, anchor: float) -> None:
         if frame >= self.sc.frames:
             return
-        rt.anchor = anchor
-        rt.frame = frame
-        self._record_frame_samples(rt, frame, anchor, resynced=True)
-        self._schedule_frame(rt, frame, anchor)
+        self._enter_frame(rt, frame, anchor, resynced=True)
         self._push(
             anchor + rt.frame_local,
             _P_FRAME,
@@ -346,6 +334,23 @@ class Simulator:
             frame + 1,
             anchor + rt.frame_local,
         )
+
+    def _enter_frame(self, rt: _NodeRt, frame: int, anchor: float, resynced: bool) -> None:
+        """Start a synchronized node's frame at ``anchor``: the relay's own
+        frame, a resync on the parent's beacon, or the flywheel after a miss."""
+        rt.anchor = anchor
+        rt.frame = frame
+        self._record_frame_samples(rt, frame, anchor, resynced)
+        self._schedule_frame(rt, frame, anchor)
+
+    def _resync(self, rt: _NodeRt, ref: float, frame: int) -> float:
+        """Re-anchor the node's clock on its parent's beacon reference of
+        ``frame``, reset the guard, and return the new frame anchor."""
+        st = rt.st
+        expected_tick = frame * self.sched.frame_ticks + rt.sync_slot * self.sched.ticks_per_slot
+        st.clock = resync(st.clock, ref, expected_tick)
+        rt.eff_guard = self.sc.guard.base_guard
+        return st.clock.epoch_global
 
     def _record_frame_samples(
         self, rt: _NodeRt, frame: int, anchor: float, resynced: bool
@@ -372,15 +377,16 @@ class Simulator:
         """Set up every activity of one synchronized node for one frame.
 
         What is fixed once the node is synchronized happens here: the
-        beacon goes on the air, the child-uplink and join windows open, and
-        the relay's JoinAccept answer is queued. A synchronized node leaves
+        beacon goes on the air, the child-uplink and join windows open, the
+        own-downlink window opens while a JoinAccept is due (the due set
+        shrinks only when the accept arrives in that window), and the
+        relay's JoinAccept answer is queued. A synchronized node leaves
         that mode only at the next frame's beacon-window close, after every
-        slot of this frame, so none of these needs a check at slot time.
-        Slot services that read a queue or a flag at slot time stay events.
+        slot of this frame, so neither this nor any slot service of the
+        frame checks the mode. Slot services that read a queue at slot time
+        stay events.
         """
         st = rt.st
-        if st.mode is not NodeMode.SYNCHRONIZED or st.assigned_slots is None:
-            return
         b, up, down = st.assigned_slots
         nid = st.node_id
 
@@ -416,7 +422,7 @@ class Simulator:
 
         if st.expecting_downlink:
             t_od = self._slot_time(rt, anchor, down)
-            self._push(t_od, _P_SVC, nid, self._ev_own_downlink, rt, frame, t_od)
+            self._listen(rt, "downlink_rx", frame, t_od + dw[0], t_od + dw[1])
 
         lu = self.sc.join.listen_until_frame
         if lu is None or frame <= lu:
@@ -446,14 +452,10 @@ class Simulator:
         self._listen(rt, "beacon", frame, open_t, close_t, self._ev_beacon_window_close)
 
     def _ev_beacon_window_close(self, rt: _NodeRt, win: _Window) -> None:
-        if win.closed:
-            return
-        self._close_window(rt, win)
-        if rt.frame >= win.frame:
-            return  # the beacon arrived and already re-anchored this frame
+        if win not in rt.windows:
+            return  # the beacon arrived, closed it and re-anchored this frame
+        self._close_window(rt, win, win.close_t)
         st = rt.st
-        if st.mode is not NodeMode.SYNCHRONIZED:
-            return
         st.consecutive_beacon_misses += 1
         rt.beacon_misses_total += 1
         self.protocol_events.append(
@@ -471,11 +473,7 @@ class Simulator:
             rt.eff_guard * self.sc.guard.widen_factor, self.t_slot
         )
         # Flywheel: extrapolate the anchor on the local crystal and keep going.
-        anchor = (rt.anchor if rt.anchor is not None else 0.0) + rt.frame_local
-        rt.anchor = anchor
-        rt.frame = win.frame
-        self._record_frame_samples(rt, win.frame, anchor, resynced=False)
-        self._schedule_frame(rt, win.frame, anchor)
+        self._enter_frame(rt, win.frame, rt.anchor + rt.frame_local, resynced=False)
 
     def _desynchronize(self, rt: _NodeRt, t: float, frame: int) -> None:
         st = rt.st
@@ -495,7 +493,7 @@ class Simulator:
     # --------------------------------------------------------- slot services
 
     def _ev_lorawan(self, rt: _NodeRt, frame: int, t_slot_start: float) -> None:
-        if rt.st.mode is not NodeMode.SYNCHRONIZED or not rt.gw_queue:
+        if not rt.gw_queue:
             return
         pkt = rt.gw_queue.popleft()
         start = t_slot_start + self.timing.data_tx_offset
@@ -508,10 +506,7 @@ class Simulator:
             self._log_packet(start, nid, "tx", pkt, LORAWAN_CHANNEL, frame, self.sched.lorawan_slot)
 
     def _ev_own_uplink(self, rt: _NodeRt, frame: int, slot: int, t_slot_start: float) -> None:
-        st = rt.st
-        if st.mode is not NodeMode.SYNCHRONIZED:
-            return
-        pkt = forwarding_step(st)
+        pkt = forwarding_step(rt.st)
         if pkt is None:
             return
         start = t_slot_start + self.timing.data_tx_offset
@@ -519,17 +514,8 @@ class Simulator:
         aw = self.timing.ack_window
         self._listen(rt, "ack", frame, t_slot_start + aw[0], t_slot_start + aw[1])
 
-    def _ev_own_downlink(self, rt: _NodeRt, frame: int, t_slot_start: float) -> None:
-        st = rt.st
-        if st.mode is not NodeMode.SYNCHRONIZED or not st.expecting_downlink:
-            return
-        dw = self.timing.data_window
-        self._listen(rt, "downlink_rx", frame, t_slot_start + dw[0], t_slot_start + dw[1])
-
     def _ev_child_downlink(self, rt: _NodeRt, frame: int, slot: int, t_slot_start: float) -> None:
         st = rt.st
-        if st.mode is not NodeMode.SYNCHRONIZED:
-            return
         for i, (pkt, target_slot) in enumerate(st.downlink_queue):
             if target_slot == slot:
                 del st.downlink_queue[i]
@@ -538,7 +524,7 @@ class Simulator:
                 return
 
     def _ev_join_respond(self, rt: _NodeRt, frame: int, t: float) -> None:
-        if rt.st.mode is not NodeMode.SYNCHRONIZED or not rt.pending_accept_tx:
+        if not rt.pending_accept_tx:
             return
         first, *rest = rt.pending_accept_tx
         self._transmit(rt, first, t, frame, self.sched.join_slot)
@@ -551,8 +537,6 @@ class Simulator:
 
     def _ev_app(self, rt: _NodeRt, frame: int, t: float) -> None:
         st = rt.st
-        if st.mode is not NodeMode.SYNCHRONIZED:
-            return
         sc = self.sc
         if sc.power is not None and sc.power.tau_app > 0:
             self.app_intervals[st.node_id].append((t, t + sc.power.tau_app))
@@ -586,7 +570,7 @@ class Simulator:
         ``close_t``, so its receive interval is recorded now.
         """
         nid = rt.st.node_id
-        win = _Window(nid, open_t, close_t, purpose, frame, plain=on_close is None)
+        win = _Window(open_t, close_t, purpose, frame, plain=on_close is None)
         rt.windows.append(win)
         if on_close is not None:
             self._push(close_t, _P_CLOSE, nid, on_close, rt, win)
@@ -595,18 +579,16 @@ class Simulator:
         if end > open_t:
             self.radio_intervals.append((nid, "receive", open_t, end))
 
-    def _close_window(self, rt: _NodeRt, win: _Window) -> None:
+    def _close_window(self, rt: _NodeRt, win: _Window, end: float) -> None:
+        """Close an open event-closed window at ``end`` and record its receive interval."""
         if win.plain:
             raise RuntimeError(
-                f"node {win.node_id}: plain {win.purpose} window of frame {win.frame} closed early"
+                f"node {rt.st.node_id}: plain {win.purpose} window of frame {win.frame} closed early"
             )
-        win.closed = True
-        end = win.early_close if win.early_close is not None else win.close_t
         end = min(end, self.end_time)
         if end > win.open_t:
             self.radio_intervals.append((rt.st.node_id, "receive", win.open_t, end))
-        if win in rt.windows:
-            rt.windows.remove(win)
+        rt.windows.remove(win)
 
     def _transmit(self, rt: _NodeRt, pkt: MacPacket, start: float, frame: int, slot: int) -> None:
         """Put a MAC packet on the air."""
@@ -614,8 +596,6 @@ class Simulator:
         if rt.listen_from is None:
             # The start would cut no listen interval, so take it now: delivery
             # ignores a transmission that starts at or after the one it resolves.
-            rt.resume_listen = False
-            rt.own_tx.append((tx.start, tx.end))
             self.active_tx.append(tx)
         else:
             self._push(tx.start, _P_TX_START, rt.st.node_id, self._ev_tx_start, rt, tx)
@@ -626,9 +606,7 @@ class Simulator:
         # it transmits; the gap also voids coverage of overlapping packets.
         if rt.listen_from is not None and tx.start > rt.listen_from:
             self.radio_intervals.append((rt.st.node_id, "receive", rt.listen_from, tx.start))
-        rt.resume_listen = rt.listen_from is not None
         rt.listen_from = None
-        rt.own_tx.append((tx.start, tx.end))
         self.active_tx.append(tx)
 
     def _ev_tx_end(self, rt: _NodeRt, tx: Transmission) -> None:
@@ -641,20 +619,10 @@ class Simulator:
             pkt.onair_bytes, "0", tx.frame, tx.slot,
         )
         self.packet_events.append(PacketEvent(tx.start, nid, "tx", *cols))
-        # A packet delivered later ends at or after tx.end and lasts at most
-        # t_data_max < t_slot, so it starts after tx.end - t_slot, and
-        # _listening_state stops at an own transmission that ended before.
-        own_tx = rt.own_tx
-        horizon = tx.end - self.t_slot
-        while own_tx[0][1] < horizon:
-            own_tx.popleft()
-        if rt.resume_listen and rt.st.mode in (
-            NodeMode.UNJOINED,
-            NodeMode.JOINING,
-            NodeMode.DESYNCHRONIZED,
-        ):
+        # Only a node that is not synchronized listens without pause, and
+        # only its own transmission (see _ev_tx_start) stops it.
+        if rt.listen_from is None and rt.st.mode is not NodeMode.SYNCHRONIZED:
             rt.listen_from = tx.end
-            rt.resume_listen = False
         self.tx_history.append(tx)
         if tx in self.active_tx:
             self.active_tx.remove(tx)
@@ -668,17 +636,10 @@ class Simulator:
         """(fully_covered, heard_at_all, covering_window) for one listener and one tx.
 
         The covering window is the first open window that spans the whole
-        packet. A node that listens without pause covers the packet unless
-        its own transmission cut into it, and still reports a covering
-        window if one exists.
+        packet. A node that listens without pause covers the packet, and
+        still reports a covering window if one exists.
         """
         listening = rt.listen_from is not None and rt.listen_from <= tx.start
-        if listening:
-            for s, e in reversed(rt.own_tx):
-                if e <= tx.start:
-                    break
-                if s < tx.end and e > tx.start:
-                    return False, True, None
         for win in rt.windows:
             if win.open_t <= tx.start and tx.end <= win.close_t:
                 return True, True, win
@@ -740,17 +701,10 @@ class Simulator:
     def _apply_action(self, rt, act, tx: Transmission, win: _Window | None) -> None:
         st = rt.st
         if isinstance(act, Resync):
-            expected_tick = tx.frame * self.sched.frame_ticks + rt.sync_slot * self.sched.ticks_per_slot
-            st.clock = resync(st.clock, act.reference_global, expected_tick)
-            anchor = st.clock.epoch_global
-            if win is not None:
-                win.early_close = tx.end
-                self._close_window(rt, win)
-            rt.anchor = anchor
-            rt.frame = tx.frame
-            rt.eff_guard = self.sc.guard.base_guard
-            self._record_frame_samples(rt, tx.frame, anchor, resynced=True)
-            self._schedule_frame(rt, tx.frame, anchor)
+            # The parent's beacon arrives only in this node's beacon window.
+            anchor = self._resync(rt, act.reference_global, tx.frame)
+            self._close_window(rt, win, tx.end)
+            self._enter_frame(rt, tx.frame, anchor, resynced=True)
         elif isinstance(act, CandidateBeacon):
             ref = tx.start - self.timing.beacon_tx_offset
             rssi = self.sc.link_rssi.get((tx.sender, st.node_id), -60.0)
@@ -782,7 +736,7 @@ class Simulator:
         if rt.attempt_scheduled or not rt.candidates:
             return
         rt.attempt_scheduled = True
-        addr = min(rt.candidates, key=lambda a: (-rt.candidates[a][0], a))
+        addr = best_parent((a, info[0]) for a, info in rt.candidates.items())
         _rssi, ref, _frame = rt.candidates[addr]
         t_join = ref + (self.sched.join_slot - addr) * self.t_slot
         while t_join <= now:
@@ -842,11 +796,8 @@ class Simulator:
         while ref + self.t_frame <= tx.end:
             ref += self.t_frame
             frame += 1
-        expected_tick = frame * self.sched.frame_ticks + parent * self.sched.ticks_per_slot
-        st.clock = resync(st.clock, ref, expected_tick)
-        rt.anchor = st.clock.epoch_global
+        rt.anchor = self._resync(rt, ref, frame)
         rt.frame = frame
-        rt.eff_guard = self.sc.guard.base_guard
         rt.app_phase = (st.address or 0) % self.sc.k
         self.protocol_events.append(
             ProtocolEvent(

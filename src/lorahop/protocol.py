@@ -18,6 +18,7 @@ event scheduling or radio physics beyond packet sizes.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
 
@@ -373,17 +374,23 @@ def forwarding_step(node: NodeState) -> MacPacket | None:
     )
 
 
+def best_parent(heard_beacons: Iterable[tuple[int, float]]) -> int:
+    """The address to join among overheard ``(address, rssi)`` beacons:
+    strongest RSSI wins, ties to the lowest address."""
+    return min(heard_beacons, key=lambda sr: (-sr[1], sr[0]))[0]
+
+
 def join_procedure(
     node: NodeState, heard_beacons: list[tuple[int, float]]
 ) -> tuple[int, MacPacket]:
     """Choose a parent from overheard beacons and build the JoinRequest.
 
-    Strongest RSSI wins, ties to the lowest address. The caller places
-    the request in the next join-contention slot after a random backoff.
+    The parent is the ``best_parent``. The caller places the request in the
+    next join-contention slot after a random backoff.
     """
     if not heard_beacons:
         raise ValueError("cannot join without having heard a beacon")
-    parent = min(heard_beacons, key=lambda sr: (-sr[1], sr[0]))[0]
+    parent = best_parent(heard_beacons)
     node.mode = NodeMode.JOINING
     node.parent_id = parent
     req = MacPacket(

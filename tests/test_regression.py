@@ -1,5 +1,6 @@
-"""Regression pins: exact CSV bytes of the shipped scenarios and of two
-generated multi-node ones, and the names the traced benchmark run wraps."""
+"""Regression pins: exact CSV bytes of the shipped scenarios, of tight-guard
+variants of them and of generated multi-node ones, and the names the traced
+benchmark run wraps."""
 
 from __future__ import annotations
 
@@ -52,6 +53,18 @@ PINNED = {
         "summary.csv": "200a95c7625d38337115ad66a00129ea9e4a5011e80e2381c6862a6760364670",
         "sync_samples.csv": "bbc36402bca77067eb38466e11f2cd5e4f8cee9454eed9c5148c646f9c48ac2f",
     },
+    "star4_tight": {
+        "packet_events.csv": "4e5a3253341c0b381e4bd01dc16e071789cac691336c67a4d2d88b068df384a2",
+        "radio_states.csv": "a04e48ed6e74007d769f8c39bcdf325581794c7828c87d0dbacde74bc2426a98",
+        "summary.csv": "b27a66fb45cf5a44d907adab95e0cf4a2f229cdb615a3f902a36c64c0ae997fb",
+        "sync_samples.csv": "e67d4932e71bd2555d9b0303a6c4cdcc0c452d5cfb9f816d76cafcd1f1d1c78e",
+    },
+    "line4_tight": {
+        "packet_events.csv": "6bfb174a576172c68675b8c449927dd6d70792640fa9eb73bf47c5ce5b6aa4cb",
+        "radio_states.csv": "69ffd0daed61b780e31029b6a573b9eb653887f29dc659a9ba70f5ff894a7765",
+        "summary.csv": "d8e4148db0fb44f63664e4698bd21cf60a8d029ee19e28f77742a481f68a15be",
+        "sync_samples.csv": "e03f16253f1cb18004c0dd5e58a7532908e399795893251ebed4acaa9684daf5",
+    },
 }
 
 
@@ -86,13 +99,29 @@ def generated_doc(name: str, edges: list[tuple[int, int]], frames: int, seed: in
     return doc
 
 
+def tight_doc(name: str) -> dict:
+    """A committed scenario with a 0.4 ms base guard, run for 60 frames.
+
+    The guard is below what the drifts need, so beacons are missed, nodes
+    desynchronize and join again: the paths a clean run never takes.
+    """
+    doc = read_scenario_doc(REPO / "scenarios" / f"{name}.json")
+    doc["guard"]["base_guard"] = 0.0004
+    doc["frames"] = 60
+    return doc
+
+
 # Generated scenarios: a 16-node binary tree (node i hangs under (i - 1) // 2)
 # with a power profile, and 16 or 31 leaves joining one relay from cold, whose
 # JoinRequests collide. In star32 every relay beacon reaches 31 listeners.
+# The tight variants miss beacons and desynchronize (star4_tight: 141 misses,
+# 34 desyncs; line4_tight: 60 and 14, and it forwards JoinRequests).
 GENERATED = {
     "tree16": lambda: generated_doc("tree16", [((i - 1) // 2, i) for i in range(1, 16)], 40, 16, True),
     "star16": lambda: generated_doc("star16", [(0, i) for i in range(1, 17)], 60, 20, False),
     "star32": lambda: generated_doc("star32", [(0, i) for i in range(1, 32)], 150, 32, False),
+    "star4_tight": lambda: tight_doc("star4"),
+    "line4_tight": lambda: tight_doc("line4"),
 }
 
 
@@ -117,6 +146,8 @@ PINNED_STDOUT = {
     "line4": "af3025f895d559991285e16672ebf300583505190a6249629bd55aa128868b0e",
     "tree16": "cc4bfc045cbb19dc04b631ce467f6c2592b9dd33a8976fb32e02b79fade6c619",
     "star4_reversed": "98fc2ed1e7a9e7bff354367b8adb8f0ecd2b607c3c0bd40f05082704f7cbe75e",
+    "star4_tight": "40b3b69cb6238ecb79b8ed099eca1c0ba7875ed760f24ee686fc1e32340ca026",
+    "line4_tight": "f80fd7b4288a170f79803d2a03f9eec7ad24eb8bd63df7613d6bac593751f309",
 }
 
 
