@@ -79,23 +79,25 @@ _P_CLOSE = 3
 _P_SVC = 4
 
 
-@dataclass(frozen=True, eq=False)
 class Transmission:
     """One packet on the air; compared by identity."""
 
-    sender: int
-    packet: MacPacket
-    start: float
-    end: float
-    frame: int
-    slot: int
+    __slots__ = ("sender", "packet", "start", "end", "frame", "slot")
 
-    def __post_init__(self) -> None:
-        if self.end <= self.start:
+    def __init__(
+        self, sender: int, packet: MacPacket, start: float, end: float, frame: int, slot: int
+    ) -> None:
+        if end <= start:
             raise ValueError("transmission must have positive airtime")
+        self.sender = sender
+        self.packet = packet
+        self.start = start
+        self.end = end
+        self.frame = frame
+        self.slot = slot
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class _Window:
     """A receive window of one node."""
 
@@ -122,10 +124,7 @@ class PacketEvent(NamedTuple):
     slot: int
 
 
-# A frozen dataclass, not a named tuple: callers derive edited samples
-# with ``dataclasses.replace``.
-@dataclass(frozen=True)
-class SyncSample:
+class SyncSample(NamedTuple):
     frame: int
     node: int
     t_syn: float
@@ -219,7 +218,6 @@ class _NodeRt:
         self.tick = local_tick_duration(st.clock)
         self.frame_local = frame_ticks * self.tick
         self.anchor: float = 0.0
-        self.frame: int = -1
         self.sync_slot: int = 0
         self.eff_guard: float = 0.0
         self.listen_from: float | None = None
@@ -339,7 +337,6 @@ class Simulator:
         """Start a synchronized node's frame at ``anchor``: the relay's own
         frame, a resync on the parent's beacon, or the flywheel after a miss."""
         rt.anchor = anchor
-        rt.frame = frame
         self._record_frame_samples(rt, frame, anchor, resynced)
         self._schedule_frame(rt, frame, anchor)
 
@@ -356,16 +353,11 @@ class Simulator:
         self, rt: _NodeRt, frame: int, anchor: float, resynced: bool
     ) -> None:
         t_syn = anchor - rt.sync_slot * self.t_slot
-        self.sync_samples.append(
-            SyncSample(frame=frame, node=rt.st.node_id, t_syn=t_syn, resynced=resynced)
-        )
+        st = rt.st
+        self.sync_samples.append(SyncSample(frame, st.node_id, t_syn, resynced))
         self.queue_samples.append(
             QueueSample(
-                frame=frame,
-                node=rt.st.node_id,
-                uplink_depth=len(rt.st.uplink_queue),
-                downlink_depth=len(rt.st.downlink_queue),
-                gateway_depth=len(rt.gw_queue),
+                frame, st.node_id, len(st.uplink_queue), len(st.downlink_queue), len(rt.gw_queue)
             )
         )
 
@@ -602,9 +594,10 @@ class Simulator:
         self._push(tx.end, _P_TX_END, rt.st.node_id, self._ev_tx_end, rt, tx)
 
     def _ev_tx_start(self, rt: _NodeRt, tx: Transmission) -> None:
-        # Half-duplex: a continuously listening node stops receiving while
-        # it transmits; the gap also voids coverage of overlapping packets.
-        if rt.listen_from is not None and tx.start > rt.listen_from:
+        # Half-duplex: only a listening sender gets a start event (see
+        # _transmit); it stops receiving while it transmits, and the gap
+        # also voids coverage of overlapping packets.
+        if tx.start > rt.listen_from:
             self.radio_intervals.append((rt.st.node_id, "receive", rt.listen_from, tx.start))
         rt.listen_from = None
         self.active_tx.append(tx)
@@ -713,14 +706,8 @@ class Simulator:
         elif isinstance(act, SendAck):
             slot_start = tx.start - self.timing.data_tx_offset
             t_ack = slot_start + self.timing.ack_tx_offset
-            ack = MacPacket(
-                kind=PacketKind.ACK,
-                network_id=st.network_id,
-                sender_id=st.address if st.address is not None else 0,
-                dest_id=act.dest_id,
-                origin_id=act.dest_id,
-                seq=act.seq,
-            )
+            sender = st.address if st.address is not None else 0
+            ack = MacPacket(PacketKind.ACK, st.network_id, sender, act.dest_id, act.dest_id, act.seq)
             self._transmit(rt, ack, t_ack, tx.frame, tx.slot)
         elif isinstance(act, SendJoinAccept):
             rt.pending_accept_tx.append(act.packet)
@@ -797,7 +784,6 @@ class Simulator:
             ref += self.t_frame
             frame += 1
         rt.anchor = self._resync(rt, ref, frame)
-        rt.frame = frame
         rt.app_phase = (st.address or 0) % self.sc.k
         self.protocol_events.append(
             ProtocolEvent(
@@ -1009,8 +995,11 @@ def measure_avg_power(
     """Time-weighted mean power over [start_s, end_s] for one node.
 
     Radio states map to profile powers; application bursts add
-    (p_app - p_sleep) on top of whatever the radio is doing (the app
-    runs while the radio sleeps in every scheduled layout).
+    (p_app - p_sleep) on top of whatever the radio is doing, which need not
+    be sleep. With N = 3M + 2 slots the first idle slot is slot N, so a
+    burst starts at the next frame's slot-0 instant, the relay's beacon
+    slot: the relay's burst overlaps its own beacon transmission, and a
+    burst longer than its slot runs into the next beacon slots.
     """
     if end_s is None:
         end_s = trace.end_time

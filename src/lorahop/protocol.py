@@ -19,8 +19,9 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from typing import NamedTuple
 
 from .phy import RadioParams, time_on_air
 from .timebase import VirtualClock
@@ -59,16 +60,7 @@ class NodeMode(Enum):
     DESYNCHRONIZED = "desynchronized"
 
 
-@dataclass(frozen=True)
-class MacPacket:
-    """One on-air MAC packet.
-
-    ``origin_id`` survives forwarding and names the node whose data (or
-    join attempt) this is; ``sender_id``/``dest_id`` are rewritten hop
-    by hop. Joined nodes use their beacon index as identity; nodes
-    without an address identify by hardware id in join traffic.
-    """
-
+class _MacPacketFields(NamedTuple):
     kind: PacketKind
     network_id: int
     sender_id: int
@@ -77,22 +69,42 @@ class MacPacket:
     seq: int
     payload: bytes = b""
 
-    def __post_init__(self) -> None:
-        for label, v in (
-            ("network_id", self.network_id),
-            ("sender_id", self.sender_id),
-            ("dest_id", self.dest_id),
-            ("origin_id", self.origin_id),
+
+class MacPacket(_MacPacketFields):
+    """One on-air MAC packet.
+
+    ``origin_id`` survives forwarding and names the node whose data (or
+    join attempt) this is; ``sender_id``/``dest_id`` are rewritten hop
+    by hop. Joined nodes use their beacon index as identity; nodes
+    without an address identify by hardware id in join traffic.
+
+    An immutable named tuple, validated on construction. ``_replace`` and
+    ``_make`` would skip the checks, so edited copies go through the
+    constructor.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        kind: PacketKind,
+        network_id: int,
+        sender_id: int,
+        dest_id: int,
+        origin_id: int,
+        seq: int,
+        payload: bytes = b"",
+    ) -> MacPacket:
+        if not (
+            0 <= network_id <= 255
+            and 0 <= sender_id <= 255
+            and 0 <= dest_id <= 255
+            and 0 <= origin_id <= 255
+            and 0 <= seq < SEQ_MODULO
+            and len(payload) <= MAX_DATA_PAYLOAD_BYTES
         ):
-            if not 0 <= v <= 255:
-                raise ValueError(f"{label} {v} does not fit one byte")
-        if not 0 <= self.seq < SEQ_MODULO:
-            raise ValueError(f"seq {self.seq} outside the packed 5-bit field")
-        if len(self.payload) > MAX_DATA_PAYLOAD_BYTES:
-            raise ValueError(
-                f"payload of {len(self.payload)} B exceeds "
-                f"{MAX_DATA_PAYLOAD_BYTES} B (64 B on-air cap)"
-            )
+            _check_packet_fields(network_id, sender_id, dest_id, origin_id, seq, payload)
+        return tuple.__new__(cls, (kind, network_id, sender_id, dest_id, origin_id, seq, payload))
 
     @property
     def onair_bytes(self) -> int:
@@ -101,6 +113,27 @@ class MacPacket:
         if self.kind is PacketKind.ACK:
             return ACK_ONAIR_BYTES
         return MAC_HEADER_BYTES + len(self.payload)
+
+
+def _check_packet_fields(
+    network_id: int, sender_id: int, dest_id: int, origin_id: int, seq: int, payload: bytes
+) -> None:
+    """Raise on the first MacPacket field that the packet format cannot carry."""
+    for label, v in (
+        ("network_id", network_id),
+        ("sender_id", sender_id),
+        ("dest_id", dest_id),
+        ("origin_id", origin_id),
+    ):
+        if not 0 <= v <= 255:
+            raise ValueError(f"{label} {v} does not fit one byte")
+    if not 0 <= seq < SEQ_MODULO:
+        raise ValueError(f"seq {seq} outside the packed 5-bit field")
+    if len(payload) > MAX_DATA_PAYLOAD_BYTES:
+        raise ValueError(
+            f"payload of {len(payload)} B exceeds "
+            f"{MAX_DATA_PAYLOAD_BYTES} B (64 B on-air cap)"
+        )
 
 
 @dataclass(frozen=True)
@@ -119,6 +152,12 @@ class SlotTiming:
     t_bcn: float = field(init=False)
     t_ack: float = field(init=False)
     t_data_max: float = field(init=False)
+    # Offsets below are relative to the slot start, in seconds.
+    beacon_tx_offset: float = field(init=False)
+    data_tx_offset: float = field(init=False)
+    data_window: tuple[float, float] = field(init=False)
+    ack_tx_offset: float = field(init=False)
+    ack_window: tuple[float, float] = field(init=False)
 
     def __post_init__(self) -> None:
         for label, v in (("t_offset", self.t_offset), ("t_guard", self.t_guard)):
@@ -130,29 +169,16 @@ class SlotTiming:
             ("t_data_max", MAX_ONAIR_BYTES),
         ):
             object.__setattr__(self, label, time_on_air(size, self.radio))
-
-    # Offsets below are relative to the slot start, in seconds.
-
-    @property
-    def beacon_tx_offset(self) -> float:
-        return self.t_offset
-
-    @property
-    def data_tx_offset(self) -> float:
-        return self.t_offset + self.t_guard / 2.0
-
-    @property
-    def data_window(self) -> tuple[float, float]:
-        return (self.t_offset, self.t_offset + self.t_guard + self.t_data_max)
-
-    @property
-    def ack_tx_offset(self) -> float:
-        return self.data_window[1] + self.t_offset + self.t_guard / 2.0
-
-    @property
-    def ack_window(self) -> tuple[float, float]:
-        start = self.data_window[1] + self.t_offset
-        return (start, start + self.t_guard + self.t_ack)
+        data_end = self.t_offset + self.t_guard + self.t_data_max
+        ack_start = data_end + self.t_offset
+        for label, v in (
+            ("beacon_tx_offset", self.t_offset),
+            ("data_tx_offset", self.t_offset + self.t_guard / 2.0),
+            ("data_window", (self.t_offset, data_end)),
+            ("ack_tx_offset", ack_start + self.t_guard / 2.0),
+            ("ack_window", (ack_start, ack_start + self.t_guard + self.t_ack)),
+        ):
+            object.__setattr__(self, label, v)
 
     def slot_budget(self) -> float:
         """Worst-case busy span of a data slot (exchange plus ack)."""
@@ -173,22 +199,19 @@ class FrameSchedule:
     slots_per_frame: int
     ticks_per_slot: int
     max_nodes: int
+    lorawan_slot: int = field(init=False)
+    join_slot: int = field(init=False)
+    first_idle_slot: int = field(init=False)
+    frame_ticks: int = field(init=False)
 
-    @property
-    def lorawan_slot(self) -> int:
-        return self.max_nodes
-
-    @property
-    def join_slot(self) -> int:
-        return 3 * self.max_nodes + 1
-
-    @property
-    def first_idle_slot(self) -> int:
-        return 3 * self.max_nodes + 2
-
-    @property
-    def frame_ticks(self) -> int:
-        return self.slots_per_frame * self.ticks_per_slot
+    def __post_init__(self) -> None:
+        for label, v in (
+            ("lorawan_slot", self.max_nodes),
+            ("join_slot", 3 * self.max_nodes + 1),
+            ("first_idle_slot", 3 * self.max_nodes + 2),
+            ("frame_ticks", self.slots_per_frame * self.ticks_per_slot),
+        ):
+            object.__setattr__(self, label, v)
 
     def beacon_slot(self, address: int) -> int:
         return address
@@ -299,42 +322,36 @@ def make_relay(node_id: int, schedule: FrameSchedule, **kw) -> NodeState:
 # --- actions returned by the state machine for the caller to execute ---
 
 
-@dataclass(frozen=True)
-class Resync:
+class Resync(NamedTuple):
     """Re-anchor the clock on this slot-start reference (global seconds)."""
 
     reference_global: float
     sender_id: int
 
 
-@dataclass(frozen=True)
-class SendAck:
+class SendAck(NamedTuple):
     dest_id: int
     seq: int
 
 
-@dataclass(frozen=True)
-class SendJoinAccept:
+class SendJoinAccept(NamedTuple):
     """Relay answers a join request heard directly in the contention slot."""
 
     packet: MacPacket
 
 
-@dataclass(frozen=True)
-class BecameSynchronized:
+class BecameSynchronized(NamedTuple):
     assigned_slots: tuple[int, int, int]
     parent_id: int
 
 
-@dataclass(frozen=True)
-class CandidateBeacon:
+class CandidateBeacon(NamedTuple):
     """A beacon heard while not joined; input for join_procedure."""
 
     sender_id: int
 
 
-@dataclass(frozen=True)
-class GatewayEnqueue:
+class GatewayEnqueue(NamedTuple):
     """Relay accepted an UpData whose payload now awaits the LoRaWAN slot."""
 
     packet: MacPacket
@@ -344,13 +361,12 @@ Action = Resync | SendAck | SendJoinAccept | BecameSynchronized | CandidateBeaco
 
 
 def make_beacon(node: NodeState, frame_index: int) -> MacPacket:
+    addr = node.address
+    if addr is None:
+        addr = BROADCAST_ID
+    # Fields in order: kind, network, sender, dest, origin, seq.
     return MacPacket(
-        kind=PacketKind.BEACON,
-        network_id=node.network_id,
-        sender_id=node.address if node.address is not None else BROADCAST_ID,
-        dest_id=BROADCAST_ID,
-        origin_id=node.address if node.address is not None else BROADCAST_ID,
-        seq=frame_index % SEQ_MODULO,
+        PacketKind.BEACON, node.network_id, addr, BROADCAST_ID, addr, frame_index % SEQ_MODULO
     )
 
 
@@ -363,14 +379,9 @@ def forwarding_step(node: NodeState) -> MacPacket | None:
     if not node.uplink_queue or node.parent_id is None:
         return None
     head = node.uplink_queue[0]
+    sender = node.address if node.address is not None else BROADCAST_ID
     return MacPacket(
-        kind=head.kind,
-        network_id=head.network_id,
-        sender_id=node.address if node.address is not None else BROADCAST_ID,
-        dest_id=node.parent_id,
-        origin_id=head.origin_id,
-        seq=head.seq,
-        payload=head.payload,
+        head.kind, head.network_id, sender, node.parent_id, head.origin_id, head.seq, head.payload
     )
 
 
@@ -472,12 +483,12 @@ def handle_rx(
 
     if node.mode in (NodeMode.UNJOINED, NodeMode.DESYNCHRONIZED):
         if kind is PacketKind.BEACON:
-            actions.append(CandidateBeacon(sender_id=packet.sender_id))
+            actions.append(CandidateBeacon(packet.sender_id))
         return actions
 
     if node.mode is NodeMode.JOINING:
         if kind is PacketKind.BEACON:
-            actions.append(CandidateBeacon(sender_id=packet.sender_id))
+            actions.append(CandidateBeacon(packet.sender_id))
         elif kind is PacketKind.JOIN_ACCEPT and packet.origin_id == node.node_id:
             triple = tuple(packet.payload)
             if len(triple) != 3:
@@ -499,7 +510,7 @@ def handle_rx(
         if packet.sender_id == node.parent_id:
             ref = arrival_global - timing.t_bcn - timing.beacon_tx_offset
             node.consecutive_beacon_misses = 0
-            actions.append(Resync(reference_global=ref, sender_id=packet.sender_id))
+            actions.append(Resync(ref, packet.sender_id))
         return actions
 
     if kind is PacketKind.ACK:
@@ -516,13 +527,13 @@ def handle_rx(
         if packet.sender_id not in node.children or packet.dest_id != node.address:
             return actions
         duplicate = node.last_up_seq.get(packet.origin_id) == packet.seq
-        actions.append(SendAck(dest_id=packet.sender_id, seq=packet.seq))
+        actions.append(SendAck(packet.sender_id, packet.seq))
         if duplicate:
             return actions
         node.last_up_seq[packet.origin_id] = packet.seq
         if node.is_relay:
             if kind is PacketKind.UP_DATA:
-                actions.append(GatewayEnqueue(packet=packet))
+                actions.append(GatewayEnqueue(packet))
             else:
                 node.routes.setdefault(packet.origin_id, packet.sender_id)
                 triple = _alloc_address(node, packet.origin_id, schedule)
@@ -552,7 +563,7 @@ def handle_rx(
                 return actions
             node.children.add(triple[0])
             accept = _make_join_accept(node, packet.origin_id, packet.origin_id, triple)
-            actions.append(SendJoinAccept(packet=accept))
+            actions.append(SendJoinAccept(accept))
         else:
             node.pending_accepts.add(packet.origin_id)
             enqueue_up(node, packet)
@@ -577,7 +588,10 @@ def handle_rx(
         else:
             dest, slot = nxt, schedule.downlink_slot(nxt)
         sender = node.address if node.address is not None else 0
-        enqueue_down(node, replace(packet, sender_id=sender, dest_id=dest), slot)
+        forwarded = MacPacket(
+            packet.kind, packet.network_id, sender, dest, packet.origin_id, packet.seq, packet.payload
+        )
+        enqueue_down(node, forwarded, slot)
         return actions
 
     node.protocol_errors += 1

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 DEFAULT_TICK_RATE_HZ = 32768
 
@@ -23,26 +24,41 @@ DEFAULT_TICK_RATE_HZ = 32768
 _EDGE_SNAP_TICKS = 1e-6
 
 
-@dataclass(frozen=True)
-class VirtualClock:
+class _VirtualClockFields(NamedTuple):
+    tick_rate_hz: int = DEFAULT_TICK_RATE_HZ
+    drift_ppm: float = 0.0
+    anchor_tick: int = 0
+    epoch_global: float = 0.0
+
+
+class VirtualClock(_VirtualClockFields):
     """Affine map from a node's tick counter to global simulation time.
 
     ``anchor_tick`` is a counter value whose global instant
     ``epoch_global`` is known (from the last resync, or the scenario
     start). ``drift_ppm`` is the constant crystal frequency error:
     positive runs slow (each local tick is longer than nominal).
+
+    An immutable named tuple, validated on construction. ``_replace`` and
+    ``_make`` would skip the checks, so new clocks go through the
+    constructor.
     """
 
-    tick_rate_hz: int = DEFAULT_TICK_RATE_HZ
-    drift_ppm: float = 0.0
-    anchor_tick: int = 0
-    epoch_global: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.tick_rate_hz <= 0:
-            raise ValueError("tick rate must be positive")
-        if abs(self.drift_ppm) > 500.0:
-            raise ValueError(f"drift of {self.drift_ppm} ppm outside the +/-500 ppm model range")
+    def __new__(
+        cls,
+        tick_rate_hz: int = DEFAULT_TICK_RATE_HZ,
+        drift_ppm: float = 0.0,
+        anchor_tick: int = 0,
+        epoch_global: float = 0.0,
+    ) -> VirtualClock:
+        if not (tick_rate_hz > 0 and -500.0 <= drift_ppm <= 500.0):
+            if tick_rate_hz <= 0:
+                raise ValueError("tick rate must be positive")
+            if abs(drift_ppm) > 500.0:
+                raise ValueError(f"drift of {drift_ppm} ppm outside the +/-500 ppm model range")
+        return tuple.__new__(cls, (tick_rate_hz, drift_ppm, anchor_tick, epoch_global))
 
 
 @dataclass(frozen=True)

@@ -254,6 +254,27 @@ def test_app_sampling_interval(star_trace):
         assert all(abs(g - 4 * T_FRAME) < 0.1 for g in gaps)
 
 
+def test_relay_app_burst_overlaps_its_own_beacon():
+    # With N = 3M + 2 slots the first idle slot is slot N, so the application
+    # sample runs at the next frame's slot-0 instant: the relay's beacon slot.
+    # On the bench's tree64 job of seed 1000 each of the relay's three bursts
+    # overlaps the relay's own beacon transmission; measure_avg_power adds
+    # the burst on top of the transmit power there.
+    edges = [((i - 1) // 2, i) for i in range(1, 64)]
+    trace = run(parse_scenario(generated_doc("tree64", edges, 150, 1000, True)))
+    sched = trace.scenario.schedule
+    assert sched.first_idle_slot == sched.slots_per_frame
+    t_bcn = trace.scenario.timing.t_bcn
+    beacons = [
+        ev.t for ev in trace.packet_events
+        if ev.node == 0 and ev.event == "tx" and ev.kind == "beacon"
+    ]
+    bursts = trace.app_intervals[0]
+    assert len(bursts) == 3
+    for s, e in bursts:
+        assert any(t < e and s < t + t_bcn for t in beacons)
+
+
 def test_deterministic_rerun():
     sc = load_scenario(REPO / "scenarios" / "star4.json")
     a = run(sc)
@@ -328,7 +349,7 @@ def test_measures_equal_full_scans(name):
         trace = run(load_scenario(REPO / "scenarios" / f"{name}.json"))
     if name == "tree16_resampled":
         # A second resynced sample of a (node, frame) replaces the first.
-        extra = [dataclasses.replace(s, t_syn=s.t_syn + 1e-3) for s in trace.sync_samples[::7]]
+        extra = [s._replace(t_syn=s.t_syn + 1e-3) for s in trace.sync_samples[::7]]
         trace = dataclasses.replace(trace, sync_samples=trace.sync_samples + extra)
     end = trace.end_time
     nodes = sorted(trace.final_modes) + [999]  # 999 has no record in the trace
@@ -366,9 +387,20 @@ def test_trace_records_are_immutable(star_trace):
         (star_trace.packet_events[0], "t"),
         (star_trace.queue_samples[0], "uplink_depth"),
         (star_trace.protocol_events[0], "detail"),
+        (star_trace.sync_samples[0], "t_syn"),
     ):
         with pytest.raises(AttributeError):
             setattr(rec, field, 0)
+
+
+def test_equal_transmissions_stay_distinct():
+    # Delivery takes an ended transmission out of active_tx by identity, so
+    # of two with equal fields remove() drops the one it is given.
+    a, b = _tx(), _tx()
+    active = [a, b]
+    active.remove(b)
+    assert active[0] is a
+    assert b not in active
 
 
 def test_packet_event_fields_are_the_csv_columns(tmp_path, star_trace):
@@ -551,7 +583,7 @@ def test_accept_after_an_old_reference_arms_a_beacon_window_after_it():
     (win,) = [w for w in rt.windows if w.purpose == "beacon"]
     assert win.frame == 6
     assert win.open_t > tx.end
-    assert rt.frame == 5 and sim.sync_samples[-1].frame == 5
+    assert sim.sync_samples[-1].frame == 5
 
 
 def _random_doc(seed: int) -> dict:
@@ -802,16 +834,16 @@ def test_delivery_remembers_transmissions_a_long_packet_overlaps():
     sim = Simulator(parse_scenario(doc))
     sim.nodes[1].listen_from = 0.0
 
-    def tx(sender, kind, payload, start):
+    def send(sender, kind, payload, start):
+        """Put a packet on the air from a sender that is not listening; return its end."""
         pkt = MacPacket(kind, 1, sender, 1, sender, 0, payload)
-        return Transmission(sender, pkt, start, start + sim._toa(pkt.onair_bytes), frame=0, slot=5)
+        sim._transmit(sim.nodes[sender], pkt, start, 0, 5)
+        return start + sim._toa(pkt.onair_bytes)
 
-    a = tx(0, PacketKind.ACK, b"", 0.0)
-    c = tx(2, PacketKind.UP_DATA, bytes(MAX_DATA_PAYLOAD_BYTES), a.end - 0.1)
-    b = tx(3, PacketKind.ACK, b"", a.end + 2.1)
-    assert b.end < c.end
-    for step, t in ((sim._ev_tx_start, a), (sim._ev_tx_start, c), (sim._ev_tx_end, a),
-                    (sim._ev_tx_start, b), (sim._ev_tx_end, b), (sim._ev_tx_end, c)):
-        step(sim.nodes[t.sender], t)
+    a_end = send(0, PacketKind.ACK, b"", 0.0)
+    c_end = send(2, PacketKind.UP_DATA, bytes(MAX_DATA_PAYLOAD_BYTES), a_end - 0.1)
+    b_end = send(3, PacketKind.ACK, b"", a_end + 2.1)
+    assert b_end < c_end
+    _drain(sim)  # the ends of A, B and C, in that order
     at_1 = {ev.sender: ev.event for ev in sim.packet_events if ev.node == 1 and ev.event != "tx"}
     assert at_1 == {0: "lost_collision", 2: "lost_collision"}

@@ -75,6 +75,38 @@ def test_packet_field_bounds():
         MacPacket(PacketKind.UP_DATA, 1, 3, 0, 3, 0, b"x" * 60)
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((-1, 3, 0, 3, 0, b""), "network_id -1 does not fit one byte"),
+        ((1, 256, 0, 3, 0, b""), "sender_id 256 does not fit one byte"),
+        ((1, 3, 256, 3, 0, b""), "dest_id 256 does not fit one byte"),
+        ((1, 3, 0, -1, 0, b""), "origin_id -1 does not fit one byte"),
+        ((1, 3, 0, 3, -1, b""), "seq -1 outside the packed 5-bit field"),
+        ((1, 3, 0, 3, 0, b"x" * 60), r"payload of 60 B exceeds 59 B \(64 B on-air cap\)"),
+    ],
+)
+def test_packet_check_names_the_field(fields, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        MacPacket(PacketKind.UP_DATA, *fields)
+
+
+def test_packets_and_actions_are_immutable():
+    pkt = MacPacket(PacketKind.UP_DATA, 1, 2, 0, 2, 4, b"abc")
+    for rec, field in (
+        (pkt, "dest_id"),
+        (Resync(1.0, 0), "reference_global"),
+        (SendAck(2, 4), "seq"),
+        (SendJoinAccept(pkt), "packet"),
+        (BecameSynchronized((2, 7, 11), 0), "parent_id"),
+        (CandidateBeacon(0), "sender_id"),
+        (GatewayEnqueue(pkt), "packet"),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(rec, field, 0)
+    assert pkt == MacPacket(PacketKind.UP_DATA, 1, 2, 0, 2, 4, b"abc")
+
+
 def test_onair_sizes():
     beacon = make_beacon(make_relay(10, SCHED), frame_index=7)
     assert beacon.onair_bytes == 3
@@ -276,6 +308,17 @@ def test_accept_routed_down_through_forwarder():
     pkt, slot = mid.downlink_queue[0]
     assert slot == triple[2]
     assert pkt.dest_id == 13
+
+
+def test_forwarded_accept_is_checked_like_any_packet():
+    # Re-addressing a JoinAccept for the next hop builds a new packet through
+    # the constructor, so a next hop that does not fit one byte is refused.
+    mid = _synced_leaf(11, 1)
+    mid.routes[13] = 256
+    accept = MacPacket(PacketKind.JOIN_ACCEPT, 1, 0, 1, 13, 0, bytes(SCHED.slot_triple(2)))
+    with pytest.raises(ValueError, match="dest_id 256 does not fit one byte"):
+        handle_rx(mid, accept, 12.0, SCHED, TIMING)
+    assert not mid.downlink_queue
 
 
 def test_accept_without_route_is_error():

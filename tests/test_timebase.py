@@ -37,6 +37,13 @@ def test_ticks_to_global_affine():
     assert ticks_to_global(c, 100 + 32768) == pytest.approx(5.0 + 32768 * dt)
 
 
+def test_clock_is_immutable():
+    c = resync(VirtualClock(drift_ppm=10.0), 1.0, 32768)
+    with pytest.raises(AttributeError):
+        c.epoch_global = 0.0
+    assert c == VirtualClock(32768, 10.0, 32768, c.epoch_global)
+
+
 def test_ticks_before_anchor_rejected():
     c = VirtualClock(anchor_tick=100)
     with pytest.raises(ValueError):
