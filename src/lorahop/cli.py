@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 bad input (usage, schema, radio params),
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -27,6 +28,7 @@ from .planner import (
 )
 from .protocol import ACK_ONAIR_BYTES, BEACON_ONAIR_BYTES, MAC_HEADER_BYTES
 from .scenario import ScenarioError, apply_override, parse_scenario, read_scenario_doc
+from .timebase import DEFAULT_TICK_RATE_HZ
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -208,6 +210,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Built once per process: each parser is a web of reference cycles that
+# only the cycle collector could free.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lorahop",
@@ -239,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None, help="force the collection factor")
     p.add_argument("--slots", type=int, default=None, help="force slots per frame N")
     p.add_argument("--ticks-per-slot", type=int, default=21281)
-    p.add_argument("--tick-rate", type=int, default=32768, help="crystal ticks per second")
+    p.add_argument("--tick-rate", type=int, default=DEFAULT_TICK_RATE_HZ, help="crystal ticks per second")
     p.add_argument("--max-slots", type=int, default=90, help="largest N to consider")
     p.add_argument("--payload-bytes", type=int, default=24)
     p.add_argument("--m0", type=int, default=None, help="relay children (default n-1)")
@@ -269,8 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except PlanError as e:

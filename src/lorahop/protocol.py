@@ -24,7 +24,7 @@ from enum import Enum, IntEnum
 from typing import NamedTuple
 
 from .phy import RadioParams, time_on_air
-from .timebase import VirtualClock
+from .timebase import DEFAULT_TICK_RATE_HZ, VirtualClock
 
 #: Fixed MAC header: network_id, sender_id, dest_id, origin_id, seq/kind.
 MAC_HEADER_BYTES = 5
@@ -251,7 +251,7 @@ def build_schedule(
     return FrameSchedule(slots_per_frame, ticks_per_slot, max_nodes)
 
 
-def frame_time(schedule: FrameSchedule, tick_rate_hz: int = 32768) -> float:
+def frame_time(schedule: FrameSchedule, tick_rate_hz: int = DEFAULT_TICK_RATE_HZ) -> float:
     """Nominal frame duration: N * ticks_per_slot / tick_rate."""
     if tick_rate_hz <= 0:
         raise ValueError("tick rate must be positive")

@@ -5,15 +5,19 @@ guard policy, join tuning, per-node clock drifts, the connectivity
 graph with per-link packet error rates, traffic settings, and an
 optional power profile. Parsing is strict: unknown keys and missing
 required keys are rejected with the offending field named, so a typo
-cannot silently fall back to a default.
+cannot silently fall back to a default. The top-level scalars and the
+``radio``, ``slot_timing``, ``guard``, ``join`` and ``power`` sections
+are read against ``Scenario`` and the config dataclasses: a class's init
+fields are the section's keys, with their types and defaults.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from typing import Any
+from typing import Any, get_type_hints
 
 from .phy import RadioParams, check_modem, time_on_air
 from .planner import PowerProfile
@@ -25,7 +29,7 @@ from .protocol import (
     SlotTiming,
     build_schedule,
 )
-from .timebase import GuardConfig
+from .timebase import DEFAULT_TICK_RATE_HZ, MAX_DRIFT_PPM, GuardConfig
 
 SCHEMA_VERSION = 1
 
@@ -61,6 +65,10 @@ class JoinConfig:
     contention slot up to frame ``listen_until_frame`` (None = always),
     letting energy-measurement scenarios stop paying for it once the
     tree is formed.
+
+    The fields are the keys of a scenario's ``join`` section, with these
+    types and defaults: ``listen_until_frame`` takes an int or null, and
+    a bool is rejected.
     """
 
     backoff_step: float = 0.130
@@ -116,29 +124,25 @@ class Scenario:
     def relay_id(self) -> int:
         return next(n.node_id for n in self.nodes if n.is_relay)
 
-    def node(self, node_id: int) -> NodeConfig:
-        for n in self.nodes:
-            if n.node_id == node_id:
-                return n
-        raise KeyError(node_id)
-
 
 def _typename(v: Any) -> str:
     return type(v).__name__
 
 
-def _take(d: dict, key: str, kind: type | tuple, ctx: str, default: Any = _REQUIRED):
-    if key not in d:
+def _take(d: dict, key: str, kind: Any, ctx: str, default: Any = _REQUIRED):
+    """Pop ``d[key]`` as a ``kind``: an int widens to a float, and a bool is
+    only ever a bool."""
+    v = d.pop(key, _REQUIRED)
+    if type(v) is kind:
+        return v
+    if v is _REQUIRED:
         if default is _REQUIRED:
             raise ScenarioError(f"{ctx}: missing required key '{key}'")
         return default
-    v = d.pop(key)
-    if isinstance(v, bool) and kind in (int, float):
-        raise ScenarioError(f"{ctx}.{key}: expected {kind.__name__}, got bool")
-    if kind is float and isinstance(v, int):
-        v = float(v)
-    if not isinstance(v, kind):
-        want = kind.__name__ if isinstance(kind, type) else "/".join(k.__name__ for k in kind)
+    if kind is float and type(v) is int:
+        return float(v)
+    if isinstance(v, bool) or not isinstance(v, kind):
+        want = kind.__name__ if isinstance(kind, type) else str(kind)
         raise ScenarioError(f"{ctx}.{key}: expected {want}, got {_typename(v)}")
     return v
 
@@ -146,6 +150,36 @@ def _take(d: dict, key: str, kind: type | tuple, ctx: str, default: Any = _REQUI
 def _reject_unknown(d: dict, ctx: str) -> None:
     if d:
         raise ScenarioError(f"{ctx}: unknown key '{sorted(d)[0]}'")
+
+
+@functools.cache
+def _schema(cls: type) -> tuple[tuple[str, Any, bool], ...]:
+    """(key, type, required) of each init field of a config dataclass."""
+    hints = get_type_hints(cls)
+    return tuple(
+        (f.name, hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+        for f in fields(cls)
+        if f.init
+    )
+
+
+def _build(raw: dict, cls: type, ctx: str, **given: Any) -> Any:
+    """Build ``cls`` from the keys of ``raw``, which it consumes: one key per
+    init field not in ``given``, typed as the field is. ``cls`` supplies the
+    default of each key left out."""
+    for key, kind, required in _schema(cls):
+        if (key in raw or required) and key not in given:
+            given[key] = _take(raw, key, kind, ctx)
+    _reject_unknown(raw, ctx)
+    try:
+        return cls(**given)
+    except ValueError as e:
+        raise ScenarioError(f"{ctx}: {e}") from e
+
+
+def _section(d: dict, key: str, cls: type, ctx: str, **given: Any) -> Any:
+    """Build ``cls`` from the optional object ``d[key]``."""
+    return _build(dict(_take(d, key, dict, ctx, default={})), cls, f"{ctx}.{key}", **given)
 
 
 def _parse_nodes(raw: Any, ctx: str) -> tuple[NodeConfig, ...]:
@@ -162,6 +196,10 @@ def _parse_nodes(raw: Any, ctx: str) -> tuple[NodeConfig, ...]:
             raise ScenarioError(f"{c}.id: {node_id} does not fit the one-byte node id (0..{_BYTE_MAX})")
         is_relay = _take(item, "relay", bool, c, default=False)
         drift = _take(item, "drift_ppm", float, c, default=0.0)
+        if not -MAX_DRIFT_PPM <= drift <= MAX_DRIFT_PPM:
+            raise ScenarioError(
+                f"{c}.drift_ppm: {drift} ppm outside the +/-{MAX_DRIFT_PPM:g} ppm model range"
+            )
         _reject_unknown(item, c)
         nodes.append(NodeConfig(node_id=node_id, is_relay=is_relay, drift_ppm=drift))
     ids = [n.node_id for n in nodes]
@@ -207,19 +245,18 @@ def _parse_links(
 
 def _check_connected(nodes, links, relay_id: int) -> None:
     # A usable tree edge needs both directions (beacons down, acks up).
-    ids = {n.node_id for n in nodes}
-    undirected = {
-        (a, b) for (a, b) in links if (b, a) in links
-    }
+    neighbours: dict[int, list[int]] = {n.node_id: [] for n in nodes}
+    for a, b in links:
+        if (b, a) in links:
+            neighbours[a].append(b)
     reached = {relay_id}
     frontier = [relay_id]
     while frontier:
-        u = frontier.pop()
-        for a, b in undirected:
-            if a == u and b not in reached:
+        for b in neighbours[frontier.pop()]:
+            if b not in reached:
                 reached.add(b)
                 frontier.append(b)
-    missing = sorted(ids - reached)
+    missing = sorted(neighbours.keys() - reached)
     if missing:
         raise ScenarioError(
             f"topology: nodes {missing} cannot reach the relay over bidirectional links"
@@ -235,106 +272,14 @@ def parse_scenario(doc: dict, source: str = "scenario") -> Scenario:
         raise ScenarioError(
             f"{source}: schema_version {version} unsupported (this build reads {SCHEMA_VERSION})"
         )
-    name = _take(d, "name", str, source, default="scenario")
-    frames = _take(d, "frames", int, source)
-    seed = _take(d, "seed", int, source, default=1)
-    k = _take(d, "k", int, source, default=1)
-    app_bytes = _take(d, "app_payload_bytes", int, source, default=24)
-    network_id = _take(d, "network_id", int, source, default=1)
-    capacity = _take(d, "queue_capacity", int, source, default=64)
 
-    sched_d = _take(d, "schedule", dict, source)
+    sched_d = dict(_take(d, "schedule", dict, source))
     sc = f"{source}.schedule"
-    sched_d = dict(sched_d)
     max_nodes = _take(sched_d, "max_nodes", int, sc)
     slots = _take(sched_d, "slots_per_frame", int, sc)
     ticks = _take(sched_d, "ticks_per_slot", int, sc)
-    tick_rate = _take(sched_d, "tick_rate_hz", int, sc, default=32768)
+    tick_rate = _take(sched_d, "tick_rate_hz", int, sc, default=DEFAULT_TICK_RATE_HZ)
     _reject_unknown(sched_d, sc)
-
-    radio_d = dict(_take(d, "radio", dict, source, default={}))
-    rc = f"{source}.radio"
-    radio_kwargs = {}
-    for key, kind in (
-        ("spreading_factor", int),
-        ("bandwidth_hz", float),
-        ("coding_rate_denominator", int),
-        ("preamble_symbols", int),
-        ("explicit_header", bool),
-        ("crc_on", bool),
-        ("low_data_rate_opt", bool),
-    ):
-        if key in radio_d:
-            radio_kwargs[key] = _take(radio_d, key, kind, rc)
-    _reject_unknown(radio_d, rc)
-
-    timing_d = dict(_take(d, "slot_timing", dict, source, default={}))
-    tc = f"{source}.slot_timing"
-    timing_kwargs = {}
-    for key in ("t_offset", "t_guard"):
-        if key in timing_d:
-            timing_kwargs[key] = _take(timing_d, key, float, tc)
-    _reject_unknown(timing_d, tc)
-
-    guard_d = dict(_take(d, "guard", dict, source, default={}))
-    gc = f"{source}.guard"
-    guard_kwargs: dict[str, Any] = {"base_guard": _take(guard_d, "base_guard", float, gc, default=0.010)}
-    if "widen_factor" in guard_d:
-        guard_kwargs["widen_factor"] = _take(guard_d, "widen_factor", float, gc)
-    if "max_misses" in guard_d:
-        guard_kwargs["max_misses"] = _take(guard_d, "max_misses", int, gc)
-    _reject_unknown(guard_d, gc)
-
-    join_d = dict(_take(d, "join", dict, source, default={}))
-    jc = f"{source}.join"
-    join_kwargs: dict[str, Any] = {}
-    if "backoff_step" in join_d:
-        join_kwargs["backoff_step"] = _take(join_d, "backoff_step", float, jc)
-    if "backoff_slots" in join_d:
-        join_kwargs["backoff_slots"] = _take(join_d, "backoff_slots", int, jc)
-    if "retry_frames" in join_d:
-        join_kwargs["retry_frames"] = _take(join_d, "retry_frames", int, jc)
-    if "listen_until_frame" in join_d:
-        v = join_d.pop("listen_until_frame")
-        if v is not None and not isinstance(v, int):
-            raise ScenarioError(f"{jc}.listen_until_frame: expected int or null")
-        join_kwargs["listen_until_frame"] = v
-    _reject_unknown(join_d, jc)
-
-    nodes = _parse_nodes(_take(d, "nodes", list, source), source)
-    links, link_rssi = _parse_links(
-        _take(d, "links", list, source), {n.node_id for n in nodes}, source
-    )
-
-    power: PowerProfile | None = None
-    if "power" in d:
-        power_d = dict(_take(d, "power", dict, source))
-        pc = f"{source}.power"
-        power = PowerProfile(
-            p_sleep=_take(power_d, "p_sleep", float, pc),
-            p_rx=_take(power_d, "p_rx", float, pc),
-            p_tx=_take(power_d, "p_tx", float, pc),
-            p_app=_take(power_d, "p_app", float, pc, default=0.0),
-            tau_app=_take(power_d, "tau_app", float, pc, default=0.0),
-        )
-        _reject_unknown(power_d, pc)
-
-    _reject_unknown(d, source)
-
-    if frames < 1:
-        raise ScenarioError(f"{source}.frames: must be at least 1")
-    if k < 1:
-        raise ScenarioError(f"{source}.k: must be at least 1")
-    if not 0 <= app_bytes <= MAX_DATA_PAYLOAD_BYTES:
-        raise ScenarioError(
-            f"{source}.app_payload_bytes: must be 0..{MAX_DATA_PAYLOAD_BYTES}"
-        )
-    if capacity < 1:
-        raise ScenarioError(f"{source}.queue_capacity: must be at least 1")
-    if not 0 <= network_id <= _BYTE_MAX:
-        raise ScenarioError(
-            f"{source}.network_id: {network_id} does not fit the one-byte network id (0..{_BYTE_MAX})"
-        )
     if max_nodes > _MAX_NODES:
         raise ScenarioError(
             f"{sc}.max_nodes: {max_nodes} exceeds {_MAX_NODES}: a JoinAccept carries each "
@@ -342,66 +287,71 @@ def parse_scenario(doc: dict, source: str = "scenario") -> Scenario:
         )
     if tick_rate < 1:
         raise ScenarioError(f"{sc}.tick_rate_hz: must be positive")
+    try:
+        schedule = build_schedule(max_nodes, slots, ticks)
+    except ValueError as e:
+        raise ScenarioError(f"{source}: {e}") from e
+
+    radio = _section(d, "radio", RadioParams, source)
+    timing = _section(d, "slot_timing", SlotTiming, source, radio=radio)
+    guard = _section(d, "guard", GuardConfig, source)
+    join = _section(d, "join", JoinConfig, source)
+
+    nodes = _parse_nodes(_take(d, "nodes", list, source), source)
     if len(nodes) > max_nodes:
         raise ScenarioError(
             f"{source}: {len(nodes)} nodes exceed schedule.max_nodes = {max_nodes}"
         )
+    links, link_rssi = _parse_links(
+        _take(d, "links", list, source), {n.node_id for n in nodes}, source
+    )
+    power = _section(d, "power", PowerProfile, source) if "power" in d else None
 
-    try:
-        schedule = build_schedule(max_nodes, slots, ticks)
-        radio = RadioParams(**radio_kwargs)
-        timing = SlotTiming(radio, **timing_kwargs)
-        guard = GuardConfig(**guard_kwargs)
-        join = JoinConfig(**join_kwargs)
-    except ValueError as e:
-        raise ScenarioError(f"{source}: {e}") from e
+    scenario: Scenario = _build(
+        d, Scenario, source,
+        schedule=schedule, tick_rate_hz=tick_rate, radio=radio, timing=timing,
+        guard=guard, join=join, nodes=nodes, links=links, power=power, link_rssi=link_rssi,
+    )
+    if scenario.frames < 1:
+        raise ScenarioError(f"{source}.frames: must be at least 1")
+    if scenario.k < 1:
+        raise ScenarioError(f"{source}.k: must be at least 1")
+    if not 0 <= scenario.app_payload_bytes <= MAX_DATA_PAYLOAD_BYTES:
+        raise ScenarioError(
+            f"{source}.app_payload_bytes: must be 0..{MAX_DATA_PAYLOAD_BYTES}"
+        )
+    if scenario.queue_capacity < 1:
+        raise ScenarioError(f"{source}.queue_capacity: must be at least 1")
+    if not 0 <= scenario.network_id <= _BYTE_MAX:
+        raise ScenarioError(
+            f"{source}.network_id: {scenario.network_id} does not fit the one-byte network id (0..{_BYTE_MAX})"
+        )
+
     try:
         check_modem(radio)
     except ValueError as e:
-        raise ScenarioError(f"{rc}.{e}") from e
-
-    slot_seconds = ticks / tick_rate
+        raise ScenarioError(f"{source}.radio.{e}") from e
     try:
-        timing.validate_for(slot_seconds)
+        timing.validate_for(scenario.slot_seconds)
     except ValueError as e:
-        raise ScenarioError(f"{tc}: {e}") from e
+        raise ScenarioError(f"{source}.slot_timing: {e}") from e
     req_air = time_on_air(MAC_HEADER_BYTES, radio)
     if join.backoff_step < req_air:
         raise ScenarioError(
-            f"{jc}.backoff_step {join.backoff_step:.3f} s below the JoinRequest "
+            f"{source}.join.backoff_step {join.backoff_step:.3f} s below the JoinRequest "
             f"airtime {req_air:.3f} s: adjacent backoffs would overlap"
         )
     accept_end = join.accept_offset(timing) + time_on_air(
         MAC_HEADER_BYTES + JOIN_ACCEPT_PAYLOAD_BYTES, radio
     )
-    if accept_end > slot_seconds:
+    if accept_end > scenario.slot_seconds:
         raise ScenarioError(
-            f"{jc}: join slot anatomy needs {accept_end:.3f} s "
-            f"but a slot lasts {slot_seconds:.3f} s"
+            f"{source}.join: join slot anatomy needs {accept_end:.3f} s "
+            f"but a slot lasts {scenario.slot_seconds:.3f} s"
         )
 
-    relay_id = next(n.node_id for n in nodes if n.is_relay)
-    _check_connected(nodes, links, relay_id)
-
-    return Scenario(
-        schedule=schedule,
-        tick_rate_hz=tick_rate,
-        radio=radio,
-        timing=timing,
-        guard=guard,
-        join=join,
-        nodes=nodes,
-        links=links,
-        frames=frames,
-        seed=seed,
-        k=k,
-        app_payload_bytes=app_bytes,
-        network_id=network_id,
-        queue_capacity=capacity,
-        power=power,
-        name=name,
-        link_rssi=link_rssi,
-    )
+    _check_connected(nodes, links, scenario.relay_id)
+    return scenario
 
 
 def read_scenario_doc(path: str | Path) -> dict:

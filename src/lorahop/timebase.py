@@ -17,6 +17,9 @@ from typing import NamedTuple
 
 DEFAULT_TICK_RATE_HZ = 32768
 
+#: Largest crystal frequency error, either way, that the clock model takes.
+MAX_DRIFT_PPM = 500.0
+
 #: Snap tolerance, in ticks, when locating the next tick edge. Protects
 #: instants that are mathematically on an edge from float rounding noise
 #: (sub-picosecond at hour-long runs); far below any physical effect in
@@ -53,11 +56,10 @@ class VirtualClock(_VirtualClockFields):
         anchor_tick: int = 0,
         epoch_global: float = 0.0,
     ) -> VirtualClock:
-        if not (tick_rate_hz > 0 and -500.0 <= drift_ppm <= 500.0):
+        if not (tick_rate_hz > 0 and -MAX_DRIFT_PPM <= drift_ppm <= MAX_DRIFT_PPM):
             if tick_rate_hz <= 0:
                 raise ValueError("tick rate must be positive")
-            if abs(drift_ppm) > 500.0:
-                raise ValueError(f"drift of {drift_ppm} ppm outside the +/-500 ppm model range")
+            raise ValueError(f"drift of {drift_ppm} ppm outside the +/-{MAX_DRIFT_PPM:g} ppm model range")
         return tuple.__new__(cls, (tick_rate_hz, drift_ppm, anchor_tick, epoch_global))
 
 
@@ -71,7 +73,7 @@ class GuardConfig:
     ``max_misses`` consecutive misses declare the node desynchronized.
     """
 
-    base_guard: float
+    base_guard: float = 0.010
     widen_factor: float = 2.0
     max_misses: int = 4
 

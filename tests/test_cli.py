@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 from collections import Counter
 from pathlib import Path
@@ -104,6 +105,28 @@ def test_simulate_seed_and_set_overrides(tmp_path, capsys):
     )
     assert rc == 0
     assert "6 frames, seed 99" in capsys.readouterr().out
+
+
+def test_simulate_leaves_no_cyclic_garbage(tmp_path, capsys):
+    argv = ["simulate", str(REPO / "scenarios" / "line4.json"), "--out", str(tmp_path)]
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        gc.collect()
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    capsys.readouterr()
+
+
+def test_set_overrides_are_not_shared_between_calls(tmp_path, capsys):
+    parse = lorahop.cli.build_parser().parse_args
+    for k in ("2", "3"):
+        assert main(["simulate", STAR, "--out", str(tmp_path), "--frames", "2", "--set", f"k={k}"]) == 0
+        assert parse(["simulate", STAR, "--set", f"k={k}"]).overrides == [f"k={k}"]
+    assert parse(["simulate", STAR]).overrides == []
+    capsys.readouterr()
 
 
 def test_simulate_missing_file(capsys):

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from lorahop import Scenario, load_scenario
-from lorahop.scenario import ScenarioError, apply_override, parse_scenario
+from lorahop import GuardConfig, PowerProfile, RadioParams, Scenario, SlotTiming, load_scenario
+from lorahop.scenario import JoinConfig, ScenarioError, apply_override, parse_scenario
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -37,6 +39,61 @@ def test_minimal_defaults():
     assert sc.link_rssi[(0, 1)] == -60.0
     assert sc.power is None
     assert sc.slot_seconds == 21281 / 32768
+
+
+def test_omitted_keys_take_the_class_defaults():
+    sc = parse_scenario(_minimal())
+    assert sc.radio == RadioParams()
+    assert sc.timing == SlotTiming(RadioParams())
+    assert sc.guard == GuardConfig(base_guard=0.010)
+    assert sc.join == JoinConfig()
+    for f in dataclasses.fields(Scenario):
+        if f.default is not dataclasses.MISSING:
+            assert getattr(sc, f.name) == f.default, f.name
+
+
+def _init_keys(cls, *given):
+    return [f for f in dataclasses.fields(cls) if f.init and f.name not in given]
+
+
+# Scenario fields read from the top level of a document; the rest are
+# built from their own sections.
+_TOP_LEVEL = ("frames", "seed", "k", "app_payload_bytes", "network_id", "queue_capacity", "name")
+_POWER = {"p_sleep": 1e-5, "p_rx": 0.036, "p_tx": 0.120, "p_app": 0.0, "tau_app": 0.0}
+
+
+@pytest.mark.parametrize(
+    "section, cls, attr, given",
+    [
+        ("radio", RadioParams, "radio", ()),
+        ("slot_timing", SlotTiming, "timing", ("radio",)),
+        ("guard", GuardConfig, "guard", ()),
+        ("join", JoinConfig, "join", ()),
+    ],
+)
+def test_every_section_field_is_accepted_by_name(section, cls, attr, given):
+    for f in _init_keys(cls, *given):
+        value = 0.010 if f.default is dataclasses.MISSING else f.default
+        sc = parse_scenario(_minimal(**{section: {f.name: value}}))
+        assert getattr(getattr(sc, attr), f.name) == value
+
+
+def test_every_power_and_top_level_field_is_accepted_by_name():
+    assert {f.name for f in _init_keys(PowerProfile)} == set(_POWER)
+    assert parse_scenario(_minimal(power=_POWER)).power == PowerProfile(**_POWER)
+    top = {f.name: f.default for f in _init_keys(Scenario) if f.name in _TOP_LEVEL}
+    assert top.keys() == set(_TOP_LEVEL)
+    top["frames"] = 10
+    assert parse_scenario(_minimal(**top)) == parse_scenario(_minimal())
+
+
+def test_readme_scenario_example_parses():
+    readme = (REPO / "README.md").read_text()
+    section = readme[readme.index("## Scenario files"):]
+    block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    sc = parse_scenario(json.loads(block), source="README")
+    assert sc.name == "star4"
+    assert sc.power is not None
 
 
 def test_shipped_star_scenario_loads():
@@ -267,7 +324,35 @@ def test_apply_override_scalars():
     assert doc["name"] == "tweaked"
     sc = parse_scenario(doc)
     assert sc.seed == 42
-    assert sc.node(1).drift_ppm == 20.0
+    assert next(n for n in sc.nodes if n.node_id == 1).drift_ppm == 20.0
+
+
+def test_listen_until_frame_takes_an_int_or_null_not_a_bool():
+    assert parse_scenario(_minimal(join={"listen_until_frame": 2})).join.listen_until_frame == 2
+    assert parse_scenario(_minimal(join={"listen_until_frame": None})).join == JoinConfig()
+    message = r"^scenario\.join\.listen_until_frame: expected int \| None, got bool$"
+    with pytest.raises(ScenarioError, match=message):
+        parse_scenario(_minimal(join={"listen_until_frame": True}))
+    doc = _minimal()
+    apply_override(doc, "join.listen_until_frame", "true")
+    with pytest.raises(ScenarioError, match=message):
+        parse_scenario(doc)
+
+
+@pytest.mark.parametrize("drift", [500, -500.0])
+def test_drift_at_the_model_bound_parses(drift):
+    sc = parse_scenario(_minimal(nodes=[{"id": 0, "relay": True}, {"id": 1, "drift_ppm": drift}]))
+    assert sc.nodes[1].drift_ppm == drift
+
+
+@pytest.mark.parametrize("drift", [500.1, -500.1])
+def test_drift_beyond_the_model_bound_is_rejected(drift):
+    doc = _minimal(nodes=[{"id": 0, "relay": True}, {"id": 1, "drift_ppm": drift}])
+    with pytest.raises(
+        ScenarioError,
+        match=rf"^scenario\.nodes\[1\]\.drift_ppm: {drift} ppm outside the \+/-500 ppm model range$",
+    ):
+        parse_scenario(doc)
 
 
 def test_apply_override_bad_paths():
