@@ -27,7 +27,7 @@ from .planner import (
     recommend_frame,
 )
 from .protocol import ACK_ONAIR_BYTES, BEACON_ONAIR_BYTES, MAC_HEADER_BYTES
-from .scenario import ScenarioError, apply_override, parse_scenario, read_scenario_doc
+from .scenario import Scenario, ScenarioError, apply_override, parse_scenario, read_scenario_doc
 from .timebase import DEFAULT_TICK_RATE_HZ
 
 EXIT_OK = 0
@@ -220,11 +220,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    radio = RadioParams()
+
     def add_radio(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--sf", type=int, default=9, help="spreading factor (default 9)")
-        p.add_argument("--bw", type=float, default=125000.0, help="bandwidth in Hz")
-        p.add_argument("--cr", type=int, default=5, help="coding rate denominator 4/x")
-        p.add_argument("--preamble", type=int, default=8, help="preamble symbols")
+        p.add_argument(
+            "--sf", type=int, default=radio.spreading_factor, help="spreading factor (default %(default)s)"
+        )
+        p.add_argument("--bw", type=float, default=radio.bandwidth_hz, help="bandwidth in Hz")
+        p.add_argument(
+            "--cr", type=int, default=radio.coding_rate_denominator, help="coding rate denominator 4/x"
+        )
+        p.add_argument("--preamble", type=int, default=radio.preamble_symbols, help="preamble symbols")
         p.add_argument("--implicit-header", action="store_true")
         p.add_argument("--no-crc", action="store_true")
         p.add_argument("--ldro", action="store_true", help="low data rate optimization")
@@ -246,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ticks-per-slot", type=int, default=21281)
     p.add_argument("--tick-rate", type=int, default=DEFAULT_TICK_RATE_HZ, help="crystal ticks per second")
     p.add_argument("--max-slots", type=int, default=90, help="largest N to consider")
-    p.add_argument("--payload-bytes", type=int, default=24)
+    p.add_argument("--payload-bytes", type=int, default=Scenario.app_payload_bytes)
     p.add_argument("--m0", type=int, default=None, help="relay children (default n-1)")
     p.add_argument("--channels", type=int, default=1)
     p.add_argument("--duty-limit", type=float, default=0.01, help="fraction, default 0.01")

@@ -47,7 +47,6 @@ from .protocol import (
     BecameSynchronized,
     CandidateBeacon,
     FrameSchedule,
-    GatewayEnqueue,
     MacPacket,
     NodeMode,
     NodeState,
@@ -134,9 +133,8 @@ class SyncSample(NamedTuple):
 class QueueSample(NamedTuple):
     frame: int
     node: int
-    uplink_depth: int
+    uplink_depth: int  # the relay's is its LoRaWAN backlog
     downlink_depth: int
-    gateway_depth: int
 
 
 class ProtocolEvent(NamedTuple):
@@ -166,7 +164,7 @@ class SimulationTrace:
     final_modes: dict[int, str]
     parents: dict[int, int]
     addresses: dict[int, int]
-    node_counters: dict[int, dict[str, int]]
+    protocol_errors: dict[int, int]
 
     @cached_property
     def intervals_by_node(self) -> dict[int, list[tuple[int, str, float, float]]]:
@@ -224,11 +222,8 @@ class _NodeRt:
         self.windows: list[_Window] = []
         self.candidates: dict[int, tuple[float, float, int]] = {}
         self.attempt_scheduled = False
-        self.gw_queue: deque[MacPacket] = deque()
-        self.gw_drops = 0
         self.app_phase: int | None = None
         self.pending_accept_tx: list[MacPacket] = []
-        self.beacon_misses_total = 0
 
 
 class Simulator:
@@ -356,9 +351,7 @@ class Simulator:
         st = rt.st
         self.sync_samples.append(SyncSample(frame, st.node_id, t_syn, resynced))
         self.queue_samples.append(
-            QueueSample(
-                frame, st.node_id, len(st.uplink_queue), len(st.downlink_queue), len(rt.gw_queue)
-            )
+            QueueSample(frame, st.node_id, len(st.uplink_queue), len(st.downlink_queue))
         )
 
     def _slot_time(self, rt: _NodeRt, anchor: float, slot: int) -> float:
@@ -449,7 +442,6 @@ class Simulator:
         self._close_window(rt, win, win.close_t)
         st = rt.st
         st.consecutive_beacon_misses += 1
-        rt.beacon_misses_total += 1
         self.protocol_events.append(
             ProtocolEvent(
                 t=win.close_t,
@@ -485,9 +477,10 @@ class Simulator:
     # --------------------------------------------------------- slot services
 
     def _ev_lorawan(self, rt: _NodeRt, frame: int, t_slot_start: float) -> None:
-        if not rt.gw_queue:
+        queue = rt.st.uplink_queue
+        if not queue:
             return
-        pkt = rt.gw_queue.popleft()
+        pkt = queue.popleft()
         start = t_slot_start + self.timing.data_tx_offset
         end = start + lorawan_time_on_air(len(pkt.payload), self.sc.radio)
         # No node hears the uplink, so it is logged, not delivered, and only
@@ -524,7 +517,7 @@ class Simulator:
         for pkt in rest:
             slot = pkt.payload[2]
             if not enqueue_down(rt.st, pkt, slot):
-                self._log_packet(t, rt.st.node_id, "queue_drop", pkt, "0", frame, slot)
+                self._log_drop(rt, t, pkt, frame, slot)
         rt.pending_accept_tx = []
 
     def _ev_app(self, rt: _NodeRt, frame: int, t: float) -> None:
@@ -544,10 +537,8 @@ class Simulator:
             seq=st.next_seq(),
             payload=payload,
         )
-        if st.is_relay:
-            self._enqueue_gateway(rt, pkt, t, frame, -1)
-        elif not enqueue_up(st, pkt):
-            self._log_packet(t, st.node_id, "queue_drop", pkt, "0", frame, -1)
+        if not enqueue_up(st, pkt):
+            self._log_drop(rt, t, pkt, frame, -1)
 
     # ------------------------------------------------------------ radio
 
@@ -687,7 +678,7 @@ class Simulator:
             st, tx.packet, tx.end, self.sched, self.timing, in_join_slot=in_join_slot
         )
         if st.uplink_drops + st.downlink_drops > drops_before:
-            self._log_packet(tx.end, st.node_id, "queue_drop", tx.packet, "0", tx.frame, tx.slot)
+            self._log_drop(rt, tx.end, tx.packet, tx.frame, tx.slot)
         for act in actions:
             self._apply_action(rt, act, tx, covering)
 
@@ -711,8 +702,6 @@ class Simulator:
             self._transmit(rt, ack, t_ack, tx.frame, tx.slot)
         elif isinstance(act, SendJoinAccept):
             rt.pending_accept_tx.append(act.packet)
-        elif isinstance(act, GatewayEnqueue):
-            self._enqueue_gateway(rt, act.packet, tx.end, tx.frame, tx.slot)
         elif isinstance(act, BecameSynchronized):
             self._on_synchronized(rt, act, tx)
 
@@ -812,15 +801,12 @@ class Simulator:
             )
         )
 
-    def _enqueue_gateway(
-        self, rt: _NodeRt, pkt: MacPacket, t: float, frame: int, slot: int
-    ) -> None:
-        """Queue a payload for the relay's LoRaWAN slot, or count and log its drop."""
-        if len(rt.gw_queue) >= rt.st.queue_capacity:
-            rt.gw_drops += 1
-            self._log_packet(t, rt.st.node_id, "queue_drop", pkt, LORAWAN_CHANNEL, frame, slot)
-        else:
-            rt.gw_queue.append(pkt)
+    def _log_drop(self, rt: _NodeRt, t: float, pkt: MacPacket, frame: int, slot: int) -> None:
+        """Log a packet that a full queue of the node turned away. UpData
+        dropped by the relay was bound for its LoRaWAN uplink."""
+        st = rt.st
+        channel = LORAWAN_CHANNEL if st.is_relay and pkt.kind is PacketKind.UP_DATA else "0"
+        self._log_packet(t, st.node_id, "queue_drop", pkt, channel, frame, slot)
 
     # ------------------------------------------------------------ finalize
 
@@ -869,17 +855,6 @@ class Simulator:
             if rt.st.parent_id is not None and rt.st.parent_id in addr_to_hw:
                 parents[nid] = addr_to_hw[rt.st.parent_id]
 
-        counters = {
-            nid: {
-                "uplink_drops": rt.st.uplink_drops,
-                "downlink_drops": rt.st.downlink_drops,
-                "gateway_drops": rt.gw_drops,
-                "protocol_errors": rt.st.protocol_errors,
-                "beacon_misses": rt.beacon_misses_total,
-            }
-            for nid, rt in self.nodes.items()
-        }
-
         self.packet_events.sort(key=itemgetter(0, 1, 2))  # (t, node, event)
 
         return SimulationTrace(
@@ -894,7 +869,7 @@ class Simulator:
             final_modes={n: rt.st.mode.value for n, rt in self.nodes.items()},
             parents=parents,
             addresses=addresses,
-            node_counters=counters,
+            protocol_errors={nid: rt.st.protocol_errors for nid, rt in self.nodes.items()},
         )
 
 
@@ -1062,11 +1037,9 @@ def write_trace_csvs(trace: SimulationTrace, out_dir: str | Path) -> list[Path]:
             power = "" if avg is None else f"{avg:.9e}"
             txc, rxc = counts[(nid, "tx")], counts[(nid, "rx")]
             addr = trace.addresses.get(nid, "")
-            ctr = trace.node_counters[nid]
-            drops = ctr["uplink_drops"] + ctr["downlink_drops"] + ctr["gateway_drops"]
             f.write(
                 f"{nid},{trace.final_modes[nid]},{addr},{duty:.9f},{power},{txc},{rxc},"
-                f"{drops},{ctr['protocol_errors']}\n"
+                f"{counts[(nid, 'queue_drop')]},{trace.protocol_errors[nid]}\n"
             )
     paths.append(p)
     return paths

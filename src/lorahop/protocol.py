@@ -326,7 +326,6 @@ class Resync(NamedTuple):
     """Re-anchor the clock on this slot-start reference (global seconds)."""
 
     reference_global: float
-    sender_id: int
 
 
 class SendAck(NamedTuple):
@@ -341,7 +340,8 @@ class SendJoinAccept(NamedTuple):
 
 
 class BecameSynchronized(NamedTuple):
-    assigned_slots: tuple[int, int, int]
+    """A JoinAccept has set the node's ``assigned_slots``; its parent is ``parent_id``."""
+
     parent_id: int
 
 
@@ -351,13 +351,7 @@ class CandidateBeacon(NamedTuple):
     sender_id: int
 
 
-class GatewayEnqueue(NamedTuple):
-    """Relay accepted an UpData whose payload now awaits the LoRaWAN slot."""
-
-    packet: MacPacket
-
-
-Action = Resync | SendAck | SendJoinAccept | BecameSynchronized | CandidateBeacon | GatewayEnqueue
+Action = Resync | SendAck | SendJoinAccept | BecameSynchronized | CandidateBeacon
 
 
 def make_beacon(node: NodeState, frame_index: int) -> MacPacket:
@@ -498,10 +492,7 @@ def handle_rx(
             node.mode = NodeMode.SYNCHRONIZED
             node.consecutive_beacon_misses = 0
             actions.append(
-                BecameSynchronized(
-                    assigned_slots=node.assigned_slots,
-                    parent_id=node.parent_id if node.parent_id is not None else 0,
-                )
+                BecameSynchronized(node.parent_id if node.parent_id is not None else 0)
             )
         return actions
 
@@ -510,7 +501,7 @@ def handle_rx(
         if packet.sender_id == node.parent_id:
             ref = arrival_global - timing.t_bcn - timing.beacon_tx_offset
             node.consecutive_beacon_misses = 0
-            actions.append(Resync(ref, packet.sender_id))
+            actions.append(Resync(ref))
         return actions
 
     if kind is PacketKind.ACK:
@@ -531,24 +522,19 @@ def handle_rx(
         if duplicate:
             return actions
         node.last_up_seq[packet.origin_id] = packet.seq
-        if node.is_relay:
-            if kind is PacketKind.UP_DATA:
-                actions.append(GatewayEnqueue(packet))
-            else:
-                node.routes.setdefault(packet.origin_id, packet.sender_id)
+        if kind is PacketKind.JOIN_REQUEST:
+            node.routes.setdefault(packet.origin_id, packet.sender_id)
+            if node.is_relay:
                 triple = _alloc_address(node, packet.origin_id, schedule)
                 if triple is None:
                     node.protocol_errors += 1
                     return actions
-                accept = _make_join_accept(
-                    node, packet.origin_id, packet.sender_id, triple
-                )
+                accept = _make_join_accept(node, packet.origin_id, packet.sender_id, triple)
                 enqueue_down(node, accept, schedule.downlink_slot(packet.sender_id))
-        else:
-            if kind is PacketKind.JOIN_REQUEST:
-                node.routes.setdefault(packet.origin_id, packet.sender_id)
-                node.pending_accepts.add(packet.origin_id)
-            enqueue_up(node, packet)
+                return actions
+            node.pending_accepts.add(packet.origin_id)
+        # The relay's uplink queue is its LoRaWAN backlog.
+        enqueue_up(node, packet)
         return actions
 
     if kind is PacketKind.JOIN_REQUEST and in_join_slot:

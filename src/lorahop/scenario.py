@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Any, get_type_hints
@@ -130,17 +131,24 @@ def _typename(v: Any) -> str:
 
 
 def _take(d: dict, key: str, kind: Any, ctx: str, default: Any = _REQUIRED):
-    """Pop ``d[key]`` as a ``kind``: an int widens to a float, and a bool is
-    only ever a bool."""
+    """Pop ``d[key]`` as a ``kind``: an int widens to a float, a float is
+    finite, and a bool is only ever a bool."""
     v = d.pop(key, _REQUIRED)
     if type(v) is kind:
+        if kind is float and not math.isfinite(v):
+            raise ScenarioError(f"{ctx}.{key}: expected a finite number, got {v}")
         return v
     if v is _REQUIRED:
         if default is _REQUIRED:
             raise ScenarioError(f"{ctx}: missing required key '{key}'")
         return default
     if kind is float and type(v) is int:
-        return float(v)
+        try:
+            return float(v)
+        except OverflowError:
+            raise ScenarioError(
+                f"{ctx}.{key}: expected a finite number, got an int past the float range"
+            ) from None
     if isinstance(v, bool) or not isinstance(v, kind):
         want = kind.__name__ if isinstance(kind, type) else str(kind)
         raise ScenarioError(f"{ctx}.{key}: expected {want}, got {_typename(v)}")

@@ -286,9 +286,10 @@ def _capacity_doc(n: int, frames: int) -> dict:
 
 
 def _relay_backlog(trace) -> dict[int, int]:
-    # The relay's outbound queue toward the gateway, sampled per frame.
+    # The relay's uplink queue is its outbound queue toward the gateway,
+    # sampled per frame.
     return {
-        s.frame: s.gateway_depth for s in trace.queue_samples if s.node == 0
+        s.frame: s.uplink_depth for s in trace.queue_samples if s.node == 0
     }
 
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -11,7 +13,9 @@ import pytest
 
 import lorahop.cli
 import lorahop.engine
-from lorahop.cli import main
+from lorahop import GuardConfig, PowerProfile, RadioParams, Scenario, SlotTiming
+from lorahop.cli import _radio_from_args, main
+from lorahop.scenario import JoinConfig, _schema
 from test_regression import GENERATED
 
 REPO = Path(__file__).resolve().parent.parent
@@ -207,3 +211,39 @@ def test_toa_applies_the_modem_rules(flags, rc, out, capsys):
     got = capsys.readouterr()
     assert got.out == out
     assert got.err.startswith("error:") == (rc == 2)
+
+
+# Every float key of a scenario: the float fields of each section's class,
+# and a node's drift and a link's PER and RSSI.
+_SECTIONS = {
+    "radio": RadioParams, "slot_timing": SlotTiming, "guard": GuardConfig,
+    "join": JoinConfig, "power": PowerProfile,
+}
+FLOAT_KEYS = [
+    f"{section}.{key}"
+    for section, cls in _SECTIONS.items()
+    for key, kind, _required in _schema(cls)
+    if kind is float
+] + ["nodes.1.drift_ppm", "links.0.per", "links.0.rssi"]
+
+
+@pytest.mark.parametrize(
+    "value", ["NaN", "Infinity", "1" + "0" * 400], ids=["NaN", "Infinity", "1e400_int"]
+)
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_simulate_rejects_a_non_finite_float_by_its_key(key, value, tmp_path, capsys):
+    line4 = str(REPO / "scenarios" / "line4.json")
+    assert main(["simulate", line4, "--out", str(tmp_path), "--set", f"{key}={value}"]) == 2
+    err = capsys.readouterr().err
+    where = re.sub(r"\.(\d+)", r"[\1]", key)  # nodes.1.drift_ppm -> nodes[1].drift_ppm
+    assert err.startswith(f"error: line4.json.{where}: "), err
+    assert "finite" in err
+
+
+def test_cli_defaults_are_the_dataclass_defaults():
+    parse = lorahop.cli.build_parser().parse_args
+    assert _radio_from_args(parse(["toa", "--payload", "1"])) == RadioParams()
+    plan = parse(["plan", "--nodes", "4", "--app-period", "234"])
+    assert _radio_from_args(plan) == RadioParams()
+    defaults = {f.name: f.default for f in dataclasses.fields(Scenario)}
+    assert plan.payload_bytes == defaults["app_payload_bytes"]

@@ -7,6 +7,7 @@ import gc
 import heapq
 import random
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -199,11 +200,13 @@ def test_acks_match_uplinks(star_trace):
 
 
 def test_counters_clean_run(star_trace):
-    for node, c in star_trace.node_counters.items():
-        assert c["uplink_drops"] == 0
-        assert c["protocol_errors"] == 0
+    drops = {ev.node for ev in star_trace.packet_events if ev.event == "queue_drop"}
+    misses = {ev.node for ev in star_trace.protocol_events if ev.event == "beacon_miss"}
+    for node, errors in star_trace.protocol_errors.items():
+        assert node not in drops
+        assert errors == 0
         if node != 0:
-            assert c["beacon_misses"] == 0
+            assert node not in misses
 
 
 def test_relay_duty_close_to_estimate(star_trace):
@@ -485,7 +488,7 @@ def test_relay_uplink_is_logged_only_if_it_ends_by_the_end(past_end, logged):
     sim = Simulator(load_scenario(REPO / "scenarios" / "star4.json"))
     relay = sim.nodes[0]
     pkt = _up_data(1, 0, 4)
-    relay.gw_queue.append(pkt)
+    relay.st.uplink_queue.append(pkt)
     airtime = lorawan_time_on_air(len(pkt.payload), sim.sc.radio)
     start = sim.end_time - airtime + past_end
     sim._ev_lorawan(relay, sim.sc.frames - 1, start - sim.timing.data_tx_offset)
@@ -579,7 +582,7 @@ def test_accept_after_an_old_reference_arms_a_beacon_window_after_it():
     accept = MacPacket(PacketKind.JOIN_ACCEPT, 1, 0, 1, 1, 0, bytes([1, 2, 3]))
     tx = Transmission(0, accept, start, start + sim._toa(accept.onair_bytes), frame=5, slot=sim.sched.join_slot)
     rt.st.assigned_slots = (1, sim.sched.uplink_slot(1), sim.sched.downlink_slot(1))
-    sim._apply_action(rt, BecameSynchronized(rt.st.assigned_slots, 0), tx, None)
+    sim._apply_action(rt, BecameSynchronized(0), tx, None)
     (win,) = [w for w in rt.windows if w.purpose == "beacon"]
     assert win.frame == 6
     assert win.open_t > tx.end
@@ -683,26 +686,43 @@ def test_leaf_sample_into_a_full_uplink_queue_is_dropped():
 def test_relay_sample_into_a_full_gateway_queue_is_dropped():
     sim = _capacity_one_sim("star4")
     relay = sim.nodes[0]
-    relay.gw_queue.append(_up_data(1, 0, 9))
+    relay.st.uplink_queue.append(_up_data(1, 0, 9))
     sim._ev_app(relay, 4, 3.25)
     assert _drop_rows(sim) == [(3.25, 0, "up_data", "lorawan", 4, -1)]
-    assert relay.gw_drops == 1
-    assert len(relay.gw_queue) == 1
+    assert relay.st.uplink_drops == 1
+    assert len(relay.st.uplink_queue) == 1
 
 
 def test_child_data_into_a_full_gateway_queue_is_dropped():
     sim = _capacity_one_sim("star4")
     relay = sim.nodes[0]
     relay.st.children.add(1)
-    relay.gw_queue.append(_up_data(2, 0, 9))
+    relay.st.uplink_queue.append(_up_data(2, 0, 9))
     slot = sim.sched.uplink_slot(1)
     tx = Transmission(1, _up_data(1, 0, 4), 20.0, 20.2, frame=3, slot=slot)
     sim._receive(relay, tx, None)
     assert _drop_rows(sim) == [(20.2, 0, "up_data", "lorawan", 3, slot)]
-    assert relay.gw_drops == 1
-    assert len(relay.gw_queue) == 1
+    assert relay.st.uplink_drops == 1
+    assert len(relay.st.uplink_queue) == 1
     # The packet was still acknowledged: the drop is the relay's, not the link's.
     assert [t.packet.kind for t in sim.active_tx] == [PacketKind.ACK]
+
+
+def test_every_queue_drop_is_a_state_drop_and_a_logged_row():
+    # With room for one packet per queue, relays and forwarders drop
+    # samples, child data, JoinRequests and JoinAccepts; each drop counted
+    # in a node's queues is one queue_drop row of that node, and no other.
+    drops = 0
+    for seed in range(40):
+        doc = _random_doc(seed)
+        doc["queue_capacity"] = 1
+        sim = Simulator(parse_scenario(doc))
+        trace = sim.run()
+        rows = Counter(ev.node for ev in trace.packet_events if ev.event == "queue_drop")
+        for nid, rt in sim.nodes.items():
+            assert rt.st.uplink_drops + rt.st.downlink_drops == rows[nid], (seed, nid)
+        drops += rows.total()
+    assert drops > 0
 
 
 def test_join_accepts_past_the_first_queue_for_the_downlink_and_drop_beyond_it():

@@ -18,7 +18,6 @@ from lorahop import (
 from lorahop.protocol import (
     BecameSynchronized,
     CandidateBeacon,
-    GatewayEnqueue,
     NodeMode,
     Resync,
     SendAck,
@@ -95,12 +94,11 @@ def test_packets_and_actions_are_immutable():
     pkt = MacPacket(PacketKind.UP_DATA, 1, 2, 0, 2, 4, b"abc")
     for rec, field in (
         (pkt, "dest_id"),
-        (Resync(1.0, 0), "reference_global"),
+        (Resync(1.0), "reference_global"),
         (SendAck(2, 4), "seq"),
         (SendJoinAccept(pkt), "packet"),
-        (BecameSynchronized((2, 7, 11), 0), "parent_id"),
+        (BecameSynchronized(0), "parent_id"),
         (CandidateBeacon(0), "sender_id"),
-        (GatewayEnqueue(pkt), "packet"),
     ):
         with pytest.raises(AttributeError):
             setattr(rec, field, 0)
@@ -283,7 +281,7 @@ def test_joining_node_takes_its_accept():
     acts = handle_rx(st, accept, 12.0, SCHED, TIMING)
     (act,) = acts
     assert isinstance(act, BecameSynchronized)
-    assert act.assigned_slots == triple
+    assert st.assigned_slots == triple
     assert st.mode is NodeMode.SYNCHRONIZED
     assert st.address == 2
 
@@ -337,12 +335,15 @@ def test_relay_gateway_enqueue_and_dedup():
     data = MacPacket(PacketKind.UP_DATA, 1, 2, 0, 2, 4, b"abc")
     acts = handle_rx(relay, data, 30.0, SCHED, TIMING)
     kinds = [type(a) for a in acts]
-    assert kinds == [SendAck, GatewayEnqueue]
+    assert kinds == [SendAck]
     assert acts[0].seq == 4
+    # The relay's uplink queue is its LoRaWAN backlog.
+    assert list(relay.uplink_queue) == [data]
 
     # A retransmission of the same (origin, seq) is acked but not re-queued.
     acts2 = handle_rx(relay, data, 90.0, SCHED, TIMING)
     assert [type(a) for a in acts2] == [SendAck]
+    assert list(relay.uplink_queue) == [data]
 
 
 def test_uplink_from_stranger_dropped():

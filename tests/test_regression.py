@@ -65,6 +65,12 @@ PINNED = {
         "summary.csv": "d8e4148db0fb44f63664e4698bd21cf60a8d029ee19e28f77742a481f68a15be",
         "sync_samples.csv": "e03f16253f1cb18004c0dd5e58a7532908e399795893251ebed4acaa9684daf5",
     },
+    "tree16_cap1": {
+        "packet_events.csv": "efda5d7caa2ff5f5020609cbfdb0d51fb97345416532b824f50935e789c9d067",
+        "radio_states.csv": "2e1882687365b496d2a3de086c70b09aaee9e436d8cb0319e3591555a1013334",
+        "summary.csv": "ce6e08a08eb122f9e40b92a389528c647b6457c44b27fa1f1a1b89b819a528d6",
+        "sync_samples.csv": "b890139feb86b9975d9c0fb4caf2d7d505d49d05b797c7ebfb4e36003ca646f6",
+    },
 }
 
 
@@ -116,12 +122,15 @@ def tight_doc(name: str) -> dict:
 # JoinRequests collide. In star32 every relay beacon reaches 31 listeners.
 # The tight variants miss beacons and desynchronize (star4_tight: 141 misses,
 # 34 desyncs; line4_tight: 60 and 14, and it forwards JoinRequests).
+# tree16_cap1 is tree16 with room for one packet per queue: forwarders drop
+# UpData, JoinRequests and a JoinAccept, and the relay drops an UpData.
 GENERATED = {
     "tree16": lambda: generated_doc("tree16", [((i - 1) // 2, i) for i in range(1, 16)], 40, 16, True),
     "star16": lambda: generated_doc("star16", [(0, i) for i in range(1, 17)], 60, 20, False),
     "star32": lambda: generated_doc("star32", [(0, i) for i in range(1, 32)], 150, 32, False),
     "star4_tight": lambda: tight_doc("star4"),
     "line4_tight": lambda: tight_doc("line4"),
+    "tree16_cap1": lambda: {**GENERATED["tree16"](), "queue_capacity": 1},
 }
 
 
@@ -148,6 +157,7 @@ PINNED_STDOUT = {
     "star4_reversed": "98fc2ed1e7a9e7bff354367b8adb8f0ecd2b607c3c0bd40f05082704f7cbe75e",
     "star4_tight": "40b3b69cb6238ecb79b8ed099eca1c0ba7875ed760f24ee686fc1e32340ca026",
     "line4_tight": "f80fd7b4288a170f79803d2a03f9eec7ad24eb8bd63df7613d6bac593751f309",
+    "tree16_cap1": "57b167023a204bf309d22a3e70348d5dd8ad63e147470c1d93892cce4f434b61",
 }
 
 
