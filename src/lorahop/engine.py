@@ -224,6 +224,9 @@ class _NodeRt:
         self.attempt_scheduled = False
         self.app_phase: int | None = None
         self.pending_accept_tx: list[MacPacket] = []
+        # This frame's slot services that are not on the heap, by slot: each
+        # waits for its queue to get work while its instant is ahead (_wake).
+        self.due: dict[int, tuple] = {}
 
 
 class Simulator:
@@ -306,10 +309,13 @@ class Simulator:
                     break
                 fn(*args)
         finally:
-            # Events left past the end hold bound methods of this simulator:
-            # a reference cycle that would keep the whole run alive until the
-            # cycle collector ran, also when a handler raised.
+            # Events left past the end, and services still waiting off the
+            # heap, hold bound methods of this simulator: a reference cycle
+            # that would keep the whole run alive until the cycle collector
+            # ran, also when a handler raised.
             self.heap.clear()
+            for rt in self.nodes.values():
+                rt.due.clear()
         return self._finalize()
 
     # ------------------------------------------------------- frame driving
@@ -368,8 +374,11 @@ class Simulator:
         relay's JoinAccept answer is queued. A synchronized node leaves
         that mode only at the next frame's beacon-window close, after every
         slot of this frame, so neither this nor any slot service of the
-        frame checks the mode. Slot services that read a queue at slot time
-        stay events.
+        frame checks the mode. A slot service that reads a queue at slot
+        time (own uplink, LoRaWAN, child downlink, JoinAccept answer) goes
+        on the heap here if its queue already holds work for it, and
+        otherwise waits in ``rt.due`` for the enqueue that gives it work
+        (see _wake).
         """
         st = rt.st
         b, up, down = st.assigned_slots
@@ -389,21 +398,26 @@ class Simulator:
         t_beacon = self._slot_time(rt, anchor, b) + self.timing.beacon_tx_offset
         self._transmit(rt, make_beacon(st, frame), t_beacon, frame, b)
 
+        rt.due = {}
         if st.is_relay:
-            t_lw = self._slot_time(rt, anchor, self.sched.lorawan_slot)
-            self._push(t_lw, _P_SVC, nid, self._ev_lorawan, rt, frame, t_lw)
+            lw = self.sched.lorawan_slot
+            t_lw = self._slot_time(rt, anchor, lw)
+            self._offer(rt, lw, bool(st.uplink_queue), t_lw, self._ev_lorawan, rt, frame, t_lw)
         else:
             t_up = self._slot_time(rt, anchor, up)
-            self._push(t_up, _P_SVC, nid, self._ev_own_uplink, rt, frame, up, t_up)
+            self._offer(rt, up, bool(st.uplink_queue), t_up, self._ev_own_uplink, rt, frame, up, t_up)
 
         dw = self.timing.data_window
+        down_work = {slot for _pkt, slot in st.downlink_queue}
         for child in sorted(st.children):
             slot = self.sched.uplink_slot(child)
             t_cu = self._slot_time(rt, anchor, slot)
             self._listen(rt, "uplink_rx", frame, t_cu + dw[0], t_cu + dw[1])
             slot = self.sched.downlink_slot(child)
             t_cd = self._slot_time(rt, anchor, slot)
-            self._push(t_cd, _P_SVC, nid, self._ev_child_downlink, rt, frame, slot, t_cd)
+            self._offer(
+                rt, slot, slot in down_work, t_cd, self._ev_child_downlink, rt, frame, slot, t_cd
+            )
 
         if st.expecting_downlink:
             t_od = self._slot_time(rt, anchor, down)
@@ -418,11 +432,39 @@ class Simulator:
             )
             if st.is_relay:
                 t_acc = t_join + self.t_join_accept
-                self._push(t_acc, _P_SVC, nid, self._ev_join_respond, rt, frame, t_acc)
+                self._offer(
+                    rt, self.sched.join_slot, bool(rt.pending_accept_tx), t_acc,
+                    self._ev_join_respond, rt, frame, t_acc,
+                )
 
         if rt.app_phase is not None and frame % self.sc.k == rt.app_phase:
             t_app = self._slot_time(rt, anchor, self.sched.first_idle_slot)
             self._push(t_app, _P_SVC, nid, self._ev_app, rt, frame, t_app)
+
+    def _offer(self, rt: _NodeRt, slot: int, has_work: bool, t: float, fn, *args) -> None:
+        """Push the node's service of ``slot`` at ``t`` if its queue holds
+        work for it; else let it wait in ``rt.due`` for that work."""
+        if has_work:
+            self._push(t, _P_SVC, rt.st.node_id, fn, *args)
+        else:
+            rt.due[slot] = (t, fn, args)
+
+    def _wake(self, rt: _NodeRt, slot: int, now: float) -> None:
+        """Put the node's waiting service of ``slot`` on the heap: its queue
+        just got work for it at ``now``, the time of the event being
+        handled. A service whose instant has passed has already been missed,
+        so it is dropped. At an equal nanosecond the current event still
+        comes first: it has a lower priority or an earlier push."""
+        svc = rt.due.pop(slot, None)
+        if svc is not None and round(now * 1e9) <= round(svc[0] * 1e9):
+            self._push(svc[0], _P_SVC, rt.st.node_id, svc[1], *svc[2])
+
+    def _wake_uplink(self, rt: _NodeRt, now: float) -> None:
+        """Wake the service that sends the head of the node's uplink queue:
+        the LoRaWAN slot on the relay, its own uplink slot elsewhere."""
+        if rt.due:
+            st = rt.st
+            self._wake(rt, self.sched.lorawan_slot if st.is_relay else st.assigned_slots[1], now)
 
     def _schedule_beacon_window(
         self, rt: _NodeRt, frame: int, prev_anchor: float
@@ -468,6 +510,7 @@ class Simulator:
         rt.candidates.clear()
         rt.attempt_scheduled = False
         rt.app_phase = None
+        rt.due.clear()
         rt.eff_guard = self.sc.guard.base_guard
         rt.listen_from = t
         self.protocol_events.append(
@@ -516,7 +559,9 @@ class Simulator:
         # The others wait for each joiner's new downlink slot (triple[2]).
         for pkt in rest:
             slot = pkt.payload[2]
-            if not enqueue_down(rt.st, pkt, slot):
+            if enqueue_down(rt.st, pkt, slot):
+                self._wake(rt, slot, t)
+            else:
                 self._log_drop(rt, t, pkt, frame, slot)
         rt.pending_accept_tx = []
 
@@ -537,7 +582,9 @@ class Simulator:
             seq=st.next_seq(),
             payload=payload,
         )
-        if not enqueue_up(st, pkt):
+        if enqueue_up(st, pkt):
+            self._wake_uplink(rt, t)
+        else:
             self._log_drop(rt, t, pkt, frame, -1)
 
     # ------------------------------------------------------------ radio
@@ -674,11 +721,16 @@ class Simulator:
         st = rt.st
         in_join_slot = covering is not None and covering.purpose == "join_rx"
         drops_before = st.uplink_drops + st.downlink_drops
+        up, down = len(st.uplink_queue), len(st.downlink_queue)
         actions = handle_rx(
             st, tx.packet, tx.end, self.sched, self.timing, in_join_slot=in_join_slot
         )
         if st.uplink_drops + st.downlink_drops > drops_before:
             self._log_drop(rt, tx.end, tx.packet, tx.frame, tx.slot)
+        if len(st.uplink_queue) > up:
+            self._wake_uplink(rt, tx.end)
+        elif len(st.downlink_queue) > down:
+            self._wake(rt, st.downlink_queue[-1][1], tx.end)
         for act in actions:
             self._apply_action(rt, act, tx, covering)
 
@@ -702,6 +754,7 @@ class Simulator:
             self._transmit(rt, ack, t_ack, tx.frame, tx.slot)
         elif isinstance(act, SendJoinAccept):
             rt.pending_accept_tx.append(act.packet)
+            self._wake(rt, self.sched.join_slot, tx.end)
         elif isinstance(act, BecameSynchronized):
             self._on_synchronized(rt, act, tx)
 

@@ -515,7 +515,7 @@ def test_committed_line4_needs_few_heap_events_per_frame():
     sc = load_scenario(REPO / "scenarios" / "line4.json")
     sim = Simulator(sc)
     sim.run()
-    assert sim._seq / sc.frames < 30
+    assert sim._seq / sc.frames < 16
 
 
 # --- memory after a run ---
@@ -621,6 +621,14 @@ def _random_doc(seed: int) -> dict:
     }
 
 
+def _tight_random_doc(seed: int) -> dict:
+    """``_random_doc(seed)`` with a 0.4 ms guard, run for 80 frames."""
+    doc = _random_doc(seed)
+    doc["guard"]["base_guard"] = 0.0004
+    doc["frames"] = 80
+    return doc
+
+
 def test_random_scenarios_run_to_the_end():
     # Lost beacons, accepts and requests leave joiners holding parent
     # references several frames old, and with a 0.4 ms guard nodes also
@@ -629,10 +637,7 @@ def test_random_scenarios_run_to_the_end():
     # (_finalize checks the overlap).
     desyncs = 0
     for seed in range(40):
-        tight = _random_doc(seed)
-        tight["guard"]["base_guard"] = 0.0004
-        tight["frames"] = 80
-        for doc in (_random_doc(seed), tight):
+        for doc in (_random_doc(seed), _tight_random_doc(seed)):
             trace = run(parse_scenario(doc))
             where = (seed, doc["guard"]["base_guard"])
             cursor = dict.fromkeys(trace.final_modes, 0.0)
@@ -642,6 +647,78 @@ def test_random_scenarios_run_to_the_end():
             assert all(c == pytest.approx(trace.end_time) for c in cursor.values()), where
             desyncs += sum(ev.event == "desynchronized" for ev in trace.protocol_events)
     assert desyncs > 0
+
+
+# --- slot services on the heap ---
+
+
+# Each slot service by handler name, and whether its node has work for it.
+_SERVICE_WORK = {
+    "_ev_own_uplink": lambda rt, frame, slot, t: bool(rt.st.uplink_queue),
+    "_ev_lorawan": lambda rt, frame, t: bool(rt.st.uplink_queue),
+    "_ev_child_downlink": lambda rt, frame, slot, t: any(s == slot for _p, s in rt.st.downlink_queue),
+    "_ev_join_respond": lambda rt, frame, t: bool(rt.pending_accept_tx),
+}
+
+
+def _watch_services(doc: dict, monkeypatch) -> tuple[int, list, list]:
+    """Run ``doc``; return the number of slot-service pops, those that found
+    no work, and the slot-service pushes keyed before the event being handled."""
+    sim = Simulator(parse_scenario(doc))
+    end_ns = round(sim.end_time * 1e9)
+    pops, idle, early = 0, [], []
+    current = None
+    pop, push = heapq.heappop, heapq.heappush
+
+    def watched_pop(heap):
+        nonlocal current, pops
+        current = pop(heap)
+        t_ns, _prio, nid, _seq, fn, args = current
+        work = _SERVICE_WORK.get(fn.__name__)
+        if work is not None and t_ns <= end_ns:
+            pops += 1
+            if not work(*args):
+                idle.append((fn.__name__, t_ns, nid))
+        return current
+
+    def watched_push(heap, entry):
+        if current is not None and entry[4].__name__ in _SERVICE_WORK and entry[:3] < current[:3]:
+            early.append((entry[4].__name__, entry[:3], current[:3]))
+        push(heap, entry)
+
+    with monkeypatch.context() as m:
+        m.setattr(heapq, "heappop", watched_pop)
+        m.setattr(heapq, "heappush", watched_push)
+        sim.run()
+    return pops, idle, early
+
+
+def test_no_slot_service_pops_without_work(monkeypatch):
+    # An own-uplink, LoRaWAN, child-downlink or JoinAccept-answer event goes
+    # on the heap only once its queue holds work for its slot.
+    docs = {
+        "line4": read_scenario_doc(REPO / "scenarios" / "line4.json"),
+        "tree16": GENERATED["tree16"](),
+        "tree16_cap1": GENERATED["tree16_cap1"](),
+    }
+    for seed in range(40):
+        docs[f"random{seed}"] = _random_doc(seed)
+        docs[f"random{seed}_tight"] = _tight_random_doc(seed)
+    served = 0
+    for name, doc in docs.items():
+        pops, idle, _early = _watch_services(doc, monkeypatch)
+        assert idle == [], name
+        served += pops
+    assert served > 0
+
+
+def test_no_slot_service_is_pushed_before_the_event_being_handled(monkeypatch):
+    # A service woken by an enqueue must still lie ahead: pushed behind the
+    # event that woke it, it would pop out of time order.
+    for seed in range(300):
+        for doc in (_random_doc(seed), _tight_random_doc(seed)):
+            _pops, _idle, early = _watch_services(doc, monkeypatch)
+            assert early == [], (seed, doc["guard"]["base_guard"])
 
 
 # --- queue admission ---
