@@ -879,20 +879,23 @@ class Simulator:
         self.radio_intervals = []  # the buckets hold every record; free the list before the output grows
         intervals: list[tuple[int, str, float, float]] = []
         for nid in sorted(self.nodes):
-            rows = sorted(
-                (max(0.0, s), min(e, end), state)
-                for (_n, state, s, e) in raw.pop(nid, ())
-                if e > 0.0 and s < end and e > s
-            )
+            # Every record site clips its interval to the run already.
+            rows = raw.pop(nid, [])
+            rows.sort(key=itemgetter(2, 3, 1))  # (start, end, state)
             cursor = 0.0
-            for s, e, state in rows:
+            for row in rows:
+                _n, state, s, e = row
+                if not 0.0 <= s < e <= end:
+                    raise RuntimeError(
+                        f"node {nid}: {state} interval [{s:.9f}, {e:.9f}] outside the run or empty"
+                    )
                 if s > cursor:
                     intervals.append((nid, "sleep", cursor, s))
                 if s < cursor - 1e-9:
                     raise RuntimeError(
                         f"node {nid}: overlapping radio intervals at t={s:.9f}"
                     )
-                intervals.append((nid, state, s, e))
+                intervals.append(row)
                 cursor = max(cursor, e)
             if cursor < end:
                 intervals.append((nid, "sleep", cursor, end))

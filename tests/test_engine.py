@@ -382,6 +382,18 @@ def test_finalize_rejects_overlapping_intervals():
         sim._finalize()
 
 
+@pytest.mark.parametrize("start, end", [(1.0, 1.0), (2.0, 1.0), (-0.5, 0.5), ("end", 0.1)])
+def test_finalize_rejects_an_empty_interval_or_one_outside_the_run(start, end):
+    # Every record site clips to the run, so such a row is a fault to report,
+    # not one to clip or drop.
+    sim = Simulator(load_scenario(REPO / "scenarios" / "star4.json"))
+    if start == "end":
+        start, end = sim.end_time - 0.5, sim.end_time + end
+    sim.radio_intervals.append((2, "receive", start, end))
+    with pytest.raises(RuntimeError, match="node 2: receive interval .* outside the run or empty"):
+        sim._finalize()
+
+
 # --- trace records ---
 
 
