@@ -51,6 +51,7 @@ from .protocol import (
     NodeMode,
     NodeState,
     PacketKind,
+    QueueDrop,
     Resync,
     SendAck,
     SendJoinAccept,
@@ -720,13 +721,10 @@ class Simulator:
     def _receive(self, rt: _NodeRt, tx: Transmission, covering: _Window | None) -> None:
         st = rt.st
         in_join_slot = covering is not None and covering.purpose == "join_rx"
-        drops_before = st.uplink_drops + st.downlink_drops
         up, down = len(st.uplink_queue), len(st.downlink_queue)
         actions = handle_rx(
             st, tx.packet, tx.end, self.sched, self.timing, in_join_slot=in_join_slot
         )
-        if st.uplink_drops + st.downlink_drops > drops_before:
-            self._log_drop(rt, tx.end, tx.packet, tx.frame, tx.slot)
         if len(st.uplink_queue) > up:
             self._wake_uplink(rt, tx.end)
         elif len(st.downlink_queue) > down:
@@ -757,6 +755,10 @@ class Simulator:
             self._wake(rt, self.sched.join_slot, tx.end)
         elif isinstance(act, BecameSynchronized):
             self._on_synchronized(rt, act, tx)
+        elif isinstance(act, QueueDrop):
+            # An uplink drop keeps the slot the packet arrived in.
+            slot = tx.slot if act.slot is None else act.slot
+            self._log_drop(rt, tx.end, act.packet, tx.frame, slot)
 
     def _maybe_schedule_attempt(self, rt: _NodeRt, now: float) -> None:
         st = rt.st

@@ -351,7 +351,15 @@ class CandidateBeacon(NamedTuple):
     sender_id: int
 
 
-Action = Resync | SendAck | SendJoinAccept | BecameSynchronized | CandidateBeacon
+class QueueDrop(NamedTuple):
+    """A full queue turned ``packet`` away; ``slot`` is the downlink slot it
+    was bound for, None for the uplink queue."""
+
+    packet: MacPacket
+    slot: int | None
+
+
+Action = Resync | SendAck | SendJoinAccept | BecameSynchronized | CandidateBeacon | QueueDrop
 
 
 def make_beacon(node: NodeState, frame_index: int) -> MacPacket:
@@ -530,11 +538,14 @@ def handle_rx(
                     node.protocol_errors += 1
                     return actions
                 accept = _make_join_accept(node, packet.origin_id, packet.sender_id, triple)
-                enqueue_down(node, accept, schedule.downlink_slot(packet.sender_id))
+                slot = schedule.downlink_slot(packet.sender_id)
+                if not enqueue_down(node, accept, slot):
+                    actions.append(QueueDrop(accept, slot))
                 return actions
             node.pending_accepts.add(packet.origin_id)
         # The relay's uplink queue is its LoRaWAN backlog.
-        enqueue_up(node, packet)
+        if not enqueue_up(node, packet):
+            actions.append(QueueDrop(packet, None))
         return actions
 
     if kind is PacketKind.JOIN_REQUEST and in_join_slot:
@@ -552,7 +563,8 @@ def handle_rx(
             actions.append(SendJoinAccept(accept))
         else:
             node.pending_accepts.add(packet.origin_id)
-            enqueue_up(node, packet)
+            if not enqueue_up(node, packet):
+                actions.append(QueueDrop(packet, None))
         return actions
 
     if kind is PacketKind.JOIN_ACCEPT:
@@ -577,7 +589,8 @@ def handle_rx(
         forwarded = MacPacket(
             packet.kind, packet.network_id, sender, dest, packet.origin_id, packet.seq, packet.payload
         )
-        enqueue_down(node, forwarded, slot)
+        if not enqueue_down(node, forwarded, slot):
+            actions.append(QueueDrop(forwarded, slot))
         return actions
 
     node.protocol_errors += 1

@@ -814,6 +814,38 @@ def test_every_queue_drop_is_a_state_drop_and_a_logged_row():
     assert drops > 0
 
 
+def test_no_relay_queue_drop_names_a_join_request():
+    # The relay never queues a JoinRequest: when its downlink queue is full,
+    # the row names the JoinAccept it turned away, with the downlink slot
+    # that accept was bound for.
+    accepts = 0
+    for seed in range(40):
+        doc = _random_doc(seed)
+        doc["queue_capacity"] = 1
+        trace = run(parse_scenario(doc))
+        relay = trace.scenario.relay_id
+        rows = [ev for ev in trace.packet_events if ev.event == "queue_drop" and ev.node == relay]
+        assert all(ev.kind != "join_request" for ev in rows), seed
+        accepts += sum(ev.kind == "join_accept" for ev in rows)
+    assert accepts > 0
+
+
+def test_forwarder_drop_of_a_join_accept_names_the_readdressed_copy():
+    sim = _capacity_one_sim("line4")
+    _synchronize(sim, 1, address=1, parent=0)
+    mid = sim.nodes[1]
+    mid.st.routes[13] = None
+    mid.st.downlink_queue.append((_up_data(1, 2, 9), sim.sched.downlink_slot(2)))
+    accept = MacPacket(PacketKind.JOIN_ACCEPT, 1, 0, 1, 13, 6, bytes(sim.sched.slot_triple(3)))
+    tx = Transmission(0, accept, 40.0, 40.2, frame=6, slot=sim.sched.downlink_slot(1))
+    sim._receive(mid, tx, None)
+    # Sender 1 and dest 13 are the re-addressed copy's; the slot is the
+    # joiner's downlink slot it was bound for.
+    assert [(ev.kind, ev.sender, ev.dest, ev.origin, ev.frame, ev.slot) for ev in sim.packet_events] == [
+        ("join_accept", 1, 13, 13, 6, sim.sched.downlink_slot(3))
+    ]
+
+
 def test_join_accepts_past_the_first_queue_for_the_downlink_and_drop_beyond_it():
     sim = _capacity_one_sim("star4")
     relay = sim.nodes[0]

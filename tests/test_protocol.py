@@ -19,6 +19,7 @@ from lorahop.protocol import (
     BecameSynchronized,
     CandidateBeacon,
     NodeMode,
+    QueueDrop,
     Resync,
     SendAck,
     SendJoinAccept,
@@ -99,6 +100,7 @@ def test_packets_and_actions_are_immutable():
         (SendJoinAccept(pkt), "packet"),
         (BecameSynchronized(0), "parent_id"),
         (CandidateBeacon(0), "sender_id"),
+        (QueueDrop(pkt, None), "slot"),
     ):
         with pytest.raises(AttributeError):
             setattr(rec, field, 0)
@@ -317,6 +319,32 @@ def test_forwarded_accept_is_checked_like_any_packet():
     with pytest.raises(ValueError, match="dest_id 256 does not fit one byte"):
         handle_rx(mid, accept, 12.0, SCHED, TIMING)
     assert not mid.downlink_queue
+
+
+def test_full_queue_names_the_packet_it_turned_away():
+    # A forwarder's full downlink queue refuses the re-addressed accept,
+    # bound for the joiner's downlink slot; the relay's refuses the accept it
+    # built for a forwarded JoinRequest; a full uplink queue refuses the
+    # packet that arrived.
+    mid = _synced_leaf(11, 1)
+    mid.routes[13] = None
+    mid.queue_capacity = 0
+    accept = MacPacket(PacketKind.JOIN_ACCEPT, 1, 0, 1, 13, 0, bytes(SCHED.slot_triple(2)))
+    (drop,) = handle_rx(mid, accept, 12.0, SCHED, TIMING)
+    assert drop == QueueDrop(MacPacket(PacketKind.JOIN_ACCEPT, 1, 1, 13, 13, 0, accept.payload), SCHED.downlink_slot(2))
+
+    relay = make_relay(10, SCHED)
+    relay.children.add(1)
+    relay.queue_capacity = 0
+    req = MacPacket(PacketKind.JOIN_REQUEST, 1, 1, 0, 13, 3)
+    ack, drop = handle_rx(relay, req, 30.0, SCHED, TIMING)
+    assert isinstance(ack, SendAck)
+    assert drop.slot == SCHED.downlink_slot(1)
+    assert drop.packet[:5] == (PacketKind.JOIN_ACCEPT, 1, 0, 1, 13)
+
+    mid.children.add(2)
+    data = MacPacket(PacketKind.UP_DATA, 1, 2, 1, 2, 4, b"abc")
+    assert handle_rx(mid, data, 30.0, SCHED, TIMING) == [SendAck(2, 4), QueueDrop(data, None)]
 
 
 def test_accept_without_route_is_error():

@@ -66,7 +66,7 @@ PINNED = {
         "sync_samples.csv": "e03f16253f1cb18004c0dd5e58a7532908e399795893251ebed4acaa9684daf5",
     },
     "tree16_cap1": {
-        "packet_events.csv": "efda5d7caa2ff5f5020609cbfdb0d51fb97345416532b824f50935e789c9d067",
+        "packet_events.csv": "674e0d7cc32bd672988d50d708cc0d0e780874d1dc19d0103ef83053da8a5162",
         "radio_states.csv": "2e1882687365b496d2a3de086c70b09aaee9e436d8cb0319e3591555a1013334",
         "summary.csv": "ce6e08a08eb122f9e40b92a389528c647b6457c44b27fa1f1a1b89b819a528d6",
         "sync_samples.csv": "b890139feb86b9975d9c0fb4caf2d7d505d49d05b797c7ebfb4e36003ca646f6",
