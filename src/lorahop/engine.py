@@ -13,11 +13,14 @@ protects.
 
 A synchronized node's fixed work for a frame is set up when the frame is
 scheduled: its beacon goes on the air, and its child-uplink, join and
-(while a JoinAccept is due) own-downlink windows open. Slot services that
-read a queue at slot time (own uplink, child downlink, LoRaWAN,
-application sample, the relay's JoinAccept answer) stay heap events, and
-so do beacon windows, whose close decides between a miss, the flywheel and
-a desync. Every other receive window is plain: it closes at its end time,
+(while a JoinAccept is due) own-downlink windows open. A slot service
+that reads a queue at slot time (own uplink, child downlink, LoRaWAN, the
+relay's JoinAccept answer) goes on the heap only once its queue holds work
+for that slot: when the frame is scheduled if it already does, else at the
+enqueue that gives it work while the slot is still ahead. The application
+sample is a heap event every collection period, and beacon windows still
+close by event, since the close decides between a miss, the flywheel and a
+desync. Every other receive window is plain: it closes at its end time,
 so its receive interval is recorded when it opens. A sender that is not
 listening takes its transmission start when it is scheduled; a listening
 one keeps a start event, which cuts its listen interval, and listens again
@@ -379,11 +382,13 @@ class Simulator:
         time (own uplink, LoRaWAN, child downlink, JoinAccept answer) goes
         on the heap here if its queue already holds work for it, and
         otherwise waits in ``rt.due`` for the enqueue that gives it work
-        (see _wake).
+        (see _wake). The next beacon window still closes by event.
         """
         st = rt.st
         b, up, down = st.assigned_slots
         nid = st.node_id
+        is_relay = st.is_relay
+        sched, timing = self.sched, self.timing
 
         # Every transmission resolved from now on ends at or after the
         # anchor, so a plain window that closed a slot before it can no
@@ -393,62 +398,59 @@ class Simulator:
         # The next beacon window goes before this frame's windows: _receive
         # takes the first window that covers a packet, and a widened beacon
         # window can overlap the join window at the end of this frame.
-        if not st.is_relay:
+        if not is_relay:
             self._schedule_beacon_window(rt, frame + 1, anchor)
 
-        t_beacon = self._slot_time(rt, anchor, b) + self.timing.beacon_tx_offset
+        t_beacon = self._slot_time(rt, anchor, b) + timing.beacon_tx_offset
         self._transmit(rt, make_beacon(st, frame), t_beacon, frame, b)
 
-        rt.due = {}
-        if st.is_relay:
-            lw = self.sched.lorawan_slot
-            t_lw = self._slot_time(rt, anchor, lw)
-            self._offer(rt, lw, bool(st.uplink_queue), t_lw, self._ev_lorawan, rt, frame, t_lw)
+        rt.due = due = {}
+        if is_relay:
+            up = sched.lorawan_slot
+            t_up = self._slot_time(rt, anchor, up)
+            fn, args = self._ev_lorawan, (rt, frame, t_up)
         else:
             t_up = self._slot_time(rt, anchor, up)
-            self._offer(rt, up, bool(st.uplink_queue), t_up, self._ev_own_uplink, rt, frame, up, t_up)
+            fn, args = self._ev_own_uplink, (rt, frame, up, t_up)
+        if st.uplink_queue:
+            self._push(t_up, _P_SVC, nid, fn, *args)
+        else:
+            due[up] = (t_up, fn, args)
 
-        dw = self.timing.data_window
-        down_work = {slot for _pkt, slot in st.downlink_queue}
-        for child in sorted(st.children):
-            slot = self.sched.uplink_slot(child)
-            t_cu = self._slot_time(rt, anchor, slot)
-            self._listen(rt, "uplink_rx", frame, t_cu + dw[0], t_cu + dw[1])
-            slot = self.sched.downlink_slot(child)
-            t_cd = self._slot_time(rt, anchor, slot)
-            self._offer(
-                rt, slot, slot in down_work, t_cd, self._ev_child_downlink, rt, frame, slot, t_cd
-            )
+        d0, d1 = timing.data_window
+        if st.children:
+            down_work = {slot for _pkt, slot in st.downlink_queue}
+            for child in sorted(st.children):
+                t_cu = self._slot_time(rt, anchor, sched.uplink_slot(child))
+                self._listen(rt, "uplink_rx", frame, t_cu + d0, t_cu + d1)
+                slot = sched.downlink_slot(child)
+                t_cd = self._slot_time(rt, anchor, slot)
+                if slot in down_work:
+                    self._push(t_cd, _P_SVC, nid, self._ev_child_downlink, rt, frame, slot, t_cd)
+                else:
+                    due[slot] = (t_cd, self._ev_child_downlink, (rt, frame, slot, t_cd))
 
         if st.expecting_downlink:
             t_od = self._slot_time(rt, anchor, down)
-            self._listen(rt, "downlink_rx", frame, t_od + dw[0], t_od + dw[1])
+            self._listen(rt, "downlink_rx", frame, t_od + d0, t_od + d1)
 
         lu = self.sc.join.listen_until_frame
         if lu is None or frame <= lu:
-            t_join = self._slot_time(rt, anchor, self.sched.join_slot)
+            t_join = self._slot_time(rt, anchor, sched.join_slot)
             self._listen(
                 rt, "join_rx", frame,
-                t_join + self.timing.t_offset, t_join + self.t_join_accept - 0.005,
+                t_join + timing.t_offset, t_join + self.t_join_accept - 0.005,
             )
-            if st.is_relay:
+            if is_relay:
                 t_acc = t_join + self.t_join_accept
-                self._offer(
-                    rt, self.sched.join_slot, bool(rt.pending_accept_tx), t_acc,
-                    self._ev_join_respond, rt, frame, t_acc,
-                )
+                if rt.pending_accept_tx:
+                    self._push(t_acc, _P_SVC, nid, self._ev_join_respond, rt, frame, t_acc)
+                else:
+                    due[sched.join_slot] = (t_acc, self._ev_join_respond, (rt, frame, t_acc))
 
         if rt.app_phase is not None and frame % self.sc.k == rt.app_phase:
-            t_app = self._slot_time(rt, anchor, self.sched.first_idle_slot)
+            t_app = self._slot_time(rt, anchor, sched.first_idle_slot)
             self._push(t_app, _P_SVC, nid, self._ev_app, rt, frame, t_app)
-
-    def _offer(self, rt: _NodeRt, slot: int, has_work: bool, t: float, fn, *args) -> None:
-        """Push the node's service of ``slot`` at ``t`` if its queue holds
-        work for it; else let it wait in ``rt.due`` for that work."""
-        if has_work:
-            self._push(t, _P_SVC, rt.st.node_id, fn, *args)
-        else:
-            rt.due[slot] = (t, fn, args)
 
     def _wake(self, rt: _NodeRt, slot: int, now: float) -> None:
         """Put the node's waiting service of ``slot`` on the heap: its queue
@@ -600,15 +602,14 @@ class Simulator:
         may also come early. A plain window has none: it stays open up to
         ``close_t``, so its receive interval is recorded now.
         """
-        nid = rt.st.node_id
-        win = _Window(open_t, close_t, purpose, frame, plain=on_close is None)
+        win = _Window(open_t, close_t, purpose, frame, on_close is None)
         rt.windows.append(win)
         if on_close is not None:
-            self._push(close_t, _P_CLOSE, nid, on_close, rt, win)
+            self._push(close_t, _P_CLOSE, rt.st.node_id, on_close, rt, win)
             return
-        end = min(close_t, self.end_time)
+        end = close_t if close_t < self.end_time else self.end_time
         if end > open_t:
-            self.radio_intervals.append((nid, "receive", open_t, end))
+            self.radio_intervals.append((rt.st.node_id, "receive", open_t, end))
 
     def _close_window(self, rt: _NodeRt, win: _Window, end: float) -> None:
         """Close an open event-closed window at ``end`` and record its receive interval."""
@@ -710,6 +711,8 @@ class Simulator:
             if heard:
                 listeners.append((nid, covered, per))
                 covering[nid] = win
+        if not listeners:
+            return
         outcomes = deliver(tx, listeners, [*history, *self.active_tx], self.sc.links, self.rng)
         packet_events = self.packet_events
         for nid, outcome in outcomes.items():
