@@ -455,9 +455,10 @@ class Simulator:
     def _wake(self, rt: _NodeRt, slot: int, now: float) -> None:
         """Put the node's waiting service of ``slot`` on the heap: its queue
         just got work for it at ``now``, the time of the event being
-        handled. A service whose instant has passed has already been missed,
-        so it is dropped. At an equal nanosecond the current event still
-        comes first: it has a lower priority or an earlier push."""
+        handled. A service whose instant has passed is forgotten: its slot
+        went by with nothing to send. At an equal nanosecond the current
+        event still comes first: it has a lower priority or an earlier
+        push."""
         svc = rt.due.pop(slot, None)
         if svc is not None and round(now * 1e9) <= round(svc[0] * 1e9):
             self._push(svc[0], _P_SVC, rt.st.node_id, svc[1], *svc[2])
