@@ -15,16 +15,17 @@ A synchronized node's fixed work for a frame is set up when the frame is
 scheduled: its beacon goes on the air, and its child-uplink, join and
 (while a JoinAccept is due) own-downlink windows open. A slot service
 that reads a queue at slot time (own uplink, child downlink, LoRaWAN, the
-relay's JoinAccept answer) goes on the heap only once its queue holds work
-for that slot: when the frame is scheduled if it already does, else at the
-enqueue that gives it work while the slot is still ahead. The application
-sample is a heap event every collection period, and beacon windows still
-close by event, since the close decides between a miss, the flywheel and a
-desync. Every other receive window is plain: it closes at its end time,
-so its receive interval is recorded when it opens. A sender that is not
-listening takes its transmission start when it is scheduled; a listening
-one keeps a start event, which cuts its listen interval, and listens again
-from the transmission's end (half-duplex).
+relay's JoinAccept answer) waits off the heap until one rule (_wake) finds
+work for its slot in its queue, while the slot is still ahead. The
+application sample is a heap event every collection period. A node's one
+open parent-beacon window is a field of its own, and closes by event,
+since the close decides between a miss, the flywheel and a desync. Every
+other receive window is plain: it closes at its end time, so its receive
+interval is recorded when it opens. Every transmission joins one on-air
+list when it is scheduled, and delivery reads the ones that may overlap
+the packet it resolves. Only a sender that is listening gets a start
+event, which cuts its listen interval; it listens again from the
+transmission's end (half-duplex).
 
 Radio model: one channel, zero propagation delay, no capture
 (overlapping transmissions at a listener destroy each other), per-link
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from collections import Counter, defaultdict, deque
+from collections import Counter, defaultdict
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -83,7 +84,8 @@ _P_SVC = 4
 
 
 class Transmission:
-    """One packet on the air; compared by identity."""
+    """One packet on the air; compared by identity, so two with equal
+    fields stay distinct when delivery skips the one it resolves."""
 
     __slots__ = ("sender", "packet", "start", "end", "frame", "slot")
 
@@ -107,9 +109,7 @@ class _Window:
     open_t: float
     close_t: float
     purpose: str
-    frame: int
-    # A plain window closes at close_t by time alone; the others close by event.
-    plain: bool = False
+    frame: int | None = None  # the frame of a beacon window; a plain one has none
 
 
 class PacketEvent(NamedTuple):
@@ -223,6 +223,9 @@ class _NodeRt:
         self.sync_slot: int = 0
         self.eff_guard: float = 0.0
         self.listen_from: float | None = None
+        # The open parent-beacon window, which closes by event; every window
+        # in ``windows`` is plain and closes at its close_t.
+        self.beacon: _Window | None = None
         self.windows: list[_Window] = []
         self.candidates: dict[int, tuple[float, float, int]] = {}
         self.attempt_scheduled = False
@@ -269,10 +272,9 @@ class Simulator:
 
         self.heap: list = []
         self._seq = 0
-        self.active_tx: list[Transmission] = []
-        # Ended transmissions in end order, pruned to those that may still
-        # overlap a later one (see _deliver).
-        self.tx_history: deque[Transmission] = deque()
+        # Every transmission put on the air, pruned to those that may still
+        # overlap one delivered later (see _deliver).
+        self.on_air: list[Transmission] = []
         self.radio_intervals: list[tuple[int, str, float, float]] = []
         self.packet_events: list[PacketEvent] = []
         self.sync_samples: list[SyncSample] = []
@@ -371,22 +373,20 @@ class Simulator:
     def _schedule_frame(self, rt: _NodeRt, frame: int, anchor: float) -> None:
         """Set up every activity of one synchronized node for one frame.
 
-        What is fixed once the node is synchronized happens here: the
-        beacon goes on the air, the child-uplink and join windows open, the
-        own-downlink window opens while a JoinAccept is due (the due set
-        shrinks only when the accept arrives in that window), and the
-        relay's JoinAccept answer is queued. A synchronized node leaves
-        that mode only at the next frame's beacon-window close, after every
-        slot of this frame, so neither this nor any slot service of the
-        frame checks the mode. A slot service that reads a queue at slot
-        time (own uplink, LoRaWAN, child downlink, JoinAccept answer) goes
-        on the heap here if its queue already holds work for it, and
-        otherwise waits in ``rt.due`` for the enqueue that gives it work
-        (see _wake). The next beacon window still closes by event.
+        What is fixed once the node is synchronized happens here: the next
+        parent-beacon window opens, the beacon goes on the air, the
+        child-uplink and join windows open, and the own-downlink window
+        opens while a JoinAccept is due (the due set shrinks only when the
+        accept arrives in that window). A synchronized node leaves that mode
+        only at the next frame's beacon-window close, after every slot of
+        this frame, so neither this nor any slot service of the frame checks
+        the mode. Every slot service that reads a queue at slot time (own
+        uplink, LoRaWAN, child downlink, JoinAccept answer) waits in
+        ``rt.due``; one call of _wake then puts on the heap those whose
+        queue already holds work for their slot.
         """
         st = rt.st
         b, up, down = st.assigned_slots
-        nid = st.node_id
         is_relay = st.is_relay
         sched, timing = self.sched, self.timing
 
@@ -394,10 +394,7 @@ class Simulator:
         # anchor, so a plain window that closed a slot before it can no
         # longer hear one.
         horizon = anchor - self.t_slot
-        rt.windows = [w for w in rt.windows if not w.plain or w.close_t >= horizon]
-        # The next beacon window goes before this frame's windows: _receive
-        # takes the first window that covers a packet, and a widened beacon
-        # window can overlap the join window at the end of this frame.
+        rt.windows = [w for w in rt.windows if w.close_t >= horizon]
         if not is_relay:
             self._schedule_beacon_window(rt, frame + 1, anchor)
 
@@ -406,69 +403,64 @@ class Simulator:
 
         rt.due = due = {}
         if is_relay:
-            up = sched.lorawan_slot
-            t_up = self._slot_time(rt, anchor, up)
-            fn, args = self._ev_lorawan, (rt, frame, t_up)
+            t_up = self._slot_time(rt, anchor, sched.lorawan_slot)
+            due[sched.lorawan_slot] = (t_up, self._ev_lorawan, (rt, frame, t_up))
         else:
             t_up = self._slot_time(rt, anchor, up)
-            fn, args = self._ev_own_uplink, (rt, frame, up, t_up)
-        if st.uplink_queue:
-            self._push(t_up, _P_SVC, nid, fn, *args)
-        else:
-            due[up] = (t_up, fn, args)
+            due[up] = (t_up, self._ev_own_uplink, (rt, frame, up, t_up))
 
         d0, d1 = timing.data_window
-        if st.children:
-            down_work = {slot for _pkt, slot in st.downlink_queue}
-            for child in sorted(st.children):
-                t_cu = self._slot_time(rt, anchor, sched.uplink_slot(child))
-                self._listen(rt, "uplink_rx", frame, t_cu + d0, t_cu + d1)
-                slot = sched.downlink_slot(child)
-                t_cd = self._slot_time(rt, anchor, slot)
-                if slot in down_work:
-                    self._push(t_cd, _P_SVC, nid, self._ev_child_downlink, rt, frame, slot, t_cd)
-                else:
-                    due[slot] = (t_cd, self._ev_child_downlink, (rt, frame, slot, t_cd))
+        for child in sorted(st.children):
+            t_cu = self._slot_time(rt, anchor, sched.uplink_slot(child))
+            self._listen(rt, "uplink_rx", t_cu + d0, t_cu + d1)
+            slot = sched.downlink_slot(child)
+            t_cd = self._slot_time(rt, anchor, slot)
+            due[slot] = (t_cd, self._ev_child_downlink, (rt, frame, slot, t_cd))
 
         if st.expecting_downlink:
             t_od = self._slot_time(rt, anchor, down)
-            self._listen(rt, "downlink_rx", frame, t_od + d0, t_od + d1)
+            self._listen(rt, "downlink_rx", t_od + d0, t_od + d1)
 
         lu = self.sc.join.listen_until_frame
         if lu is None or frame <= lu:
             t_join = self._slot_time(rt, anchor, sched.join_slot)
-            self._listen(
-                rt, "join_rx", frame,
-                t_join + timing.t_offset, t_join + self.t_join_accept - 0.005,
-            )
+            self._listen(rt, "join_rx", t_join + timing.t_offset, t_join + self.t_join_accept - 0.005)
             if is_relay:
                 t_acc = t_join + self.t_join_accept
-                if rt.pending_accept_tx:
-                    self._push(t_acc, _P_SVC, nid, self._ev_join_respond, rt, frame, t_acc)
-                else:
-                    due[sched.join_slot] = (t_acc, self._ev_join_respond, (rt, frame, t_acc))
+                due[sched.join_slot] = (t_acc, self._ev_join_respond, (rt, frame, t_acc))
+
+        # Every service lies at least a slot after the anchor, so the wake
+        # forgets none of them as past.
+        if st.uplink_queue or st.downlink_queue or rt.pending_accept_tx:
+            self._wake(rt, anchor)
 
         if rt.app_phase is not None and frame % self.sc.k == rt.app_phase:
             t_app = self._slot_time(rt, anchor, sched.first_idle_slot)
-            self._push(t_app, _P_SVC, nid, self._ev_app, rt, frame, t_app)
+            self._push(t_app, _P_SVC, st.node_id, self._ev_app, rt, frame, t_app)
 
-    def _wake(self, rt: _NodeRt, slot: int, now: float) -> None:
-        """Put the node's waiting service of ``slot`` on the heap: its queue
-        just got work for it at ``now``, the time of the event being
-        handled. A service whose instant has passed is forgotten: its slot
-        went by with nothing to send. At an equal nanosecond the current
-        event still comes first: it has a lower priority or an earlier
-        push."""
-        svc = rt.due.pop(slot, None)
-        if svc is not None and round(now * 1e9) <= round(svc[0] * 1e9):
-            self._push(svc[0], _P_SVC, rt.st.node_id, svc[1], *svc[2])
-
-    def _wake_uplink(self, rt: _NodeRt, now: float) -> None:
-        """Wake the service that sends the head of the node's uplink queue:
-        the LoRaWAN slot on the relay, its own uplink slot elsewhere."""
-        if rt.due:
-            st = rt.st
-            self._wake(rt, self.sched.lorawan_slot if st.is_relay else st.assigned_slots[1], now)
+    def _wake(self, rt: _NodeRt, now: float) -> None:
+        """Put on the heap each of the node's waiting services whose queue
+        holds work for its slot: the uplink queue for the own-uplink slot
+        (the LoRaWAN slot on the relay), a downlink entry for its slot, and
+        a JoinAccept to answer for the join slot. ``now`` is the time of
+        the event being handled. A service whose instant has passed is
+        forgotten: its slot went by with nothing to send. At an equal
+        nanosecond the current event still comes first: it has a lower
+        priority or an earlier push."""
+        due = rt.due
+        if not due:
+            return
+        st = rt.st
+        work = [slot for _pkt, slot in st.downlink_queue]
+        if st.uplink_queue:
+            work.append(self.sched.lorawan_slot if st.is_relay else st.assigned_slots[1])
+        if rt.pending_accept_tx:
+            work.append(self.sched.join_slot)
+        now_ns = round(now * 1e9)
+        for slot in work:
+            svc = due.pop(slot, None)
+            if svc is not None and now_ns <= round(svc[0] * 1e9):
+                self._push(svc[0], _P_SVC, st.node_id, svc[1], *svc[2])
 
     def _schedule_beacon_window(
         self, rt: _NodeRt, frame: int, prev_anchor: float
@@ -480,12 +472,21 @@ class Simulator:
         # quantization residual, so guard = min_guard is truly sufficient.
         open_t = center - half - rt.tick
         close_t = center + half + self.timing.t_bcn
-        self._listen(rt, "beacon", frame, open_t, close_t, self._ev_beacon_window_close)
+        rt.beacon = win = _Window(open_t, close_t, "beacon", frame)
+        self._push(close_t, _P_CLOSE, rt.st.node_id, self._ev_beacon_window_close, rt, win)
+
+    def _close_beacon(self, rt: _NodeRt, end: float) -> None:
+        """Close the node's beacon window at ``end`` and record its receive interval."""
+        win = rt.beacon
+        rt.beacon = None
+        end = min(end, self.end_time)
+        if end > win.open_t:
+            self.radio_intervals.append((rt.st.node_id, "receive", win.open_t, end))
 
     def _ev_beacon_window_close(self, rt: _NodeRt, win: _Window) -> None:
-        if win not in rt.windows:
+        if rt.beacon is not win:
             return  # the beacon arrived, closed it and re-anchored this frame
-        self._close_window(rt, win, win.close_t)
+        self._close_beacon(rt, win.close_t)
         st = rt.st
         st.consecutive_beacon_misses += 1
         self.protocol_events.append(
@@ -544,7 +545,7 @@ class Simulator:
         start = t_slot_start + self.timing.data_tx_offset
         self._transmit(rt, pkt, start, frame, slot)
         aw = self.timing.ack_window
-        self._listen(rt, "ack", frame, t_slot_start + aw[0], t_slot_start + aw[1])
+        self._listen(rt, "ack", t_slot_start + aw[0], t_slot_start + aw[1])
 
     def _ev_child_downlink(self, rt: _NodeRt, frame: int, slot: int, t_slot_start: float) -> None:
         st = rt.st
@@ -559,15 +560,14 @@ class Simulator:
         if not rt.pending_accept_tx:
             return
         first, *rest = rt.pending_accept_tx
+        rt.pending_accept_tx = []
         self._transmit(rt, first, t, frame, self.sched.join_slot)
         # The others wait for each joiner's new downlink slot (triple[2]).
         for pkt in rest:
             slot = pkt.payload[2]
-            if enqueue_down(rt.st, pkt, slot):
-                self._wake(rt, slot, t)
-            else:
+            if not enqueue_down(rt.st, pkt, slot):
                 self._log_drop(rt, t, pkt, frame, slot)
-        rt.pending_accept_tx = []
+        self._wake(rt, t)
 
     def _ev_app(self, rt: _NodeRt, frame: int, t: float) -> None:
         st = rt.st
@@ -587,50 +587,26 @@ class Simulator:
             payload=payload,
         )
         if enqueue_up(st, pkt):
-            self._wake_uplink(rt, t)
+            self._wake(rt, t)
         else:
             self._log_drop(rt, t, pkt, frame, -1)
 
     # ------------------------------------------------------------ radio
 
-    def _listen(
-        self, rt: _NodeRt, purpose: str, frame: int, open_t: float, close_t: float,
-        on_close=None,
-    ) -> None:
-        """Open a receive window.
-
-        A window with an ``on_close`` handler closes by that event, which
-        may also come early. A plain window has none: it stays open up to
-        ``close_t``, so its receive interval is recorded now.
-        """
-        win = _Window(open_t, close_t, purpose, frame, on_close is None)
-        rt.windows.append(win)
-        if on_close is not None:
-            self._push(close_t, _P_CLOSE, rt.st.node_id, on_close, rt, win)
-            return
+    def _listen(self, rt: _NodeRt, purpose: str, open_t: float, close_t: float) -> None:
+        """Open a plain receive window: it stays open up to ``close_t``, so
+        its receive interval is recorded now."""
+        rt.windows.append(_Window(open_t, close_t, purpose))
         end = close_t if close_t < self.end_time else self.end_time
         if end > open_t:
             self.radio_intervals.append((rt.st.node_id, "receive", open_t, end))
 
-    def _close_window(self, rt: _NodeRt, win: _Window, end: float) -> None:
-        """Close an open event-closed window at ``end`` and record its receive interval."""
-        if win.plain:
-            raise RuntimeError(
-                f"node {rt.st.node_id}: plain {win.purpose} window of frame {win.frame} closed early"
-            )
-        end = min(end, self.end_time)
-        if end > win.open_t:
-            self.radio_intervals.append((rt.st.node_id, "receive", win.open_t, end))
-        rt.windows.remove(win)
-
     def _transmit(self, rt: _NodeRt, pkt: MacPacket, start: float, frame: int, slot: int) -> None:
-        """Put a MAC packet on the air."""
+        """Put a MAC packet on the air. Delivery ignores a transmission that
+        starts at or after the one it resolves, so it joins ``on_air`` now."""
         tx = Transmission(rt.st.node_id, pkt, start, start + self._toa(pkt.onair_bytes), frame, slot)
-        if rt.listen_from is None:
-            # The start would cut no listen interval, so take it now: delivery
-            # ignores a transmission that starts at or after the one it resolves.
-            self.active_tx.append(tx)
-        else:
+        self.on_air.append(tx)
+        if rt.listen_from is not None:
             self._push(tx.start, _P_TX_START, rt.st.node_id, self._ev_tx_start, rt, tx)
         self._push(tx.end, _P_TX_END, rt.st.node_id, self._ev_tx_end, rt, tx)
 
@@ -641,7 +617,6 @@ class Simulator:
         if tx.start > rt.listen_from:
             self.radio_intervals.append((rt.st.node_id, "receive", rt.listen_from, tx.start))
         rt.listen_from = None
-        self.active_tx.append(tx)
 
     def _ev_tx_end(self, rt: _NodeRt, tx: Transmission) -> None:
         nid = rt.st.node_id
@@ -657,9 +632,6 @@ class Simulator:
         # only its own transmission (see _ev_tx_start) stops it.
         if rt.listen_from is None and rt.st.mode is not NodeMode.SYNCHRONIZED:
             rt.listen_from = tx.end
-        self.tx_history.append(tx)
-        if tx in self.active_tx:
-            self.active_tx.remove(tx)
         self._deliver(tx, cols)
 
     # ------------------------------------------------------------ delivery
@@ -669,27 +641,32 @@ class Simulator:
     ) -> tuple[bool, bool, _Window | None]:
         """(fully_covered, heard_at_all, covering_window) for one listener and one tx.
 
-        The covering window is the first open window that spans the whole
-        packet. A node that listens without pause covers the packet, and
-        still reports a covering window if one exists.
+        The covering window is the beacon window if it spans the whole
+        packet, else the first plain window that does: a widened beacon
+        window can overlap the join window at the end of the frame before.
+        A node that listens without pause covers the packet, and still
+        reports a covering window if one exists.
         """
-        listening = rt.listen_from is not None and rt.listen_from <= tx.start
+        beacon = rt.beacon
+        if beacon is not None and beacon.open_t <= tx.start and tx.end <= beacon.close_t:
+            return True, True, beacon
         for win in rt.windows:
             if win.open_t <= tx.start and tx.end <= win.close_t:
                 return True, True, win
-        if listening:
+        if rt.listen_from is not None and rt.listen_from <= tx.start:
             return True, True, None
+        if beacon is not None and beacon.open_t < tx.end and beacon.close_t > tx.start:
+            return False, True, None
         end_ns = None
         for win in rt.windows:
             if win.open_t < tx.end and win.close_t > tx.start:
-                if win.plain:
-                    # A plain window that closed before the packet ended no
-                    # longer hears it. At an equal nanosecond it still does:
-                    # an end came before a close there (_P_TX_END < _P_CLOSE).
-                    if end_ns is None:
-                        end_ns = round(tx.end * 1e9)
-                    if round(win.close_t * 1e9) < end_ns:
-                        continue
+                # A plain window that closed before the packet ended no
+                # longer hears it. At an equal nanosecond it still does:
+                # an end came before a close there (_P_TX_END < _P_CLOSE).
+                if end_ns is None:
+                    end_ns = round(tx.end * 1e9)
+                if round(win.close_t * 1e9) < end_ns:
+                    continue
                 return False, True, None
         if rt.listen_from is not None and rt.listen_from < tx.end:
             return False, True, None
@@ -698,13 +675,6 @@ class Simulator:
     def _deliver(self, tx: Transmission, cols: tuple) -> None:
         """Resolve tx at every node that hears it; ``cols`` are its
         packet-event columns after the event name."""
-        # A transmission delivered later ends no earlier than tx and lasts at
-        # most t_data_max, so one that ended before tx.start - t_data_max
-        # cannot overlap it. Ends arrive in time order, so prune from the left.
-        history = self.tx_history
-        horizon = tx.start - self.timing.t_data_max
-        while history[0].end <= horizon:
-            history.popleft()
         listeners = []
         covering: dict[int, _Window | None] = {}
         for nid, rt, per in self.hearers[tx.sender]:
@@ -714,7 +684,12 @@ class Simulator:
                 covering[nid] = win
         if not listeners:
             return
-        outcomes = deliver(tx, listeners, [*history, *self.active_tx], self.sc.links, self.rng)
+        # A transmission delivered later ends no earlier than tx and lasts at
+        # most t_data_max, so one that ended by tx.start - t_data_max
+        # overlaps neither it nor tx.
+        horizon = tx.start - self.timing.t_data_max
+        self.on_air = on_air = [o for o in self.on_air if o.end > horizon]
+        outcomes = deliver(tx, listeners, on_air, self.sc.links, self.rng)
         packet_events = self.packet_events
         for nid, outcome in outcomes.items():
             event = "rx" if outcome == "received" else outcome
@@ -729,19 +704,17 @@ class Simulator:
         actions = handle_rx(
             st, tx.packet, tx.end, self.sched, self.timing, in_join_slot=in_join_slot
         )
-        if len(st.uplink_queue) > up:
-            self._wake_uplink(rt, tx.end)
-        elif len(st.downlink_queue) > down:
-            self._wake(rt, st.downlink_queue[-1][1], tx.end)
+        if len(st.uplink_queue) > up or len(st.downlink_queue) > down:
+            self._wake(rt, tx.end)
         for act in actions:
-            self._apply_action(rt, act, tx, covering)
+            self._apply_action(rt, act, tx)
 
-    def _apply_action(self, rt, act, tx: Transmission, win: _Window | None) -> None:
+    def _apply_action(self, rt, act, tx: Transmission) -> None:
         st = rt.st
         if isinstance(act, Resync):
             # The parent's beacon arrives only in this node's beacon window.
             anchor = self._resync(rt, act.reference_global, tx.frame)
-            self._close_window(rt, win, tx.end)
+            self._close_beacon(rt, tx.end)
             self._enter_frame(rt, tx.frame, anchor, resynced=True)
         elif isinstance(act, CandidateBeacon):
             ref = tx.start - self.timing.beacon_tx_offset
@@ -756,7 +729,7 @@ class Simulator:
             self._transmit(rt, ack, t_ack, tx.frame, tx.slot)
         elif isinstance(act, SendJoinAccept):
             rt.pending_accept_tx.append(act.packet)
-            self._wake(rt, self.sched.join_slot, tx.end)
+            self._wake(rt, tx.end)
         elif isinstance(act, BecameSynchronized):
             self._on_synchronized(rt, act, tx)
         elif isinstance(act, QueueDrop):
@@ -875,11 +848,9 @@ class Simulator:
             if rt.listen_from is not None and rt.listen_from < end:
                 self.radio_intervals.append((rt.st.node_id, "receive", rt.listen_from, end))
                 rt.listen_from = None
-            for win in rt.windows:
-                if not win.plain and win.open_t < end:
-                    self.radio_intervals.append(
-                        (rt.st.node_id, "receive", win.open_t, min(win.close_t, end))
-                    )
+            win = rt.beacon
+            if win is not None and win.open_t < end:
+                self.radio_intervals.append((rt.st.node_id, "receive", win.open_t, min(win.close_t, end)))
 
         raw = _group_by_node(self.radio_intervals)
         self.radio_intervals = []  # the buckets hold every record; free the list before the output grows

@@ -286,8 +286,6 @@ class NodeState:
     next_address: int = 1
     pending_accepts: set[int] = field(default_factory=set)
     last_up_seq: dict[int, int] = field(default_factory=dict)
-    uplink_drops: int = 0
-    downlink_drops: int = 0
     protocol_errors: int = 0
 
     @property
@@ -418,18 +416,16 @@ def join_procedure(
 
 
 def enqueue_up(node: NodeState, packet: MacPacket) -> bool:
-    """Append to the uplink queue if it has room; else count a drop and return False."""
+    """Append to the uplink queue if it has room; else return False."""
     if len(node.uplink_queue) >= node.queue_capacity:
-        node.uplink_drops += 1
         return False
     node.uplink_queue.append(packet)
     return True
 
 
 def enqueue_down(node: NodeState, packet: MacPacket, slot_index: int) -> bool:
-    """Queue for a downlink slot if there is room; else count a drop and return False."""
+    """Queue for a downlink slot if there is room; else return False."""
     if len(node.downlink_queue) >= node.queue_capacity:
-        node.downlink_drops += 1
         return False
     node.downlink_queue.append((packet, slot_index))
     return True

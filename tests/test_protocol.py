@@ -395,6 +395,6 @@ def test_queue_capacity_drops():
     mid.queue_capacity = 2
     for seq in range(3):
         data = MacPacket(PacketKind.UP_DATA, 1, 2, 1, 2, seq, b"abc")
-        handle_rx(mid, data, 30.0 + seq, SCHED, TIMING)
+        acts = handle_rx(mid, data, 30.0 + seq, SCHED, TIMING)
     assert len(mid.uplink_queue) == 2
-    assert mid.uplink_drops == 1
+    assert acts == [SendAck(2, 2), QueueDrop(data, None)]

@@ -71,6 +71,12 @@ PINNED = {
         "summary.csv": "ce6e08a08eb122f9e40b92a389528c647b6457c44b27fa1f1a1b89b819a528d6",
         "sync_samples.csv": "b890139feb86b9975d9c0fb4caf2d7d505d49d05b797c7ebfb4e36003ca646f6",
     },
+    "tree16_tight": {
+        "packet_events.csv": "9d4c51fc1c92fdd9d32bc4ec7076f6d1e6318baa819d8722eee8141c31d52315",
+        "radio_states.csv": "6a7e198aca91d870be069fd1e6d56631434c77aa9cefe1ed03ec80db66a5e7cc",
+        "summary.csv": "ca9b574d7b8c8b4e8974ed30af13100087bca80f39f72cc674064259612b9451",
+        "sync_samples.csv": "e29f99981b0a3204bc42bbb22d3414ad5dfba31ca419ad683ee4bf375e00a1e4",
+    },
 }
 
 
@@ -124,6 +130,10 @@ def tight_doc(name: str) -> dict:
 # 34 desyncs; line4_tight: 60 and 14, and it forwards JoinRequests).
 # tree16_cap1 is tree16 with room for one packet per queue: forwarders drop
 # UpData, JoinRequests and a JoinAccept, and the relay drops an UpData.
+# tree16_tight is tree16 with a 0.4 ms guard over 60 frames: 199 beacon
+# misses, 14 desyncs, 27 syncs and 71 lost_window, with parents that wake
+# several children's downlink services and flywheel beacon windows four
+# hops deep.
 GENERATED = {
     "tree16": lambda: generated_doc("tree16", [((i - 1) // 2, i) for i in range(1, 16)], 40, 16, True),
     "star16": lambda: generated_doc("star16", [(0, i) for i in range(1, 17)], 60, 20, False),
@@ -131,6 +141,7 @@ GENERATED = {
     "star4_tight": lambda: tight_doc("star4"),
     "line4_tight": lambda: tight_doc("line4"),
     "tree16_cap1": lambda: {**GENERATED["tree16"](), "queue_capacity": 1},
+    "tree16_tight": lambda: {**GENERATED["tree16"](), "guard": {"base_guard": 0.0004}, "frames": 60},
 }
 
 
@@ -158,6 +169,7 @@ PINNED_STDOUT = {
     "star4_tight": "40b3b69cb6238ecb79b8ed099eca1c0ba7875ed760f24ee686fc1e32340ca026",
     "line4_tight": "f80fd7b4288a170f79803d2a03f9eec7ad24eb8bd63df7613d6bac593751f309",
     "tree16_cap1": "57b167023a204bf309d22a3e70348d5dd8ad63e147470c1d93892cce4f434b61",
+    "tree16_tight": "a7b20656712d632a4cd3603246303024f7689db3f9fbcc80f27126137eefcae8",
 }
 
 
