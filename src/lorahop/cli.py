@@ -26,7 +26,7 @@ from .planner import (
     mean_power,
     recommend_frame,
 )
-from .protocol import ACK_ONAIR_BYTES, BEACON_ONAIR_BYTES, MAC_HEADER_BYTES
+from .protocol import MAC_HEADER_BYTES, SlotTiming
 from .scenario import Scenario, ScenarioError, apply_override, parse_scenario, read_scenario_doc
 from .timebase import DEFAULT_TICK_RATE_HZ
 
@@ -63,6 +63,11 @@ def cmd_toa(args: argparse.Namespace) -> int:
 def cmd_plan(args: argparse.Namespace) -> int:
     radio = _radio_from_args(args)
     slot_seconds = args.ticks_per_slot / args.tick_rate
+    timing = SlotTiming(radio)
+    try:
+        timing.validate_for(slot_seconds)
+    except ValueError as e:
+        raise PlanError("slot", str(e)) from None
     n = args.nodes
 
     if args.k is not None and not check_capacity(n, args.k):
@@ -95,8 +100,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
     t_app = app_period(k, slots, slot_seconds)
     t_frame = slots * slot_seconds
-    t_bcn = time_on_air(BEACON_ONAIR_BYTES, radio)
-    t_ack = time_on_air(ACK_ONAIR_BYTES, radio)
+    t_bcn, t_ack = timing.t_bcn, timing.t_ack
     t_data_hop = time_on_air(MAC_HEADER_BYTES + args.payload_bytes, radio)
     t_data_lorawan = lorawan_time_on_air(args.payload_bytes, radio)
 

@@ -21,8 +21,8 @@ class PlanError(Exception):
     """A requested plan violates a hard constraint.
 
     ``constraint`` names the binding one: "capacity" (Eq. n <= k),
-    "duty-cycle", or "period" (application period below the n-node
-    floor).
+    "duty-cycle", "period" (application period below the n-node
+    floor), or "slot" (a slot too short for the slot anatomy).
     """
 
     def __init__(self, constraint: str, message: str) -> None:

@@ -1,12 +1,22 @@
-"""Shared test plumbing: surface acceptance-criterion lines in the summary."""
+"""Shared test plumbing: the corpus audit, and acceptance-criterion lines in the summary."""
 
 from __future__ import annotations
+
+import pytest
+
+from corpus import audit_corpus
 
 _criterion_lines: list[str] = []
 
 
 def record_criterion(line: str) -> None:
     _criterion_lines.append(line)
+
+
+@pytest.fixture(scope="session")
+def audits():
+    """Each corpus document's audit by name, simulated once per session."""
+    return audit_corpus()
 
 
 def pytest_terminal_summary(terminalreporter) -> None:

@@ -16,7 +16,7 @@ import lorahop.engine
 from lorahop import GuardConfig, PowerProfile, RadioParams, Scenario, SlotTiming
 from lorahop.cli import _radio_from_args, main
 from lorahop.scenario import JoinConfig, _schema
-from test_regression import GENERATED
+from corpus import GENERATED
 
 REPO = Path(__file__).resolve().parent.parent
 STAR = str(REPO / "scenarios" / "star4.json")
@@ -56,6 +56,13 @@ def test_plan_duty_infeasible(capsys):
     rc = main(["plan", "--nodes", "4", "--app-period", "234", "--duty-limit", "0.005"])
     assert rc == 3
     assert capsys.readouterr().err.startswith("infeasible: duty-cycle:")
+
+
+def test_plan_refuses_a_slot_too_short_for_the_anatomy(capsys):
+    # simulate rejects this slot at SF10; a slot sized for SF10 is planned.
+    assert main(["plan", "--nodes", "4", "--app-period", "3600", "--sf", "10"]) == 3
+    assert "infeasible: slot: slot anatomy needs 0.985216 s" in capsys.readouterr().err
+    assert main(["plan", "--nodes", "4", "--app-period", "3600", "--sf", "10", "--ticks-per-slot", "36000"]) == 0
 
 
 def test_plan_power_needs_full_profile(capsys):

@@ -1,26 +1,23 @@
 """Regression pins: exact CSV bytes of the shipped scenarios, of tight-guard
-variants of them and of generated multi-node ones, and the names the traced
-benchmark run wraps."""
+variants of them and of generated multi-node ones, the digest command's
+repeatability, and the names the traced benchmark run wraps."""
 
 from __future__ import annotations
 
 import hashlib
 import importlib.util
 import json
-import random
-from pathlib import Path
 
 import pytest
 
 import lorahop.cli
 import lorahop.engine
-from lorahop import load_scenario, run, write_trace_csvs
-from lorahop.scenario import parse_scenario, read_scenario_doc
-
-REPO = Path(__file__).resolve().parent.parent
+from lorahop import run, write_trace_csvs
+from lorahop.scenario import parse_scenario
+from corpus import CORPUS, REPO, digest, simulate
 
 # SHA-256 of each CSV at the scenario's committed seed and frame count
-# (the generated scenarios are in GENERATED below).
+# (the generated scenarios are in corpus.GENERATED).
 # A change that moves any output byte must update these on purpose.
 PINNED = {
     "star4": {
@@ -80,80 +77,9 @@ PINNED = {
 }
 
 
-def generated_doc(name: str, edges: list[tuple[int, int]], frames: int, seed: int, power: bool) -> dict:
-    """A scenario whose relay is node 0, with the given bidirectional links.
-
-    Every other node drifts by a seeded draw in +-20 ppm; the frame holds
-    3n + 2 slots of the committed SF9 length, and k = n.
-    """
-    n = len(edges) + 1
-    rng = random.Random(seed)
-    drifts = [0.0] + [round(rng.uniform(-20.0, 20.0), 3) for _ in range(n - 1)]
-    doc = {
-        "schema_version": 1,
-        "name": name,
-        "frames": frames,
-        "seed": seed,
-        "k": n,
-        "app_payload_bytes": 24,
-        "schedule": {
-            "max_nodes": n,
-            "slots_per_frame": 3 * n + 2,
-            "ticks_per_slot": 21281,
-            "tick_rate_hz": 32768,
-        },
-        "guard": {"base_guard": 0.010},
-        "nodes": [{"id": i, "relay": i == 0, "drift_ppm": d} for i, d in enumerate(drifts)],
-        "links": [{"from": a, "to": b} for a, b in edges],
-    }
-    if power:
-        doc["power"] = {"p_sleep": 1e-5, "p_rx": 0.036, "p_tx": 0.120, "p_app": 0.030, "tau_app": 1.0}
-    return doc
-
-
-def tight_doc(name: str) -> dict:
-    """A committed scenario with a 0.4 ms base guard, run for 60 frames.
-
-    The guard is below what the drifts need, so beacons are missed, nodes
-    desynchronize and join again: the paths a clean run never takes.
-    """
-    doc = read_scenario_doc(REPO / "scenarios" / f"{name}.json")
-    doc["guard"]["base_guard"] = 0.0004
-    doc["frames"] = 60
-    return doc
-
-
-# Generated scenarios: a 16-node binary tree (node i hangs under (i - 1) // 2)
-# with a power profile, and 16 or 31 leaves joining one relay from cold, whose
-# JoinRequests collide. In star32 every relay beacon reaches 31 listeners.
-# The tight variants miss beacons and desynchronize (star4_tight: 141 misses,
-# 34 desyncs; line4_tight: 60 and 14, and it forwards JoinRequests).
-# tree16_cap1 is tree16 with room for one packet per queue: forwarders drop
-# UpData, JoinRequests and a JoinAccept, and the relay drops an UpData.
-# tree16_tight is tree16 with a 0.4 ms guard over 60 frames: 199 beacon
-# misses, 14 desyncs, 27 syncs and 71 lost_window, with parents that wake
-# several children's downlink services and flywheel beacon windows four
-# hops deep.
-GENERATED = {
-    "tree16": lambda: generated_doc("tree16", [((i - 1) // 2, i) for i in range(1, 16)], 40, 16, True),
-    "star16": lambda: generated_doc("star16", [(0, i) for i in range(1, 17)], 60, 20, False),
-    "star32": lambda: generated_doc("star32", [(0, i) for i in range(1, 32)], 150, 32, False),
-    "star4_tight": lambda: tight_doc("star4"),
-    "line4_tight": lambda: tight_doc("line4"),
-    "tree16_cap1": lambda: {**GENERATED["tree16"](), "queue_capacity": 1},
-    "tree16_tight": lambda: {**GENERATED["tree16"](), "guard": {"base_guard": 0.0004}, "frames": 60},
-}
-
-
-def _scenario(name: str):
-    if name in GENERATED:
-        return parse_scenario(GENERATED[name]())
-    return load_scenario(REPO / "scenarios" / f"{name}.json")
-
-
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_csv_bytes_pinned(name, tmp_path):
-    paths = write_trace_csvs(run(_scenario(name)), tmp_path)
+    paths = write_trace_csvs(run(parse_scenario(CORPUS[name]())), tmp_path)
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
     assert got == PINNED[name]
 
@@ -174,22 +100,26 @@ PINNED_STDOUT = {
 
 
 def _stdout_doc(name: str) -> dict:
-    if name in GENERATED:
-        return GENERATED[name]()
-    doc = read_scenario_doc(REPO / "scenarios" / f"{name.removesuffix('_reversed')}.json")
+    doc = CORPUS[name.removesuffix("_reversed")]()
     if name.endswith("_reversed"):
         doc["nodes"].reverse()
     return doc
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_STDOUT))
-def test_simulate_stdout_pinned(name, tmp_path, capsys):
-    path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(_stdout_doc(name)))
-    assert lorahop.cli.main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 0
-    lines = capsys.readouterr().out.splitlines(keepends=True)
-    text = "".join(line for line in lines if not line.startswith("wrote "))
-    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_STDOUT[name]
+def test_simulate_stdout_pinned(name):
+    stdout, _csvs = simulate(json.dumps(_stdout_doc(name)))
+    assert hashlib.sha256(stdout.encode()).hexdigest() == PINNED_STDOUT[name]
+
+
+def test_digest_of_a_document_is_the_same_twice():
+    # The digest command is how a change shows that no output byte moved;
+    # it must not differ between two runs of the same code.
+    for name in ("star4", "line4"):
+        text = json.dumps(CORPUS[name]())
+        first = digest(name, text)
+        assert first.startswith(f"{name} ")
+        assert digest(name, text) == first
 
 
 def test_bench_span_targets_resolve(monkeypatch):
