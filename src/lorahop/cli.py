@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import math
 import sys
 from pathlib import Path
@@ -170,48 +171,60 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    path = Path(args.scenario)
-    doc = read_scenario_doc(path)
-    for item in args.overrides:
-        if "=" not in item:
-            raise ScenarioError(f"--set {item}: expected key=value")
-        key, _, value = item.partition("=")
-        apply_override(doc, key, value)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.frames is not None:
-        doc["frames"] = args.frames
-    scenario = parse_scenario(doc, source=path.name)
+    # The trace's records are tuple subclasses, which the cycle collector
+    # keeps tracking, so each of its passes during a job would walk all of
+    # them and free nothing: a job makes no reference cycles (run() clears
+    # its heap and waiting services on return, and the parser is built
+    # once). The pause spans the export too; ending it after run() would
+    # leave one pass over every record for the first allocation after it.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        path = Path(args.scenario)
+        doc = read_scenario_doc(path)
+        for item in args.overrides:
+            if "=" not in item:
+                raise ScenarioError(f"--set {item}: expected key=value")
+            key, _, value = item.partition("=")
+            apply_override(doc, key, value)
+        if args.seed is not None:
+            doc["seed"] = args.seed
+        if args.frames is not None:
+            doc["frames"] = args.frames
+        scenario = parse_scenario(doc, source=path.name)
 
-    trace = run(scenario)
-    out_dir = Path(args.out) if args.out is not None else Path("runs") / path.stem
-    written = write_trace_csvs(trace, out_dir)
-    for p in written:
-        print(f"wrote {p}")
+        trace = run(scenario)
+        out_dir = Path(args.out) if args.out is not None else Path("runs") / path.stem
+        written = write_trace_csvs(trace, out_dir)
+        for p in written:
+            print(f"wrote {p}")
 
-    print(
-        f"scenario {scenario.name}: {len(scenario.nodes)} nodes, "
-        f"{scenario.frames} frames, seed {scenario.seed}"
-    )
-    for cfg in scenario.nodes:
-        nid = cfg.node_id
-        duty, avg = trace.node_measures[nid]
-        line = (
-            f"node {nid}: {'relay, ' if cfg.is_relay else ''}"
-            f"{trace.final_modes[nid]}, duty {duty * 100:.6f} %"
+        print(
+            f"scenario {scenario.name}: {len(scenario.nodes)} nodes, "
+            f"{scenario.frames} frames, seed {scenario.seed}"
         )
-        if avg is not None:
-            line += f", avg power {avg * 1e3:.6f} mW"
-        print(line)
-    for parent_id, child_id in sync_pairs(trace):
-        eps = measure_sync_error(trace, parent_id, child_id)
-        if eps:
-            worst = max(abs(e) for e in eps) * 1e6
-            print(
-                f"sync {parent_id} -> {child_id}: max |epsilon| {worst:.3f} us "
-                f"over {len(eps)} frames"
+        for cfg in scenario.nodes:
+            nid = cfg.node_id
+            duty, avg = trace.node_measures[nid]
+            line = (
+                f"node {nid}: {'relay, ' if cfg.is_relay else ''}"
+                f"{trace.final_modes[nid]}, duty {duty * 100:.6f} %"
             )
-    return EXIT_OK
+            if avg is not None:
+                line += f", avg power {avg * 1e3:.6f} mW"
+            print(line)
+        for parent_id, child_id in sync_pairs(trace):
+            eps = measure_sync_error(trace, parent_id, child_id)
+            if eps:
+                worst = max(abs(e) for e in eps) * 1e6
+                print(
+                    f"sync {parent_id} -> {child_id}: max |epsilon| {worst:.3f} us "
+                    f"over {len(eps)} frames"
+                )
+        return EXIT_OK
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # Built once per process: each parser is a web of reference cycles that

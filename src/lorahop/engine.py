@@ -318,7 +318,8 @@ class Simulator:
             # Events left past the end, and services still waiting off the
             # heap, hold bound methods of this simulator: a reference cycle
             # that would keep the whole run alive until the cycle collector
-            # ran, also when a handler raised.
+            # ran, also when a handler raised. cli.cmd_simulate pauses the
+            # collector for the whole job and relies on this.
             self.heap.clear()
             for rt in self.nodes.values():
                 rt.due.clear()

@@ -16,10 +16,11 @@ import lorahop.engine
 from lorahop import GuardConfig, PowerProfile, RadioParams, Scenario, SlotTiming
 from lorahop.cli import _radio_from_args, main
 from lorahop.scenario import JoinConfig, _schema
-from corpus import GENERATED
+from corpus import CORPUS, GENERATED
 
 REPO = Path(__file__).resolve().parent.parent
 STAR = str(REPO / "scenarios" / "star4.json")
+LINE4 = str(REPO / "scenarios" / "line4.json")
 
 
 def test_toa_goldens(capsys):
@@ -119,13 +120,62 @@ def test_simulate_seed_and_set_overrides(tmp_path, capsys):
 
 
 def test_simulate_leaves_no_cyclic_garbage(tmp_path, capsys):
-    argv = ["simulate", str(REPO / "scenarios" / "line4.json"), "--out", str(tmp_path)]
+    # simulate pauses the cycle collector for the whole job, so reference
+    # counting alone must free what a job leaves. The tight, cap1 and star
+    # documents take the desync, rejoin, queue-drop and join-contention paths.
+    paths = [tmp_path / f"{name}.json" for name in ("star4", "line4", *GENERATED)]
+    for path in paths:
+        path.write_text(json.dumps(CORPUS[path.stem]()))
     gc.disable()
     try:
-        assert main(argv) == 0
+        # The first call in a process builds the parser and its one-time garbage.
+        assert main(["simulate", str(paths[0]), "--out", str(tmp_path / "out")]) == 0
         gc.collect()
+        for path in paths:
+            assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 0
+            assert gc.collect() == 0, path.stem
+    finally:
+        gc.enable()
+    capsys.readouterr()
+
+
+def test_no_collector_pass_runs_during_a_job(tmp_path, capsys):
+    argv = ["simulate", LINE4, "--frames", "400", "--out", str(tmp_path)]
+    assert main(argv) == 0  # builds the parser
+    gc.collect()
+    passes = []
+
+    def seen(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.callbacks.append(seen)
+    try:
         assert main(argv) == 0
-        assert gc.collect() == 0
+    finally:
+        gc.callbacks.remove(seen)
+    capsys.readouterr()
+    assert passes == []
+
+
+def test_simulate_leaves_the_collector_as_it_found_it(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    run = ["simulate", LINE4, "--frames", "4", "--out"]
+    for argv, rc, err in [
+        ([*run, str(tmp_path / "run")], 0, ""),
+        ([*run, str(tmp_path / "run"), "--set", "radio.spreading_factor=10"], 2, "error: "),
+        ([*run, str(blocker / "run")], 4, "runtime error: "),
+    ]:
+        assert main(argv) == rc
+        got = capsys.readouterr().err
+        assert got.startswith(err) and ("Not a directory" in got) == (rc == 4), got
+        assert gc.isenabled(), argv
+    gc.disable()
+    try:
+        assert main([*run, str(tmp_path / "run")]) == 0
+        assert not gc.isenabled()
     finally:
         gc.enable()
     capsys.readouterr()
