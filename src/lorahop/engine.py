@@ -48,11 +48,16 @@ from typing import NamedTuple
 
 from .phy import lorawan_time_on_air, time_on_air
 from .protocol import (
+    ACK,
+    DESYNCHRONIZED,
+    JOINING,
+    SYNCHRONIZED,
+    UNJOINED,
+    UP_DATA,
     BecameSynchronized,
     CandidateBeacon,
     FrameSchedule,
     MacPacket,
-    NodeMode,
     NodeState,
     PacketKind,
     QueueDrop,
@@ -112,6 +117,10 @@ class _Window:
     frame: int | None = None  # the frame of a beacon window; a plain one has none
 
 
+# The trace records check nothing, so the engine builds them with
+# ``tuple.__new__(Cls, (...))``: the generated ``__new__`` is a Python call
+# on top of the tuple (PacketEvent 0.98 against 0.61 µs). A record built that
+# way skips the arity check, which a test over the corpus makes instead.
 class PacketEvent(NamedTuple):
     t: float
     node: int
@@ -362,9 +371,11 @@ class Simulator:
     ) -> None:
         t_syn = anchor - rt.sync_slot * self.t_slot
         st = rt.st
-        self.sync_samples.append(SyncSample(frame, st.node_id, t_syn, resynced))
+        self.sync_samples.append(tuple.__new__(SyncSample, (frame, st.node_id, t_syn, resynced)))
         self.queue_samples.append(
-            QueueSample(frame, st.node_id, len(st.uplink_queue), len(st.downlink_queue))
+            tuple.__new__(
+                QueueSample, (frame, st.node_id, len(st.uplink_queue), len(st.downlink_queue))
+            )
         )
 
     def _slot_time(self, rt: _NodeRt, anchor: float, slot: int) -> float:
@@ -491,12 +502,12 @@ class Simulator:
         st = rt.st
         st.consecutive_beacon_misses += 1
         self.protocol_events.append(
-            ProtocolEvent(
-                t=win.close_t,
-                node=st.node_id,
-                event="beacon_miss",
-                detail=f"frame={win.frame} consecutive={st.consecutive_beacon_misses}",
-            )
+            tuple.__new__(ProtocolEvent, (
+                win.close_t,
+                st.node_id,
+                "beacon_miss",
+                f"frame={win.frame} consecutive={st.consecutive_beacon_misses}",
+            ))
         )
         if st.consecutive_beacon_misses >= self.sc.guard.max_misses:
             self._desynchronize(rt, win.close_t, win.frame)
@@ -509,7 +520,7 @@ class Simulator:
 
     def _desynchronize(self, rt: _NodeRt, t: float, frame: int) -> None:
         st = rt.st
-        st.mode = NodeMode.DESYNCHRONIZED
+        st.mode = DESYNCHRONIZED
         st.assigned_slots = None
         st.parent_id = None
         st.consecutive_beacon_misses = 0
@@ -520,7 +531,7 @@ class Simulator:
         rt.eff_guard = self.sc.guard.base_guard
         rt.listen_from = t
         self.protocol_events.append(
-            ProtocolEvent(t=t, node=st.node_id, event="desynchronized", detail=f"frame={frame}")
+            tuple.__new__(ProtocolEvent, (t, st.node_id, "desynchronized", f"frame={frame}"))
         )
 
     # --------------------------------------------------------- slot services
@@ -579,7 +590,7 @@ class Simulator:
             return
         payload = bytes(sc.app_payload_bytes)
         pkt = MacPacket(
-            kind=PacketKind.UP_DATA,
+            kind=UP_DATA,
             network_id=st.network_id,
             sender_id=st.address if st.address is not None else 0,
             dest_id=st.parent_id if st.parent_id is not None else st.address or 0,
@@ -628,10 +639,10 @@ class Simulator:
             _KIND_NAMES[pkt.kind], pkt.sender_id, pkt.dest_id, pkt.origin_id, pkt.seq,
             pkt.onair_bytes, "0", tx.frame, tx.slot,
         )
-        self.packet_events.append(PacketEvent(tx.start, nid, "tx", *cols))
+        self.packet_events.append(tuple.__new__(PacketEvent, (tx.start, nid, "tx", *cols)))
         # Only a node that is not synchronized listens without pause, and
         # only its own transmission (see _ev_tx_start) stops it.
-        if rt.listen_from is None and rt.st.mode is not NodeMode.SYNCHRONIZED:
+        if rt.listen_from is None and rt.st.mode is not SYNCHRONIZED:
             rt.listen_from = tx.end
         self._deliver(tx, cols)
 
@@ -694,7 +705,7 @@ class Simulator:
         packet_events = self.packet_events
         for nid, outcome in outcomes.items():
             event = "rx" if outcome == "received" else outcome
-            packet_events.append(PacketEvent(tx.end, nid, event, *cols))
+            packet_events.append(tuple.__new__(PacketEvent, (tx.end, nid, event, *cols)))
             if event == "rx":
                 self._receive(self.nodes[nid], tx, covering[nid])
 
@@ -726,7 +737,7 @@ class Simulator:
             slot_start = tx.start - self.timing.data_tx_offset
             t_ack = slot_start + self.timing.ack_tx_offset
             sender = st.address if st.address is not None else 0
-            ack = MacPacket(PacketKind.ACK, st.network_id, sender, act.dest_id, act.dest_id, act.seq)
+            ack = MacPacket(ACK, st.network_id, sender, act.dest_id, act.dest_id, act.seq)
             self._transmit(rt, ack, t_ack, tx.frame, tx.slot)
         elif isinstance(act, SendJoinAccept):
             rt.pending_accept_tx.append(act.packet)
@@ -740,7 +751,7 @@ class Simulator:
 
     def _maybe_schedule_attempt(self, rt: _NodeRt, now: float) -> None:
         st = rt.st
-        if st.mode not in (NodeMode.UNJOINED, NodeMode.DESYNCHRONIZED):
+        if st.mode not in (UNJOINED, DESYNCHRONIZED):
             return
         if rt.attempt_scheduled or not rt.candidates:
             return
@@ -755,7 +766,7 @@ class Simulator:
     def _ev_join_attempt(self, rt: _NodeRt, t_evt: float) -> None:
         st = rt.st
         rt.attempt_scheduled = False
-        if st.mode not in (NodeMode.UNJOINED, NodeMode.DESYNCHRONIZED):
+        if st.mode not in (UNJOINED, DESYNCHRONIZED):
             return
         if not rt.candidates:
             return
@@ -773,16 +784,18 @@ class Simulator:
             frame += 1
         self._transmit(rt, req, t_tx, frame, self.sched.join_slot)
         self.protocol_events.append(
-            ProtocolEvent(t=t_tx, node=st.node_id, event="join_request", detail=f"parent={parent} backoff={backoff}")
+            tuple.__new__(
+                ProtocolEvent, (t_tx, st.node_id, "join_request", f"parent={parent} backoff={backoff}")
+            )
         )
         t_retry = t_tx + self.sc.join.retry_frames * self.t_frame
         self._push(t_retry, _P_SVC, st.node_id, self._ev_join_timeout, rt, t_retry)
 
     def _ev_join_timeout(self, rt: _NodeRt, now: float) -> None:
         st = rt.st
-        if st.mode is not NodeMode.JOINING:
+        if st.mode is not JOINING:
             return
-        st.mode = NodeMode.UNJOINED
+        st.mode = UNJOINED
         rt.attempt_scheduled = False
         self._maybe_schedule_attempt(rt, now)
 
@@ -808,12 +821,12 @@ class Simulator:
         rt.anchor = self._resync(rt, ref, frame)
         rt.app_phase = (st.address or 0) % self.sc.k
         self.protocol_events.append(
-            ProtocolEvent(
-                t=tx.end,
-                node=st.node_id,
-                event="synchronized",
-                detail=f"frame={frame} address={st.address} parent={parent}",
-            )
+            tuple.__new__(ProtocolEvent, (
+                tx.end,
+                st.node_id,
+                "synchronized",
+                f"frame={frame} address={st.address} parent={parent}",
+            ))
         )
         self._record_frame_samples(rt, frame, rt.anchor, resynced=True)
         # The frame is nearly over (the accept arrived in a join or
@@ -828,17 +841,17 @@ class Simulator:
         frame: int, slot: int,
     ) -> None:
         self.packet_events.append(
-            PacketEvent(
+            tuple.__new__(PacketEvent, (
                 t, node, event, _KIND_NAMES[pkt.kind], pkt.sender_id, pkt.dest_id,
                 pkt.origin_id, pkt.seq, pkt.onair_bytes, channel, frame, slot,
-            )
+            ))
         )
 
     def _log_drop(self, rt: _NodeRt, t: float, pkt: MacPacket, frame: int, slot: int) -> None:
         """Log a packet that a full queue of the node turned away. UpData
         dropped by the relay was bound for its LoRaWAN uplink."""
         st = rt.st
-        channel = LORAWAN_CHANNEL if st.is_relay and pkt.kind is PacketKind.UP_DATA else "0"
+        channel = LORAWAN_CHANNEL if st.is_relay and pkt.kind is UP_DATA else "0"
         self._log_packet(t, st.node_id, "queue_drop", pkt, channel, frame, slot)
 
     # ------------------------------------------------------------ finalize
@@ -1055,9 +1068,11 @@ def write_trace_csvs(trace: SimulationTrace, out_dir: str | Path) -> list[Path]:
     p = out / "sync_samples.csv"
     with p.open("w", newline="") as f:
         f.write("frame,parent,child,epsilon_us\n")
-        for parent_id, child_id in sync_pairs(trace):
-            for fr, eps in _sync_offsets(trace, parent_id, child_id):
-                f.write(f"{fr},{parent_id},{child_id},{eps * 1e6:.3f}\n")
+        f.writelines(
+            f"{fr},{parent_id},{child_id},{eps * 1e6:.3f}\n"
+            for parent_id, child_id in sync_pairs(trace)
+            for fr, eps in _sync_offsets(trace, parent_id, child_id)
+        )
     paths.append(p)
 
     p = out / "summary.csv"

@@ -26,7 +26,7 @@ from lorahop import (
     sync_pairs,
     write_trace_csvs,
 )
-from lorahop.engine import _P_SVC, PacketEvent, Simulator
+from lorahop.engine import _P_SVC, PacketEvent, ProtocolEvent, QueueSample, Simulator, SyncSample
 from lorahop.phy import lorawan_time_on_air
 from lorahop.protocol import (
     ACK_ONAIR_BYTES,
@@ -407,6 +407,23 @@ def test_trace_records_are_immutable(star_trace):
     ):
         with pytest.raises(AttributeError):
             setattr(rec, field, 0)
+
+
+def test_trace_records_have_their_class_and_arity():
+    # The engine builds records with tuple.__new__, which checks no arity.
+    seen = Counter()
+    for name in ("star4", "line4", *GENERATED):
+        trace = run(parse_scenario(CORPUS[name]()))
+        for cls, records in (
+            (PacketEvent, trace.packet_events),
+            (SyncSample, trace.sync_samples),
+            (QueueSample, trace.queue_samples),
+            (ProtocolEvent, trace.protocol_events),
+        ):
+            for rec in records:
+                assert isinstance(rec, cls) and len(rec) == len(cls._fields), (name, tuple(rec))
+            seen[cls.__name__] += len(records)
+    assert len(seen) == 4 and min(seen.values()) > 0, seen
 
 
 def test_equal_transmissions_stay_distinct():

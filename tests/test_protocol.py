@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import lorahop.engine
+import lorahop.protocol
 from lorahop import (
     FrameSchedule,
     MacPacket,
@@ -114,6 +119,28 @@ def test_onair_sizes():
     assert ack.onair_bytes == 2
     data = MacPacket(PacketKind.UP_DATA, 1, 2, 0, 2, 5, b"x" * 24)
     assert data.onair_bytes == 29
+
+
+def test_no_enum_class_lookup_in_a_function_body():
+    # CPython 3.10 and 3.11 read NodeMode.X and PacketKind.X through the enum
+    # metaclass's __getattr__, a slow hook; the event path reads the members'
+    # module-level bindings instead. Module level and class bodies may use them.
+    members = {cls.__name__: set(cls.__members__) for cls in (NodeMode, PacketKind)}
+    found = set()
+    for module in (lorahop.engine, lorahop.protocol):
+        tree = ast.parse(Path(module.__file__).read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            for node in ast.walk(fn):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)
+                    and isinstance(node.value, ast.Name)
+                    and node.attr in members.get(node.value.id, ())
+                ):
+                    found.add(f"{module.__name__}:{node.lineno} {node.value.id}.{node.attr}")
+    assert sorted(found) == []
 
 
 def test_beacon_seq_wraps_with_frame():
