@@ -6,6 +6,7 @@ import dataclasses
 import gc
 import heapq
 import random
+import tracemalloc
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -381,6 +382,56 @@ def test_finalize_rejects_overlapping_intervals():
     sim.radio_intervals += [(1, "transmit", 1.0, 2.0), (1, "receive", 1.5, 2.5)]
     with pytest.raises(RuntimeError, match="overlapping radio intervals"):
         sim._finalize()
+
+
+@pytest.mark.parametrize("rows", [
+    [(1, "transmit", 1.0, 2.0), (1, "receive", 1.0, 1.5)],
+    [(1, "receive", 1.0, 1.5), (1, "transmit", 1.0, 2.0)],
+])
+def test_finalize_rejects_intervals_that_share_a_start_in_either_order(rows):
+    # A node's timeline is sorted on the start alone, so rows that share one
+    # keep their append order; the overlap check must catch both orders.
+    sim = Simulator(load_scenario(REPO / "scenarios" / "star4.json"))
+    sim.radio_intervals += rows
+    with pytest.raises(RuntimeError, match="node 1: overlapping radio intervals at t=1.000000000"):
+        sim._finalize()
+
+
+def test_finalize_orders_packet_events_tied_on_time_node_and_event_by_their_columns():
+    # The relay refusing two JoinAccepts at one _ev_join_respond instant logs
+    # two queue_drop rows with the same (t, node, event); they come out in
+    # the order of their remaining columns, not in the order they were logged.
+    sim = Simulator(load_scenario(REPO / "scenarios" / "star4.json"))
+    late, early = (
+        PacketEvent(40.0, 0, "queue_drop", "join_accept", 0, hw, hw, hw, 20, "0", 2, slot)
+        for hw, slot in ((13, 47), (12, 46))
+    )
+    sim.packet_events += [late, early]
+    assert sim._finalize().packet_events == [early, late]
+
+
+def test_finalize_holds_no_key_per_record():
+    # Sorting the trace must not allocate per record: star32's packet events
+    # are most of the live memory, and a key tuple for each was a third more.
+    sim = Simulator(parse_scenario(GENERATED["star32"]()))
+    finalize = sim._finalize
+    seen = {}
+
+    def measured():
+        seen["live"] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        trace = finalize()
+        seen["peak"] = tracemalloc.get_traced_memory()[1]
+        return trace
+
+    sim._finalize = measured
+    tracemalloc.start()
+    try:
+        trace = sim.run()
+    finally:
+        tracemalloc.stop()
+    assert len(trace.packet_events) > 5000
+    assert seen["peak"] - seen["live"] <= 0.10 * seen["live"], seen
 
 
 @pytest.mark.parametrize("start, end", [(1.0, 1.0), (2.0, 1.0), (-0.5, 0.5), ("end", 0.1)])
