@@ -27,7 +27,7 @@ from .planner import (
     mean_power,
     recommend_frame,
 )
-from .protocol import MAC_HEADER_BYTES, SlotTiming
+from .protocol import MAC_HEADER_BYTES, SlotTiming, build_schedule
 from .scenario import Scenario, ScenarioError, apply_override, parse_scenario, read_scenario_doc
 from .timebase import DEFAULT_TICK_RATE_HZ
 
@@ -91,13 +91,10 @@ def cmd_plan(args: argparse.Namespace) -> int:
     else:
         k, slots = recommend_frame(args.app_period, n, slot_seconds, args.max_slots)
 
-    layout_min = 3 * n + 2
-    if slots < layout_min:
-        raise PlanError(
-            "capacity",
-            f"frame layout: N = {slots} slots cannot hold {n} nodes "
-            f"(beacon/uplink/downlink/join layout needs 3n+2 = {layout_min})",
-        )
+    try:
+        build_schedule(n, slots, args.ticks_per_slot)
+    except ValueError as e:
+        raise PlanError("capacity", str(e)) from None
 
     t_app = app_period(k, slots, slot_seconds)
     t_frame = slots * slot_seconds

@@ -211,6 +211,14 @@ class SimulationTrace:
 _KIND_NAMES = {k: k.name.lower() for k in PacketKind}
 
 
+def _packet_columns(pkt: MacPacket, channel: str, frame: int, slot: int) -> tuple:
+    """A packet's ``PacketEvent`` columns after the event name."""
+    return (
+        _KIND_NAMES[pkt.kind], pkt.sender_id, pkt.dest_id, pkt.origin_id, pkt.seq,
+        pkt.onair_bytes, channel, frame, slot,
+    )
+
+
 def _group_by_node(
     rows: list[tuple[int, str, float, float]],
 ) -> defaultdict[int, list[tuple[int, str, float, float]]]:
@@ -491,9 +499,7 @@ class Simulator:
         """Close the node's beacon window at ``end`` and record its receive interval."""
         win = rt.beacon
         rt.beacon = None
-        end = min(end, self.end_time)
-        if end > win.open_t:
-            self.radio_intervals.append((rt.st.node_id, "receive", win.open_t, end))
+        self._log_receive(rt.st.node_id, win.open_t, end)
 
     def _ev_beacon_window_close(self, rt: _NodeRt, win: _Window) -> None:
         if rt.beacon is not win:
@@ -501,13 +507,11 @@ class Simulator:
         self._close_beacon(rt, win.close_t)
         st = rt.st
         st.consecutive_beacon_misses += 1
-        self.protocol_events.append(
-            tuple.__new__(ProtocolEvent, (
-                win.close_t,
-                st.node_id,
-                "beacon_miss",
-                f"frame={win.frame} consecutive={st.consecutive_beacon_misses}",
-            ))
+        self._log_protocol(
+            win.close_t,
+            st.node_id,
+            "beacon_miss",
+            f"frame={win.frame} consecutive={st.consecutive_beacon_misses}",
         )
         if st.consecutive_beacon_misses >= self.sc.guard.max_misses:
             self._desynchronize(rt, win.close_t, win.frame)
@@ -530,9 +534,7 @@ class Simulator:
         rt.due.clear()
         rt.eff_guard = self.sc.guard.base_guard
         rt.listen_from = t
-        self.protocol_events.append(
-            tuple.__new__(ProtocolEvent, (t, st.node_id, "desynchronized", f"frame={frame}"))
-        )
+        self._log_protocol(t, st.node_id, "desynchronized", f"frame={frame}")
 
     # --------------------------------------------------------- slot services
 
@@ -609,9 +611,7 @@ class Simulator:
         """Open a plain receive window: it stays open up to ``close_t``, so
         its receive interval is recorded now."""
         rt.windows.append(_Window(open_t, close_t, purpose))
-        end = close_t if close_t < self.end_time else self.end_time
-        if end > open_t:
-            self.radio_intervals.append((rt.st.node_id, "receive", open_t, end))
+        self._log_receive(rt.st.node_id, open_t, close_t)
 
     def _transmit(self, rt: _NodeRt, pkt: MacPacket, start: float, frame: int, slot: int) -> None:
         """Put a MAC packet on the air. Delivery ignores a transmission that
@@ -626,19 +626,14 @@ class Simulator:
         # Half-duplex: only a listening sender gets a start event (see
         # _transmit); it stops receiving while it transmits, and the gap
         # also voids coverage of overlapping packets.
-        if tx.start > rt.listen_from:
-            self.radio_intervals.append((rt.st.node_id, "receive", rt.listen_from, tx.start))
+        self._log_receive(rt.st.node_id, rt.listen_from, tx.start)
         rt.listen_from = None
 
     def _ev_tx_end(self, rt: _NodeRt, tx: Transmission) -> None:
         nid = rt.st.node_id
-        pkt = tx.packet
         self.radio_intervals.append((nid, "transmit", tx.start, tx.end))
         # The packet's columns, shared by its tx event and every listener's.
-        cols = (
-            _KIND_NAMES[pkt.kind], pkt.sender_id, pkt.dest_id, pkt.origin_id, pkt.seq,
-            pkt.onair_bytes, "0", tx.frame, tx.slot,
-        )
+        cols = _packet_columns(tx.packet, "0", tx.frame, tx.slot)
         self.packet_events.append(tuple.__new__(PacketEvent, (tx.start, nid, "tx", *cols)))
         # Only a node that is not synchronized listens without pause, and
         # only its own transmission (see _ev_tx_start) stops it.
@@ -783,11 +778,7 @@ class Simulator:
             t_tx += self.t_frame
             frame += 1
         self._transmit(rt, req, t_tx, frame, self.sched.join_slot)
-        self.protocol_events.append(
-            tuple.__new__(
-                ProtocolEvent, (t_tx, st.node_id, "join_request", f"parent={parent} backoff={backoff}")
-            )
-        )
+        self._log_protocol(t_tx, st.node_id, "join_request", f"parent={parent} backoff={backoff}")
         t_retry = t_tx + self.sc.join.retry_frames * self.t_frame
         self._push(t_retry, _P_SVC, st.node_id, self._ev_join_timeout, rt, t_retry)
 
@@ -802,8 +793,8 @@ class Simulator:
     def _on_synchronized(self, rt: _NodeRt, act: BecameSynchronized, tx: Transmission) -> None:
         st = rt.st
         parent = act.parent_id
-        if rt.listen_from is not None and tx.end > rt.listen_from:
-            self.radio_intervals.append((st.node_id, "receive", rt.listen_from, tx.end))
+        if rt.listen_from is not None:
+            self._log_receive(st.node_id, rt.listen_from, tx.end)
         rt.listen_from = None
         rt.sync_slot = parent
         info = rt.candidates.get(parent)
@@ -820,13 +811,8 @@ class Simulator:
             frame += 1
         rt.anchor = self._resync(rt, ref, frame)
         rt.app_phase = (st.address or 0) % self.sc.k
-        self.protocol_events.append(
-            tuple.__new__(ProtocolEvent, (
-                tx.end,
-                st.node_id,
-                "synchronized",
-                f"frame={frame} address={st.address} parent={parent}",
-            ))
+        self._log_protocol(
+            tx.end, st.node_id, "synchronized", f"frame={frame} address={st.address} parent={parent}"
         )
         self._record_frame_samples(rt, frame, rt.anchor, resynced=True)
         # The frame is nearly over (the accept arrived in a join or
@@ -836,15 +822,22 @@ class Simulator:
 
     # ------------------------------------------------------------ logging
 
+    def _log_receive(self, node: int, start: float, end: float) -> None:
+        """Record a receive interval, clipped to the run; an empty one is dropped."""
+        if end > self.end_time:
+            end = self.end_time
+        if end > start:
+            self.radio_intervals.append((node, "receive", start, end))
+
+    def _log_protocol(self, t: float, node: int, event: str, detail: str) -> None:
+        self.protocol_events.append(tuple.__new__(ProtocolEvent, (t, node, event, detail)))
+
     def _log_packet(
         self, t: float, node: int, event: str, pkt: MacPacket, channel: str,
         frame: int, slot: int,
     ) -> None:
         self.packet_events.append(
-            tuple.__new__(PacketEvent, (
-                t, node, event, _KIND_NAMES[pkt.kind], pkt.sender_id, pkt.dest_id,
-                pkt.origin_id, pkt.seq, pkt.onair_bytes, channel, frame, slot,
-            ))
+            tuple.__new__(PacketEvent, (t, node, event, *_packet_columns(pkt, channel, frame, slot)))
         )
 
     def _log_drop(self, rt: _NodeRt, t: float, pkt: MacPacket, frame: int, slot: int) -> None:
@@ -859,12 +852,10 @@ class Simulator:
     def _finalize(self) -> SimulationTrace:
         end = self.end_time
         for rt in self.nodes.values():
-            if rt.listen_from is not None and rt.listen_from < end:
-                self.radio_intervals.append((rt.st.node_id, "receive", rt.listen_from, end))
-                rt.listen_from = None
-            win = rt.beacon
-            if win is not None and win.open_t < end:
-                self.radio_intervals.append((rt.st.node_id, "receive", win.open_t, min(win.close_t, end)))
+            if rt.listen_from is not None:
+                self._log_receive(rt.st.node_id, rt.listen_from, end)
+            if rt.beacon is not None:
+                self._close_beacon(rt, rt.beacon.close_t)
 
         raw = _group_by_node(self.radio_intervals)
         self.radio_intervals = []  # the buckets hold every record; free the list before the output grows
@@ -999,18 +990,28 @@ def measure_duty_cycle(
     """Share of the window spent transmitting."""
     if window_seconds <= 0:
         raise ValueError("window must be positive")
-    end_s = start_s + window_seconds
+    # A weight of 1.0 leaves each product exact: the plain sum of the spans.
+    busy = _state_time(trace, node_id, {"transmit": 1.0}, start_s, start_s + window_seconds)
+    return busy / window_seconds
+
+
+def _state_time(
+    trace: SimulationTrace, node_id: int, weights: dict[str, float], start_s: float, end_s: float
+) -> float:
+    """Sum of ``weights[state]`` times the part of each of the node's radio
+    intervals inside [start_s, end_s]; a state without a weight adds nothing."""
     total = 0.0
     for _n, state, s, e in trace.intervals_by_node.get(node_id, ()):
-        if state != "transmit":
+        w = weights.get(state)
+        if w is None:
             continue
         if start_s <= s and e <= end_s:
-            total += e - s  # the clip below would give the same hi - lo
+            total += w * (e - s)  # the clip below would give the same hi - lo
             continue
         lo, hi = max(s, start_s), min(e, end_s)
         if hi > lo:
-            total += hi - lo
-    return total / window_seconds
+            total += w * (hi - lo)
+    return total
 
 
 def measure_avg_power(
@@ -1035,14 +1036,7 @@ def measure_avg_power(
     if span <= 0:
         raise ValueError("measurement span must be positive")
     state_p = {"sleep": profile.p_sleep, "receive": profile.p_rx, "transmit": profile.p_tx}
-    energy = 0.0
-    for _n, state, s, e in trace.intervals_by_node.get(node_id, ()):
-        if start_s <= s and e <= end_s:
-            energy += state_p[state] * (e - s)
-            continue
-        lo, hi = max(s, start_s), min(e, end_s)
-        if hi > lo:
-            energy += state_p[state] * (hi - lo)
+    energy = _state_time(trace, node_id, state_p, start_s, end_s)
     for s, e in trace.app_intervals.get(node_id, []):
         lo, hi = max(s, start_s), min(e, end_s)
         if hi > lo:
@@ -1068,7 +1062,7 @@ def write_trace_csvs(trace: SimulationTrace, out_dir: str | Path) -> list[Path]:
     p = out / "packet_events.csv"
     with p.open("w", newline="") as f:
         f.write("t_s,node,event,kind,sender,dest,origin,seq,size_bytes,channel,frame,slot\n")
-        f.writelines("%.9f,%d,%s,%s,%d,%d,%d,%d,%d,%s,%d,%d\n" % ev for ev in trace.packet_events)
+        f.writelines(map("%.9f,%d,%s,%s,%d,%d,%d,%d,%d,%s,%d,%d\n".__mod__, trace.packet_events))
     paths.append(p)
 
     p = out / "sync_samples.csv"

@@ -252,10 +252,16 @@ def build_schedule(
     """Lay out one frame for up to ``max_nodes`` addressable nodes.
 
     [M beacon][1 LoRaWAN][M uplink][M downlink][1 join][idle...]; needs
-    N >= 3M + 2.
+    N >= 3M + 2. A JoinAccept carries each slot of the triple in one byte,
+    and the last downlink slot is 3M, so M is at most 85.
     """
     if max_nodes < 1:
         raise ValueError("need at least one addressable node (the relay)")
+    if max_nodes > 85:
+        raise ValueError(
+            f"schedule.max_nodes: {max_nodes} exceeds 85: a JoinAccept carries each "
+            f"assigned slot in one byte, and the last downlink slot is 3 * max_nodes"
+        )
     if ticks_per_slot < 1:
         raise ValueError("ticks per slot must be at least 1")
     needed = 3 * max_nodes + 2
@@ -461,7 +467,15 @@ def _alloc_address(
     return triple
 
 
-def _make_join_accept(relay: NodeState, origin_hw: int, dest: int, triple) -> MacPacket:
+def _join_accept(
+    relay: NodeState, origin_hw: int, dest: int, schedule: FrameSchedule
+) -> MacPacket | None:
+    """The relay's JoinAccept for ``origin_hw``, addressed to ``dest``; None,
+    counted as a protocol error, once no address is left to allocate."""
+    triple = _alloc_address(relay, origin_hw, schedule)
+    if triple is None:
+        relay.protocol_errors += 1
+        return None
     return MacPacket(
         kind=JOIN_ACCEPT,
         network_id=relay.network_id,
@@ -545,14 +559,11 @@ def handle_rx(
         if kind is JOIN_REQUEST:
             node.routes.setdefault(packet.origin_id, packet.sender_id)
             if node.is_relay:
-                triple = _alloc_address(node, packet.origin_id, schedule)
-                if triple is None:
-                    node.protocol_errors += 1
-                    return actions
-                accept = _make_join_accept(node, packet.origin_id, packet.sender_id, triple)
-                slot = schedule.downlink_slot(packet.sender_id)
-                if not enqueue_down(node, accept, slot):
-                    actions.append(QueueDrop(accept, slot))
+                accept = _join_accept(node, packet.origin_id, packet.sender_id, schedule)
+                if accept is not None:
+                    slot = schedule.downlink_slot(packet.sender_id)
+                    if not enqueue_down(node, accept, slot):
+                        actions.append(QueueDrop(accept, slot))
                 return actions
             node.pending_accepts.add(packet.origin_id)
         # The relay's uplink queue is its LoRaWAN backlog.
@@ -566,13 +577,10 @@ def handle_rx(
             return actions
         node.routes[packet.origin_id] = None
         if node.is_relay:
-            triple = _alloc_address(node, packet.origin_id, schedule)
-            if triple is None:
-                node.protocol_errors += 1
-                return actions
-            node.children.add(triple[0])
-            accept = _make_join_accept(node, packet.origin_id, packet.origin_id, triple)
-            actions.append(SendJoinAccept(accept))
+            accept = _join_accept(node, packet.origin_id, packet.origin_id, schedule)
+            if accept is not None:
+                node.children.add(accept.payload[0])  # the joiner's address
+                actions.append(SendJoinAccept(accept))
         else:
             node.pending_accepts.add(packet.origin_id)
             if not enqueue_up(node, packet):

@@ -34,11 +34,9 @@ from .timebase import DEFAULT_TICK_RATE_HZ, MAX_DRIFT_PPM, GuardConfig
 
 SCHEMA_VERSION = 1
 
-# The packet codec carries node ids, the network id and each slot of a
-# JoinAccept's slot triple in one byte. The largest slot handed out is the
-# last downlink slot, 3 * max_nodes, so max_nodes is at most 85.
+# The packet codec carries node ids and the network id in one byte, and
+# build_schedule keeps each slot of a JoinAccept's triple in one byte too.
 _BYTE_MAX = 255
-_MAX_NODES = _BYTE_MAX // 3
 
 _REQUIRED = object()
 
@@ -288,11 +286,6 @@ def parse_scenario(doc: dict, source: str = "scenario") -> Scenario:
     ticks = _take(sched_d, "ticks_per_slot", int, sc)
     tick_rate = _take(sched_d, "tick_rate_hz", int, sc, default=DEFAULT_TICK_RATE_HZ)
     _reject_unknown(sched_d, sc)
-    if max_nodes > _MAX_NODES:
-        raise ScenarioError(
-            f"{sc}.max_nodes: {max_nodes} exceeds {_MAX_NODES}: a JoinAccept carries each "
-            f"assigned slot in one byte, and the last downlink slot is 3 * max_nodes"
-        )
     if tick_rate < 1:
         raise ScenarioError(f"{sc}.tick_rate_hz: must be positive")
     try:

@@ -53,6 +53,19 @@ def test_plan_capacity_infeasible(capsys):
     assert err.startswith("infeasible: capacity: n > k")
 
 
+def test_plan_refuses_a_schedule_simulate_rejects(capsys):
+    # A JoinAccept carries each assigned slot in one byte, so simulate
+    # refuses schedule.max_nodes above 85; the frame layout needs 3n+2 slots.
+    assert main(["plan", "--nodes", "90", "--app-period", "100000", "--max-slots", "300"]) == 3
+    assert capsys.readouterr().err.startswith("infeasible: capacity: schedule.max_nodes: 90 exceeds 85")
+    assert main(["plan", "--nodes", "85", "--app-period", "100000", "--max-slots", "300"]) == 0
+    capsys.readouterr()
+    layout = ["plan", "--nodes", "5", "--app-period", "234", "--k", "5", "--duty-limit", "0.1"]
+    assert main([*layout, "--slots", "16"]) == 3
+    assert capsys.readouterr().err.startswith("infeasible: capacity: 16 slots cannot hold 5 nodes")
+    assert main([*layout, "--slots", "17"]) == 0
+
+
 def test_plan_duty_infeasible(capsys):
     rc = main(["plan", "--nodes", "4", "--app-period", "234", "--duty-limit", "0.005"])
     assert rc == 3

@@ -143,6 +143,44 @@ def test_no_enum_class_lookup_in_a_function_body():
     assert sorted(found) == []
 
 
+def _sites(module, hit) -> list[str]:
+    """The enclosing function's name for each node of the module that ``hit``
+    accepts (the modules nest no functions)."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    return sorted(
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if hit(node)
+    )
+
+
+def test_one_function_per_recording_rule():
+    # A receive interval, a ProtocolEvent and the relay's address
+    # allocation are each written in one place, so a rule changes there.
+    def receive_row(node):
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "append"
+            and any(
+                isinstance(arg, ast.Tuple)
+                and any(isinstance(e, ast.Constant) and e.value == "receive" for e in arg.elts)
+                for arg in node.args
+            )
+        )
+
+    def builds(name):
+        return lambda node: isinstance(node, ast.Call) and any(
+            isinstance(part, ast.Name) and part.id == name for part in (node.func, *node.args)
+        )
+
+    assert _sites(lorahop.engine, receive_row) == ["_log_receive"]
+    assert _sites(lorahop.engine, builds("ProtocolEvent")) == ["_log_protocol"]
+    assert _sites(lorahop.protocol, builds("_alloc_address")) == ["_join_accept"]
+
+
 def test_beacon_seq_wraps_with_frame():
     relay = make_relay(10, SCHED)
     assert make_beacon(relay, 0).seq == 0
