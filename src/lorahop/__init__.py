@@ -27,7 +27,6 @@ from .protocol import (
     PacketKind,
     SlotTiming,
     build_schedule,
-    frame_time,
 )
 from .planner import (
     PlanError,
@@ -69,7 +68,6 @@ __all__ = [
     "FrameSchedule",
     "NodeState",
     "build_schedule",
-    "frame_time",
     "PowerProfile",
     "PlanError",
     "app_period",

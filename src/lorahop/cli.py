@@ -27,7 +27,7 @@ from .planner import (
     mean_power,
     recommend_frame,
 )
-from .protocol import MAC_HEADER_BYTES, SlotTiming, build_schedule
+from .protocol import MAC_HEADER_BYTES, MAX_DATA_PAYLOAD_BYTES, SlotTiming, build_schedule
 from .scenario import Scenario, ScenarioError, apply_override, parse_scenario, read_scenario_doc
 from .timebase import DEFAULT_TICK_RATE_HZ
 
@@ -62,6 +62,15 @@ def cmd_toa(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
+    # The limits simulate holds a scenario to, named by flag.
+    if args.tick_rate < 1:
+        raise ScenarioError(f"--tick-rate: {args.tick_rate} Hz, must be at least 1")
+    if not 0 <= args.payload_bytes <= MAX_DATA_PAYLOAD_BYTES:
+        raise ScenarioError(
+            f"--payload-bytes: {args.payload_bytes} B, must be 0..{MAX_DATA_PAYLOAD_BYTES}"
+        )
+    if args.drift_ppm < 0:
+        raise ScenarioError(f"--drift-ppm: {args.drift_ppm}, a magnitude, cannot be negative")
     radio = _radio_from_args(args)
     slot_seconds = args.ticks_per_slot / args.tick_rate
     timing = SlotTiming(radio)
@@ -102,7 +111,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     t_data_hop = time_on_air(MAC_HEADER_BYTES + args.payload_bytes, radio)
     t_data_lorawan = lorawan_time_on_air(args.payload_bytes, radio)
 
-    m0 = args.m0 if args.m0 is not None else n - 1
+    m0 = n - 1  # in every tree this MAC builds, the relay forwards all other nodes' traffic
     duty_relay = duty_cycle_estimate(
         m0, k, args.channels, t_app, t_ack, t_data_lorawan, t_bcn
     )
@@ -267,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tick-rate", type=int, default=DEFAULT_TICK_RATE_HZ, help="crystal ticks per second")
     p.add_argument("--max-slots", type=int, default=90, help="largest N to consider")
     p.add_argument("--payload-bytes", type=int, default=Scenario.app_payload_bytes)
-    p.add_argument("--m0", type=int, default=None, help="relay children (default n-1)")
     p.add_argument("--channels", type=int, default=1)
     p.add_argument("--duty-limit", type=float, default=0.01, help="fraction, default 0.01")
     p.add_argument("--p-sleep", type=float, default=None, metavar="W")

@@ -51,6 +51,8 @@ from .protocol import (
     ACK,
     DESYNCHRONIZED,
     JOINING,
+    JOIN_BACKOFF_SLOTS,
+    JOIN_RETRY_FRAMES,
     SYNCHRONIZED,
     UNJOINED,
     UP_DATA,
@@ -75,7 +77,7 @@ from .protocol import (
     make_relay,
 )
 from .scenario import Scenario
-from .timebase import VirtualClock, local_tick_duration, resync
+from .timebase import GUARD_WIDEN_FACTOR, MAX_BEACON_MISSES, VirtualClock, local_tick_duration, resync
 
 LORAWAN_CHANNEL = "lorawan"
 
@@ -444,7 +446,8 @@ class Simulator:
         lu = self.sc.join.listen_until_frame
         if lu is None or frame <= lu:
             t_join = self._slot_time(rt, anchor, sched.join_slot)
-            self._listen(rt, "join_rx", t_join + timing.t_offset, t_join + self.t_join_accept - 0.005)
+            join_close = t_join + self.t_join_accept - timing.join_rx_margin
+            self._listen(rt, "join_rx", t_join + timing.t_offset, join_close)
             if is_relay:
                 t_acc = t_join + self.t_join_accept
                 due[sched.join_slot] = (t_acc, self._ev_join_respond, (rt, frame, t_acc))
@@ -513,12 +516,10 @@ class Simulator:
             "beacon_miss",
             f"frame={win.frame} consecutive={st.consecutive_beacon_misses}",
         )
-        if st.consecutive_beacon_misses >= self.sc.guard.max_misses:
+        if st.consecutive_beacon_misses >= MAX_BEACON_MISSES:
             self._desynchronize(rt, win.close_t, win.frame)
             return
-        rt.eff_guard = min(
-            rt.eff_guard * self.sc.guard.widen_factor, self.t_slot
-        )
+        rt.eff_guard = min(rt.eff_guard * GUARD_WIDEN_FACTOR, self.t_slot)
         # Flywheel: extrapolate the anchor on the local crystal and keep going.
         self._enter_frame(rt, win.frame, rt.anchor + rt.frame_local, resynced=False)
 
@@ -769,7 +770,7 @@ class Simulator:
         parent, req = join_procedure(st, heard)
         _rssi, ref, frame = rt.candidates[parent]
         slot_start = ref + (self.sched.join_slot - parent) * self.t_slot
-        backoff = self.rng.randrange(self.sc.join.backoff_slots)
+        backoff = self.rng.randrange(JOIN_BACKOFF_SLOTS)
         t_tx = slot_start + self._join_req_offset(backoff)
         # A stale reference (the chosen parent's beacon was lost this
         # frame) may point at a contention slot already behind us; step
@@ -779,7 +780,7 @@ class Simulator:
             frame += 1
         self._transmit(rt, req, t_tx, frame, self.sched.join_slot)
         self._log_protocol(t_tx, st.node_id, "join_request", f"parent={parent} backoff={backoff}")
-        t_retry = t_tx + self.sc.join.retry_frames * self.t_frame
+        t_retry = t_tx + JOIN_RETRY_FRAMES * self.t_frame
         self._push(t_retry, _P_SVC, st.node_id, self._ev_join_timeout, rt, t_retry)
 
     def _ev_join_timeout(self, rt: _NodeRt, now: float) -> None:

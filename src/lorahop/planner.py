@@ -88,6 +88,8 @@ def mean_power(
     """
     if t_beacon <= 0 or slot_seconds <= 0:
         raise ValueError("durations must be positive")
+    if relative_drift_ppm < 0:
+        raise ValueError("relative drift is a magnitude, cannot be negative")
     if slots_per_frame < 1 or k < 1:
         raise ValueError("k and N must be at least 1")
     frame = slots_per_frame * slot_seconds

@@ -21,10 +21,10 @@ from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 from .phy import RadioParams, time_on_air
-from .timebase import DEFAULT_TICK_RATE_HZ, VirtualClock
+from .timebase import VirtualClock
 
 #: Fixed MAC header: network_id, sender_id, dest_id, origin_id, seq/kind.
 MAC_HEADER_BYTES = 5
@@ -43,6 +43,11 @@ BROADCAST_ID = 255
 
 #: seq travels in a 5-bit field packed with the 3-bit kind.
 SEQ_MODULO = 32
+
+#: Join contention: the backoff positions of a JoinRequest in the contention
+#: slot, and the frames a joiner waits for its accept before re-requesting.
+JOIN_BACKOFF_SLOTS = 3
+JOIN_RETRY_FRAMES = 3
 
 
 class PacketKind(IntEnum):
@@ -162,9 +167,13 @@ class SlotTiming:
     beacon, ack and largest data airtimes follow from ``radio``.
     """
 
+    t_offset: ClassVar[float] = 0.030
+    t_guard: ClassVar[float] = 0.010
+    #: The join listen window ends this long before the relay's JoinAccept,
+    #: which a request at the last backoff ends at least half a guard before.
+    join_rx_margin: ClassVar[float] = t_guard / 2.0
+
     radio: RadioParams = RadioParams()
-    t_offset: float = 0.030
-    t_guard: float = 0.010
     t_bcn: float = field(init=False)
     t_ack: float = field(init=False)
     t_data_max: float = field(init=False)
@@ -176,9 +185,6 @@ class SlotTiming:
     ack_window: tuple[float, float] = field(init=False)
 
     def __post_init__(self) -> None:
-        for label, v in (("t_offset", self.t_offset), ("t_guard", self.t_guard)):
-            if v <= 0:
-                raise ValueError(f"{label} must be positive")
         for label, size in (
             ("t_bcn", BEACON_ONAIR_BYTES),
             ("t_ack", ACK_ONAIR_BYTES),
@@ -271,13 +277,6 @@ def build_schedule(
             f"layout needs 3M+2 = {needed} slots"
         )
     return FrameSchedule(slots_per_frame, ticks_per_slot, max_nodes)
-
-
-def frame_time(schedule: FrameSchedule, tick_rate_hz: int = DEFAULT_TICK_RATE_HZ) -> float:
-    """Nominal frame duration: N * ticks_per_slot / tick_rate."""
-    if tick_rate_hz <= 0:
-        raise ValueError("tick rate must be positive")
-    return schedule.frame_ticks / tick_rate_hz
 
 
 @dataclass

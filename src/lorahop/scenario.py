@@ -6,9 +6,9 @@ graph with per-link packet error rates, traffic settings, and an
 optional power profile. Parsing is strict: unknown keys and missing
 required keys are rejected with the offending field named, so a typo
 cannot silently fall back to a default. The top-level scalars and the
-``radio``, ``slot_timing``, ``guard``, ``join`` and ``power`` sections
-are read against ``Scenario`` and the config dataclasses: a class's init
-fields are the section's keys, with their types and defaults.
+``radio``, ``guard``, ``join`` and ``power`` sections are read against
+``Scenario`` and the config dataclasses: a class's init fields are the
+section's keys, with their types and defaults.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .phy import RadioParams, check_modem, time_on_air
 from .planner import PowerProfile
 from .protocol import (
     JOIN_ACCEPT_PAYLOAD_BYTES,
+    JOIN_BACKOFF_SLOTS,
     MAC_HEADER_BYTES,
     MAX_DATA_PAYLOAD_BYTES,
     FrameSchedule,
@@ -57,10 +58,9 @@ class JoinConfig:
     """Join-contention tuning.
 
     A JoinRequest goes out after a uniformly chosen backoff of
-    ``backoff_step`` * {0 .. backoff_slots-1} inside the contention
+    ``backoff_step`` * {0 .. JOIN_BACKOFF_SLOTS-1} inside the contention
     slot; the step must exceed the request airtime so distinct backoffs
-    cannot collide. ``retry_frames`` is how long a joiner waits for its
-    accept before re-requesting. Synchronized nodes listen in the
+    cannot collide. Synchronized nodes listen in the
     contention slot up to frame ``listen_until_frame`` (None = always),
     letting energy-measurement scenarios stop paying for it once the
     tree is formed.
@@ -71,22 +71,16 @@ class JoinConfig:
     """
 
     backoff_step: float = 0.130
-    backoff_slots: int = 3
-    retry_frames: int = 3
     listen_until_frame: int | None = None
 
     def __post_init__(self) -> None:
         if self.backoff_step <= 0:
             raise ValueError("backoff step must be positive")
-        if self.backoff_slots < 1:
-            raise ValueError("need at least one backoff position")
-        if self.retry_frames < 1:
-            raise ValueError("retry period must be at least one frame")
 
     def accept_offset(self, timing: SlotTiming) -> float:
         """Start of the relay's JoinAccept within the contention slot: after
         the guard and every backoff position."""
-        return timing.t_offset + timing.t_guard + self.backoff_slots * self.backoff_step
+        return timing.t_offset + timing.t_guard + JOIN_BACKOFF_SLOTS * self.backoff_step
 
 
 @dataclass(frozen=True)
@@ -165,7 +159,6 @@ def _schema(cls: type) -> tuple[tuple[str, Any, bool], ...]:
     return tuple(
         (f.name, hints[f.name], f.default is MISSING and f.default_factory is MISSING)
         for f in fields(cls)
-        if f.init
     )
 
 
@@ -183,9 +176,9 @@ def _build(raw: dict, cls: type, ctx: str, **given: Any) -> Any:
         raise ScenarioError(f"{ctx}: {e}") from e
 
 
-def _section(d: dict, key: str, cls: type, ctx: str, **given: Any) -> Any:
+def _section(d: dict, key: str, cls: type, ctx: str) -> Any:
     """Build ``cls`` from the optional object ``d[key]``."""
-    return _build(dict(_take(d, key, dict, ctx, default={})), cls, f"{ctx}.{key}", **given)
+    return _build(dict(_take(d, key, dict, ctx, default={})), cls, f"{ctx}.{key}")
 
 
 def _parse_nodes(raw: Any, ctx: str) -> tuple[NodeConfig, ...]:
@@ -294,7 +287,7 @@ def parse_scenario(doc: dict, source: str = "scenario") -> Scenario:
         raise ScenarioError(f"{source}: {e}") from e
 
     radio = _section(d, "radio", RadioParams, source)
-    timing = _section(d, "slot_timing", SlotTiming, source, radio=radio)
+    timing = SlotTiming(radio)
     guard = _section(d, "guard", GuardConfig, source)
     join = _section(d, "join", JoinConfig, source)
 
@@ -335,7 +328,7 @@ def parse_scenario(doc: dict, source: str = "scenario") -> Scenario:
     try:
         timing.validate_for(scenario.slot_seconds)
     except ValueError as e:
-        raise ScenarioError(f"{source}.slot_timing: {e}") from e
+        raise ScenarioError(f"{source}.schedule: {e}") from e
     req_air = time_on_air(MAC_HEADER_BYTES, radio)
     if join.backoff_step < req_air:
         raise ScenarioError(

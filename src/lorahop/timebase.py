@@ -63,27 +63,26 @@ class VirtualClock(_VirtualClockFields):
         return tuple.__new__(cls, (tick_rate_hz, drift_ppm, anchor_tick, epoch_global))
 
 
+#: Beacon-miss policy: each missed beacon multiplies the effective guard by
+#: GUARD_WIDEN_FACTOR (up to one slot); MAX_BEACON_MISSES consecutive misses
+#: declare the node desynchronized.
+GUARD_WIDEN_FACTOR = 2.0
+MAX_BEACON_MISSES = 4
+
+
 @dataclass(frozen=True)
 class GuardConfig:
     """Beacon listening guard policy.
 
     ``base_guard`` is the full guard time T_g in seconds (the receive
-    window opens T_g/2 early and stays T_g/2 late). After each missed
-    beacon the effective guard is multiplied by ``widen_factor``;
-    ``max_misses`` consecutive misses declare the node desynchronized.
+    window opens T_g/2 early and stays T_g/2 late).
     """
 
     base_guard: float = 0.010
-    widen_factor: float = 2.0
-    max_misses: int = 4
 
     def __post_init__(self) -> None:
         if self.base_guard <= 0:
             raise ValueError("guard time must be positive")
-        if self.widen_factor < 1.0:
-            raise ValueError("widen factor below 1 would shrink the window on a miss")
-        if self.max_misses < 1:
-            raise ValueError("need at least one tolerated miss")
 
 
 def local_tick_duration(clock: VirtualClock) -> float:

@@ -18,9 +18,7 @@ from hypothesis import strategies as st
 from lorahop import (
     PowerProfile,
     app_period,
-    build_schedule,
     duty_cycle_estimate,
-    frame_time,
     load_scenario,
     lorawan_time_on_air,
     mean_power,
@@ -65,7 +63,7 @@ def test_criterion_1_airtime_goldens():
 
 
 def test_criterion_2_frame_timing():
-    t = frame_time(build_schedule(4, 90, 21281), 32768)
+    t = load_scenario(REPO / "scenarios" / "star4.json").frame_seconds
     ok = abs(t - 58.5) < 0.1
     _report(2, "frame timing", ok, f"T_F = {t:.6f} s, |T_F - 58.5| = {abs(t - 58.5):.6f}")
 

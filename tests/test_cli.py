@@ -13,7 +13,7 @@ import pytest
 
 import lorahop.cli
 import lorahop.engine
-from lorahop import GuardConfig, PowerProfile, RadioParams, Scenario, SlotTiming
+from lorahop import GuardConfig, PowerProfile, RadioParams, Scenario
 from lorahop.cli import _radio_from_args, main
 from lorahop.scenario import JoinConfig, _schema
 from corpus import CORPUS, GENERATED
@@ -77,6 +77,64 @@ def test_plan_refuses_a_slot_too_short_for_the_anatomy(capsys):
     assert main(["plan", "--nodes", "4", "--app-period", "3600", "--sf", "10"]) == 3
     assert "infeasible: slot: slot anatomy needs 0.985216 s" in capsys.readouterr().err
     assert main(["plan", "--nodes", "4", "--app-period", "3600", "--sf", "10", "--ticks-per-slot", "36000"]) == 0
+
+
+_POWER_FLAGS = ["--p-sleep", "1e-5", "--p-rx", "0.036", "--p-tx", "0.120"]
+
+
+@pytest.mark.parametrize(
+    "flags, flag",
+    [
+        (["--tick-rate", "0"], "--tick-rate"),
+        (["--tick-rate", "-5"], "--tick-rate"),
+        (["--app-period", "2000", "--payload-bytes", "100"], "--payload-bytes"),
+        (["--app-period", "2000", "--payload-bytes", "-1"], "--payload-bytes"),
+        ([*_POWER_FLAGS, "--drift-ppm", "-10"], "--drift-ppm"),
+    ],
+    ids=["tick_rate_0", "tick_rate_negative", "payload_100", "payload_negative", "drift_negative"],
+)
+def test_plan_refuses_a_flag_simulate_would_refuse(flags, flag, capsys):
+    # simulate holds a scenario to tick_rate_hz >= 1 and app_payload_bytes
+    # 0..59; the planner's guard model takes the drift as a magnitude.
+    assert main(["plan", "--nodes", "4", "--app-period", "234", *flags]) == 2
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err.startswith(f"error: {flag}: "), got.err
+
+
+def test_plan_accepts_the_limits_themselves(capsys):
+    base = ["plan", "--nodes", "4", "--app-period", "2000"]
+    assert main([*base, "--payload-bytes", "59"]) == 0
+    assert main([*base, "--payload-bytes", "0", *_POWER_FLAGS, "--drift-ppm", "0"]) == 0
+    assert "mean leaf power" in capsys.readouterr().out
+
+
+def test_plan_has_no_m0_flag(capsys):
+    # The relay forwards the traffic of all n - 1 other nodes in every tree.
+    with pytest.raises(SystemExit) as e:
+        main(["plan", "--nodes", "4", "--app-period", "234", "--m0", "2"])
+    assert e.value.code == 2
+    assert "unrecognized arguments: --m0 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, unknown",
+    [
+        ("guard.widen_factor=2.0", "guard: unknown key 'widen_factor'"),
+        ("guard.max_misses=4", "guard: unknown key 'max_misses'"),
+        ("join.backoff_slots=3", "join: unknown key 'backoff_slots'"),
+        ("join.retry_frames=3", "join: unknown key 'retry_frames'"),
+        ("slot_timing.t_offset=0.03", "unknown key 'slot_timing'"),
+        ("slot_timing.t_guard=0.01", "unknown key 'slot_timing'"),
+        ("slot_timing={}", "unknown key 'slot_timing'"),
+    ],
+)
+def test_simulate_refuses_a_protocol_constant_as_a_key(key, unknown, tmp_path, capsys):
+    # The beacon-miss policy, the join backoff and retry counts and the
+    # slot offsets are protocol constants, not scenario keys.
+    assert main(["simulate", LINE4, "--out", str(tmp_path), "--set", key]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line4.json") and unknown in err, err
 
 
 def test_plan_power_needs_full_profile(capsys):
@@ -286,8 +344,7 @@ def test_toa_applies_the_modem_rules(flags, rc, out, capsys):
 # Every float key of a scenario: the float fields of each section's class,
 # and a node's drift and a link's PER and RSSI.
 _SECTIONS = {
-    "radio": RadioParams, "slot_timing": SlotTiming, "guard": GuardConfig,
-    "join": JoinConfig, "power": PowerProfile,
+    "radio": RadioParams, "guard": GuardConfig, "join": JoinConfig, "power": PowerProfile,
 }
 FLOAT_KEYS = [
     f"{section}.{key}"

@@ -122,6 +122,12 @@ def test_mean_power_drift_term():
     assert hi - lo == pytest.approx((PROFILE.p_rx - PROFILE.p_sleep) * 2 * 10e-6, rel=1e-12)
 
 
+def test_mean_power_takes_the_drift_as_a_magnitude():
+    # A signed drift would predict less power than a perfect clock.
+    with pytest.raises(ValueError, match="magnitude"):
+        mean_power(PROFILE, T_BCN, T_SLOT, 90, 4, -10.0)
+
+
 def test_check_capacity():
     assert check_capacity(4, 4)
     assert check_capacity(3, 4)

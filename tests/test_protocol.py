@@ -11,13 +11,14 @@ import lorahop.engine
 import lorahop.protocol
 from lorahop import (
     FrameSchedule,
+    GuardConfig,
     MacPacket,
     NodeState,
     PacketKind,
     RadioParams,
+    Scenario,
     SlotTiming,
     build_schedule,
-    frame_time,
     time_on_air,
 )
 from lorahop.protocol import (
@@ -34,6 +35,7 @@ from lorahop.protocol import (
     make_beacon,
     make_relay,
 )
+from lorahop.scenario import JoinConfig
 
 TIMING = SlotTiming()
 SCHED = build_schedule(max_nodes=4, slots_per_frame=90, ticks_per_slot=21281)
@@ -55,16 +57,23 @@ def test_layout_capacity_floor():
         build_schedule(max_nodes=4, slots_per_frame=13, ticks_per_slot=21281)
 
 
+def _frame_seconds(schedule: FrameSchedule, tick_rate_hz: int) -> float:
+    """T_F of a scenario with this frame schedule and tick rate."""
+    return Scenario(
+        schedule, tick_rate_hz, RadioParams(), TIMING, GuardConfig(), JoinConfig(), (), {}, frames=1
+    ).frame_seconds
+
+
 def test_frame_time_reference():
-    t = frame_time(SCHED, 32768)
+    t = _frame_seconds(SCHED, 32768)
     assert t == 90 * 21281 / 32768
     assert abs(t - 58.5) < 0.1
 
 
 def test_frame_time_scales_with_tick_rate():
-    assert frame_time(SCHED, 65536) == pytest.approx(29.225006103515625, abs=0.0)
+    assert _frame_seconds(SCHED, 65536) == pytest.approx(29.225006103515625, abs=0.0)
     one = build_schedule(1, 5, 32768)
-    assert frame_time(one, 32768) == pytest.approx(5.0)
+    assert _frame_seconds(one, 32768) == pytest.approx(5.0)
 
 
 # --- packets ---

@@ -134,3 +134,19 @@ def test_bench_span_targets_resolve(monkeypatch):
         for attr, _span in spans:
             assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
     assert "__init__" in vars(lorahop.engine.Simulator)
+
+
+def test_bench_workload_documents_still_run(monkeypatch, tmp_path, capsys):
+    # The benchmark simulates these documents; a schema change that refuses
+    # one would otherwise only show as failed benchmark jobs.
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    workloads = importlib.import_module("workloads")
+    checks = importlib.import_module("checks")
+    for workload in workloads.FRAMES:
+        job = workloads.make_job(workload, 1000, REPO, 3)
+        scenario = tmp_path / f"{workload}.json"
+        scenario.write_text(job.text)
+        out = tmp_path / workload
+        assert lorahop.cli.main(["simulate", str(scenario), "--out", str(out), *job.args]) == 0, workload
+        capsys.readouterr()
+        assert checks.read_output(out, job).rows > 0

@@ -66,7 +66,6 @@ _POWER = {"p_sleep": 1e-5, "p_rx": 0.036, "p_tx": 0.120, "p_app": 0.0, "tau_app"
     "section, cls, attr, given",
     [
         ("radio", RadioParams, "radio", ()),
-        ("slot_timing", SlotTiming, "timing", ("radio",)),
         ("guard", GuardConfig, "guard", ()),
         ("join", JoinConfig, "join", ()),
     ],
@@ -130,14 +129,24 @@ def test_unknown_keys_rejected():
     doc["schedule"]["bogus"] = 3
     with pytest.raises(ScenarioError, match="unknown key"):
         parse_scenario(doc)
-    # The airtimes follow from the radio, and the engine has one channel.
-    for key in ("t_bcn", "t_ack", "t_data_max"):
-        with pytest.raises(ScenarioError, match=f"slot_timing: unknown key '{key}'"):
+    # The slot anatomy follows from the radio, and the engine has one channel.
+    for key in ("t_offset", "t_guard", "t_bcn", "t_ack", "t_data_max"):
+        with pytest.raises(ScenarioError, match="unknown key 'slot_timing'"):
             parse_scenario(_minimal(slot_timing={key: 0.1}))
+    with pytest.raises(ScenarioError, match="unknown key 'slot_timing'"):
+        parse_scenario(_minimal(slot_timing={}))
     with pytest.raises(ScenarioError, match="unknown key 'channel_count'"):
         parse_scenario(_minimal(channel_count=1))
-    sc = parse_scenario(_minimal(slot_timing={"t_offset": 0.03, "t_guard": 0.01}))
-    assert (sc.timing.t_offset, sc.timing.t_guard) == (0.03, 0.01)
+    # The beacon-miss policy and the join backoff and retry counts are
+    # protocol constants.
+    for section, key, value in (
+        ("guard", "widen_factor", 2.0),
+        ("guard", "max_misses", 4),
+        ("join", "backoff_slots", 3),
+        ("join", "retry_frames", 3),
+    ):
+        with pytest.raises(ScenarioError, match=f"{section}: unknown key '{key}'"):
+            parse_scenario(_minimal(**{section: {key: value}}))
 
 
 def test_missing_required_key():
@@ -293,9 +302,9 @@ def test_backoff_step_below_join_request_airtime():
 
 
 def test_join_accept_must_end_inside_the_slot():
-    # A fourth 0.130 s backoff position pushes the JoinAccept past the 0.649 s slot.
-    with pytest.raises(ScenarioError, match="join slot anatomy needs 0.684 s but a slot lasts 0.649 s"):
-        parse_scenario(_minimal(join={"backoff_slots": 4}))
+    # Three 0.170 s backoff positions push the JoinAccept past the 0.649 s slot.
+    with pytest.raises(ScenarioError, match="join slot anatomy needs 0.674 s but a slot lasts 0.649 s"):
+        parse_scenario(_minimal(join={"backoff_step": 0.17}))
 
 
 def test_payload_bounds():

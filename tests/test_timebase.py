@@ -121,7 +121,3 @@ def test_guard_config_validation():
     GuardConfig(base_guard=0.01)
     with pytest.raises(ValueError):
         GuardConfig(base_guard=0.0)
-    with pytest.raises(ValueError):
-        GuardConfig(base_guard=0.01, widen_factor=0.9)
-    with pytest.raises(ValueError):
-        GuardConfig(base_guard=0.01, max_misses=0)
