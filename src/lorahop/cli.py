@@ -63,8 +63,17 @@ def cmd_toa(args: argparse.Namespace) -> int:
 
 def cmd_plan(args: argparse.Namespace) -> int:
     # The limits simulate holds a scenario to, named by flag.
-    if args.tick_rate < 1:
-        raise ScenarioError(f"--tick-rate: {args.tick_rate} Hz, must be at least 1")
+    for flag, count in (
+        ("--nodes", args.nodes),
+        ("--k", args.k),
+        ("--slots", args.slots),
+        ("--ticks-per-slot", args.ticks_per_slot),
+        ("--tick-rate", args.tick_rate),
+        ("--max-slots", args.max_slots),
+        ("--channels", args.channels),
+    ):
+        if count is not None and count < 1:
+            raise ScenarioError(f"{flag}: {count}, must be at least 1")
     if not 0 <= args.payload_bytes <= MAX_DATA_PAYLOAD_BYTES:
         raise ScenarioError(
             f"--payload-bytes: {args.payload_bytes} B, must be 0..{MAX_DATA_PAYLOAD_BYTES}"
@@ -80,12 +89,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         raise PlanError("slot", str(e)) from None
     n = args.nodes
 
-    if args.k is not None and not check_capacity(n, args.k):
-        raise PlanError(
-            "capacity",
-            f"n > k: {n} nodes cannot each deliver one packet "
-            f"within k = {args.k} collection frames",
-        )
+    # T_app = k * N * T_SL: a forced k or N sets the other, rounded.
     if args.k is not None and args.slots is not None:
         k, slots = args.k, args.slots
     elif args.k is not None:
@@ -94,11 +98,26 @@ def cmd_plan(args: argparse.Namespace) -> int:
         if slots < 1:
             raise PlanError(
                 "period",
-                f"period: T_app = {args.app_period} s is shorter than "
+                f"T_app = {args.app_period} s is shorter than "
                 f"k = {k} slots of {slot_seconds:.6f} s",
+            )
+    elif args.slots is not None:
+        slots = args.slots
+        k = math.floor(args.app_period / (slots * slot_seconds) + 0.5)
+        if k < 1:
+            raise PlanError(
+                "period",
+                f"T_app = {args.app_period} s rounds to k = 0 frames "
+                f"of N = {slots} slots of {slot_seconds:.6f} s",
             )
     else:
         k, slots = recommend_frame(args.app_period, n, slot_seconds, args.max_slots)
+    if not check_capacity(n, k):
+        raise PlanError(
+            "capacity",
+            f"n > k: {n} nodes cannot each deliver one packet "
+            f"within k = {k} collection frames",
+        )
 
     try:
         build_schedule(n, slots, args.ticks_per_slot)

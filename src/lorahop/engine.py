@@ -109,20 +109,21 @@ class Transmission:
         self.slot = slot
 
 
-@dataclass(eq=False, slots=True)
-class _Window:
-    """A receive window of one node."""
+# The trace records and receive windows check nothing, so the engine builds
+# them with ``tuple.__new__(Cls, (...))``: the generated ``__new__`` is a
+# Python call on top of the tuple (PacketEvent 0.98 against 0.61 µs). A record
+# built that way skips the arity check, which a test over the corpus makes
+# instead.
+class _Window(NamedTuple):
+    """A receive window of one node. Each one is built once and compared by
+    identity (``rt.beacon is not win``), never by value."""
 
     open_t: float
     close_t: float
     purpose: str
-    frame: int | None = None  # the frame of a beacon window; a plain one has none
+    frame: int | None  # the frame of a beacon window; a plain one has none
 
 
-# The trace records check nothing, so the engine builds them with
-# ``tuple.__new__(Cls, (...))``: the generated ``__new__`` is a Python call
-# on top of the tuple (PacketEvent 0.98 against 0.61 µs). A record built that
-# way skips the arity check, which a test over the corpus makes instead.
 class PacketEvent(NamedTuple):
     t: float
     node: int
@@ -234,8 +235,11 @@ def _group_by_node(
 class _NodeRt:
     """Engine-side runtime wrapped around one protocol NodeState."""
 
-    def __init__(self, st: NodeState, frame_ticks: int):
+    def __init__(self, st: NodeState, frame_ticks: int, is_relay: bool):
         self.st = st
+        # Fixed for the run: only the relay is born at address 0 with no
+        # parent, and no other node takes that address.
+        self.is_relay = is_relay
         self.tick = local_tick_duration(st.clock)
         self.frame_local = frame_ticks * self.tick
         self.anchor: float = 0.0
@@ -264,7 +268,10 @@ class Simulator:
         self.t_slot = scenario.slot_seconds
         self.t_frame = scenario.frame_seconds
         self.t_join_accept = scenario.join.accept_offset(scenario.timing)
+        self.base_guard = base_guard = scenario.guard.base_guard
+        self.listen_until_frame = scenario.join.listen_until_frame
         self._toa_cache: dict[int, float] = {}
+        self._lorawan_toa_cache: dict[int, float] = {}
         self.end_time = scenario.frames * self.t_frame
 
         self.nodes: dict[int, _NodeRt] = {}
@@ -278,8 +285,8 @@ class Simulator:
                 st = NodeState(node_id=cfg.node_id, clock=clock)
             st.network_id = scenario.network_id
             st.queue_capacity = scenario.queue_capacity
-            rt = _NodeRt(st, self.sched.frame_ticks)
-            rt.eff_guard = scenario.guard.base_guard
+            rt = _NodeRt(st, self.sched.frame_ticks, cfg.is_relay)
+            rt.eff_guard = base_guard
             self.nodes[cfg.node_id] = rt
         self.relay_id = scenario.relay_id
         # Who hears each sender: (node_id, runtime, link PER) in node-id order.
@@ -305,10 +312,17 @@ class Simulator:
 
     # ------------------------------------------------------------ setup
 
-    def _toa(self, payload_bytes: int) -> float:
-        if payload_bytes not in self._toa_cache:
-            self._toa_cache[payload_bytes] = time_on_air(payload_bytes, self.sc.radio)
-        return self._toa_cache[payload_bytes]
+    def _toa(self, onair_bytes: int) -> float:
+        t = self._toa_cache.get(onair_bytes)
+        if t is None:
+            t = self._toa_cache[onair_bytes] = time_on_air(onair_bytes, self.sc.radio)
+        return t
+
+    def _lorawan_toa(self, payload_bytes: int) -> float:
+        t = self._lorawan_toa_cache.get(payload_bytes)
+        if t is None:
+            t = self._lorawan_toa_cache[payload_bytes] = lorawan_time_on_air(payload_bytes, self.sc.radio)
+        return t
 
     def _join_req_offset(self, backoff: int) -> float:
         return self.timing.t_offset + self.timing.t_guard / 2.0 + backoff * self.sc.join.backoff_step
@@ -373,7 +387,7 @@ class Simulator:
         st = rt.st
         expected_tick = frame * self.sched.frame_ticks + rt.sync_slot * self.sched.ticks_per_slot
         st.clock = resync(st.clock, ref, expected_tick)
-        rt.eff_guard = self.sc.guard.base_guard
+        rt.eff_guard = self.base_guard
         return st.clock.epoch_global
 
     def _record_frame_samples(
@@ -387,10 +401,6 @@ class Simulator:
                 QueueSample, (frame, st.node_id, len(st.uplink_queue), len(st.downlink_queue))
             )
         )
-
-    def _slot_time(self, rt: _NodeRt, anchor: float, slot: int) -> float:
-        """Global instant of a slot start, from this node's frame anchor."""
-        return anchor + (slot - rt.sync_slot) * self.t_slot
 
     def _schedule_frame(self, rt: _NodeRt, frame: int, anchor: float) -> None:
         """Set up every activity of one synchronized node for one frame.
@@ -406,46 +416,51 @@ class Simulator:
         uplink, LoRaWAN, child downlink, JoinAccept answer) waits in
         ``rt.due``; one call of _wake then puts on the heap those whose
         queue already holds work for their slot.
+
+        A slot's global start is ``anchor + (slot - sync_slot) * t_slot``,
+        counted from the slot of the parent beacon the anchor is on.
         """
         st = rt.st
         b, up, down = st.assigned_slots
-        is_relay = st.is_relay
+        is_relay = rt.is_relay
         sched, timing = self.sched, self.timing
+        sync_slot, t_slot = rt.sync_slot, self.t_slot
 
         # Every transmission resolved from now on ends at or after the
         # anchor, so a plain window that closed a slot before it can no
         # longer hear one.
-        horizon = anchor - self.t_slot
+        horizon = anchor - t_slot
         rt.windows = [w for w in rt.windows if w.close_t >= horizon]
         if not is_relay:
             self._schedule_beacon_window(rt, frame + 1, anchor)
 
-        t_beacon = self._slot_time(rt, anchor, b) + timing.beacon_tx_offset
+        t_beacon = anchor + (b - sync_slot) * t_slot + timing.beacon_tx_offset
         self._transmit(rt, make_beacon(st, frame), t_beacon, frame, b)
 
         rt.due = due = {}
         if is_relay:
-            t_up = self._slot_time(rt, anchor, sched.lorawan_slot)
-            due[sched.lorawan_slot] = (t_up, self._ev_lorawan, (rt, frame, t_up))
+            slot = sched.lorawan_slot
+            t_up = anchor + (slot - sync_slot) * t_slot
+            due[slot] = (t_up, self._ev_lorawan, (rt, frame, t_up))
         else:
-            t_up = self._slot_time(rt, anchor, up)
+            t_up = anchor + (up - sync_slot) * t_slot
             due[up] = (t_up, self._ev_own_uplink, (rt, frame, up, t_up))
 
         d0, d1 = timing.data_window
         for child in sorted(st.children):
-            t_cu = self._slot_time(rt, anchor, sched.uplink_slot(child))
+            t_cu = anchor + (sched.uplink_slot(child) - sync_slot) * t_slot
             self._listen(rt, "uplink_rx", t_cu + d0, t_cu + d1)
             slot = sched.downlink_slot(child)
-            t_cd = self._slot_time(rt, anchor, slot)
+            t_cd = anchor + (slot - sync_slot) * t_slot
             due[slot] = (t_cd, self._ev_child_downlink, (rt, frame, slot, t_cd))
 
         if st.expecting_downlink:
-            t_od = self._slot_time(rt, anchor, down)
+            t_od = anchor + (down - sync_slot) * t_slot
             self._listen(rt, "downlink_rx", t_od + d0, t_od + d1)
 
-        lu = self.sc.join.listen_until_frame
+        lu = self.listen_until_frame
         if lu is None or frame <= lu:
-            t_join = self._slot_time(rt, anchor, sched.join_slot)
+            t_join = anchor + (sched.join_slot - sync_slot) * t_slot
             join_close = t_join + self.t_join_accept - timing.join_rx_margin
             self._listen(rt, "join_rx", t_join + timing.t_offset, join_close)
             if is_relay:
@@ -458,7 +473,7 @@ class Simulator:
             self._wake(rt, anchor)
 
         if rt.app_phase is not None and frame % self.sc.k == rt.app_phase:
-            t_app = self._slot_time(rt, anchor, sched.first_idle_slot)
+            t_app = anchor + (sched.first_idle_slot - sync_slot) * t_slot
             self._push(t_app, _P_SVC, st.node_id, self._ev_app, rt, frame, t_app)
 
     def _wake(self, rt: _NodeRt, now: float) -> None:
@@ -474,9 +489,9 @@ class Simulator:
         if not due:
             return
         st = rt.st
-        work = [slot for _pkt, slot in st.downlink_queue]
+        work = [slot for _pkt, slot in st.downlink_queue] if st.downlink_queue else []
         if st.uplink_queue:
-            work.append(self.sched.lorawan_slot if st.is_relay else st.assigned_slots[1])
+            work.append(self.sched.lorawan_slot if rt.is_relay else st.assigned_slots[1])
         if rt.pending_accept_tx:
             work.append(self.sched.join_slot)
         now_ns = round(now * 1e9)
@@ -495,7 +510,7 @@ class Simulator:
         # quantization residual, so guard = min_guard is truly sufficient.
         open_t = center - half - rt.tick
         close_t = center + half + self.timing.t_bcn
-        rt.beacon = win = _Window(open_t, close_t, "beacon", frame)
+        rt.beacon = win = tuple.__new__(_Window, (open_t, close_t, "beacon", frame))
         self._push(close_t, _P_CLOSE, rt.st.node_id, self._ev_beacon_window_close, rt, win)
 
     def _close_beacon(self, rt: _NodeRt, end: float) -> None:
@@ -533,7 +548,7 @@ class Simulator:
         rt.attempt_scheduled = False
         rt.app_phase = None
         rt.due.clear()
-        rt.eff_guard = self.sc.guard.base_guard
+        rt.eff_guard = self.base_guard
         rt.listen_from = t
         self._log_protocol(t, st.node_id, "desynchronized", f"frame={frame}")
 
@@ -545,7 +560,7 @@ class Simulator:
             return
         pkt = queue.popleft()
         start = t_slot_start + self.timing.data_tx_offset
-        end = start + lorawan_time_on_air(len(pkt.payload), self.sc.radio)
+        end = start + self._lorawan_toa(len(pkt.payload))
         # No node hears the uplink, so it is logged, not delivered, and only
         # if it ends by the end of the run, like every other transmission.
         if round(end * 1e9) <= round(self.end_time * 1e9):
@@ -591,15 +606,12 @@ class Simulator:
             self.app_intervals[st.node_id].append((t, t + sc.power.tau_app))
         if sc.app_payload_bytes <= 0:
             return
-        payload = bytes(sc.app_payload_bytes)
+        addr = st.address
+        sender = addr if addr is not None else 0
+        dest = st.parent_id if st.parent_id is not None else sender
+        # Fields in order: kind, network, sender, dest, origin, seq, payload.
         pkt = MacPacket(
-            kind=UP_DATA,
-            network_id=st.network_id,
-            sender_id=st.address if st.address is not None else 0,
-            dest_id=st.parent_id if st.parent_id is not None else st.address or 0,
-            origin_id=st.address if st.address is not None else 0,
-            seq=st.next_seq(),
-            payload=payload,
+            UP_DATA, st.network_id, sender, dest, sender, st.next_seq(), bytes(sc.app_payload_bytes)
         )
         if enqueue_up(st, pkt):
             self._wake(rt, t)
@@ -611,17 +623,19 @@ class Simulator:
     def _listen(self, rt: _NodeRt, purpose: str, open_t: float, close_t: float) -> None:
         """Open a plain receive window: it stays open up to ``close_t``, so
         its receive interval is recorded now."""
-        rt.windows.append(_Window(open_t, close_t, purpose))
+        rt.windows.append(tuple.__new__(_Window, (open_t, close_t, purpose, None)))
         self._log_receive(rt.st.node_id, open_t, close_t)
 
     def _transmit(self, rt: _NodeRt, pkt: MacPacket, start: float, frame: int, slot: int) -> None:
         """Put a MAC packet on the air. Delivery ignores a transmission that
         starts at or after the one it resolves, so it joins ``on_air`` now."""
-        tx = Transmission(rt.st.node_id, pkt, start, start + self._toa(pkt.onair_bytes), frame, slot)
+        nid = rt.st.node_id
+        end = start + self._toa(pkt.onair_bytes)
+        tx = Transmission(nid, pkt, start, end, frame, slot)
         self.on_air.append(tx)
         if rt.listen_from is not None:
-            self._push(tx.start, _P_TX_START, rt.st.node_id, self._ev_tx_start, rt, tx)
-        self._push(tx.end, _P_TX_END, rt.st.node_id, self._ev_tx_end, rt, tx)
+            self._push(start, _P_TX_START, nid, self._ev_tx_start, rt, tx)
+        self._push(end, _P_TX_END, nid, self._ev_tx_end, rt, tx)
 
     def _ev_tx_start(self, rt: _NodeRt, tx: Transmission) -> None:
         # Half-duplex: only a listening sender gets a start event (see
@@ -635,7 +649,7 @@ class Simulator:
         self.radio_intervals.append((nid, "transmit", tx.start, tx.end))
         # The packet's columns, shared by its tx event and every listener's.
         cols = _packet_columns(tx.packet, "0", tx.frame, tx.slot)
-        self.packet_events.append(tuple.__new__(PacketEvent, (tx.start, nid, "tx", *cols)))
+        self.packet_events.append(tuple.__new__(PacketEvent, (tx.start, nid, "tx") + cols))
         # Only a node that is not synchronized listens without pause, and
         # only its own transmission (see _ev_tx_start) stops it.
         if rt.listen_from is None and rt.st.mode is not SYNCHRONIZED:
@@ -701,7 +715,7 @@ class Simulator:
         packet_events = self.packet_events
         for nid, outcome in outcomes.items():
             event = "rx" if outcome == "received" else outcome
-            packet_events.append(tuple.__new__(PacketEvent, (tx.end, nid, event, *cols)))
+            packet_events.append(tuple.__new__(PacketEvent, (tx.end, nid, event) + cols))
             if event == "rx":
                 self._receive(self.nodes[nid], tx, covering[nid])
 
@@ -718,29 +732,33 @@ class Simulator:
             self._apply_action(rt, act, tx)
 
     def _apply_action(self, rt, act, tx: Transmission) -> None:
+        # Each action is exactly one of the action classes, never a
+        # subclass, so its type names it without an isinstance chain.
         st = rt.st
-        if isinstance(act, Resync):
+        kind = type(act)
+        if kind is Resync:
             # The parent's beacon arrives only in this node's beacon window.
             anchor = self._resync(rt, act.reference_global, tx.frame)
             self._close_beacon(rt, tx.end)
             self._enter_frame(rt, tx.frame, anchor, resynced=True)
-        elif isinstance(act, CandidateBeacon):
+        elif kind is CandidateBeacon:
             ref = tx.start - self.timing.beacon_tx_offset
             rssi = self.sc.link_rssi.get((tx.sender, st.node_id), -60.0)
             rt.candidates[act.sender_id] = (rssi, ref, tx.frame)
-            self._maybe_schedule_attempt(rt, tx.end)
-        elif isinstance(act, SendAck):
+            if not rt.attempt_scheduled:
+                self._maybe_schedule_attempt(rt, tx.end)
+        elif kind is SendAck:
             slot_start = tx.start - self.timing.data_tx_offset
             t_ack = slot_start + self.timing.ack_tx_offset
             sender = st.address if st.address is not None else 0
             ack = MacPacket(ACK, st.network_id, sender, act.dest_id, act.dest_id, act.seq)
             self._transmit(rt, ack, t_ack, tx.frame, tx.slot)
-        elif isinstance(act, SendJoinAccept):
+        elif kind is SendJoinAccept:
             rt.pending_accept_tx.append(act.packet)
             self._wake(rt, tx.end)
-        elif isinstance(act, BecameSynchronized):
+        elif kind is BecameSynchronized:
             self._on_synchronized(rt, act, tx)
-        elif isinstance(act, QueueDrop):
+        elif kind is QueueDrop:
             # An uplink drop keeps the slot the packet arrived in.
             slot = tx.slot if act.slot is None else act.slot
             self._log_drop(rt, tx.end, act.packet, tx.frame, slot)
@@ -838,14 +856,14 @@ class Simulator:
         frame: int, slot: int,
     ) -> None:
         self.packet_events.append(
-            tuple.__new__(PacketEvent, (t, node, event, *_packet_columns(pkt, channel, frame, slot)))
+            tuple.__new__(PacketEvent, (t, node, event) + _packet_columns(pkt, channel, frame, slot))
         )
 
     def _log_drop(self, rt: _NodeRt, t: float, pkt: MacPacket, frame: int, slot: int) -> None:
         """Log a packet that a full queue of the node turned away. UpData
         dropped by the relay was bound for its LoRaWAN uplink."""
         st = rt.st
-        channel = LORAWAN_CHANNEL if st.is_relay and pkt.kind is UP_DATA else "0"
+        channel = LORAWAN_CHANNEL if rt.is_relay and pkt.kind is UP_DATA else "0"
         self._log_packet(t, st.node_id, "queue_drop", pkt, channel, frame, slot)
 
     # ------------------------------------------------------------ finalize

@@ -339,6 +339,12 @@ def make_relay(node_id: int, schedule: FrameSchedule, **kw) -> NodeState:
 
 
 # --- actions returned by the state machine for the caller to execute ---
+#
+# The ones ``handle_rx`` returns per beacon or data packet (Resync,
+# CandidateBeacon, SendAck) are built with ``tuple.__new__(Cls, (...))``,
+# which skips the generated ``__new__`` and its arity check; a test checks
+# every action over the corpus instead. The caller dispatches on the exact
+# type.
 
 
 class Resync(NamedTuple):
@@ -510,12 +516,12 @@ def handle_rx(
 
     if node.mode in (UNJOINED, DESYNCHRONIZED):
         if kind is BEACON:
-            actions.append(CandidateBeacon(packet.sender_id))
+            actions.append(tuple.__new__(CandidateBeacon, (packet.sender_id,)))
         return actions
 
     if node.mode is JOINING:
         if kind is BEACON:
-            actions.append(CandidateBeacon(packet.sender_id))
+            actions.append(tuple.__new__(CandidateBeacon, (packet.sender_id,)))
         elif kind is JOIN_ACCEPT and packet.origin_id == node.node_id:
             triple = tuple(packet.payload)
             if len(triple) != 3:
@@ -534,7 +540,7 @@ def handle_rx(
         if packet.sender_id == node.parent_id:
             ref = arrival_global - timing.t_bcn - timing.beacon_tx_offset
             node.consecutive_beacon_misses = 0
-            actions.append(Resync(ref))
+            actions.append(tuple.__new__(Resync, (ref,)))
         return actions
 
     if kind is ACK:
@@ -551,7 +557,7 @@ def handle_rx(
         if packet.sender_id not in node.children or packet.dest_id != node.address:
             return actions
         duplicate = node.last_up_seq.get(packet.origin_id) == packet.seq
-        actions.append(SendAck(packet.sender_id, packet.seq))
+        actions.append(tuple.__new__(SendAck, (packet.sender_id, packet.seq)))
         if duplicate:
             return actions
         node.last_up_seq[packet.origin_id] = packet.seq

@@ -90,16 +90,47 @@ _POWER_FLAGS = ["--p-sleep", "1e-5", "--p-rx", "0.036", "--p-tx", "0.120"]
         (["--app-period", "2000", "--payload-bytes", "100"], "--payload-bytes"),
         (["--app-period", "2000", "--payload-bytes", "-1"], "--payload-bytes"),
         ([*_POWER_FLAGS, "--drift-ppm", "-10"], "--drift-ppm"),
+        (["--ticks-per-slot", "0"], "--ticks-per-slot"),
+        (["--channels", "0"], "--channels"),
+        (["--k", "0"], "--k"),
+        (["--nodes", "0"], "--nodes"),
+        (["--max-slots", "0"], "--max-slots"),
+        (["--k", "4", "--slots", "0"], "--slots"),
+        (["--slots", "-3"], "--slots"),
     ],
-    ids=["tick_rate_0", "tick_rate_negative", "payload_100", "payload_negative", "drift_negative"],
+    ids=[
+        "tick_rate_0", "tick_rate_negative", "payload_100", "payload_negative", "drift_negative",
+        "ticks_per_slot_0", "channels_0", "k_0", "nodes_0", "max_slots_0", "k_4_slots_0",
+        "slots_negative",
+    ],
 )
 def test_plan_refuses_a_flag_simulate_would_refuse(flags, flag, capsys):
-    # simulate holds a scenario to tick_rate_hz >= 1 and app_payload_bytes
-    # 0..59; the planner's guard model takes the drift as a magnitude.
+    # simulate holds a scenario to tick_rate_hz >= 1, schedule.ticks_per_slot
+    # >= 1 and app_payload_bytes 0..59; the planner's guard model takes the
+    # drift as a magnitude, and each count is at least 1.
     assert main(["plan", "--nodes", "4", "--app-period", "234", *flags]) == 2
     got = capsys.readouterr()
     assert got.out == ""
     assert got.err.startswith(f"error: {flag}: "), got.err
+
+
+def test_plan_slots_alone_sets_k(capsys):
+    # T_app = k * N * T_SL: 234 s over 14 slots of 0.649 s rounds to k = 26.
+    base = ["plan", "--nodes", "4", "--app-period", "234", "--duty-limit", "0.05"]
+    assert main([*base, "--slots", "14"]) == 0
+    out = capsys.readouterr().out
+    assert "collection factor (k)  26\n" in out
+    assert "slots per frame (N)    14\n" in out
+    assert main([*base, "--slots", "14", "--k", "26"]) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_plan_slots_alone_refuses_a_k_below_one_or_n(capsys):
+    # 234 s is under half a frame of 1000 slots; over 90 slots k rounds to 4 < 5 nodes.
+    assert main(["plan", "--nodes", "4", "--app-period", "234", "--slots", "1000"]) == 3
+    assert capsys.readouterr().err.startswith("infeasible: period: T_app = 234.0 s rounds to k = 0")
+    assert main(["plan", "--nodes", "5", "--app-period", "234", "--slots", "90"]) == 3
+    assert capsys.readouterr().err.startswith("infeasible: capacity: n > k: 5 nodes")
 
 
 def test_plan_accepts_the_limits_themselves(capsys):

@@ -27,15 +27,18 @@ from lorahop import (
     sync_pairs,
     write_trace_csvs,
 )
-from lorahop.engine import _P_SVC, PacketEvent, ProtocolEvent, QueueSample, Simulator, SyncSample
+import lorahop.engine
+from lorahop.engine import _P_SVC, PacketEvent, ProtocolEvent, QueueSample, Simulator, SyncSample, _Window
 from lorahop.phy import lorawan_time_on_air
 from lorahop.protocol import (
     ACK_ONAIR_BYTES,
     BEACON_ONAIR_BYTES,
     MAC_HEADER_BYTES,
     MAX_DATA_PAYLOAD_BYTES,
+    Action,
     BecameSynchronized,
     NodeMode,
+    handle_rx,
     make_beacon,
 )
 from lorahop.scenario import ScenarioError, parse_scenario, read_scenario_doc
@@ -475,6 +478,41 @@ def test_trace_records_have_their_class_and_arity():
                 assert isinstance(rec, cls) and len(rec) == len(cls._fields), (name, tuple(rec))
             seen[cls.__name__] += len(records)
     assert len(seen) == 4 and min(seen.values()) > 0, seen
+
+
+def test_windows_and_actions_have_their_class_and_arity(monkeypatch):
+    # Receive windows and handle_rx's actions are built with tuple.__new__
+    # too. Each window is checked as its one opening site returns, each
+    # action as handle_rx returns it to the engine.
+    seen = Counter()
+
+    def check(obj, classes, name):
+        cls = type(obj)
+        assert cls in classes and len(obj) == len(cls._fields), (name, cls.__name__, tuple(obj))
+        seen[cls.__name__] += 1
+
+    def watched_handle_rx(*args, **kwargs):
+        actions = handle_rx(*args, **kwargs)
+        for act in actions:
+            check(act, Action.__args__, name)
+        return actions
+
+    monkeypatch.setattr(lorahop.engine, "handle_rx", watched_handle_rx)
+    for name in ("star4", "line4", *GENERATED):
+        sim = Simulator(parse_scenario(CORPUS[name]()))
+        listen, beacon_window = sim._listen, sim._schedule_beacon_window
+
+        def watched_listen(rt, *args):
+            listen(rt, *args)
+            check(rt.windows[-1], (_Window,), name)
+
+        def watched_beacon_window(rt, *args):
+            beacon_window(rt, *args)
+            check(rt.beacon, (_Window,), name)
+
+        sim._listen, sim._schedule_beacon_window = watched_listen, watched_beacon_window
+        sim.run()
+    assert {"_Window", "Resync", "CandidateBeacon", "SendAck"} <= seen.keys(), seen
 
 
 def test_equal_transmissions_stay_distinct():
