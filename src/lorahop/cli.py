@@ -74,6 +74,11 @@ def cmd_plan(args: argparse.Namespace) -> int:
     ):
         if count is not None and count < 1:
             raise ScenarioError(f"{flag}: {count}, must be at least 1")
+    for dest, value in vars(args).items():  # a float flag is finite, as a scenario float is
+        if type(value) is float and not math.isfinite(value):
+            raise ScenarioError(f"--{dest.replace('_', '-')}: {value}, must be a finite number")
+    if not 0 < args.duty_limit <= 1:
+        raise ScenarioError(f"--duty-limit: {args.duty_limit}, must be in (0, 1]")
     if not 0 <= args.payload_bytes <= MAX_DATA_PAYLOAD_BYTES:
         raise ScenarioError(
             f"--payload-bytes: {args.payload_bytes} B, must be 0..{MAX_DATA_PAYLOAD_BYTES}"

@@ -39,7 +39,7 @@ from __future__ import annotations
 import heapq
 import random
 from collections import Counter, defaultdict
-from collections.abc import Iterator
+from collections.abc import Container, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -235,11 +235,8 @@ def _group_by_node(
 class _NodeRt:
     """Engine-side runtime wrapped around one protocol NodeState."""
 
-    def __init__(self, st: NodeState, frame_ticks: int, is_relay: bool):
+    def __init__(self, st: NodeState, frame_ticks: int):
         self.st = st
-        # Fixed for the run: only the relay is born at address 0 with no
-        # parent, and no other node takes that address.
-        self.is_relay = is_relay
         self.tick = local_tick_duration(st.clock)
         self.frame_local = frame_ticks * self.tick
         self.anchor: float = 0.0
@@ -279,19 +276,18 @@ class Simulator:
             clock = VirtualClock(
                 tick_rate_hz=scenario.tick_rate_hz, drift_ppm=cfg.drift_ppm
             )
+            kw = dict(clock=clock, queue_capacity=scenario.queue_capacity)
             if cfg.is_relay:
-                st = make_relay(cfg.node_id, self.sched, clock=clock)
+                st = make_relay(cfg.node_id, self.sched, **kw)
             else:
-                st = NodeState(node_id=cfg.node_id, clock=clock)
-            st.network_id = scenario.network_id
-            st.queue_capacity = scenario.queue_capacity
-            rt = _NodeRt(st, self.sched.frame_ticks, cfg.is_relay)
+                st = NodeState(node_id=cfg.node_id, **kw)
+            rt = _NodeRt(st, self.sched.frame_ticks)
             rt.eff_guard = base_guard
             self.nodes[cfg.node_id] = rt
         self.relay_id = scenario.relay_id
         # Who hears each sender: (node_id, runtime, link PER) in node-id order.
         self.hearers: dict[int, list[tuple[int, _NodeRt, float]]] = {n: [] for n in self.nodes}
-        for (src, dst), per in scenario.links.items():
+        for (src, dst), (per, _rssi) in scenario.links.items():
             self.hearers[src].append((dst, self.nodes[dst], per))
         for hearers in self.hearers.values():
             hearers.sort()  # by node id alone: a sender's link ends are distinct
@@ -422,7 +418,7 @@ class Simulator:
         """
         st = rt.st
         b, up, down = st.assigned_slots
-        is_relay = rt.is_relay
+        is_relay = st.is_relay
         sched, timing = self.sched, self.timing
         sync_slot, t_slot = rt.sync_slot, self.t_slot
 
@@ -491,7 +487,7 @@ class Simulator:
         st = rt.st
         work = [slot for _pkt, slot in st.downlink_queue] if st.downlink_queue else []
         if st.uplink_queue:
-            work.append(self.sched.lorawan_slot if rt.is_relay else st.assigned_slots[1])
+            work.append(self.sched.lorawan_slot if st.is_relay else st.assigned_slots[1])
         if rt.pending_accept_tx:
             work.append(self.sched.join_slot)
         now_ns = round(now * 1e9)
@@ -743,7 +739,7 @@ class Simulator:
             self._enter_frame(rt, tx.frame, anchor, resynced=True)
         elif kind is CandidateBeacon:
             ref = tx.start - self.timing.beacon_tx_offset
-            rssi = self.sc.link_rssi.get((tx.sender, st.node_id), -60.0)
+            _per, rssi = self.sc.links[tx.sender, st.node_id]
             rt.candidates[act.sender_id] = (rssi, ref, tx.frame)
             if not rt.attempt_scheduled:
                 self._maybe_schedule_attempt(rt, tx.end)
@@ -863,7 +859,7 @@ class Simulator:
         """Log a packet that a full queue of the node turned away. UpData
         dropped by the relay was bound for its LoRaWAN uplink."""
         st = rt.st
-        channel = LORAWAN_CHANNEL if rt.is_relay and pkt.kind is UP_DATA else "0"
+        channel = LORAWAN_CHANNEL if st.is_relay and pkt.kind is UP_DATA else "0"
         self._log_packet(t, st.node_id, "queue_drop", pkt, channel, frame, slot)
 
     # ------------------------------------------------------------ finalize
@@ -945,7 +941,7 @@ def deliver(
     tx: Transmission,
     listeners: list[tuple[int, bool, float]],
     concurrent: list[Transmission],
-    links: dict[tuple[int, int], float],
+    links: Container[tuple[int, int]],
     rng: random.Random,
 ) -> dict[int, str]:
     """Outcome of one transmission at each listener; the engine's delivery rule.

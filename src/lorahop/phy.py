@@ -43,8 +43,8 @@ class RadioParams:
     def __post_init__(self) -> None:
         if not 6 <= self.spreading_factor <= 12:
             raise ValueError(f"spreading factor {self.spreading_factor} outside 6..12")
-        if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth must be positive")
+        if not 0 < self.bandwidth_hz < math.inf:
+            raise ValueError("bandwidth must be finite and positive")
         if not 5 <= self.coding_rate_denominator <= 8:
             raise ValueError(
                 f"coding rate denominator {self.coding_rate_denominator} outside 5..8"

@@ -287,7 +287,8 @@ class NodeState:
     hardware ids; ``node_id`` is the hardware id. ``routes`` maps the
     hardware id of a joining descendant to the address of the direct
     child leading to it (None while the joiner itself is the next hop).
-    The relay additionally owns the address allocator.
+    The relay additionally owns the address allocator; ``is_relay`` is
+    set only by ``make_relay``.
     """
 
     node_id: int
@@ -308,6 +309,7 @@ class NodeState:
     pending_accepts: set[int] = field(default_factory=set)
     last_up_seq: dict[int, int] = field(default_factory=dict)
     protocol_errors: int = 0
+    is_relay: bool = False
 
     @property
     def address(self) -> int | None:
@@ -318,12 +320,6 @@ class NodeState:
         """True while a forwarded join still awaits its accept from above."""
         return bool(self.pending_accepts)
 
-    @property
-    def is_relay(self) -> bool:
-        return self.mode is not UNJOINED and self.parent_id is None and (
-            self.assigned_slots is not None and self.assigned_slots[0] == 0
-        )
-
     def next_seq(self) -> int:
         s = self.seq_counter
         self.seq_counter = (self.seq_counter + 1) % SEQ_MODULO
@@ -332,10 +328,8 @@ class NodeState:
 
 def make_relay(node_id: int, schedule: FrameSchedule, **kw) -> NodeState:
     """The relay is born synchronized at address 0; it never joins."""
-    st = NodeState(node_id=node_id, **kw)
-    st.mode = SYNCHRONIZED
-    st.assigned_slots = schedule.slot_triple(0)
-    return st
+    triple = schedule.slot_triple(0)
+    return NodeState(node_id, mode=SYNCHRONIZED, assigned_slots=triple, is_relay=True, **kw)
 
 
 # --- actions returned by the state machine for the caller to execute ---

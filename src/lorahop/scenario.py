@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Any, get_type_hints
 
@@ -35,8 +35,8 @@ from .timebase import DEFAULT_TICK_RATE_HZ, MAX_DRIFT_PPM, GuardConfig
 
 SCHEMA_VERSION = 1
 
-# The packet codec carries node ids and the network id in one byte, and
-# build_schedule keeps each slot of a JoinAccept's triple in one byte too.
+# The packet codec carries node ids in one byte, and build_schedule keeps
+# each slot of a JoinAccept's triple in one byte too.
 _BYTE_MAX = 255
 
 _REQUIRED = object()
@@ -90,20 +90,22 @@ class Scenario:
     schedule: FrameSchedule
     tick_rate_hz: int
     radio: RadioParams
-    timing: SlotTiming
     guard: GuardConfig
     join: JoinConfig
     nodes: tuple[NodeConfig, ...]
-    links: dict[tuple[int, int], float]
+    links: dict[tuple[int, int], tuple[float, float]]  # (sender, listener): (per, rssi)
     frames: int
     seed: int = 1
     k: int = 1
     app_payload_bytes: int = 24
-    network_id: int = 1
     queue_capacity: int = 64
     power: PowerProfile | None = None
     name: str = "scenario"
-    link_rssi: dict[tuple[int, int], float] = field(default_factory=dict)
+
+    @functools.cached_property
+    def timing(self) -> SlotTiming:
+        """The slot anatomy, derived from ``radio``."""
+        return SlotTiming(self.radio)
 
     @property
     def slot_seconds(self) -> float:
@@ -210,13 +212,10 @@ def _parse_nodes(raw: Any, ctx: str) -> tuple[NodeConfig, ...]:
     return tuple(nodes)
 
 
-def _parse_links(
-    raw: Any, ids: set[int], ctx: str
-) -> tuple[dict[tuple[int, int], float], dict[tuple[int, int], float]]:
+def _parse_links(raw: Any, ids: set[int], ctx: str) -> dict[tuple[int, int], tuple[float, float]]:
     if not isinstance(raw, list):
         raise ScenarioError(f"{ctx}: 'links' must be a list")
-    links: dict[tuple[int, int], float] = {}
-    rssi_map: dict[tuple[int, int], float] = {}
+    links: dict[tuple[int, int], tuple[float, float]] = {}
     for i, item in enumerate(raw):
         c = f"{ctx}.links[{i}]"
         if not isinstance(item, dict):
@@ -234,12 +233,10 @@ def _parse_links(
             raise ScenarioError(f"{c}: self-links are not allowed")
         if not 0.0 <= per <= 1.0:
             raise ScenarioError(f"{c}: per must be in [0, 1]")
-        links[(src, dst)] = per
-        rssi_map[(src, dst)] = rssi
+        links[(src, dst)] = (per, rssi)
         if bidir:
-            links[(dst, src)] = per
-            rssi_map[(dst, src)] = rssi
-    return links, rssi_map
+            links[(dst, src)] = (per, rssi)
+    return links
 
 
 def _check_connected(nodes, links, relay_id: int) -> None:
@@ -287,7 +284,6 @@ def parse_scenario(doc: dict, source: str = "scenario") -> Scenario:
         raise ScenarioError(f"{source}: {e}") from e
 
     radio = _section(d, "radio", RadioParams, source)
-    timing = SlotTiming(radio)
     guard = _section(d, "guard", GuardConfig, source)
     join = _section(d, "join", JoinConfig, source)
 
@@ -296,15 +292,15 @@ def parse_scenario(doc: dict, source: str = "scenario") -> Scenario:
         raise ScenarioError(
             f"{source}: {len(nodes)} nodes exceed schedule.max_nodes = {max_nodes}"
         )
-    links, link_rssi = _parse_links(
+    links = _parse_links(
         _take(d, "links", list, source), {n.node_id for n in nodes}, source
     )
     power = _section(d, "power", PowerProfile, source) if "power" in d else None
 
     scenario: Scenario = _build(
         d, Scenario, source,
-        schedule=schedule, tick_rate_hz=tick_rate, radio=radio, timing=timing,
-        guard=guard, join=join, nodes=nodes, links=links, power=power, link_rssi=link_rssi,
+        schedule=schedule, tick_rate_hz=tick_rate, radio=radio,
+        guard=guard, join=join, nodes=nodes, links=links, power=power,
     )
     if scenario.frames < 1:
         raise ScenarioError(f"{source}.frames: must be at least 1")
@@ -316,17 +312,13 @@ def parse_scenario(doc: dict, source: str = "scenario") -> Scenario:
         )
     if scenario.queue_capacity < 1:
         raise ScenarioError(f"{source}.queue_capacity: must be at least 1")
-    if not 0 <= scenario.network_id <= _BYTE_MAX:
-        raise ScenarioError(
-            f"{source}.network_id: {scenario.network_id} does not fit the one-byte network id (0..{_BYTE_MAX})"
-        )
 
     try:
         check_modem(radio)
     except ValueError as e:
         raise ScenarioError(f"{source}.radio.{e}") from e
     try:
-        timing.validate_for(scenario.slot_seconds)
+        scenario.timing.validate_for(scenario.slot_seconds)
     except ValueError as e:
         raise ScenarioError(f"{source}.schedule: {e}") from e
     req_air = time_on_air(MAC_HEADER_BYTES, radio)
@@ -335,7 +327,7 @@ def parse_scenario(doc: dict, source: str = "scenario") -> Scenario:
             f"{source}.join.backoff_step {join.backoff_step:.3f} s below the JoinRequest "
             f"airtime {req_air:.3f} s: adjacent backoffs would overlap"
         )
-    accept_end = join.accept_offset(timing) + time_on_air(
+    accept_end = join.accept_offset(scenario.timing) + time_on_air(
         MAC_HEADER_BYTES + JOIN_ACCEPT_PAYLOAD_BYTES, radio
     )
     if accept_end > scenario.slot_seconds:

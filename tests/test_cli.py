@@ -97,17 +97,34 @@ _POWER_FLAGS = ["--p-sleep", "1e-5", "--p-rx", "0.036", "--p-tx", "0.120"]
         (["--max-slots", "0"], "--max-slots"),
         (["--k", "4", "--slots", "0"], "--slots"),
         (["--slots", "-3"], "--slots"),
+        (["--app-period", "inf"], "--app-period"),
+        (["--app-period", "nan"], "--app-period"),
+        (["--duty-limit", "nan"], "--duty-limit"),
+        (["--duty-limit", "2"], "--duty-limit"),
+        (["--duty-limit", "-1"], "--duty-limit"),
+        (["--duty-limit", "0"], "--duty-limit"),
+        (["--drift-ppm", "nan"], "--drift-ppm"),
+        (["--p-sleep", "nan", "--p-rx", "0.036", "--p-tx", "0.120"], "--p-sleep"),
+        (["--p-sleep", "1e-5", "--p-rx", "inf", "--p-tx", "0.120"], "--p-rx"),
+        (["--p-sleep", "1e-5", "--p-rx", "0.036", "--p-tx", "inf"], "--p-tx"),
+        ([*_POWER_FLAGS, "--p-app", "nan"], "--p-app"),
+        ([*_POWER_FLAGS, "--tau-app", "inf"], "--tau-app"),
+        (["--bw", "nan"], "--bw"),
+        (["--bw", "inf"], "--bw"),
     ],
     ids=[
         "tick_rate_0", "tick_rate_negative", "payload_100", "payload_negative", "drift_negative",
         "ticks_per_slot_0", "channels_0", "k_0", "nodes_0", "max_slots_0", "k_4_slots_0",
-        "slots_negative",
+        "slots_negative", "app_period_inf", "app_period_nan", "duty_limit_nan", "duty_limit_2",
+        "duty_limit_negative", "duty_limit_0", "drift_nan", "p_sleep_nan", "p_rx_inf", "p_tx_inf",
+        "p_app_nan", "tau_app_inf", "bw_nan", "bw_inf",
     ],
 )
 def test_plan_refuses_a_flag_simulate_would_refuse(flags, flag, capsys):
     # simulate holds a scenario to tick_rate_hz >= 1, schedule.ticks_per_slot
     # >= 1 and app_payload_bytes 0..59; the planner's guard model takes the
-    # drift as a magnitude, and each count is at least 1.
+    # drift as a magnitude, each count is at least 1, every float is finite
+    # and the duty-cycle limit is a fraction in (0, 1].
     assert main(["plan", "--nodes", "4", "--app-period", "234", *flags]) == 2
     got = capsys.readouterr()
     assert got.out == ""
@@ -158,11 +175,12 @@ def test_plan_has_no_m0_flag(capsys):
         ("slot_timing.t_offset=0.03", "unknown key 'slot_timing'"),
         ("slot_timing.t_guard=0.01", "unknown key 'slot_timing'"),
         ("slot_timing={}", "unknown key 'slot_timing'"),
+        ("network_id=1", "unknown key 'network_id'"),
     ],
 )
 def test_simulate_refuses_a_protocol_constant_as_a_key(key, unknown, tmp_path, capsys):
-    # The beacon-miss policy, the join backoff and retry counts and the
-    # slot offsets are protocol constants, not scenario keys.
+    # The beacon-miss policy, the join backoff and retry counts, the slot
+    # offsets and the network id are protocol constants, not scenario keys.
     assert main(["simulate", LINE4, "--out", str(tmp_path), "--set", key]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: line4.json") and unknown in err, err
@@ -370,6 +388,15 @@ def test_toa_applies_the_modem_rules(flags, rc, out, capsys):
     got = capsys.readouterr()
     assert got.out == out
     assert got.err.startswith("error:") == (rc == 2)
+
+
+@pytest.mark.parametrize("bw", ["nan", "inf"])
+def test_toa_refuses_a_bandwidth_that_is_not_finite(bw, capsys):
+    # RadioParams holds the rule, so toa, plan and the library share it.
+    assert main(["toa", "--payload", "5", "--bw", bw]) == 2
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err == "error: bandwidth must be finite and positive\n"
 
 
 # Every float key of a scenario: the float fields of each section's class,

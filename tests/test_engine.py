@@ -724,7 +724,7 @@ def test_join_request_in_both_windows_is_not_join_slot_traffic(in_beacon_window)
     # request is a stray uplink from a node that is no child and is ignored;
     # in the join window alone, node 1 forwards it and awaits the accept.
     sim, open_t, close_t = _beacon_window_over_the_join_window()
-    req = MacPacket(PacketKind.JOIN_REQUEST, sim.sc.network_id, 2, 1, 2, 0)
+    req = MacPacket(PacketKind.JOIN_REQUEST, sim.nodes[2].st.network_id, 2, 1, 2, 0)
     airtime = sim._toa(req.onair_bytes)
     start = open_t + 0.005 if in_beacon_window else open_t - airtime - 0.005
     assert start + airtime < close_t

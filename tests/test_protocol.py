@@ -60,7 +60,7 @@ def test_layout_capacity_floor():
 def _frame_seconds(schedule: FrameSchedule, tick_rate_hz: int) -> float:
     """T_F of a scenario with this frame schedule and tick rate."""
     return Scenario(
-        schedule, tick_rate_hz, RadioParams(), TIMING, GuardConfig(), JoinConfig(), (), {}, frames=1
+        schedule, tick_rate_hz, RadioParams(), GuardConfig(), JoinConfig(), (), {}, frames=1
     ).frame_seconds
 
 
@@ -220,6 +220,14 @@ def test_make_relay():
     assert relay.address == 0
     assert relay.is_relay
     assert relay.parent_id is None
+
+
+def test_only_make_relay_makes_a_relay():
+    # Synchronized at address 0 with no parent, as the relay is, but built
+    # by hand: the role is the flag make_relay sets, not read off the state.
+    st = NodeState(node_id=10, mode=NodeMode.SYNCHRONIZED, assigned_slots=SCHED.slot_triple(0))
+    assert st.address == 0 and st.parent_id is None
+    assert not st.is_relay
 
 
 def _synced_leaf(node_id: int, address: int, parent: int = 0) -> NodeState:

@@ -35,8 +35,7 @@ def test_minimal_defaults():
     assert sc.app_payload_bytes == 24
     assert sc.relay_id == 0
     assert sc.guard.base_guard == 0.010
-    assert sc.links == {(0, 1): 0.0, (1, 0): 0.0}
-    assert sc.link_rssi[(0, 1)] == -60.0
+    assert sc.links == {(0, 1): (0.0, -60.0), (1, 0): (0.0, -60.0)}
     assert sc.power is None
     assert sc.slot_seconds == 21281 / 32768
 
@@ -52,13 +51,20 @@ def test_omitted_keys_take_the_class_defaults():
             assert getattr(sc, f.name) == f.default, f.name
 
 
+def test_timing_follows_the_radio():
+    sc = parse_scenario(_minimal())
+    sf8 = RadioParams(spreading_factor=8)
+    assert dataclasses.replace(sc, radio=sf8).timing == SlotTiming(sf8)
+    assert "timing" not in {f.name for f in dataclasses.fields(Scenario)}
+
+
 def _init_keys(cls, *given):
     return [f for f in dataclasses.fields(cls) if f.init and f.name not in given]
 
 
 # Scenario fields read from the top level of a document; the rest are
 # built from their own sections.
-_TOP_LEVEL = ("frames", "seed", "k", "app_payload_bytes", "network_id", "queue_capacity", "name")
+_TOP_LEVEL = ("frames", "seed", "k", "app_payload_bytes", "queue_capacity", "name")
 _POWER = {"p_sleep": 1e-5, "p_rx": 0.036, "p_tx": 0.120, "p_app": 0.0, "tau_app": 0.0}
 
 
@@ -225,20 +231,19 @@ def test_node_id_must_fit_one_byte(node_id):
         parse_scenario(doc)
 
 
-@pytest.mark.parametrize("network_id", [-1, 256])
-def test_network_id_must_fit_one_byte(network_id):
-    with pytest.raises(ScenarioError, match="network_id: "):
-        parse_scenario(_minimal(network_id=network_id))
+def test_network_id_is_not_a_scenario_key():
+    # Every node of a run shares one network id, so no output depends on it;
+    # the packet codec keeps NodeState's default.
+    with pytest.raises(ScenarioError, match="unknown key 'network_id'"):
+        parse_scenario(_minimal(network_id=1))
 
 
 def test_largest_one_byte_ids_parse():
     doc = _minimal(
-        network_id=255,
         nodes=[{"id": 0, "relay": True}, {"id": 255}],
         links=[{"from": 0, "to": 255}],
     )
     sc = parse_scenario(doc)
-    assert sc.network_id == 255
     assert {n.node_id for n in sc.nodes} == {0, 255}
 
 
@@ -317,8 +322,7 @@ def test_payload_bounds():
 def test_per_link_rssi():
     doc = _minimal(links=[{"from": 0, "to": 1, "rssi": -95.5}])
     sc = parse_scenario(doc)
-    assert sc.link_rssi[(0, 1)] == -95.5
-    assert sc.link_rssi[(1, 0)] == -95.5
+    assert sc.links == {(0, 1): (0.0, -95.5), (1, 0): (0.0, -95.5)}
 
 
 def test_apply_override_scalars():
