@@ -9,7 +9,16 @@ from pathlib import Path
 
 import pytest
 
-from lorahop import GuardConfig, PowerProfile, RadioParams, Scenario, SlotTiming, load_scenario
+from lorahop import (
+    GuardConfig,
+    MacPacket,
+    PacketKind,
+    PowerProfile,
+    RadioParams,
+    Scenario,
+    SlotTiming,
+    load_scenario,
+)
 from lorahop.scenario import JoinConfig, ScenarioError, apply_override, parse_scenario
 
 REPO = Path(__file__).resolve().parent.parent
@@ -236,6 +245,16 @@ def test_network_id_is_not_a_scenario_key():
     # the packet codec keeps NodeState's default.
     with pytest.raises(ScenarioError, match="unknown key 'network_id'"):
         parse_scenario(_minimal(network_id=1))
+
+
+@pytest.mark.parametrize("network_id", [-1, 256])
+def test_network_id_must_fit_one_byte(network_id):
+    # No scenario can carry an out-of-range network id, and the packet codec,
+    # which holds the one-byte field, refuses it by name.
+    with pytest.raises(ScenarioError, match="unknown key 'network_id'"):
+        parse_scenario(_minimal(network_id=network_id))
+    with pytest.raises(ValueError, match=f"^network_id {network_id} does not fit one byte$"):
+        MacPacket(PacketKind.UP_DATA, network_id, 1, 0, 1, 0)
 
 
 def test_largest_one_byte_ids_parse():
