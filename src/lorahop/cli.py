@@ -37,26 +37,45 @@ EXIT_INFEASIBLE = 3
 EXIT_RUNTIME = 4
 
 
+# The RadioParams field each radio value flag sets.
+_RADIO_FLAGS = {
+    "--sf": "spreading_factor",
+    "--bw": "bandwidth_hz",
+    "--cr": "coding_rate_denominator",
+    "--preamble": "preamble_symbols",
+}
+# The flag that satisfies each modem rule, by the setting check_modem names first.
+_MODEM_FLAGS = {"explicit_header": "--implicit-header", "low_data_rate_opt": "--ldro"}
+
+
 def _radio_from_args(args: argparse.Namespace) -> RadioParams:
+    values = {field: getattr(args, flag[2:]) for flag, field in _RADIO_FLAGS.items()}
+    # RadioParams holds each limit; tried one field at a time, its error names the flag.
+    for flag, field in _RADIO_FLAGS.items():
+        try:
+            RadioParams(**{field: values[field]})
+        except ValueError as e:
+            raise ScenarioError(f"{flag}: {e}") from None
     radio = RadioParams(
-        spreading_factor=args.sf,
-        bandwidth_hz=args.bw,
-        coding_rate_denominator=args.cr,
-        preamble_symbols=args.preamble,
+        **values,
         explicit_header=not args.implicit_header,
         crc_on=not args.no_crc,
         low_data_rate_opt=args.ldro,
     )
-    check_modem(radio)
+    try:
+        check_modem(radio)
+    except ValueError as e:
+        raise ScenarioError(f"{_MODEM_FLAGS[str(e).partition(':')[0]]}: {e}") from None
     return radio
 
 
 def cmd_toa(args: argparse.Namespace) -> int:
     radio = _radio_from_args(args)
-    if args.lorawan:
-        seconds = lorawan_time_on_air(args.payload, radio)
-    else:
-        seconds = time_on_air(args.payload, radio)
+    toa = lorawan_time_on_air if args.lorawan else time_on_air
+    try:
+        seconds = toa(args.payload, radio)
+    except ValueError as e:
+        raise ScenarioError(f"--payload: {e}") from None
     print(f"{seconds * 1e3:.3f} ms")
     return EXIT_OK
 

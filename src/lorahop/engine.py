@@ -42,6 +42,7 @@ from collections import Counter, defaultdict
 from collections.abc import Container, Iterator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -1062,63 +1063,102 @@ def measure_avg_power(
 # ------------------------------------------------------------- export
 
 
+# Lines joined into one write: a block of a few kB, small beside the trace.
+_BLOCK_LINES = 256
+
+
 def write_trace_csvs(trace: SimulationTrace, out_dir: str | Path) -> list[Path]:
     """Write the four CSV artifacts; returns the paths written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    files = (
+        ("radio_states.csv", "node,state,start_s,end_s\n",
+         _radio_state_lines(trace.radio_intervals)),
+        ("packet_events.csv",
+         "t_s,node,event,kind,sender,dest,origin,seq,size_bytes,channel,frame,slot\n",
+         _packet_event_lines(trace.packet_events)),
+        ("sync_samples.csv", "frame,parent,child,epsilon_us\n", _sync_sample_lines(trace)),
+        ("summary.csv",
+         "node,final_mode,address,duty_cycle,avg_power_w,tx_count,rx_count,"
+         "uplink_drops,protocol_errors\n",
+         _summary_lines(trace)),
+    )
     paths = []
-
-    p = out / "radio_states.csv"
-    with p.open("w", newline="") as f:
-        f.write("node,state,start_s,end_s\n")
-        f.writelines(_radio_state_lines(trace.radio_intervals))
-    paths.append(p)
-
-    p = out / "packet_events.csv"
-    with p.open("w", newline="") as f:
-        f.write("t_s,node,event,kind,sender,dest,origin,seq,size_bytes,channel,frame,slot\n")
-        f.writelines(map("%.9f,%d,%s,%s,%d,%d,%d,%d,%d,%s,%d,%d\n".__mod__, trace.packet_events))
-    paths.append(p)
-
-    p = out / "sync_samples.csv"
-    with p.open("w", newline="") as f:
-        f.write("frame,parent,child,epsilon_us\n")
-        f.writelines(
-            f"{fr},{parent_id},{child_id},{eps * 1e6:.3f}\n"
-            for parent_id, child_id in sync_pairs(trace)
-            for fr, eps in _sync_offsets(trace, parent_id, child_id)
-        )
-    paths.append(p)
-
-    p = out / "summary.csv"
-    counts = Counter(map(itemgetter(1, 2), trace.packet_events))  # (node, event)
-    with p.open("w", newline="") as f:
-        f.write(
-            "node,final_mode,address,duty_cycle,avg_power_w,tx_count,rx_count,"
-            "uplink_drops,protocol_errors\n"
-        )
-        for nid, (duty, avg) in trace.node_measures.items():
-            power = "" if avg is None else f"{avg:.9e}"
-            txc, rxc = counts[(nid, "tx")], counts[(nid, "rx")]
-            addr = trace.addresses.get(nid, "")
-            f.write(
-                f"{nid},{trace.final_modes[nid]},{addr},{duty:.9f},{power},{txc},{rxc},"
-                f"{counts[(nid, 'queue_drop')]},{trace.protocol_errors[nid]}\n"
-            )
-    paths.append(p)
+    for name, header, lines in files:
+        p = out / name
+        with p.open("w", newline="") as f:
+            f.write(header)
+            while block := "".join(islice(lines, _BLOCK_LINES)):
+                f.write(block)
+        paths.append(p)
     return paths
 
 
 def _radio_state_lines(rows: list[tuple[int, str, float, float]]) -> Iterator[str]:
-    """``radio_states.csv`` rows; an instant shared by one row's end and
-    the next row's start is formatted once."""
+    """``radio_states.csv`` rows. Rows are node-major, so the ``node,state,``
+    text is built once per node and state; an instant shared by one row's
+    end and the next row's start is formatted once (an end is after its
+    start, so never a zero of either sign)."""
+    last_node = None
+    prefixes: dict[str, str] = {}
     last_end = None
     end_text = ""
     for n, state, s, e in rows:
+        if n != last_node:
+            last_node, prefixes = n, {}
+        try:
+            prefix = prefixes[state]
+        except KeyError:
+            prefix = prefixes[state] = f"{n},{state},"
         start_text = end_text if s == last_end else f"{s:.9f}"
         last_end = e
         end_text = f"{e:.9f}"
-        yield f"{n},{state},{start_text},{end_text}\n"
+        yield f"{prefix}{start_text},{end_text}\n"
+
+
+def _packet_event_lines(events: list[PacketEvent]) -> Iterator[str]:
+    """``packet_events.csv`` rows. Events are sorted by (t, node, event), so
+    the rows of one transmission sit together: a row reuses the previous
+    row's time text when its ``t`` is equal, and the previous row's text of
+    the nine columns after ``event`` when those are equal.
+
+    Equal ints and strings format alike, and so do equal floats except
+    ``0.0`` and ``-0.0``: a zero instant is always formatted afresh.
+    """
+    columns = ",%s,%d,%d,%d,%d,%d,%s,%d,%d\n".__mod__
+    last_t = last_cols = None
+    t_text = cols_text = ""
+    for ev in events:
+        t = ev[0]
+        if t != last_t or not t:
+            last_t = t
+            t_text = f"{t:.9f}"
+        cols = ev[3:]
+        if cols != last_cols:
+            last_cols = cols
+            cols_text = columns(cols)
+        yield f"{t_text},{ev[1]},{ev[2]}{cols_text}"
+
+
+def _sync_sample_lines(trace: SimulationTrace) -> Iterator[str]:
+    """``sync_samples.csv`` rows, pair by pair; each pair's text is built once."""
+    for parent_id, child_id in sync_pairs(trace):
+        pair = f",{parent_id},{child_id},"
+        for fr, eps in _sync_offsets(trace, parent_id, child_id):
+            yield f"{fr}{pair}{eps * 1e6:.3f}\n"
+
+
+def _summary_lines(trace: SimulationTrace) -> Iterator[str]:
+    """``summary.csv`` rows, one per node."""
+    counts = Counter(map(itemgetter(1, 2), trace.packet_events))  # (node, event)
+    for nid, (duty, avg) in trace.node_measures.items():
+        power = "" if avg is None else f"{avg:.9e}"
+        txc, rxc = counts[(nid, "tx")], counts[(nid, "rx")]
+        addr = trace.addresses.get(nid, "")
+        yield (
+            f"{nid},{trace.final_modes[nid]},{addr},{duty:.9f},{power},{txc},{rxc},"
+            f"{counts[(nid, 'queue_drop')]},{trace.protocol_errors[nid]}\n"
+        )
 
 
 def sync_pairs(trace: SimulationTrace) -> list[tuple[int, int]]:

@@ -111,13 +111,21 @@ _POWER_FLAGS = ["--p-sleep", "1e-5", "--p-rx", "0.036", "--p-tx", "0.120"]
         ([*_POWER_FLAGS, "--tau-app", "inf"], "--tau-app"),
         (["--bw", "nan"], "--bw"),
         (["--bw", "inf"], "--bw"),
+        (["--bw", "0"], "--bw"),
+        (["--sf", "13"], "--sf"),
+        (["--sf", "5"], "--sf"),
+        (["--cr", "9"], "--cr"),
+        (["--preamble", "0"], "--preamble"),
+        (["--sf", "6"], "--implicit-header"),
+        (["--sf", "12"], "--ldro"),
     ],
     ids=[
         "tick_rate_0", "tick_rate_negative", "payload_100", "payload_negative", "drift_negative",
         "ticks_per_slot_0", "channels_0", "k_0", "nodes_0", "max_slots_0", "k_4_slots_0",
         "slots_negative", "app_period_inf", "app_period_nan", "duty_limit_nan", "duty_limit_2",
         "duty_limit_negative", "duty_limit_0", "drift_nan", "p_sleep_nan", "p_rx_inf", "p_tx_inf",
-        "p_app_nan", "tau_app_inf", "bw_nan", "bw_inf",
+        "p_app_nan", "tau_app_inf", "bw_nan", "bw_inf", "bw_0", "sf_13", "sf_5", "cr_9",
+        "preamble_0", "sf6_explicit_header", "sf12_without_ldro",
     ],
 )
 def test_plan_refuses_a_flag_simulate_would_refuse(flags, flag, capsys):
@@ -396,7 +404,35 @@ def test_toa_refuses_a_bandwidth_that_is_not_finite(bw, capsys):
     assert main(["toa", "--payload", "5", "--bw", bw]) == 2
     got = capsys.readouterr()
     assert got.out == ""
-    assert got.err == "error: bandwidth must be finite and positive\n"
+    assert got.err == "error: --bw: bandwidth must be finite and positive\n"
+
+
+@pytest.mark.parametrize(
+    "flags, flag",
+    [
+        (["--sf", "13"], "--sf"),
+        (["--sf", "5"], "--sf"),
+        (["--bw", "0"], "--bw"),
+        (["--cr", "9"], "--cr"),
+        (["--cr", "4"], "--cr"),
+        (["--preamble", "0"], "--preamble"),
+        (["--payload", "256"], "--payload"),
+        (["--payload", "-1"], "--payload"),
+        (["--payload", "244", "--lorawan"], "--payload"),
+        (["--sf", "6"], "--implicit-header"),
+        (["--sf", "11"], "--ldro"),
+    ],
+    ids=[
+        "sf_13", "sf_5", "bw_0", "cr_9", "cr_4", "preamble_0", "payload_256", "payload_negative",
+        "lorawan_payload_244", "sf6_explicit_header", "sf11_without_ldro",
+    ],
+)
+def test_toa_names_the_flag_it_refuses(flags, flag, capsys):
+    # The last --payload wins, so each case can replace the valid one.
+    assert main(["toa", "--payload", "5", *flags]) == 2
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err.startswith(f"error: {flag}: "), got.err
 
 
 # Every float key of a scenario: the float fields of each section's class,

@@ -530,8 +530,102 @@ def test_packet_event_fields_are_the_csv_columns(tmp_path, star_trace):
     lines = (tmp_path / "packet_events.csv").read_text().splitlines()
     header = lines[0].split(",")
     assert [c.removesuffix("_s") for c in header] == list(PacketEvent._fields)
-    for line, ev in zip(lines[1:50], star_trace.packet_events):
+    assert len(lines) == len(star_trace.packet_events) + 1
+    for line, ev in zip(lines[1:], star_trace.packet_events):
         assert line.split(",") == [f"{ev.t:.9f}", *map(str, ev[1:])]
+
+
+def _plain_csv_lines(trace) -> dict[str, list[str]]:
+    """The data lines of each trace CSV, every line formatted alone from its record."""
+    return {
+        "packet_events.csv": [
+            "%.9f,%d,%s,%s,%d,%d,%d,%d,%d,%s,%d,%d\n" % ev for ev in trace.packet_events
+        ],
+        "radio_states.csv": ["%d,%s,%.9f,%.9f\n" % row for row in trace.radio_intervals],
+        "sync_samples.csv": [
+            f"{fr},{p},{c},{eps * 1e6:.3f}\n"
+            for p, c in sync_pairs(trace)
+            for fr, eps in lorahop.engine._sync_offsets(trace, p, c)
+        ],
+    }
+
+
+def _written_csv_lines(trace, out: Path) -> dict[str, list[str]]:
+    write_trace_csvs(trace, out)
+    return {
+        name: (out / name).read_text().splitlines(keepends=True)[1:]
+        for name in ("packet_events.csv", "radio_states.csv", "sync_samples.csv")
+    }
+
+
+@pytest.fixture(scope="module")
+def star32_trace():
+    """31 leaves joining one relay from cold: each relay beacon gives 31 rx
+    rows at one instant, and colliding JoinRequests share theirs."""
+    return run(parse_scenario(GENERATED["star32"]()))
+
+
+@pytest.mark.parametrize("name", ["star4", "star32", "tree16"])
+def test_every_csv_line_is_its_record_formatted_alone(name, tmp_path, star32_trace):
+    # The writers reuse text a row shares with the row before it; the bytes
+    # must be those of formatting each record on its own.
+    trace = star32_trace if name == "star32" else run(parse_scenario(CORPUS[name]()))
+    plain = _plain_csv_lines(trace)
+    assert plain["packet_events.csv"] and plain["radio_states.csv"]
+    assert bool(plain["sync_samples.csv"]) == (name != "star32")  # no star32 leaf syncs
+    assert _written_csv_lines(trace, tmp_path) == plain
+
+
+def test_csv_text_is_reused_only_for_equal_values(tmp_path, star_trace):
+    # Adjacent rows that share their instant but not their columns, their
+    # columns but not their instant, or neither; 0.0 and -0.0 compare equal
+    # but format apart. Radio rows of two nodes share a state, not a node.
+    ev = PacketEvent(1.5, 1, "rx", "beacon", 0, 255, 0, 3, 3, "0", 1, 0)
+    packets = [
+        ev,
+        ev._replace(node=2),
+        ev._replace(node=3, seq=4),
+        ev._replace(t=2.25, seq=4),
+        ev._replace(t=2.25, node=0, event="tx", kind="ack", channel="lorawan"),
+        ev._replace(t=3.0, node=0, event="tx", kind="ack", channel="lorawan", slot=1),
+        ev._replace(t=0.0),
+        ev._replace(t=-0.0),
+        ev._replace(t=0.0),
+    ]
+    radio = [
+        (0, "sleep", 0.0, 1.5),
+        (0, "receive", 1.5, 2.25),
+        (1, "receive", 2.25, 3.0),
+        (1, "sleep", 3.0, 4.0),
+        (2, "sleep", 0.0, 4.0),
+    ]
+    trace = dataclasses.replace(star_trace, packet_events=packets, radio_intervals=radio)
+    written = _written_csv_lines(trace, tmp_path)
+    assert written == _plain_csv_lines(trace)
+    assert written["packet_events.csv"][6:] == [
+        "0.000000000,1,rx,beacon,0,255,0,3,3,0,1,0\n",
+        "-0.000000000,1,rx,beacon,0,255,0,3,3,0,1,0\n",
+        "0.000000000,1,rx,beacon,0,255,0,3,3,0,1,0\n",
+    ]
+
+
+def test_csv_export_holds_one_block_of_lines_at_a_time(tmp_path, star32_trace):
+    # The peak above the live trace: 34.6 kB for a writer that hands the
+    # file one line at a time (Python 3.11), plus one block of 256 lines of
+    # at most 64 characters, each held as a str (49 B and its text), a list
+    # slot and its share of the joined text: 47.4 kB. A whole joined file
+    # is far above it.
+    trace = star32_trace
+    trace.node_measures, trace.resynced_by_node  # the trace's own views, built once
+    write_trace_csvs(trace, tmp_path)
+    tracemalloc.start()
+    try:
+        write_trace_csvs(trace, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "packet_events.csv").stat().st_size > 300_000
+    assert peak <= 82_000, peak
 
 
 # --- plain receive windows against packet timing ---
