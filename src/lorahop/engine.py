@@ -265,7 +265,6 @@ class Simulator:
         self.rng = random.Random(scenario.seed)
         self.t_slot = scenario.slot_seconds
         self.t_frame = scenario.frame_seconds
-        self.t_join_accept = scenario.join.accept_offset(scenario.timing)
         self.base_guard = base_guard = scenario.guard.base_guard
         self.listen_until_frame = scenario.join.listen_until_frame
         self._toa_cache: dict[int, float] = {}
@@ -320,9 +319,6 @@ class Simulator:
         if t is None:
             t = self._lorawan_toa_cache[payload_bytes] = lorawan_time_on_air(payload_bytes, self.sc.radio)
         return t
-
-    def _join_req_offset(self, backoff: int) -> float:
-        return self.timing.t_offset + self.timing.t_guard / 2.0 + backoff * self.sc.join.backoff_step
 
     # ------------------------------------------------------- event plumbing
 
@@ -458,10 +454,10 @@ class Simulator:
         lu = self.listen_until_frame
         if lu is None or frame <= lu:
             t_join = anchor + (sched.join_slot - sync_slot) * t_slot
-            join_close = t_join + self.t_join_accept - timing.join_rx_margin
+            join_close = t_join + timing.join_accept_offset - timing.join_rx_margin
             self._listen(rt, "join_rx", t_join + timing.t_offset, join_close)
             if is_relay:
-                t_acc = t_join + self.t_join_accept
+                t_acc = t_join + timing.join_accept_offset
                 due[sched.join_slot] = (t_acc, self._ev_join_respond, (rt, frame, t_acc))
 
         # Every service lies at least a slot after the anchor, so the wake
@@ -786,7 +782,7 @@ class Simulator:
         _rssi, ref, frame = rt.candidates[parent]
         slot_start = ref + (self.sched.join_slot - parent) * self.t_slot
         backoff = self.rng.randrange(JOIN_BACKOFF_SLOTS)
-        t_tx = slot_start + self._join_req_offset(backoff)
+        t_tx = slot_start + self.timing.join_request_offsets[backoff]
         # A stale reference (the chosen parent's beacon was lost this
         # frame) may point at a contention slot already behind us; step
         # forward on the nominal frame grid until the slot is ahead.

@@ -110,6 +110,14 @@ def lorawan_time_on_air(
     """Airtime of an application payload once wrapped as a LoRaWAN uplink.
 
     Adds the fixed 12 B of LoRaWAN framing before applying the modem
-    formula, so ``lorawan_time_on_air(n) == time_on_air(n + 12)``.
+    formula, so ``lorawan_time_on_air(n) == time_on_air(n + 12)``. A refusal
+    names the application payload, not the framed size.
     """
+    if app_payload_bytes < 0:
+        raise ValueError("payload size cannot be negative")
+    if app_payload_bytes > MAX_PHY_PAYLOAD_BYTES - LORAWAN_OVERHEAD_BYTES:
+        raise ValueError(
+            f"payload of {app_payload_bytes} B plus {LORAWAN_OVERHEAD_BYTES} B of LoRaWAN "
+            f"framing exceeds the {MAX_PHY_PAYLOAD_BYTES} B modem limit"
+        )
     return time_on_air(app_payload_bytes + LORAWAN_OVERHEAD_BYTES, params)

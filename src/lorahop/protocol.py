@@ -17,6 +17,7 @@ event scheduling or radio physics beyond packet sizes.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -163,8 +164,10 @@ class SlotTiming:
 
     A data slot runs [t_offset][guard/2 | data | guard/2][t_offset]
     [guard/2 | ack | guard/2]. A beacon slot is just [t_offset][beacon],
-    received through a guard window centered on the nominal start. The
-    beacon, ack and largest data airtimes follow from ``radio``.
+    received through a guard window centered on the nominal start. A join
+    slot runs [t_offset][guard/2 | JOIN_BACKOFF_SLOTS positions of t_backoff
+    | guard/2][JoinAccept], a JoinRequest starting at one position chosen at
+    random. Every airtime, and so every offset, follows from ``radio``.
     """
 
     t_offset: ClassVar[float] = 0.030
@@ -177,12 +180,16 @@ class SlotTiming:
     t_bcn: float = field(init=False)
     t_ack: float = field(init=False)
     t_data_max: float = field(init=False)
+    #: One backoff position: the fewest whole guard times that hold a JoinRequest.
+    t_backoff: float = field(init=False)
     # Offsets below are relative to the slot start, in seconds.
     beacon_tx_offset: float = field(init=False)
     data_tx_offset: float = field(init=False)
     data_window: tuple[float, float] = field(init=False)
     ack_tx_offset: float = field(init=False)
     ack_window: tuple[float, float] = field(init=False)
+    join_request_offsets: tuple[float, ...] = field(init=False)  # one per backoff position
+    join_accept_offset: float = field(init=False)
 
     def __post_init__(self) -> None:
         for label, size in (
@@ -191,14 +198,20 @@ class SlotTiming:
             ("t_data_max", MAX_ONAIR_BYTES),
         ):
             object.__setattr__(self, label, time_on_air(size, self.radio))
+        step = math.ceil(time_on_air(MAC_HEADER_BYTES, self.radio) / self.t_guard) * self.t_guard
         data_end = self.t_offset + self.t_guard + self.t_data_max
         ack_start = data_end + self.t_offset
         for label, v in (
+            ("t_backoff", step),
             ("beacon_tx_offset", self.t_offset),
             ("data_tx_offset", self.t_offset + self.t_guard / 2.0),
             ("data_window", (self.t_offset, data_end)),
             ("ack_tx_offset", ack_start + self.t_guard / 2.0),
             ("ack_window", (ack_start, ack_start + self.t_guard + self.t_ack)),
+            ("join_request_offsets", tuple(
+                self.t_offset + self.t_guard / 2.0 + b * step for b in range(JOIN_BACKOFF_SLOTS)
+            )),
+            ("join_accept_offset", self.t_offset + self.t_guard + JOIN_BACKOFF_SLOTS * step),
         ):
             object.__setattr__(self, label, v)
 
@@ -207,10 +220,19 @@ class SlotTiming:
         return self.ack_window[1]
 
     def validate_for(self, slot_seconds: float) -> None:
+        """Raise ValueError if a slot cannot hold the data exchange or the join slot."""
         if self.slot_budget() > slot_seconds:
             raise ValueError(
                 f"slot anatomy needs {self.slot_budget():.6f} s "
                 f"but a slot lasts {slot_seconds:.6f} s"
+            )
+        accept_end = self.join_accept_offset + time_on_air(
+            MAC_HEADER_BYTES + JOIN_ACCEPT_PAYLOAD_BYTES, self.radio
+        )
+        if accept_end > slot_seconds:
+            raise ValueError(
+                f"join slot anatomy needs {accept_end:.3f} s "
+                f"but a slot lasts {slot_seconds:.3f} s"
             )
 
 

@@ -1,9 +1,11 @@
 """Scenario files: the JSON schema feeding the simulator.
 
-A scenario bundles the frame geometry, radio settings, slot anatomy,
-guard policy, join tuning, per-node clock drifts, the connectivity
-graph with per-link packet error rates, traffic settings, and an
-optional power profile. Parsing is strict: unknown keys and missing
+A scenario bundles the frame geometry, radio settings, guard policy,
+the join listening limit, per-node clock drifts, the connectivity graph
+with per-link packet error rates, traffic settings, and an optional
+power profile. The slot anatomy, the join slot's included, is not a
+key: ``SlotTiming`` derives it from the radio, and parsing refuses a
+slot too short to hold it. Parsing is strict: unknown keys and missing
 required keys are rejected with the offending field named, so a typo
 cannot silently fall back to a default. The top-level scalars and the
 ``radio``, ``guard``, ``join`` and ``power`` sections are read against
@@ -20,17 +22,9 @@ from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Any, get_type_hints
 
-from .phy import RadioParams, check_modem, time_on_air
+from .phy import RadioParams, check_modem
 from .planner import PowerProfile
-from .protocol import (
-    JOIN_ACCEPT_PAYLOAD_BYTES,
-    JOIN_BACKOFF_SLOTS,
-    MAC_HEADER_BYTES,
-    MAX_DATA_PAYLOAD_BYTES,
-    FrameSchedule,
-    SlotTiming,
-    build_schedule,
-)
+from .protocol import MAX_DATA_PAYLOAD_BYTES, FrameSchedule, SlotTiming, build_schedule
 from .timebase import DEFAULT_TICK_RATE_HZ, MAX_DRIFT_PPM, GuardConfig
 
 SCHEMA_VERSION = 1
@@ -57,30 +51,18 @@ class NodeConfig:
 class JoinConfig:
     """Join-contention tuning.
 
-    A JoinRequest goes out after a uniformly chosen backoff of
-    ``backoff_step`` * {0 .. JOIN_BACKOFF_SLOTS-1} inside the contention
-    slot; the step must exceed the request airtime so distinct backoffs
-    cannot collide. Synchronized nodes listen in the
-    contention slot up to frame ``listen_until_frame`` (None = always),
-    letting energy-measurement scenarios stop paying for it once the
-    tree is formed.
+    Synchronized nodes listen in the contention slot up to frame
+    ``listen_until_frame`` (None = always), letting energy-measurement
+    scenarios stop paying for it once the tree is formed. The contention
+    slot's anatomy (backoff step, request and accept offsets) follows from
+    the radio, in ``SlotTiming``.
 
     The fields are the keys of a scenario's ``join`` section, with these
     types and defaults: ``listen_until_frame`` takes an int or null, and
     a bool is rejected.
     """
 
-    backoff_step: float = 0.130
     listen_until_frame: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.backoff_step <= 0:
-            raise ValueError("backoff step must be positive")
-
-    def accept_offset(self, timing: SlotTiming) -> float:
-        """Start of the relay's JoinAccept within the contention slot: after
-        the guard and every backoff position."""
-        return timing.t_offset + timing.t_guard + JOIN_BACKOFF_SLOTS * self.backoff_step
 
 
 @dataclass(frozen=True)
@@ -321,20 +303,6 @@ def parse_scenario(doc: dict, source: str = "scenario") -> Scenario:
         scenario.timing.validate_for(scenario.slot_seconds)
     except ValueError as e:
         raise ScenarioError(f"{source}.schedule: {e}") from e
-    req_air = time_on_air(MAC_HEADER_BYTES, radio)
-    if join.backoff_step < req_air:
-        raise ScenarioError(
-            f"{source}.join.backoff_step {join.backoff_step:.3f} s below the JoinRequest "
-            f"airtime {req_air:.3f} s: adjacent backoffs would overlap"
-        )
-    accept_end = join.accept_offset(scenario.timing) + time_on_air(
-        MAC_HEADER_BYTES + JOIN_ACCEPT_PAYLOAD_BYTES, radio
-    )
-    if accept_end > scenario.slot_seconds:
-        raise ScenarioError(
-            f"{source}.join: join slot anatomy needs {accept_end:.3f} s "
-            f"but a slot lasts {scenario.slot_seconds:.3f} s"
-        )
 
     _check_connected(nodes, links, scenario.relay_id)
     return scenario

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import gc
 import json
@@ -13,9 +14,9 @@ import pytest
 
 import lorahop.cli
 import lorahop.engine
-from lorahop import GuardConfig, PowerProfile, RadioParams, Scenario
+from lorahop import GuardConfig, PowerProfile, RadioParams, Scenario, SlotTiming
 from lorahop.cli import _radio_from_args, main
-from lorahop.scenario import JoinConfig, _schema
+from lorahop.scenario import JoinConfig, ScenarioError, _schema, parse_scenario, read_scenario_doc
 from corpus import CORPUS, GENERATED
 
 REPO = Path(__file__).resolve().parent.parent
@@ -77,6 +78,49 @@ def test_plan_refuses_a_slot_too_short_for_the_anatomy(capsys):
     assert main(["plan", "--nodes", "4", "--app-period", "3600", "--sf", "10"]) == 3
     assert "infeasible: slot: slot anatomy needs 0.985216 s" in capsys.readouterr().err
     assert main(["plan", "--nodes", "4", "--app-period", "3600", "--sf", "10", "--ticks-per-slot", "36000"]) == 0
+
+
+def _shortest_slot_ticks(timing: SlotTiming, tick_rate: int) -> int:
+    """The fewest ticks per slot that ``timing`` accepts, by bisection."""
+
+    def fits(ticks: int) -> bool:
+        try:
+            timing.validate_for(ticks / tick_rate)
+        except ValueError:
+            return False
+        return True
+
+    ticks = bisect.bisect_left(range(1 << 20), True, key=fits)
+    assert fits(ticks)
+    return ticks
+
+
+@pytest.mark.parametrize("sf", range(6, 13))
+def test_plan_and_simulate_accept_the_same_slots(sf, capsys):
+    # SF6 has no explicit header, and symbols past 16 ms (SF11, SF12) need
+    # low data rate optimization; the join slot is sized by the radio alone.
+    radio = {"spreading_factor": sf}
+    flags = ["--sf", str(sf)]
+    if sf == 6:
+        radio["explicit_header"] = False
+        flags.append("--implicit-header")
+    if sf >= 11:
+        radio["low_data_rate_opt"] = True
+        flags.append("--ldro")
+    doc = read_scenario_doc(LINE4)
+    assert "join" not in doc
+    doc["radio"] = radio
+    ticks = _shortest_slot_ticks(SlotTiming(RadioParams(**radio)), doc["schedule"]["tick_rate_hz"])
+    doc["schedule"]["ticks_per_slot"] = ticks
+    parse_scenario(doc)
+    plan = ["plan", "--nodes", "4", "--app-period", "3600", "--duty-limit", "1", *flags]
+    assert main([*plan, "--ticks-per-slot", str(ticks)]) == 0
+    doc["schedule"]["ticks_per_slot"] = ticks - 1
+    with pytest.raises(ScenarioError, match=r"^scenario\.schedule: (join )?slot anatomy needs "):
+        parse_scenario(doc)
+    capsys.readouterr()
+    assert main([*plan, "--ticks-per-slot", str(ticks - 1)]) == 3
+    assert capsys.readouterr().err.startswith("infeasible: slot: ")
 
 
 _POWER_FLAGS = ["--p-sleep", "1e-5", "--p-rx", "0.036", "--p-tx", "0.120"]
@@ -180,6 +224,7 @@ def test_plan_has_no_m0_flag(capsys):
         ("guard.max_misses=4", "guard: unknown key 'max_misses'"),
         ("join.backoff_slots=3", "join: unknown key 'backoff_slots'"),
         ("join.retry_frames=3", "join: unknown key 'retry_frames'"),
+        ("join.backoff_step=0.13", "join: unknown key 'backoff_step'"),
         ("slot_timing.t_offset=0.03", "unknown key 'slot_timing'"),
         ("slot_timing.t_guard=0.01", "unknown key 'slot_timing'"),
         ("slot_timing={}", "unknown key 'slot_timing'"),
@@ -188,7 +233,8 @@ def test_plan_has_no_m0_flag(capsys):
 )
 def test_simulate_refuses_a_protocol_constant_as_a_key(key, unknown, tmp_path, capsys):
     # The beacon-miss policy, the join backoff and retry counts, the slot
-    # offsets and the network id are protocol constants, not scenario keys.
+    # offsets and the network id are protocol constants, not scenario keys;
+    # the backoff step follows from the radio.
     assert main(["simulate", LINE4, "--out", str(tmp_path), "--set", key]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: line4.json") and unknown in err, err
@@ -408,31 +454,36 @@ def test_toa_refuses_a_bandwidth_that_is_not_finite(bw, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags, flag",
+    "flags, refusal",
     [
-        (["--sf", "13"], "--sf"),
-        (["--sf", "5"], "--sf"),
-        (["--bw", "0"], "--bw"),
-        (["--cr", "9"], "--cr"),
-        (["--cr", "4"], "--cr"),
-        (["--preamble", "0"], "--preamble"),
-        (["--payload", "256"], "--payload"),
-        (["--payload", "-1"], "--payload"),
-        (["--payload", "244", "--lorawan"], "--payload"),
-        (["--sf", "6"], "--implicit-header"),
-        (["--sf", "11"], "--ldro"),
+        (["--sf", "13"], "--sf: "),
+        (["--sf", "5"], "--sf: "),
+        (["--bw", "0"], "--bw: "),
+        (["--cr", "9"], "--cr: "),
+        (["--cr", "4"], "--cr: "),
+        (["--preamble", "0"], "--preamble: "),
+        (["--payload", "256"], "--payload: "),
+        (["--payload", "-1"], "--payload: "),
+        # The size the flag set, and the framing added to it.
+        (
+            ["--payload", "244", "--lorawan"],
+            "--payload: payload of 244 B plus 12 B of LoRaWAN framing exceeds the 255 B modem limit\n",
+        ),
+        (["--payload", "-1", "--lorawan"], "--payload: payload size cannot be negative\n"),
+        (["--sf", "6"], "--implicit-header: "),
+        (["--sf", "11"], "--ldro: "),
     ],
     ids=[
         "sf_13", "sf_5", "bw_0", "cr_9", "cr_4", "preamble_0", "payload_256", "payload_negative",
-        "lorawan_payload_244", "sf6_explicit_header", "sf11_without_ldro",
+        "lorawan_payload_244", "lorawan_payload_negative", "sf6_explicit_header", "sf11_without_ldro",
     ],
 )
-def test_toa_names_the_flag_it_refuses(flags, flag, capsys):
+def test_toa_names_the_flag_it_refuses(flags, refusal, capsys):
     # The last --payload wins, so each case can replace the valid one.
     assert main(["toa", "--payload", "5", *flags]) == 2
     got = capsys.readouterr()
     assert got.out == ""
-    assert got.err.startswith(f"error: {flag}: "), got.err
+    assert got.err.startswith(f"error: {refusal}"), got.err
 
 
 # Every float key of a scenario: the float fields of each section's class,

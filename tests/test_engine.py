@@ -769,7 +769,7 @@ def test_accept_after_an_old_reference_arms_a_beacon_window_after_it():
     sim = Simulator(load_scenario(REPO / "scenarios" / "star4.json"))
     rt = sim.nodes[1]
     rt.candidates[0] = (-60.0, 0.0, 0)
-    start = 5 * sim.t_frame + sim.sched.join_slot * sim.t_slot + sim.t_join_accept
+    start = 5 * sim.t_frame + sim.sched.join_slot * sim.t_slot + sim.timing.join_accept_offset
     accept = MacPacket(PacketKind.JOIN_ACCEPT, 1, 0, 1, 1, 0, bytes([1, 2, 3]))
     tx = Transmission(0, accept, start, start + sim._toa(accept.onair_bytes), frame=5, slot=sim.sched.join_slot)
     rt.st.assigned_slots = (1, sim.sched.uplink_slot(1), sim.sched.downlink_slot(1))
@@ -784,19 +784,27 @@ def test_accept_after_an_old_reference_arms_a_beacon_window_after_it():
 
 
 def _beacon_window_over_the_join_window() -> tuple[Simulator, float, float]:
-    """Node 1 of a three-node line at SF7, synchronized under the relay in
+    """Node 1 of a three-node line at SF10, synchronized under the relay in
     frame 0 with its guard widened to a whole slot. The join slot is the
     frame's last, so frame 1's beacon window opens before frame 0's join
-    window closes. Returns the simulator and that overlap (open, close)."""
+    window closes. Returns the simulator and that overlap (open, close).
+
+    The join window closes one backoff position before the JoinAccept, so
+    on a slot that holds the join slot the overlap falls short of a
+    JoinRequest. Node 1's -500 ppm crystal, the model's limit, ends its
+    96 s frame (92 slots of 1.044 s) 48 ms early and widens the overlap
+    to hold one."""
     doc = generated_doc("line3", [(0, 1), (1, 2)], 1, 3, False)
-    doc["radio"] = {"spreading_factor": 7}
+    doc["radio"] = {"spreading_factor": 10}
+    doc["schedule"] = {"max_nodes": 30, "slots_per_frame": 92, "ticks_per_slot": 34200}
+    doc["nodes"][1]["drift_ppm"] = -500.0
     sim = Simulator(parse_scenario(doc))
     _synchronize(sim, 1, address=1, parent=0)
     rt = sim.nodes[1]
     rt.eff_guard = sim.t_slot
     sim._enter_frame(rt, 0, 0.0, resynced=True)
     beacon_open = rt.frame_local + sim.timing.beacon_tx_offset - sim.t_slot / 2 - rt.tick
-    join_close = sim.sched.join_slot * sim.t_slot + sim.t_join_accept - 0.005
+    join_close = sim.sched.join_slot * sim.t_slot + sim.timing.join_accept_offset - 0.005
     assert sim.sched.join_slot * sim.t_slot + sim.timing.t_offset < beacon_open < join_close
     return sim, beacon_open, join_close
 
@@ -1060,7 +1068,7 @@ def test_join_contention_resolves():
 # --- spreading-factor sweep ---
 
 
-def _sf_doc(topology: str, sf: int, ticks_per_slot=None, backoff_step=None, ldro=False) -> dict:
+def _sf_doc(topology: str, sf: int, ticks_per_slot=None, ldro=False) -> dict:
     doc = read_scenario_doc(REPO / "scenarios" / f"{topology}.json")
     doc["frames"] = 60
     doc["radio"] = {"spreading_factor": sf}
@@ -1070,8 +1078,6 @@ def _sf_doc(topology: str, sf: int, ticks_per_slot=None, backoff_step=None, ldro
         doc["radio"]["low_data_rate_opt"] = True
     if ticks_per_slot is not None:
         doc["schedule"]["ticks_per_slot"] = ticks_per_slot
-    if backoff_step is not None:
-        doc["join"] = {"backoff_step": backoff_step}
     return doc
 
 
@@ -1093,11 +1099,12 @@ def test_spreading_factor_sweep(topology, sf):
 
 @pytest.mark.parametrize("topology", ["star4", "line4"])
 @pytest.mark.parametrize(
-    "sf, ticks_per_slot, backoff_step, ldro",
-    [(10, 36000, 0.26, False), (11, 70000, 0.50, True)],
+    "sf, ticks_per_slot, ldro",
+    [(6, 5300, False), (7, 8000, False), (8, 12000, False), (10, 36000, False), (11, 70000, True)],
 )
-def test_spreading_factor_with_a_slot_sized_for_it(topology, sf, ticks_per_slot, backoff_step, ldro):
-    doc = _sf_doc(topology, sf, ticks_per_slot, backoff_step, ldro)
+def test_spreading_factor_with_a_slot_sized_for_it(topology, sf, ticks_per_slot, ldro):
+    # The join slot follows from the radio too, so no scenario sets it by hand.
+    doc = _sf_doc(topology, sf, ticks_per_slot, ldro)
     _assert_syncs_every_edge(run(parse_scenario(doc)))
 
 
@@ -1114,7 +1121,7 @@ def test_delivery_remembers_transmissions_a_long_packet_overlaps():
     # Node 1 hears 0 and 2 but not 3. B ends, and is delivered, more than
     # 2 s after A ends and before C does; C overlapped A, so node 1 must
     # still lose C to the collision.
-    doc = _sf_doc("line4", 12, ticks_per_slot=180000, backoff_step=1.0, ldro=True)
+    doc = _sf_doc("line4", 12, ticks_per_slot=180000, ldro=True)
     doc["radio"]["coding_rate_denominator"] = 8
     sim = Simulator(parse_scenario(doc))
     sim.nodes[1].listen_from = 0.0

@@ -209,6 +209,16 @@ def test_slot_timing_anatomy():
     sf7 = RadioParams(spreading_factor=7)
     t7 = SlotTiming(sf7)
     assert t7.data_window[1] == 0.040 + time_on_air(64, sf7)
+    # The join slot: 13 guard times hold the 0.124 s JoinRequest at SF9.
+    assert t.t_backoff == 0.130
+    assert t.join_request_offsets == tuple(0.030 + 0.010 / 2.0 + b * 0.130 for b in range(3))
+    assert t.join_accept_offset == 0.030 + 0.010 + 3 * 0.130
+    # At every SF a backoff position holds a whole request, in guard times.
+    for sf in range(6, 13):
+        radio = RadioParams(spreading_factor=sf)
+        step = SlotTiming(radio).t_backoff
+        assert step >= time_on_air(5, radio)
+        assert step - 0.010 < time_on_air(5, radio)
 
 
 # --- relay bootstrap and roles ---

@@ -159,6 +159,8 @@ def test_unknown_keys_rejected():
         ("guard", "max_misses", 4),
         ("join", "backoff_slots", 3),
         ("join", "retry_frames", 3),
+        # The backoff step follows from the radio.
+        ("join", "backoff_step", 0.130),
     ):
         with pytest.raises(ScenarioError, match=f"{section}: unknown key '{key}'"):
             parse_scenario(_minimal(**{section: {key: value}}))
@@ -313,22 +315,22 @@ def test_radio_settings_the_modem_can_run_pass_the_radio_check():
         {"spreading_factor": 11, "bandwidth_hz": 128000.0},
         {"spreading_factor": 11, "low_data_rate_opt": True},
     ):
-        parse_scenario(_minimal(radio=radio, schedule=dict(wide), join={"backoff_step": 0.5}))
+        parse_scenario(_minimal(radio=radio, schedule=dict(wide)))
     # With the optimization on, SF11 at the committed slot fails on the anatomy.
     with pytest.raises(ScenarioError, match="slot anatomy"):
         parse_scenario(_minimal(radio={"spreading_factor": 11, "low_data_rate_opt": True}))
 
 
-def test_backoff_step_below_join_request_airtime():
-    # The 5-byte JoinRequest lasts 0.124 s at SF9: adjacent backoffs would overlap.
-    with pytest.raises(ScenarioError, match="backoff_step 0.050 s below the JoinRequest airtime"):
-        parse_scenario(_minimal(join={"backoff_step": 0.05}))
-
-
 def test_join_accept_must_end_inside_the_slot():
-    # Three 0.170 s backoff positions push the JoinAccept past the 0.649 s slot.
-    with pytest.raises(ScenarioError, match="join slot anatomy needs 0.674 s but a slot lasts 0.649 s"):
-        parse_scenario(_minimal(join={"backoff_step": 0.17}))
+    # At SF10 the 1.007 s slot holds the data exchange (0.985 s) but not the
+    # join slot: three 0.250 s backoff positions, then the JoinAccept.
+    schedule = {"max_nodes": 2, "slots_per_frame": 8, "ticks_per_slot": 33000}
+    doc = _minimal(radio={"spreading_factor": 10}, schedule=schedule)
+    with pytest.raises(
+        ScenarioError,
+        match=r"^scenario\.schedule: join slot anatomy needs 1\.038 s but a slot lasts 1\.007 s$",
+    ):
+        parse_scenario(doc)
 
 
 def test_payload_bounds():
