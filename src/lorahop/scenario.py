@@ -312,11 +312,17 @@ def read_scenario_doc(path: str | Path) -> dict:
     """The raw JSON object of one scenario file, before validation."""
     p = Path(path)
     try:
-        doc = json.loads(p.read_text())
+        doc = json.loads(p.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ScenarioError(f"{p}: no such scenario file") from None
+    except OSError as e:
+        raise ScenarioError(f"{p}: cannot read scenario file: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise ScenarioError(f"{p}: not UTF-8 text: {e.reason} at byte {e.start}") from None
     except json.JSONDecodeError as e:
         raise ScenarioError(f"{p}:{e.lineno}: invalid JSON: {e.msg}") from None
+    except RecursionError:
+        raise ScenarioError(f"{p}: JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise ScenarioError(f"{p}: top level must be an object")
     return doc

@@ -15,7 +15,7 @@ def record_criterion(line: str) -> None:
 
 @pytest.fixture(scope="session")
 def audits():
-    """Each corpus document's audit by name, simulated once per session."""
+    """Each corpus document's audit and digest line by name, from one run per session."""
     return audit_corpus()
 
 

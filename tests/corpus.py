@@ -1,13 +1,17 @@
-"""The scenario corpus the invariant tests share, and its audit.
+"""The scenario corpus the invariant tests share, its audit, and its digests.
 
-``CORPUS`` names every document once (649 in all). ``Audit(doc)``
-simulates one under one set of wrappers, around ``heapq`` and the queue
-admission calls; ``tests/conftest.py`` audits the corpus once per session.
+``CORPUS`` names every document once (650 in all). ``Audit(name, doc)``
+runs one through ``lorahop simulate`` under one set of wrappers, around
+``heapq``, the queue admission calls and the CLI's ``run``: that one run
+gives both what the wrappers saw and the document's digest line.
+``tests/conftest.py`` audits the corpus once per session.
 
-Run as ``PYTHONPATH=src python tests/corpus.py``, it prints one line per
-corpus document and per short bench job: the name and one SHA-256 over
-the CSVs and the stdout, ``wrote`` lines left out, of ``lorahop simulate``.
-Two checkouts moved no output byte when their lines ``diff`` equal.
+A digest line is a name and one SHA-256 over the CSVs and the stdout,
+``wrote`` lines left out, of ``lorahop simulate``. ``tests/corpus_digests.txt``
+holds 655 of them, one per corpus document and then one per short bench
+job, and tier-1 checks each line. When outputs move on purpose, regenerate
+the file with ``PYTHONPATH=src python tests/corpus.py > tests/corpus_digests.txt``
+and record each moved line, old -> new, in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import lorahop.cli
 import lorahop.engine
 import lorahop.protocol
 from lorahop.engine import Simulator
-from lorahop.scenario import parse_scenario, read_scenario_doc
+from lorahop.scenario import read_scenario_doc
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -66,6 +70,14 @@ def generated_doc(name: str, edges: list[tuple[int, int]], frames: int, seed: in
 
 def committed_doc(name: str) -> dict:
     return read_scenario_doc(REPO / "scenarios" / f"{name}.json")
+
+
+def reversed_doc(name: str) -> dict:
+    """A committed scenario with its nodes listed last to first: the
+    per-node stdout lines follow the file's order."""
+    doc = committed_doc(name)
+    doc["nodes"].reverse()
+    return doc
 
 
 def tight_doc(name: str) -> dict:
@@ -148,6 +160,7 @@ def _tight_random_doc(seed: int) -> dict:
 CORPUS = {
     "star4": functools.partial(committed_doc, "star4"),
     "line4": functools.partial(committed_doc, "line4"),
+    "star4_reversed": functools.partial(reversed_doc, "star4"),
     **GENERATED,
     **{f"random{seed}": functools.partial(_random_doc, seed) for seed in range(300)},
     **{f"random{seed}_tight": functools.partial(_tight_random_doc, seed) for seed in range(300)},
@@ -167,26 +180,25 @@ ENQUEUES = [(m, name) for m in (lorahop.protocol, lorahop.engine) for name in ("
 
 
 class Audit:
-    """One run of a document under one set of wrappers, around ``heapq``
-    and the queue admission calls, and what they saw.
+    """One run of a corpus document through ``lorahop simulate``, under one
+    set of wrappers around ``heapq``, the queue admission calls and the
+    CLI's ``run``, and what they saw.
 
-    ``idle_pops``: slot-service pops up to the end that found no work, of
-    ``service_pops``. ``early_pushes``: slot services keyed before the event
-    being handled. ``out_of_order``: pops keyed before the previous pop, as
-    (handler, node address, parent address). ``refused``: refusals by each
-    node's queues; ``drops``: queue_drop rows as (node, kind). ``gapped``:
-    nodes whose timeline has a gap or stops short of the end. ``intervals``:
-    radio intervals other than sleep. What it wraps is restored even if the
-    run raises.
+    ``digest``: the document's digest line. ``idle_pops``: slot-service pops
+    up to the end that found no work, of ``service_pops``. ``early_pushes``:
+    slot services keyed before the event being handled. ``out_of_order``:
+    pops keyed before the previous pop, as (handler, node address, parent
+    address). ``refused``: refusals by each node's queues; ``drops``:
+    queue_drop rows as (node, kind). ``gapped``: nodes whose timeline has a
+    gap or stops short of the end. ``intervals``: radio intervals other than
+    sleep. What it wraps is restored even if the run raises.
     """
 
-    def __init__(self, doc: dict) -> None:
-        sim = Simulator(parse_scenario(doc))
-        self.nodes, self.frames, self.relay = len(sim.nodes), sim.sc.frames, sim.relay_id
+    def __init__(self, name: str, doc: dict) -> None:
         self.service_pops = self.pushes = 0
         self.idle_pops, self.early_pushes, self.out_of_order = [], [], []
         self.refused = Counter()
-        end_ns = round(sim.end_time * 1e9)
+        end_ns = 0
         current = (-1,)  # the entry being handled: keys below it are in the past
         pop, push = heapq.heappop, heapq.heappush
 
@@ -219,17 +231,31 @@ class Audit:
 
             return wrapped
 
-        saved = [(m, name, getattr(m, name)) for m, name in ENQUEUES]
-        try:
-            heapq.heappop, heapq.heappush = watched_pop, watched_push
-            for m, name, enqueue in saved:
-                setattr(m, name, counting(enqueue))
+        def audited_run(scenario):
+            nonlocal end_ns
+            sim = Simulator(scenario)
+            self.nodes, self.frames, self.relay = len(sim.nodes), sim.sc.frames, sim.relay_id
+            end_ns = round(sim.end_time * 1e9)
             trace = sim.run()
-        finally:
-            heapq.heappop, heapq.heappush = pop, push
-            for m, name, enqueue in saved:
-                setattr(m, name, enqueue)
+            self._read(trace)
+            return trace
 
+        wraps = [
+            (heapq, "heappop", watched_pop),
+            (heapq, "heappush", watched_push),
+            (lorahop.cli, "run", audited_run),
+            *((m, attr, counting(getattr(m, attr))) for m, attr in ENQUEUES),
+        ]
+        saved = [(m, attr, getattr(m, attr)) for m, attr, _wrapper in wraps]
+        try:
+            for m, attr, wrapper in wraps:
+                setattr(m, attr, wrapper)
+            self.digest = digest(name, json.dumps(doc))
+        finally:
+            for m, attr, original in saved:
+                setattr(m, attr, original)
+
+    def _read(self, trace) -> None:
         end = trace.end_time
         cursor = dict.fromkeys(trace.final_modes, 0.0)
         gapped = set()
@@ -245,61 +271,68 @@ class Audit:
 
 
 def audit_corpus() -> dict[str, Audit]:
-    """Each corpus document's audit by name; a run that raises names its document."""
+    """Each corpus document's audit by name; a run that fails names its document."""
     audits = {}
     for name, make in CORPUS.items():
         try:
-            audits[name] = Audit(make())
+            audits[name] = Audit(name, make())
         except Exception as exc:
             raise RuntimeError(f"corpus document {name}") from exc
     return audits
 
 
-def simulate(text: str, args: tuple[str, ...] = ()) -> tuple[str, dict[str, bytes]]:
-    """``lorahop simulate`` on scenario ``text``: its stdout without the
-    ``wrote`` lines, and each CSV's bytes by file name."""
+def digest(name: str, text: str, args: tuple[str, ...] = ()) -> str:
+    """The digest line of ``lorahop simulate`` on scenario ``text``: ``name``
+    and one SHA-256 over its CSVs and its stdout without the ``wrote`` lines."""
     with tempfile.TemporaryDirectory() as tmp:
         path, out_dir = Path(tmp) / "scenario.json", Path(tmp) / "out"
         path.write_text(text)
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             rc = lorahop.cli.main(["simulate", str(path), *args, "--out", str(out_dir)])
         if rc != 0:
-            raise RuntimeError(f"simulate exited {rc}")
-        csvs = {csv.name: csv.read_bytes() for csv in out_dir.glob("*.csv")}
+            raise RuntimeError(f"simulate exited {rc}: {stderr.getvalue().strip()}")
+        h = hashlib.sha256()
+        for csv in sorted(out_dir.glob("*.csv")):
+            h.update(f"{csv.name} {hashlib.sha256(csv.read_bytes()).hexdigest()}\n".encode())
     lines = stdout.getvalue().splitlines(keepends=True)
-    return "".join(line for line in lines if not line.startswith("wrote ")), csvs
-
-
-def digest(name: str, text: str, args: tuple[str, ...] = ()) -> str:
-    """``name`` and one SHA-256 over what ``simulate(text, args)`` returns."""
-    stdout, csvs = simulate(text, args)
-    h = hashlib.sha256()
-    for csv_name, data in sorted(csvs.items()):
-        h.update(f"{csv_name} {hashlib.sha256(data).hexdigest()}\n".encode())
-    h.update(stdout.encode())
+    h.update("".join(line for line in lines if not line.startswith("wrote ")).encode())
     return f"{name} {h.hexdigest()}"
 
 
-# Short bench jobs: (workload, seed, frames; None for the full length).
-BENCH_JOBS = [
-    ("tree64", 1000, None),
-    ("tree64", 7, None),
-    ("line4_long", 1000, 800),
-    ("star32_contend", 1000, 400),
-    ("star32_contend", 84000, 400),
-]
+# Short bench jobs by digest name: (workload, seed, frames; None for the full length).
+BENCH_JOBS = {
+    f"{workload}_{seed}": (workload, seed, frames)
+    for workload, seed, frames in [
+        ("tree64", 1000, None),
+        ("tree64", 7, None),
+        ("line4_long", 1000, 800),
+        ("star32_contend", 1000, 400),
+        ("star32_contend", 84000, 400),
+    ]
+}
+
+
+def bench_digest(name: str) -> str:
+    """The digest line of the short bench job ``name``."""
+    if str(REPO / "bench") not in sys.path:
+        sys.path.append(str(REPO / "bench"))
+    from workloads import make_job
+
+    workload, seed, frames = BENCH_JOBS[name]
+    job = make_job(workload, seed, REPO, frames)
+    return digest(name, job.text, job.args)
+
+
+# The committed digest lines: corpus documents in ``CORPUS`` order, then bench jobs.
+DIGESTS = REPO / "tests" / "corpus_digests.txt"
 
 
 def main() -> None:
     for name, make in CORPUS.items():
         print(digest(name, json.dumps(make())), flush=True)
-    sys.path.insert(0, str(REPO / "bench"))
-    from workloads import make_job
-
-    for workload, seed, frames in BENCH_JOBS:
-        job = make_job(workload, seed, REPO, frames)
-        print(digest(f"{workload}_{seed}", job.text, job.args), flush=True)
+    for name in BENCH_JOBS:
+        print(bench_digest(name), flush=True)
 
 
 if __name__ == "__main__":

@@ -370,6 +370,26 @@ def test_simulate_missing_file(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    ("content", "refusal"),
+    [
+        (None, "cannot read scenario file: Is a directory"),
+        (b'{"name": "\xff"}', "not UTF-8 text: invalid start byte at byte 10"),
+        (b"[" * 100_000 + b"]" * 100_000, "JSON nested too deeply"),
+    ],
+    ids=["directory", "not_utf8", "nested_too_deeply"],
+)
+def test_simulate_refuses_a_path_it_cannot_read_as_json_text(tmp_path, capsys, content, refusal):
+    path = tmp_path / "scenario.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    rc = main(["simulate", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {path}: {refusal}\n"
+
+
 def test_simulate_bad_set(capsys):
     rc = main(["simulate", STAR, "--set", "noequalsign"])
     assert rc == 2

@@ -27,6 +27,7 @@ from lorahop import (
     sync_pairs,
     write_trace_csvs,
 )
+import lorahop.cli
 import lorahop.engine
 from lorahop.engine import _P_SVC, PacketEvent, ProtocolEvent, QueueSample, Simulator, SyncSample, _Window
 from lorahop.phy import lorawan_time_on_air
@@ -843,11 +844,11 @@ def test_join_request_in_both_windows_is_not_join_slot_traffic(in_beacon_window)
 
 
 def test_audit_restores_what_it_wraps_even_if_the_run_raises(monkeypatch):
-    wrapped = [(heapq, "heappop"), (heapq, "heappush"), *ENQUEUES]
+    wrapped = [(heapq, "heappop"), (heapq, "heappush"), (lorahop.cli, "run"), *ENQUEUES]
     before = [getattr(module, name) for module, name in wrapped]
     monkeypatch.setattr(Simulator, "_finalize", lambda sim: _raise_now())
     with pytest.raises(RuntimeError, match="handler failed"):
-        Audit(CORPUS["star4"]())
+        Audit("star4", CORPUS["star4"]())
     assert [getattr(module, name) for module, name in wrapped] == before
 
 
