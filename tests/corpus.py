@@ -324,10 +324,6 @@ def bench_digest(name: str) -> str:
     return digest(name, job.text, job.args)
 
 
-# The committed digest lines: corpus documents in ``CORPUS`` order, then bench jobs.
-DIGESTS = REPO / "tests" / "corpus_digests.txt"
-
-
 def main() -> None:
     for name, make in CORPUS.items():
         print(digest(name, json.dumps(make())), flush=True)

@@ -9,11 +9,12 @@ import pytest
 
 import lorahop.cli
 import lorahop.engine
-from corpus import BENCH_JOBS, CORPUS, DIGESTS, REPO, bench_digest
+from corpus import BENCH_JOBS, CORPUS, REPO, bench_digest
 
-REGENERATE = f"PYTHONPATH=src python tests/corpus.py > tests/{DIGESTS.name}"
-DIGEST_LINES = DIGESTS.read_text().splitlines()
+# Corpus documents in ``CORPUS`` order, then bench jobs.
+DIGEST_LINES = (REPO / "tests" / "corpus_digests.txt").read_text().splitlines()
 DIGEST_NAMES = [line.partition(" ")[0] for line in DIGEST_LINES]
+REGENERATE = "PYTHONPATH=src python tests/corpus.py > tests/corpus_digests.txt"
 
 
 @pytest.mark.parametrize(("name", "line"), zip(DIGEST_NAMES, DIGEST_LINES), ids=DIGEST_NAMES)
