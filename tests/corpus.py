@@ -184,7 +184,9 @@ class Audit:
     set of wrappers around ``heapq``, the queue admission calls and the
     CLI's ``run``, and what they saw.
 
-    ``digest``: the document's digest line. ``idle_pops``: slot-service pops
+    ``digest``: the document's digest line, from ``stdout`` (without the
+    ``wrote`` lines, whose file names are ``wrote``) and ``csv_hashes``, the
+    SHA-256 of each CSV by file name. ``idle_pops``: slot-service pops
     up to the end that found no work, of ``service_pops``. ``early_pushes``:
     slot services keyed before the event being handled. ``out_of_order``:
     pops keyed before the previous pop, as (handler, node address, parent
@@ -250,7 +252,8 @@ class Audit:
         try:
             for m, attr, wrapper in wraps:
                 setattr(m, attr, wrapper)
-            self.digest = digest(name, json.dumps(doc))
+            self.stdout, self.csv_hashes, self.wrote = simulate(json.dumps(doc))
+            self.digest = digest_line(name, self.stdout, self.csv_hashes)
         finally:
             for m, attr, original in saved:
                 setattr(m, attr, original)
@@ -281,9 +284,10 @@ def audit_corpus() -> dict[str, Audit]:
     return audits
 
 
-def digest(name: str, text: str, args: tuple[str, ...] = ()) -> str:
-    """The digest line of ``lorahop simulate`` on scenario ``text``: ``name``
-    and one SHA-256 over its CSVs and its stdout without the ``wrote`` lines."""
+def simulate(text: str, args: tuple[str, ...] = ()) -> tuple[str, dict[str, str], list[str]]:
+    """``lorahop simulate`` on scenario ``text``: its stdout without the
+    ``wrote`` lines, each CSV's SHA-256 by file name, and the file names
+    the ``wrote`` lines give."""
     with tempfile.TemporaryDirectory() as tmp:
         path, out_dir = Path(tmp) / "scenario.json", Path(tmp) / "out"
         path.write_text(text)
@@ -292,12 +296,25 @@ def digest(name: str, text: str, args: tuple[str, ...] = ()) -> str:
             rc = lorahop.cli.main(["simulate", str(path), *args, "--out", str(out_dir)])
         if rc != 0:
             raise RuntimeError(f"simulate exited {rc}: {stderr.getvalue().strip()}")
-        h = hashlib.sha256()
-        for csv in sorted(out_dir.glob("*.csv")):
-            h.update(f"{csv.name} {hashlib.sha256(csv.read_bytes()).hexdigest()}\n".encode())
+        csv_hashes = {csv.name: hashlib.sha256(csv.read_bytes()).hexdigest() for csv in out_dir.glob("*.csv")}
     lines = stdout.getvalue().splitlines(keepends=True)
-    h.update("".join(line for line in lines if not line.startswith("wrote ")).encode())
+    wrote = [Path(line[len("wrote ") :].rstrip("\n")).name for line in lines if line.startswith("wrote ")]
+    return "".join(line for line in lines if not line.startswith("wrote ")), csv_hashes, wrote
+
+
+def digest_line(name: str, stdout: str, csv_hashes: dict[str, str]) -> str:
+    """``name`` and one SHA-256 over the CSV hashes and the stdout that
+    ``simulate`` returns."""
+    h = hashlib.sha256()
+    for csv_name, csv_hash in sorted(csv_hashes.items()):
+        h.update(f"{csv_name} {csv_hash}\n".encode())
+    h.update(stdout.encode())
     return f"{name} {h.hexdigest()}"
+
+
+def digest(name: str, text: str, args: tuple[str, ...] = ()) -> str:
+    """The digest line of ``lorahop simulate`` on scenario ``text``."""
+    return digest_line(name, *simulate(text, args)[:2])
 
 
 # Short bench jobs by digest name: (workload, seed, frames; None for the full length).

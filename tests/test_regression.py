@@ -1,20 +1,30 @@
 """Regression checks: every line of the committed corpus digests, the
-names in that file, and the names the traced benchmark run wraps."""
+names in that file, the CSVs of the library API and the stdout of
+``lorahop simulate`` on the named scenarios, the digest's repeatability,
+and the names the traced benchmark run wraps."""
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
+import json
 
 import pytest
 
 import lorahop.cli
 import lorahop.engine
-from corpus import BENCH_JOBS, CORPUS, REPO, bench_digest
+from lorahop import run, write_trace_csvs
+from lorahop.scenario import parse_scenario
+from corpus import BENCH_JOBS, CORPUS, GENERATED, REPO, bench_digest, digest
 
 # Corpus documents in ``CORPUS`` order, then bench jobs.
 DIGEST_LINES = (REPO / "tests" / "corpus_digests.txt").read_text().splitlines()
 DIGEST_NAMES = [line.partition(" ")[0] for line in DIGEST_LINES]
+COMMITTED = dict(zip(DIGEST_NAMES, DIGEST_LINES))
 REGENERATE = "PYTHONPATH=src python tests/corpus.py > tests/corpus_digests.txt"
+MOVED = f"If on purpose, regenerate with `{REGENERATE}` and record old -> new in CHANGES.md"
+# The committed scenarios and the generated ones (corpus.GENERATED).
+NAMED = ["star4", "line4", *GENERATED]
 
 
 @pytest.mark.parametrize(("name", "line"), zip(DIGEST_NAMES, DIGEST_LINES), ids=DIGEST_NAMES)
@@ -22,10 +32,39 @@ def test_output_bytes_unmoved(name, line, audits):
     # Each corpus document's digest comes from the run that audits it;
     # the bench jobs are digested here, unaudited.
     got = bench_digest(name) if name in BENCH_JOBS else audits[name].digest
-    assert got == line, (
-        f"{name}: the CSVs or stdout of lorahop simulate moved. If on purpose, "
-        f"regenerate with `{REGENERATE}` and record old -> new in CHANGES.md"
-    )
+    assert got == line, f"{name}: the CSVs or stdout of lorahop simulate moved. {MOVED}"
+
+
+@pytest.mark.parametrize("name", sorted(NAMED))
+def test_csv_bytes_pinned(name, tmp_path, audits):
+    # The library API writes the CSV bytes that lorahop simulate wrote in
+    # the audited run, whose committed digest line pins them.
+    paths = write_trace_csvs(run(parse_scenario(CORPUS[name]())), tmp_path)
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+    assert got == audits[name].csv_hashes
+    assert audits[name].digest == COMMITTED[name], f"{name}: the CSVs or stdout moved. {MOVED}"
+
+
+@pytest.mark.parametrize("name", sorted(["star4_reversed", *NAMED]))
+def test_simulate_stdout_pinned(name, audits):
+    # The committed digest line pins the audited run's stdout; the lines it
+    # leaves out are one ``wrote`` line per CSV, and the per-node lines
+    # follow the file's node order (star4_reversed lists star4's last to first).
+    audit = audits[name]
+    assert sorted(audit.wrote) == sorted(audit.csv_hashes)
+    node_lines = [line for line in audit.stdout.splitlines() if line.startswith("node ")]
+    node_ids = [int(line.split(":")[0].removeprefix("node ")) for line in node_lines]
+    assert node_ids == [node["id"] for node in CORPUS[name]()["nodes"]]
+    assert audit.digest == COMMITTED[name], f"{name}: the CSVs or stdout moved. {MOVED}"
+
+
+def test_digest_of_a_document_is_the_same_twice(audits):
+    # Run again in the same process, after the whole corpus, a document
+    # gives the audited run's digest line: no state carries between runs.
+    for name in ("star4", "line4"):
+        again = digest(name, json.dumps(CORPUS[name]()))
+        assert again.startswith(f"{name} ")
+        assert again == audits[name].digest
 
 
 def test_digest_file_names_each_document_and_bench_job_once():
