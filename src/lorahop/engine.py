@@ -234,15 +234,15 @@ def _group_by_node(
 
 
 class _NodeRt:
-    """Engine-side runtime wrapped around one protocol NodeState."""
+    """Engine-side runtime wrapped around one protocol NodeState: the
+    timing the protocol cannot know. The MAC facts (address, parent, miss
+    count, queues) live in ``st`` alone."""
 
     def __init__(self, st: NodeState, frame_ticks: int):
         self.st = st
         self.tick = local_tick_duration(st.clock)
         self.frame_local = frame_ticks * self.tick
         self.anchor: float = 0.0
-        self.sync_slot: int = 0
-        self.eff_guard: float = 0.0
         self.listen_from: float | None = None
         # The open parent-beacon window, which closes by event; every window
         # in ``windows`` is plain and closes at its close_t.
@@ -250,7 +250,6 @@ class _NodeRt:
         self.windows: list[_Window] = []
         self.candidates: dict[int, tuple[float, float, int]] = {}
         self.attempt_scheduled = False
-        self.app_phase: int | None = None
         self.pending_accept_tx: list[MacPacket] = []
         # This frame's slot services that are not on the heap, by slot: each
         # waits for its queue to get work while its instant is ahead (_wake).
@@ -265,7 +264,7 @@ class Simulator:
         self.rng = random.Random(scenario.seed)
         self.t_slot = scenario.slot_seconds
         self.t_frame = scenario.frame_seconds
-        self.base_guard = base_guard = scenario.guard.base_guard
+        self.base_guard = scenario.guard.base_guard
         self.listen_until_frame = scenario.join.listen_until_frame
         self._toa_cache: dict[int, float] = {}
         self._lorawan_toa_cache: dict[int, float] = {}
@@ -281,9 +280,7 @@ class Simulator:
                 st = make_relay(cfg.node_id, self.sched, **kw)
             else:
                 st = NodeState(node_id=cfg.node_id, **kw)
-            rt = _NodeRt(st, self.sched.frame_ticks)
-            rt.eff_guard = base_guard
-            self.nodes[cfg.node_id] = rt
+            self.nodes[cfg.node_id] = _NodeRt(st, self.sched.frame_ticks)
         self.relay_id = scenario.relay_id
         # Who hears each sender: (node_id, runtime, link PER) in node-id order.
         self.hearers: dict[int, list[tuple[int, _NodeRt, float]]] = {n: [] for n in self.nodes}
@@ -328,7 +325,6 @@ class Simulator:
 
     def run(self) -> SimulationTrace:
         relay = self.nodes[self.relay_id]
-        relay.app_phase = 0
         for rt in self.nodes.values():
             if rt.st.node_id != self.relay_id:
                 rt.listen_from = 0.0
@@ -376,18 +372,18 @@ class Simulator:
 
     def _resync(self, rt: _NodeRt, ref: float, frame: int) -> float:
         """Re-anchor the node's clock on its parent's beacon reference of
-        ``frame``, reset the guard, and return the new frame anchor."""
+        ``frame``, which lies on the parent's beacon slot, and return the
+        new frame anchor."""
         st = rt.st
-        expected_tick = frame * self.sched.frame_ticks + rt.sync_slot * self.sched.ticks_per_slot
+        expected_tick = frame * self.sched.frame_ticks + st.parent_id * self.sched.ticks_per_slot
         st.clock = resync(st.clock, ref, expected_tick)
-        rt.eff_guard = self.base_guard
         return st.clock.epoch_global
 
     def _record_frame_samples(
         self, rt: _NodeRt, frame: int, anchor: float, resynced: bool
     ) -> None:
-        t_syn = anchor - rt.sync_slot * self.t_slot
         st = rt.st
+        t_syn = anchor - (st.parent_id or 0) * self.t_slot
         self.sync_samples.append(tuple.__new__(SyncSample, (frame, st.node_id, t_syn, resynced)))
         self.queue_samples.append(
             tuple.__new__(
@@ -410,14 +406,16 @@ class Simulator:
         ``rt.due``; one call of _wake then puts on the heap those whose
         queue already holds work for their slot.
 
-        A slot's global start is ``anchor + (slot - sync_slot) * t_slot``,
-        counted from the slot of the parent beacon the anchor is on.
+        A slot's global start is ``anchor + (slot - anchor_slot) * t_slot``.
+        The anchor lies on the parent's beacon slot, so ``anchor_slot`` is
+        the parent's address; the relay has no parent, and its anchor is
+        its own slot 0.
         """
         st = rt.st
-        b, up, down = st.assigned_slots
+        address = st.address
         is_relay = st.is_relay
         sched, timing = self.sched, self.timing
-        sync_slot, t_slot = rt.sync_slot, self.t_slot
+        anchor_slot, t_slot = st.parent_id or 0, self.t_slot
 
         # Every transmission resolved from now on ends at or after the
         # anchor, so a plain window that closed a slot before it can no
@@ -427,33 +425,34 @@ class Simulator:
         if not is_relay:
             self._schedule_beacon_window(rt, frame + 1, anchor)
 
-        t_beacon = anchor + (b - sync_slot) * t_slot + timing.beacon_tx_offset
-        self._transmit(rt, make_beacon(st, frame), t_beacon, frame, b)
+        t_beacon = anchor + (address - anchor_slot) * t_slot + timing.beacon_tx_offset
+        self._transmit(rt, make_beacon(st, frame), t_beacon, frame, address)
 
         rt.due = due = {}
         if is_relay:
             slot = sched.lorawan_slot
-            t_up = anchor + (slot - sync_slot) * t_slot
+            t_up = anchor + (slot - anchor_slot) * t_slot
             due[slot] = (t_up, self._ev_lorawan, (rt, frame, t_up))
         else:
-            t_up = anchor + (up - sync_slot) * t_slot
-            due[up] = (t_up, self._ev_own_uplink, (rt, frame, up, t_up))
+            slot = sched.uplink_slot(address)
+            t_up = anchor + (slot - anchor_slot) * t_slot
+            due[slot] = (t_up, self._ev_own_uplink, (rt, frame, slot, t_up))
 
         d0, d1 = timing.data_window
         for child in sorted(st.children):
-            t_cu = anchor + (sched.uplink_slot(child) - sync_slot) * t_slot
+            t_cu = anchor + (sched.uplink_slot(child) - anchor_slot) * t_slot
             self._listen(rt, "uplink_rx", t_cu + d0, t_cu + d1)
             slot = sched.downlink_slot(child)
-            t_cd = anchor + (slot - sync_slot) * t_slot
+            t_cd = anchor + (slot - anchor_slot) * t_slot
             due[slot] = (t_cd, self._ev_child_downlink, (rt, frame, slot, t_cd))
 
-        if st.expecting_downlink:
-            t_od = anchor + (down - sync_slot) * t_slot
+        if st.pending_accepts:
+            t_od = anchor + (sched.downlink_slot(address) - anchor_slot) * t_slot
             self._listen(rt, "downlink_rx", t_od + d0, t_od + d1)
 
         lu = self.listen_until_frame
         if lu is None or frame <= lu:
-            t_join = anchor + (sched.join_slot - sync_slot) * t_slot
+            t_join = anchor + (sched.join_slot - anchor_slot) * t_slot
             join_close = t_join + timing.join_accept_offset - timing.join_rx_margin
             self._listen(rt, "join_rx", t_join + timing.t_offset, join_close)
             if is_relay:
@@ -465,8 +464,8 @@ class Simulator:
         if st.uplink_queue or st.downlink_queue or rt.pending_accept_tx:
             self._wake(rt, anchor)
 
-        if rt.app_phase is not None and frame % self.sc.k == rt.app_phase:
-            t_app = anchor + (sched.first_idle_slot - sync_slot) * t_slot
+        if frame % self.sc.k == address % self.sc.k:
+            t_app = anchor + (sched.first_idle_slot - anchor_slot) * t_slot
             self._push(t_app, _P_SVC, st.node_id, self._ev_app, rt, frame, t_app)
 
     def _wake(self, rt: _NodeRt, now: float) -> None:
@@ -484,7 +483,7 @@ class Simulator:
         st = rt.st
         work = [slot for _pkt, slot in st.downlink_queue] if st.downlink_queue else []
         if st.uplink_queue:
-            work.append(self.sched.lorawan_slot if st.is_relay else st.assigned_slots[1])
+            work.append(self.sched.lorawan_slot if st.is_relay else self.sched.uplink_slot(st.address))
         if rt.pending_accept_tx:
             work.append(self.sched.join_slot)
         now_ns = round(now * 1e9)
@@ -496,9 +495,11 @@ class Simulator:
     def _schedule_beacon_window(
         self, rt: _NodeRt, frame: int, prev_anchor: float
     ) -> None:
-        """Open the next frame's parent-beacon window on the local crystal."""
+        """Open the next frame's parent-beacon window on the local crystal:
+        the guard doubles with each consecutive miss, up to one slot."""
         center = prev_anchor + rt.frame_local + self.timing.beacon_tx_offset
-        half = min(rt.eff_guard, self.t_slot) / 2.0
+        misses = rt.st.consecutive_beacon_misses
+        half = min(self.base_guard * GUARD_WIDEN_FACTOR**misses, self.t_slot) / 2.0
         # One extra local tick on the early side absorbs the resync
         # quantization residual, so guard = min_guard is truly sufficient.
         open_t = center - half - rt.tick
@@ -527,21 +528,18 @@ class Simulator:
         if st.consecutive_beacon_misses >= MAX_BEACON_MISSES:
             self._desynchronize(rt, win.close_t, win.frame)
             return
-        rt.eff_guard = min(rt.eff_guard * GUARD_WIDEN_FACTOR, self.t_slot)
         # Flywheel: extrapolate the anchor on the local crystal and keep going.
         self._enter_frame(rt, win.frame, rt.anchor + rt.frame_local, resynced=False)
 
     def _desynchronize(self, rt: _NodeRt, t: float, frame: int) -> None:
         st = rt.st
         st.mode = DESYNCHRONIZED
-        st.assigned_slots = None
+        st.address = None
         st.parent_id = None
         st.consecutive_beacon_misses = 0
         rt.candidates.clear()
         rt.attempt_scheduled = False
-        rt.app_phase = None
         rt.due.clear()
-        rt.eff_guard = self.base_guard
         rt.listen_from = t
         self._log_protocol(t, st.node_id, "desynchronized", f"frame={frame}")
 
@@ -808,7 +806,6 @@ class Simulator:
         if rt.listen_from is not None:
             self._log_receive(st.node_id, rt.listen_from, tx.end)
         rt.listen_from = None
-        rt.sync_slot = parent
         info = rt.candidates.get(parent)
         if info is None:
             # Never heard the parent directly: should not happen (the
@@ -822,7 +819,6 @@ class Simulator:
             ref += self.t_frame
             frame += 1
         rt.anchor = self._resync(rt, ref, frame)
-        rt.app_phase = (st.address or 0) % self.sc.k
         self._log_protocol(
             tx.end, st.node_id, "synchronized", f"frame={frame} address={st.address} parent={parent}"
         )

@@ -257,9 +257,6 @@ class FrameSchedule:
         ):
             object.__setattr__(self, label, v)
 
-    def beacon_slot(self, address: int) -> int:
-        return address
-
     def uplink_slot(self, address: int) -> int:
         return self.max_nodes + 1 + address
 
@@ -267,11 +264,9 @@ class FrameSchedule:
         return 2 * self.max_nodes + 1 + address
 
     def slot_triple(self, address: int) -> tuple[int, int, int]:
-        return (
-            self.beacon_slot(address),
-            self.uplink_slot(address),
-            self.downlink_slot(address),
-        )
+        """The (beacon, uplink, downlink) slots of ``address``; its beacon
+        slot is the address itself."""
+        return address, self.uplink_slot(address), self.downlink_slot(address)
 
 
 def build_schedule(
@@ -305,12 +300,16 @@ def build_schedule(
 class NodeState:
     """Everything one node remembers between events.
 
-    ``parent_id`` and ``children`` hold addresses (beacon indices), not
-    hardware ids; ``node_id`` is the hardware id. ``routes`` maps the
-    hardware id of a joining descendant to the address of the direct
-    child leading to it (None while the joiner itself is the next hop).
-    The relay additionally owns the address allocator; ``is_relay`` is
-    set only by ``make_relay``.
+    ``address`` is the node's beacon slot index, None while it holds
+    none; the schedule derives its uplink and downlink slots from it.
+    ``parent_id`` and ``children`` hold addresses, not hardware ids;
+    ``node_id`` is the hardware id. ``routes`` maps the hardware id of a
+    joining descendant to the address of the direct child leading to it
+    (None while the joiner itself is the next hop). ``pending_accepts``
+    holds the hardware ids whose JoinAccept a forwarder still awaits from
+    above. The relay additionally owns the address allocator
+    (``allocations``, hardware id to address); ``is_relay`` is set only
+    by ``make_relay``.
     """
 
     node_id: int
@@ -319,28 +318,19 @@ class NodeState:
     mode: NodeMode = NodeMode.UNJOINED
     parent_id: int | None = None
     children: set[int] = field(default_factory=set)
-    assigned_slots: tuple[int, int, int] | None = None
+    address: int | None = None
     uplink_queue: deque[MacPacket] = field(default_factory=deque)
     downlink_queue: deque[tuple[MacPacket, int]] = field(default_factory=deque)
     consecutive_beacon_misses: int = 0
     queue_capacity: int = 64
     seq_counter: int = 0
     routes: dict[int, int | None] = field(default_factory=dict)
-    allocations: dict[int, tuple[int, int, int]] = field(default_factory=dict)
+    allocations: dict[int, int] = field(default_factory=dict)
     next_address: int = 1
     pending_accepts: set[int] = field(default_factory=set)
     last_up_seq: dict[int, int] = field(default_factory=dict)
     protocol_errors: int = 0
     is_relay: bool = False
-
-    @property
-    def address(self) -> int | None:
-        return None if self.assigned_slots is None else self.assigned_slots[0]
-
-    @property
-    def expecting_downlink(self) -> bool:
-        """True while a forwarded join still awaits its accept from above."""
-        return bool(self.pending_accepts)
 
     def next_seq(self) -> int:
         s = self.seq_counter
@@ -350,8 +340,7 @@ class NodeState:
 
 def make_relay(node_id: int, schedule: FrameSchedule, **kw) -> NodeState:
     """The relay is born synchronized at address 0; it never joins."""
-    triple = schedule.slot_triple(0)
-    return NodeState(node_id, mode=SYNCHRONIZED, assigned_slots=triple, is_relay=True, **kw)
+    return NodeState(node_id, mode=SYNCHRONIZED, address=0, is_relay=True, **kw)
 
 
 # --- actions returned by the state machine for the caller to execute ---
@@ -381,7 +370,7 @@ class SendJoinAccept(NamedTuple):
 
 
 class BecameSynchronized(NamedTuple):
-    """A JoinAccept has set the node's ``assigned_slots``; its parent is ``parent_id``."""
+    """A JoinAccept has set the node's ``address``; its parent is ``parent_id``."""
 
     parent_id: int
 
@@ -476,16 +465,15 @@ def enqueue_down(node: NodeState, packet: MacPacket, slot_index: int) -> bool:
 
 def _alloc_address(
     relay: NodeState, origin_hw: int, schedule: FrameSchedule
-) -> tuple[int, int, int] | None:
+) -> int | None:
     """Relay-side address allocation, idempotent per hardware id."""
     if origin_hw in relay.allocations:
         return relay.allocations[origin_hw]
     if relay.next_address >= schedule.max_nodes:
         return None
-    triple = schedule.slot_triple(relay.next_address)
+    address = relay.allocations[origin_hw] = relay.next_address
     relay.next_address += 1
-    relay.allocations[origin_hw] = triple
-    return triple
+    return address
 
 
 def _join_accept(
@@ -493,8 +481,8 @@ def _join_accept(
 ) -> MacPacket | None:
     """The relay's JoinAccept for ``origin_hw``, addressed to ``dest``; None,
     counted as a protocol error, once no address is left to allocate."""
-    triple = _alloc_address(relay, origin_hw, schedule)
-    if triple is None:
+    address = _alloc_address(relay, origin_hw, schedule)
+    if address is None:
         relay.protocol_errors += 1
         return None
     return MacPacket(
@@ -504,7 +492,7 @@ def _join_accept(
         dest_id=dest,
         origin_id=origin_hw,
         seq=relay.next_seq(),
-        payload=bytes(triple),
+        payload=bytes(schedule.slot_triple(address)),
     )
 
 
@@ -543,7 +531,7 @@ def handle_rx(
             if len(triple) != 3:
                 node.protocol_errors += 1
                 return actions
-            node.assigned_slots = (triple[0], triple[1], triple[2])
+            node.address = triple[0]
             node.mode = SYNCHRONIZED
             node.consecutive_beacon_misses = 0
             actions.append(

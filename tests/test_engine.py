@@ -773,7 +773,7 @@ def test_accept_after_an_old_reference_arms_a_beacon_window_after_it():
     start = 5 * sim.t_frame + sim.sched.join_slot * sim.t_slot + sim.timing.join_accept_offset
     accept = MacPacket(PacketKind.JOIN_ACCEPT, 1, 0, 1, 1, 0, bytes([1, 2, 3]))
     tx = Transmission(0, accept, start, start + sim._toa(accept.onair_bytes), frame=5, slot=sim.sched.join_slot)
-    rt.st.assigned_slots = (1, sim.sched.uplink_slot(1), sim.sched.downlink_slot(1))
+    rt.st.address, rt.st.parent_id = 1, 0
     sim._apply_action(rt, BecameSynchronized(0), tx)
     win = rt.beacon
     assert win.frame == 6
@@ -786,7 +786,7 @@ def test_accept_after_an_old_reference_arms_a_beacon_window_after_it():
 
 def _beacon_window_over_the_join_window() -> tuple[Simulator, float, float]:
     """Node 1 of a three-node line at SF10, synchronized under the relay in
-    frame 0 with its guard widened to a whole slot. The join slot is the
+    frame 0 with a base guard of a whole slot. The join slot is the
     frame's last, so frame 1's beacon window opens before frame 0's join
     window closes. Returns the simulator and that overlap (open, close).
 
@@ -799,10 +799,10 @@ def _beacon_window_over_the_join_window() -> tuple[Simulator, float, float]:
     doc["radio"] = {"spreading_factor": 10}
     doc["schedule"] = {"max_nodes": 30, "slots_per_frame": 92, "ticks_per_slot": 34200}
     doc["nodes"][1]["drift_ppm"] = -500.0
+    doc["guard"]["base_guard"] = parse_scenario(doc).slot_seconds
     sim = Simulator(parse_scenario(doc))
     _synchronize(sim, 1, address=1, parent=0)
     rt = sim.nodes[1]
-    rt.eff_guard = sim.t_slot
     sim._enter_frame(rt, 0, 0.0, resynced=True)
     beacon_open = rt.frame_local + sim.timing.beacon_tx_offset - sim.t_slot / 2 - rt.tick
     join_close = sim.sched.join_slot * sim.t_slot + sim.timing.join_accept_offset - 0.005
@@ -836,7 +836,7 @@ def test_join_request_in_both_windows_is_not_join_slot_traffic(in_beacon_window)
     st = sim.nodes[1].st
     heard = [(ev.event, ev.kind) for ev in sim.packet_events if ev.node == 1 and ev.event != "tx"]
     assert heard == [("rx", "join_request")]
-    assert st.expecting_downlink is not in_beacon_window
+    assert bool(st.pending_accepts) is not in_beacon_window
     assert len(st.uplink_queue) == (0 if in_beacon_window else 1)
 
 
@@ -916,7 +916,7 @@ def _synchronize(sim: Simulator, node: int, address: int, parent: int) -> None:
     st = sim.nodes[node].st
     st.mode = NodeMode.SYNCHRONIZED
     st.parent_id = parent
-    st.assigned_slots = sim.sched.slot_triple(address)
+    st.address = address
 
 
 def _drop_rows(sim: Simulator) -> list[tuple]:

@@ -235,7 +235,7 @@ def test_make_relay():
 def test_only_make_relay_makes_a_relay():
     # Synchronized at address 0 with no parent, as the relay is, but built
     # by hand: the role is the flag make_relay sets, not read off the state.
-    st = NodeState(node_id=10, mode=NodeMode.SYNCHRONIZED, assigned_slots=SCHED.slot_triple(0))
+    st = NodeState(node_id=10, mode=NodeMode.SYNCHRONIZED, address=0)
     assert st.address == 0 and st.parent_id is None
     assert not st.is_relay
 
@@ -244,7 +244,7 @@ def _synced_leaf(node_id: int, address: int, parent: int = 0) -> NodeState:
     st = NodeState(node_id=node_id)
     st.mode = NodeMode.SYNCHRONIZED
     st.parent_id = parent
-    st.assigned_slots = SCHED.slot_triple(address)
+    st.address = address
     return st
 
 
@@ -375,7 +375,7 @@ def test_joining_node_takes_its_accept():
     acts = handle_rx(st, accept, 12.0, SCHED, TIMING)
     (act,) = acts
     assert isinstance(act, BecameSynchronized)
-    assert st.assigned_slots == triple
+    assert SCHED.slot_triple(st.address) == triple
     assert st.mode is NodeMode.SYNCHRONIZED
     assert st.address == 2
 
