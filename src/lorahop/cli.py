@@ -69,6 +69,20 @@ def _radio_from_args(args: argparse.Namespace) -> RadioParams:
     return radio
 
 
+def _check_output_path(flag: str, path: Path, is_dir: bool) -> None:
+    """Refuse, before any work, an output path that existing files make
+    unwritable: a ``path`` of the other kind (a file where the directory
+    ``is_dir`` asks for would be, or the reverse), or a file where a
+    directory above it would be."""
+    if path.exists() and path.is_dir() != is_dir:
+        raise ScenarioError(f"{flag} {path}: exists and is {'not ' if is_dir else ''}a directory")
+    for parent in path.parents:
+        if parent.exists():
+            if not parent.is_dir():
+                raise ScenarioError(f"{flag} {path}: {parent} is not a directory")
+            return
+
+
 def cmd_toa(args: argparse.Namespace) -> int:
     radio = _radio_from_args(args)
     toa = lorawan_time_on_air if args.lorawan else time_on_air
@@ -104,6 +118,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
         )
     if args.drift_ppm < 0:
         raise ScenarioError(f"--drift-ppm: {args.drift_ppm}, a magnitude, cannot be negative")
+    if args.csv is not None:
+        _check_output_path("--csv", Path(args.csv), is_dir=False)
     radio = _radio_from_args(args)
     slot_seconds = args.ticks_per_slot / args.tick_rate
     timing = SlotTiming(radio)
@@ -230,6 +246,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     gc.disable()
     try:
         path = Path(args.scenario)
+        out_dir = Path(args.out) if args.out is not None else Path("runs") / path.stem
+        _check_output_path("--out", out_dir, is_dir=True)
         doc = read_scenario_doc(path)
         for item in args.overrides:
             if "=" not in item:
@@ -243,7 +261,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         scenario = parse_scenario(doc, source=path.name)
 
         trace = run(scenario)
-        out_dir = Path(args.out) if args.out is not None else Path("runs") / path.stem
         written = write_trace_csvs(trace, out_dir)
         for p in written:
             print(f"wrote {p}")

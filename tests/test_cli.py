@@ -268,6 +268,19 @@ def test_plan_csv_dump(tmp_path, capsys):
     assert lines[0].split(",")[0] == "n"
 
 
+@pytest.mark.parametrize(
+    ("csv", "refusal"),
+    [(".", "exists and is a directory"), ("afile/plan.csv", "afile is not a directory")],
+    ids=["directory", "under_a_file"],
+)
+def test_plan_refuses_a_csv_path_before_printing(csv, refusal, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").touch()
+    rc = main(["plan", "--nodes", "4", "--app-period", "234", "--csv", csv])
+    assert rc == 2
+    assert capsys.readouterr() == ("", f"error: --csv {csv}: {refusal}\n")
+
+
 def test_simulate_star(tmp_path, capsys):
     out = tmp_path / "run"
     rc = main(["simulate", STAR, "--out", str(out), "--frames", "10"])
@@ -334,17 +347,18 @@ def test_no_collector_pass_runs_during_a_job(tmp_path, capsys):
 
 
 def test_simulate_leaves_the_collector_as_it_found_it(tmp_path, capsys):
-    blocker = tmp_path / "file"
-    blocker.write_text("")
+    # A directory where the export writes its first CSV fails after the run.
+    blocked = tmp_path / "blocked"
+    (blocked / "radio_states.csv").mkdir(parents=True)
     run = ["simulate", LINE4, "--frames", "4", "--out"]
     for argv, rc, err in [
         ([*run, str(tmp_path / "run")], 0, ""),
         ([*run, str(tmp_path / "run"), "--set", "radio.spreading_factor=10"], 2, "error: "),
-        ([*run, str(blocker / "run")], 4, "runtime error: "),
+        ([*run, str(blocked)], 4, "runtime error: "),
     ]:
         assert main(argv) == rc
         got = capsys.readouterr().err
-        assert got.startswith(err) and ("Not a directory" in got) == (rc == 4), got
+        assert got.startswith(err) and ("Is a directory" in got) == (rc == 4), got
         assert gc.isenabled(), argv
     gc.disable()
     try:
@@ -368,6 +382,20 @@ def test_simulate_missing_file(capsys):
     rc = main(["simulate", "nowhere.json", "--out", "/tmp/x"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    ("out", "refusal"),
+    [("afile", "exists and is not a directory"), ("afile/sub", "afile is not a directory")],
+    ids=["a_file", "under_a_file"],
+)
+def test_simulate_refuses_an_out_path_before_the_run(out, refusal, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").touch()
+    monkeypatch.setattr(lorahop.cli, "run", lambda scenario: pytest.fail("the run started"))
+    rc = main(["simulate", STAR, "--out", out])
+    assert rc == 2
+    assert capsys.readouterr() == ("", f"error: --out {out}: {refusal}\n")
 
 
 @pytest.mark.parametrize(

@@ -781,6 +781,53 @@ def test_accept_after_an_old_reference_arms_a_beacon_window_after_it():
     assert sim.sync_samples[-1].frame == 5
 
 
+# --- the beacon-miss policy ---
+
+
+def _next_beacon_window(sim: Simulator, rt) -> None:
+    """Handle events until the node's open beacon window gives way to the next."""
+    win = rt.beacon
+    while rt.beacon is win:
+        *_, fn, args = heapq.heappop(sim.heap)
+        fn(*args)
+
+
+@pytest.mark.parametrize("base_slots", [0.01, 0.2, 1.0, 2.0])
+def test_beacon_window_widens_per_miss_up_to_a_slot_and_resets_on_resync(base_slots):
+    # The guard doubles with each consecutive miss, capped at one slot; a
+    # base guard of a slot or more opens every window a whole slot wide.
+    doc = read_scenario_doc(REPO / "scenarios" / "star4.json")
+    doc["guard"]["base_guard"] = base = base_slots * T_SLOT
+    sim = Simulator(parse_scenario(doc))
+    _synchronize(sim, 1, address=1, parent=0)
+    rt = sim.nodes[1]
+    sim._enter_frame(rt, 0, 0.0, resynced=True)
+
+    def half_width(misses: int) -> float:
+        # The window spans center -/+ half, plus a local tick before and
+        # the beacon's airtime after; the center is the anchor's next frame.
+        win = rt.beacon
+        assert rt.st.consecutive_beacon_misses == misses
+        center = rt.anchor + rt.frame_local + sim.timing.beacon_tx_offset
+        late = win.close_t - sim.timing.t_bcn - center
+        assert center - (win.open_t + rt.tick) == pytest.approx(late, abs=1e-9)
+        return late
+
+    halves = []
+    for misses in range(4):
+        halves.append(half_width(misses))
+        if misses < 3:
+            _next_beacon_window(sim, rt)  # the window closes empty: a miss
+    assert halves == pytest.approx([min(base * 2**m, T_SLOT) / 2 for m in range(4)], abs=1e-9)
+
+    # The parent's beacon inside the widest window resyncs the node.
+    relay, frame = sim.nodes[0], rt.beacon.frame
+    sim._transmit(relay, make_beacon(relay.st, frame), rt.beacon.open_t + 0.005, frame, 0)
+    _next_beacon_window(sim, rt)
+    assert [e.event for e in sim.protocol_events] == ["beacon_miss"] * 3
+    assert half_width(0) == pytest.approx(min(base, T_SLOT) / 2, abs=1e-9)
+
+
 # --- a widened beacon window over the join window before it ---
 
 
