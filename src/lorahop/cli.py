@@ -71,9 +71,8 @@ def _radio_from_args(args: argparse.Namespace) -> RadioParams:
 
 def _check_output_path(flag: str, path: Path, is_dir: bool) -> None:
     """Refuse, before any work, an output path that existing files make
-    unwritable: a ``path`` of the other kind (a file where the directory
-    ``is_dir`` asks for would be, or the reverse), or a file where a
-    directory above it would be."""
+    unwritable: one of the wrong kind (``is_dir`` says which it must be),
+    or one under a file."""
     if path.exists() and path.is_dir() != is_dir:
         raise ScenarioError(f"{flag} {path}: exists and is {'not ' if is_dir else ''}a directory")
     for parent in path.parents:

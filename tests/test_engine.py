@@ -805,7 +805,8 @@ def test_beacon_window_widens_per_miss_up_to_a_slot_and_resets_on_resync(base_sl
 
     def half_width(misses: int) -> float:
         # The window spans center -/+ half, plus a local tick before and
-        # the beacon's airtime after; the center is the anchor's next frame.
+        # the beacon's airtime after; the center lies one local frame after
+        # the anchor.
         win = rt.beacon
         assert rt.st.consecutive_beacon_misses == misses
         center = rt.anchor + rt.frame_local + sim.timing.beacon_tx_offset
