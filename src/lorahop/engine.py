@@ -42,7 +42,7 @@ from collections import Counter, defaultdict
 from collections.abc import Container, Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -168,11 +168,16 @@ class SimulationTrace:
     A trace stays read-only after ``run()``: its records are immutable, and
     the measures read per-node views of its lists, each built once on first
     use, which would go stale if a list changed.
+
+    ``intervals_by_node`` holds each node's radio timeline, in node-id
+    order: its intervals in time order, each gap a sleep row, from 0 to
+    ``end_time``. ``radio_intervals`` is their node-major concatenation,
+    built on first use.
     """
 
     scenario: Scenario
     end_time: float
-    radio_intervals: list[tuple[int, str, float, float]]
+    intervals_by_node: dict[int, list[tuple[int, str, float, float]]]
     packet_events: list[PacketEvent]
     sync_samples: list[SyncSample]
     queue_samples: list[QueueSample]
@@ -184,9 +189,9 @@ class SimulationTrace:
     protocol_errors: dict[int, int]
 
     @cached_property
-    def intervals_by_node(self) -> dict[int, list[tuple[int, str, float, float]]]:
-        """``radio_intervals`` grouped by node, each list in trace order."""
-        return dict(_group_by_node(self.radio_intervals))
+    def radio_intervals(self) -> list[tuple[int, str, float, float]]:
+        """Every node's timeline, node by node: the ``radio_states.csv`` rows."""
+        return list(chain.from_iterable(self.intervals_by_node.values()))
 
     @cached_property
     def node_measures(self) -> dict[int, tuple[float, float | None]]:
@@ -223,16 +228,6 @@ def _packet_columns(pkt: MacPacket, channel: str, frame: int, slot: int) -> tupl
     )
 
 
-def _group_by_node(
-    rows: list[tuple[int, str, float, float]],
-) -> defaultdict[int, list[tuple[int, str, float, float]]]:
-    """Interval rows grouped by their node, each group in input order."""
-    by_node: defaultdict[int, list[tuple[int, str, float, float]]] = defaultdict(list)
-    for row in rows:
-        by_node[row[0]].append(row)
-    return by_node
-
-
 class _NodeRt:
     """Engine-side runtime wrapped around one protocol NodeState: the
     timing the protocol cannot know. The MAC facts (address, parent, miss
@@ -244,6 +239,8 @@ class _NodeRt:
         self.frame_local = frame_ticks * self.tick
         self.anchor: float = 0.0
         self.listen_from: float | None = None
+        # The node's radio intervals in the order they were recorded.
+        self.intervals: list[tuple[int, str, float, float]] = []
         # The open parent-beacon window, which closes by event; every window
         # in ``windows`` is plain and closes at its close_t.
         self.beacon: _Window | None = None
@@ -294,7 +291,6 @@ class Simulator:
         # Every transmission put on the air, pruned to those that may still
         # overlap one delivered later (see _deliver).
         self.on_air: list[Transmission] = []
-        self.radio_intervals: list[tuple[int, str, float, float]] = []
         self.packet_events: list[PacketEvent] = []
         self.sync_samples: list[SyncSample] = []
         self.queue_samples: list[QueueSample] = []
@@ -511,7 +507,7 @@ class Simulator:
         """Close the node's beacon window at ``end`` and record its receive interval."""
         win = rt.beacon
         rt.beacon = None
-        self._log_receive(rt.st.node_id, win.open_t, end)
+        self._log_receive(rt, win.open_t, end)
 
     def _ev_beacon_window_close(self, rt: _NodeRt, win: _Window) -> None:
         if rt.beacon is not win:
@@ -556,7 +552,7 @@ class Simulator:
         # if it ends by the end of the run, like every other transmission.
         if round(end * 1e9) <= round(self.end_time * 1e9):
             nid = rt.st.node_id
-            self.radio_intervals.append((nid, "transmit", start, end))
+            rt.intervals.append((nid, "transmit", start, end))
             self._log_packet(start, nid, "tx", pkt, LORAWAN_CHANNEL, frame, self.sched.lorawan_slot)
 
     def _ev_own_uplink(self, rt: _NodeRt, frame: int, slot: int, t_slot_start: float) -> None:
@@ -615,7 +611,7 @@ class Simulator:
         """Open a plain receive window: it stays open up to ``close_t``, so
         its receive interval is recorded now."""
         rt.windows.append(tuple.__new__(_Window, (open_t, close_t, purpose, None)))
-        self._log_receive(rt.st.node_id, open_t, close_t)
+        self._log_receive(rt, open_t, close_t)
 
     def _transmit(self, rt: _NodeRt, pkt: MacPacket, start: float, frame: int, slot: int) -> None:
         """Put a MAC packet on the air. Delivery ignores a transmission that
@@ -632,12 +628,12 @@ class Simulator:
         # Half-duplex: only a listening sender gets a start event (see
         # _transmit); it stops receiving while it transmits, and the gap
         # also voids coverage of overlapping packets.
-        self._log_receive(rt.st.node_id, rt.listen_from, tx.start)
+        self._log_receive(rt, rt.listen_from, tx.start)
         rt.listen_from = None
 
     def _ev_tx_end(self, rt: _NodeRt, tx: Transmission) -> None:
         nid = rt.st.node_id
-        self.radio_intervals.append((nid, "transmit", tx.start, tx.end))
+        rt.intervals.append((nid, "transmit", tx.start, tx.end))
         # The packet's columns, shared by its tx event and every listener's.
         cols = _packet_columns(tx.packet, "0", tx.frame, tx.slot)
         self.packet_events.append(tuple.__new__(PacketEvent, (tx.start, nid, "tx") + cols))
@@ -804,7 +800,7 @@ class Simulator:
         st = rt.st
         parent = act.parent_id
         if rt.listen_from is not None:
-            self._log_receive(st.node_id, rt.listen_from, tx.end)
+            self._log_receive(rt, rt.listen_from, tx.end)
         rt.listen_from = None
         info = rt.candidates.get(parent)
         if info is None:
@@ -830,12 +826,13 @@ class Simulator:
 
     # ------------------------------------------------------------ logging
 
-    def _log_receive(self, node: int, start: float, end: float) -> None:
-        """Record a receive interval, clipped to the run; an empty one is dropped."""
+    def _log_receive(self, rt: _NodeRt, start: float, end: float) -> None:
+        """Record a receive interval of the node, clipped to the run; an
+        empty one is dropped."""
         if end > self.end_time:
             end = self.end_time
         if end > start:
-            self.radio_intervals.append((node, "receive", start, end))
+            rt.intervals.append((rt.st.node_id, "receive", start, end))
 
     def _log_protocol(self, t: float, node: int, event: str, detail: str) -> None:
         self.protocol_events.append(tuple.__new__(ProtocolEvent, (t, node, event, detail)))
@@ -858,23 +855,25 @@ class Simulator:
     # ------------------------------------------------------------ finalize
 
     def _finalize(self) -> SimulationTrace:
+        """Close each node's open receive interval at the end of the run,
+        check its timeline and fill the gaps with sleep; sort the packet
+        events; build the trace."""
         end = self.end_time
-        for rt in self.nodes.values():
+        intervals_by_node: dict[int, list[tuple[int, str, float, float]]] = {}
+        for nid in sorted(self.nodes):
+            rt = self.nodes[nid]
             if rt.listen_from is not None:
-                self._log_receive(rt.st.node_id, rt.listen_from, end)
+                self._log_receive(rt, rt.listen_from, end)
             if rt.beacon is not None:
                 self._close_beacon(rt, rt.beacon.close_t)
-
-        raw = _group_by_node(self.radio_intervals)
-        self.radio_intervals = []  # the buckets hold every record; free the list before the output grows
-        intervals: list[tuple[int, str, float, float]] = []
-        for nid in sorted(self.nodes):
             # Every record site clips its interval to the run already.
             # Two rows of one node with the same start overlap, so the start
             # alone orders a timeline that passes the check below; a float
             # key costs no allocation.
-            rows = raw.pop(nid, [])
+            rows = rt.intervals
             rows.sort(key=itemgetter(2))
+            # The timeline replaces the recorded rows, which go with ``rows``.
+            rt.intervals = timeline = intervals_by_node[nid] = []
             cursor = 0.0
             for row in rows:
                 _n, state, s, e = row
@@ -883,16 +882,16 @@ class Simulator:
                         f"node {nid}: {state} interval [{s:.9f}, {e:.9f}] outside the run or empty"
                     )
                 if s > cursor:
-                    intervals.append((nid, "sleep", cursor, s))
+                    timeline.append((nid, "sleep", cursor, s))
                 elif s < cursor - 1e-9:
                     raise RuntimeError(
                         f"node {nid}: overlapping radio intervals at t={s:.9f}"
                     )
-                intervals.append(row)
+                timeline.append(row)
                 if e > cursor:
                     cursor = e
             if cursor < end:
-                intervals.append((nid, "sleep", cursor, end))
+                timeline.append((nid, "sleep", cursor, end))
 
         parents: dict[int, int] = {}
         addresses: dict[int, int] = {}
@@ -912,7 +911,7 @@ class Simulator:
         return SimulationTrace(
             scenario=self.sc,
             end_time=end,
-            radio_intervals=intervals,
+            intervals_by_node=intervals_by_node,
             packet_events=self.packet_events,
             sync_samples=self.sync_samples,
             queue_samples=self.queue_samples,
@@ -1065,7 +1064,7 @@ def write_trace_csvs(trace: SimulationTrace, out_dir: str | Path) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     files = (
         ("radio_states.csv", "node,state,start_s,end_s\n",
-         _radio_state_lines(trace.radio_intervals)),
+         _radio_state_lines(trace.intervals_by_node)),
         ("packet_events.csv",
          "t_s,node,event,kind,sender,dest,origin,seq,size_bytes,channel,frame,slot\n",
          _packet_event_lines(trace.packet_events)),
@@ -1086,26 +1085,26 @@ def write_trace_csvs(trace: SimulationTrace, out_dir: str | Path) -> list[Path]:
     return paths
 
 
-def _radio_state_lines(rows: list[tuple[int, str, float, float]]) -> Iterator[str]:
-    """``radio_states.csv`` rows. Rows are node-major, so the ``node,state,``
-    text is built once per node and state; an instant shared by one row's
-    end and the next row's start is formatted once (an end is after its
-    start, so never a zero of either sign)."""
-    last_node = None
-    prefixes: dict[str, str] = {}
-    last_end = None
-    end_text = ""
-    for n, state, s, e in rows:
-        if n != last_node:
-            last_node, prefixes = n, {}
-        try:
-            prefix = prefixes[state]
-        except KeyError:
-            prefix = prefixes[state] = f"{n},{state},"
-        start_text = end_text if s == last_end else f"{s:.9f}"
-        last_end = e
-        end_text = f"{e:.9f}"
-        yield f"{prefix}{start_text},{end_text}\n"
+def _radio_state_lines(
+    intervals_by_node: dict[int, list[tuple[int, str, float, float]]],
+) -> Iterator[str]:
+    """``radio_states.csv`` rows, node by node. The ``node,state,`` text is
+    built once per node and state; an instant shared by one row's end and
+    the next row's start is formatted once (an end is after its start, so
+    never a zero of either sign)."""
+    for n, rows in intervals_by_node.items():
+        prefixes: dict[str, str] = {}
+        last_end = None
+        end_text = ""
+        for _n, state, s, e in rows:
+            try:
+                prefix = prefixes[state]
+            except KeyError:
+                prefix = prefixes[state] = f"{n},{state},"
+            start_text = end_text if s == last_end else f"{s:.9f}"
+            last_end = e
+            end_text = f"{e:.9f}"
+            yield f"{prefix}{start_text},{end_text}\n"
 
 
 def _packet_event_lines(events: list[PacketEvent]) -> Iterator[str]:

@@ -418,6 +418,23 @@ def test_simulate_refuses_a_path_it_cannot_read_as_json_text(tmp_path, capsys, c
     assert capsys.readouterr().err == f"error: {path}: {refusal}\n"
 
 
+def test_simulate_never_builds_the_flat_interval_list(tmp_path, capsys, monkeypatch):
+    # The CSV writer and the measures read each node's own timeline; the
+    # node-major list of every interval is a view that simulate never asks for.
+    traces = []
+
+    def kept(scenario):
+        traces.append(lorahop.engine.run(scenario))
+        return traces[-1]
+
+    monkeypatch.setattr(lorahop.cli, "run", kept)
+    assert main(["simulate", STAR, "--frames", "10", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    [trace] = traces
+    assert trace.intervals_by_node
+    assert "radio_intervals" not in vars(trace)
+
+
 def test_simulate_bad_set(capsys):
     rc = main(["simulate", STAR, "--set", "noequalsign"])
     assert rc == 2

@@ -181,6 +181,18 @@ def test_radio_timeline_is_gapless(star_trace):
             assert s1 == pytest.approx(e0, abs=1e-9)
 
 
+def test_radio_intervals_are_the_node_timelines_node_by_node(star_trace, tmp_path):
+    # The trace stores one timeline per node; the flat list is their
+    # concatenation in node order, and radio_states.csv holds its rows.
+    by_node = star_trace.intervals_by_node
+    assert list(by_node) == sorted(star_trace.final_modes)
+    assert all(row[0] == n for n, rows in by_node.items() for row in rows)
+    assert star_trace.radio_intervals == [row for rows in by_node.values() for row in rows]
+    write_trace_csvs(star_trace, tmp_path)
+    lines = (tmp_path / "radio_states.csv").read_text().splitlines()[1:]
+    assert lines == ["%d,%s,%.9f,%.9f" % row for row in star_trace.radio_intervals]
+
+
 def test_uplink_data_reaches_gateway(star_trace):
     ups = [
         e
@@ -383,7 +395,7 @@ def test_measures_equal_full_scans(name):
 
 def test_finalize_rejects_overlapping_intervals():
     sim = Simulator(load_scenario(REPO / "scenarios" / "star4.json"))
-    sim.radio_intervals += [(1, "transmit", 1.0, 2.0), (1, "receive", 1.5, 2.5)]
+    sim.nodes[1].intervals += [(1, "transmit", 1.0, 2.0), (1, "receive", 1.5, 2.5)]
     with pytest.raises(RuntimeError, match="overlapping radio intervals"):
         sim._finalize()
 
@@ -396,7 +408,7 @@ def test_finalize_rejects_intervals_that_share_a_start_in_either_order(rows):
     # A node's timeline is sorted on the start alone, so rows that share one
     # keep their append order; the overlap check must catch both orders.
     sim = Simulator(load_scenario(REPO / "scenarios" / "star4.json"))
-    sim.radio_intervals += rows
+    sim.nodes[1].intervals += rows
     with pytest.raises(RuntimeError, match="node 1: overlapping radio intervals at t=1.000000000"):
         sim._finalize()
 
@@ -445,7 +457,7 @@ def test_finalize_rejects_an_empty_interval_or_one_outside_the_run(start, end):
     sim = Simulator(load_scenario(REPO / "scenarios" / "star4.json"))
     if start == "end":
         start, end = sim.end_time - 0.5, sim.end_time + end
-    sim.radio_intervals.append((2, "receive", start, end))
+    sim.nodes[2].intervals.append((2, "receive", start, end))
     with pytest.raises(RuntimeError, match="node 2: receive interval .* outside the run or empty"):
         sim._finalize()
 
@@ -593,14 +605,12 @@ def test_csv_text_is_reused_only_for_equal_values(tmp_path, star_trace):
         ev._replace(t=-0.0),
         ev._replace(t=0.0),
     ]
-    radio = [
-        (0, "sleep", 0.0, 1.5),
-        (0, "receive", 1.5, 2.25),
-        (1, "receive", 2.25, 3.0),
-        (1, "sleep", 3.0, 4.0),
-        (2, "sleep", 0.0, 4.0),
-    ]
-    trace = dataclasses.replace(star_trace, packet_events=packets, radio_intervals=radio)
+    radio = {
+        0: [(0, "sleep", 0.0, 1.5), (0, "receive", 1.5, 2.25)],
+        1: [(1, "receive", 2.25, 3.0), (1, "sleep", 3.0, 4.0)],
+        2: [(2, "sleep", 0.0, 4.0)],
+    }
+    trace = dataclasses.replace(star_trace, packet_events=packets, intervals_by_node=radio)
     written = _written_csv_lines(trace, tmp_path)
     assert written == _plain_csv_lines(trace)
     assert written["packet_events.csv"][6:] == [
@@ -748,7 +758,7 @@ def test_run_that_raises_is_freed_by_reference_counting(where):
             sim._push(30.0, _P_SVC, 0, _raise_now)
             match = "handler failed"
         else:
-            sim.radio_intervals += [(1, "transmit", 1.0, 2.0), (1, "receive", 1.5, 2.5)]
+            sim.nodes[1].intervals += [(1, "transmit", 1.0, 2.0), (1, "receive", 1.5, 2.5)]
             match = "overlapping radio intervals"
         try:
             sim.run()
