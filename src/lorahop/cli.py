@@ -189,13 +189,17 @@ def cmd_plan(args: argparse.Namespace) -> int:
             raise ScenarioError(
                 "power model needs --p-sleep, --p-rx and --p-tx together"
             )
-        profile = PowerProfile(
-            p_sleep=args.p_sleep,
-            p_rx=args.p_rx,
-            p_tx=args.p_tx,
-            p_app=args.p_app,
-            tau_app=args.tau_app,
-        )
+        try:
+            profile = PowerProfile(
+                p_sleep=args.p_sleep,
+                p_rx=args.p_rx,
+                p_tx=args.p_tx,
+                p_app=args.p_app,
+                tau_app=args.tau_app,
+            )
+        except ValueError as e:  # PowerProfile names the field first; its flag is --field
+            field, _, reason = str(e).partition(": ")
+            raise ScenarioError(f"--{field.replace('_', '-')}: {reason}") from None
         power_w = mean_power(profile, t_bcn, slot_seconds, slots, k, args.drift_ppm)
 
     rows = [

@@ -274,7 +274,7 @@ class Simulator:
             )
             kw = dict(clock=clock, queue_capacity=scenario.queue_capacity)
             if cfg.is_relay:
-                st = make_relay(cfg.node_id, self.sched, **kw)
+                st = make_relay(cfg.node_id, **kw)
             else:
                 st = NodeState(node_id=cfg.node_id, **kw)
             self.nodes[cfg.node_id] = _NodeRt(st, self.sched.frame_ticks)

@@ -34,8 +34,11 @@ class PlanError(Exception):
 class PowerProfile:
     """Device power draw per radio/application state, in watts.
 
-    ``p_app`` is the extra draw while the sensing application runs for
-    ``tau_app`` seconds per application period.
+    ``p_app`` is the draw while the sensing application runs, for
+    ``tau_app`` seconds per application period; both models add
+    ``p_app - p_sleep`` over that time, so a ``p_app`` below ``p_sleep``
+    lowers the mean. No draw is negative. Each refusal names the field
+    first.
     """
 
     p_sleep: float
@@ -46,11 +49,15 @@ class PowerProfile:
 
     def __post_init__(self) -> None:
         if self.p_sleep < 0:
-            raise ValueError("sleep power cannot be negative")
-        if self.p_rx < self.p_sleep or self.p_tx < self.p_sleep:
-            raise ValueError("active power below sleep power")
+            raise ValueError("p_sleep: sleep power cannot be negative")
+        if self.p_rx < self.p_sleep:
+            raise ValueError("p_rx: receive power below sleep power")
+        if self.p_tx < self.p_sleep:
+            raise ValueError("p_tx: transmit power below sleep power")
+        if self.p_app < 0:
+            raise ValueError("p_app: application power cannot be negative")
         if self.tau_app < 0:
-            raise ValueError("application run time cannot be negative")
+            raise ValueError("tau_app: application run time cannot be negative")
 
 
 def app_period(k: int, slots_per_frame: int, slot_seconds: float) -> float:

@@ -338,7 +338,7 @@ class NodeState:
         return s
 
 
-def make_relay(node_id: int, schedule: FrameSchedule, **kw) -> NodeState:
+def make_relay(node_id: int, **kw) -> NodeState:
     """The relay is born synchronized at address 0; it never joins."""
     return NodeState(node_id, mode=SYNCHRONIZED, address=0, is_relay=True, **kw)
 
@@ -488,7 +488,7 @@ def _join_accept(
     return MacPacket(
         kind=JOIN_ACCEPT,
         network_id=relay.network_id,
-        sender_id=relay.address if relay.address is not None else 0,
+        sender_id=relay.address,
         dest_id=dest,
         origin_id=origin_hw,
         seq=relay.next_seq(),

@@ -153,6 +153,11 @@ _POWER_FLAGS = ["--p-sleep", "1e-5", "--p-rx", "0.036", "--p-tx", "0.120"]
         (["--p-sleep", "1e-5", "--p-rx", "0.036", "--p-tx", "inf"], "--p-tx"),
         ([*_POWER_FLAGS, "--p-app", "nan"], "--p-app"),
         ([*_POWER_FLAGS, "--tau-app", "inf"], "--tau-app"),
+        (["--p-sleep", "-1", "--p-rx", "1", "--p-tx", "1"], "--p-sleep"),
+        (["--p-sleep", "1e-5", "--p-rx", "1e-6", "--p-tx", "0.120"], "--p-rx"),
+        (["--p-sleep", "1e-5", "--p-rx", "0.036", "--p-tx", "1e-6"], "--p-tx"),
+        ([*_POWER_FLAGS, "--p-app", "-1", "--tau-app", "30"], "--p-app"),
+        ([*_POWER_FLAGS, "--tau-app", "-1"], "--tau-app"),
         (["--bw", "nan"], "--bw"),
         (["--bw", "inf"], "--bw"),
         (["--bw", "0"], "--bw"),
@@ -168,7 +173,8 @@ _POWER_FLAGS = ["--p-sleep", "1e-5", "--p-rx", "0.036", "--p-tx", "0.120"]
         "ticks_per_slot_0", "channels_0", "k_0", "nodes_0", "max_slots_0", "k_4_slots_0",
         "slots_negative", "app_period_inf", "app_period_nan", "duty_limit_nan", "duty_limit_2",
         "duty_limit_negative", "duty_limit_0", "drift_nan", "p_sleep_nan", "p_rx_inf", "p_tx_inf",
-        "p_app_nan", "tau_app_inf", "bw_nan", "bw_inf", "bw_0", "sf_13", "sf_5", "cr_9",
+        "p_app_nan", "tau_app_inf", "p_sleep_negative", "p_rx_below_sleep", "p_tx_below_sleep",
+        "p_app_negative", "tau_app_negative", "bw_nan", "bw_inf", "bw_0", "sf_13", "sf_5", "cr_9",
         "preamble_0", "sf6_explicit_header", "sf12_without_ldro",
     ],
 )
@@ -416,6 +422,16 @@ def test_simulate_refuses_a_path_it_cannot_read_as_json_text(tmp_path, capsys, c
     rc = main(["simulate", str(path), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {path}: {refusal}\n"
+
+
+def test_simulate_refuses_a_negative_application_power(tmp_path, capsys):
+    # The models add p_app - p_sleep while the application runs; a negative
+    # draw gave a negative mean power.
+    rc = main(["simulate", STAR, "--frames", "4", "--set", "power.p_app=-3", "--out", str(tmp_path)])
+    assert rc == 2
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err.endswith(".power: p_app: application power cannot be negative\n"), got.err
 
 
 def test_simulate_never_builds_the_flat_interval_list(tmp_path, capsys, monkeypatch):

@@ -122,7 +122,7 @@ def test_packets_and_actions_are_immutable():
 
 
 def test_onair_sizes():
-    beacon = make_beacon(make_relay(10, SCHED), frame_index=7)
+    beacon = make_beacon(make_relay(10), frame_index=7)
     assert beacon.onair_bytes == 3
     ack = MacPacket(PacketKind.ACK, 1, 0, 2, 0, 5)
     assert ack.onair_bytes == 2
@@ -191,7 +191,7 @@ def test_one_function_per_recording_rule():
 
 
 def test_beacon_seq_wraps_with_frame():
-    relay = make_relay(10, SCHED)
+    relay = make_relay(10)
     assert make_beacon(relay, 0).seq == 0
     assert make_beacon(relay, 33).seq == 1
 
@@ -225,7 +225,7 @@ def test_slot_timing_anatomy():
 
 
 def test_make_relay():
-    relay = make_relay(10, SCHED)
+    relay = make_relay(10)
     assert relay.mode is NodeMode.SYNCHRONIZED
     assert relay.address == 0
     assert relay.is_relay
@@ -290,7 +290,7 @@ def test_parent_beacon_resyncs():
     leaf = _synced_leaf(11, 2)
     leaf.consecutive_beacon_misses = 2
     arrival = 100.0
-    acts = handle_rx(leaf, make_beacon(make_relay(10, SCHED), 3), arrival, SCHED, TIMING)
+    acts = handle_rx(leaf, make_beacon(make_relay(10), 3), arrival, SCHED, TIMING)
     (act,) = acts
     assert isinstance(act, Resync)
     assert act.reference_global == pytest.approx(arrival - TIMING.t_bcn - TIMING.beacon_tx_offset)
@@ -298,7 +298,7 @@ def test_parent_beacon_resyncs():
     # The reference backs off the beacon airtime of the radio in use.
     sf8 = RadioParams(spreading_factor=8)
     (act,) = handle_rx(
-        leaf, make_beacon(make_relay(10, SCHED), 4), arrival, SCHED, SlotTiming(sf8)
+        leaf, make_beacon(make_relay(10), 4), arrival, SCHED, SlotTiming(sf8)
     )
     assert act.reference_global == pytest.approx(arrival - time_on_air(3, sf8) - 0.030)
 
@@ -311,7 +311,7 @@ def test_non_parent_beacon_no_resync():
 
 def test_unjoined_collects_candidates():
     st = NodeState(node_id=13)
-    acts = handle_rx(st, make_beacon(make_relay(10, SCHED), 0), 5.0, SCHED, TIMING)
+    acts = handle_rx(st, make_beacon(make_relay(10), 0), 5.0, SCHED, TIMING)
     assert acts == [CandidateBeacon(sender_id=0)]
 
 
@@ -330,7 +330,7 @@ def test_join_procedure_prefers_strong_then_low():
 
 
 def test_relay_accepts_in_join_slot():
-    relay = make_relay(10, SCHED)
+    relay = make_relay(10)
     req = MacPacket(PacketKind.JOIN_REQUEST, 1, 13, 0, 13, 0)
     acts = handle_rx(relay, req, 9.0, SCHED, TIMING, in_join_slot=True)
     (act,) = acts
@@ -348,7 +348,7 @@ def test_relay_accepts_in_join_slot():
 
 def test_address_exhaustion_counts_error():
     sched = build_schedule(max_nodes=2, slots_per_frame=8, ticks_per_slot=21281)
-    relay = make_relay(10, sched)
+    relay = make_relay(10)
     first = MacPacket(PacketKind.JOIN_REQUEST, 1, 13, 0, 13, 0)
     handle_rx(relay, first, 9.0, sched, TIMING, in_join_slot=True)
     second = MacPacket(PacketKind.JOIN_REQUEST, 1, 14, 0, 14, 0)
@@ -425,7 +425,7 @@ def test_full_queue_names_the_packet_it_turned_away():
     (drop,) = handle_rx(mid, accept, 12.0, SCHED, TIMING)
     assert drop == QueueDrop(MacPacket(PacketKind.JOIN_ACCEPT, 1, 1, 13, 13, 0, accept.payload), SCHED.downlink_slot(2))
 
-    relay = make_relay(10, SCHED)
+    relay = make_relay(10)
     relay.children.add(1)
     relay.queue_capacity = 0
     req = MacPacket(PacketKind.JOIN_REQUEST, 1, 1, 0, 13, 3)
@@ -450,7 +450,7 @@ def test_accept_without_route_is_error():
 
 
 def test_relay_gateway_enqueue_and_dedup():
-    relay = make_relay(10, SCHED)
+    relay = make_relay(10)
     relay.children.add(2)
     data = MacPacket(PacketKind.UP_DATA, 1, 2, 0, 2, 4, b"abc")
     acts = handle_rx(relay, data, 30.0, SCHED, TIMING)
@@ -467,7 +467,7 @@ def test_relay_gateway_enqueue_and_dedup():
 
 
 def test_uplink_from_stranger_dropped():
-    relay = make_relay(10, SCHED)
+    relay = make_relay(10)
     data = MacPacket(PacketKind.UP_DATA, 1, 2, 0, 2, 4, b"abc")
     assert handle_rx(relay, data, 30.0, SCHED, TIMING) == []
 
