@@ -184,9 +184,3 @@ def test_power_profile_refusal_names_the_field(field, value):
     kw = dict(p_sleep=1e-5, p_rx=0.036, p_tx=0.120, p_app=0.030, tau_app=1.0)
     with pytest.raises(ValueError, match=f"^{field}: "):
         PowerProfile(**{**kw, field: value})
-
-
-def test_power_profile_accepts_an_application_draw_below_sleep():
-    # Only a negative draw is refused: p_app - p_sleep may be negative.
-    prof = PowerProfile(p_sleep=1e-3, p_rx=0.036, p_tx=0.120, p_app=0.0, tau_app=1.0)
-    assert prof.p_app < prof.p_sleep
