@@ -230,12 +230,13 @@ def _packet_columns(pkt: MacPacket, channel: str, frame: int, slot: int) -> tupl
 
 class _NodeRt:
     """Engine-side runtime wrapped around one protocol NodeState: the
-    timing the protocol cannot know. The MAC facts (address, parent, miss
-    count, queues) live in ``st`` alone."""
+    timing the protocol cannot know, its crystal ``clock`` first. The MAC
+    facts (address, parent, miss count, queues) live in ``st`` alone."""
 
-    def __init__(self, st: NodeState, frame_ticks: int):
+    def __init__(self, st: NodeState, clock: VirtualClock, frame_ticks: int):
         self.st = st
-        self.tick = local_tick_duration(st.clock)
+        self.clock = clock
+        self.tick = local_tick_duration(clock)
         self.frame_local = frame_ticks * self.tick
         self.anchor: float = 0.0
         self.listen_from: float | None = None
@@ -269,15 +270,13 @@ class Simulator:
 
         self.nodes: dict[int, _NodeRt] = {}
         for cfg in scenario.nodes:
-            clock = VirtualClock(
-                tick_rate_hz=scenario.tick_rate_hz, drift_ppm=cfg.drift_ppm
-            )
-            kw = dict(clock=clock, queue_capacity=scenario.queue_capacity)
+            clock = VirtualClock(tick_rate_hz=scenario.tick_rate_hz, drift_ppm=cfg.drift_ppm)
+            kw = dict(queue_capacity=scenario.queue_capacity)
             if cfg.is_relay:
                 st = make_relay(cfg.node_id, **kw)
             else:
                 st = NodeState(node_id=cfg.node_id, **kw)
-            self.nodes[cfg.node_id] = _NodeRt(st, self.sched.frame_ticks)
+            self.nodes[cfg.node_id] = _NodeRt(st, clock, self.sched.frame_ticks)
         self.relay_id = scenario.relay_id
         # Who hears each sender: (node_id, runtime, link PER) in node-id order.
         self.hearers: dict[int, list[tuple[int, _NodeRt, float]]] = {n: [] for n in self.nodes}
@@ -370,16 +369,20 @@ class Simulator:
         """Re-anchor the node's clock on its parent's beacon reference of
         ``frame``, which lies on the parent's beacon slot, and return the
         new frame anchor."""
-        st = rt.st
-        expected_tick = frame * self.sched.frame_ticks + st.parent_id * self.sched.ticks_per_slot
-        st.clock = resync(st.clock, ref, expected_tick)
-        return st.clock.epoch_global
+        expected_tick = frame * self.sched.frame_ticks + rt.st.parent_id * self.sched.ticks_per_slot
+        rt.clock = resync(rt.clock, ref, expected_tick)
+        return rt.clock.epoch_global
+
+    def _slot_start(self, ref: float, ref_slot: int, slot: int) -> float:
+        """Global start of ``slot``, on the nominal grid from a reference
+        ``ref`` at the start of ``ref_slot``: every slot instant's one rule."""
+        return ref + (slot - ref_slot) * self.t_slot
 
     def _record_frame_samples(
         self, rt: _NodeRt, frame: int, anchor: float, resynced: bool
     ) -> None:
         st = rt.st
-        t_syn = anchor - (st.parent_id or 0) * self.t_slot
+        t_syn = self._slot_start(anchor, st.parent_id or 0, 0)
         self.sync_samples.append(tuple.__new__(SyncSample, (frame, st.node_id, t_syn, resynced)))
         self.queue_samples.append(
             tuple.__new__(
@@ -402,53 +405,53 @@ class Simulator:
         ``rt.due``; one call of _wake then puts on the heap those whose
         queue already holds work for their slot.
 
-        A slot's global start is ``anchor + (slot - anchor_slot) * t_slot``.
-        The anchor lies on the parent's beacon slot, so ``anchor_slot`` is
-        the parent's address; the relay has no parent, and its anchor is
-        its own slot 0.
+        Every slot instant comes from _slot_start on the anchor. The anchor
+        lies on the parent's beacon slot, so ``anchor_slot`` is the
+        parent's address; the relay has no parent, and its anchor is its
+        own slot 0.
         """
         st = rt.st
         address = st.address
         is_relay = st.is_relay
         sched, timing = self.sched, self.timing
-        anchor_slot, t_slot = st.parent_id or 0, self.t_slot
+        anchor_slot, slot_start = st.parent_id or 0, self._slot_start
 
         # Every transmission resolved from now on ends at or after the
         # anchor, so a plain window that closed a slot before it can no
         # longer hear one.
-        horizon = anchor - t_slot
+        horizon = anchor - self.t_slot
         rt.windows = [w for w in rt.windows if w.close_t >= horizon]
         if not is_relay:
             self._schedule_beacon_window(rt, frame + 1, anchor)
 
-        t_beacon = anchor + (address - anchor_slot) * t_slot + timing.beacon_tx_offset
+        t_beacon = slot_start(anchor, anchor_slot, address) + timing.beacon_tx_offset
         self._transmit(rt, make_beacon(st, frame), t_beacon, frame, address)
 
         rt.due = due = {}
         if is_relay:
             slot = sched.lorawan_slot
-            t_up = anchor + (slot - anchor_slot) * t_slot
+            t_up = slot_start(anchor, anchor_slot, slot)
             due[slot] = (t_up, self._ev_lorawan, (rt, frame, t_up))
         else:
             slot = sched.uplink_slot(address)
-            t_up = anchor + (slot - anchor_slot) * t_slot
+            t_up = slot_start(anchor, anchor_slot, slot)
             due[slot] = (t_up, self._ev_own_uplink, (rt, frame, slot, t_up))
 
         d0, d1 = timing.data_window
         for child in sorted(st.children):
-            t_cu = anchor + (sched.uplink_slot(child) - anchor_slot) * t_slot
+            t_cu = slot_start(anchor, anchor_slot, sched.uplink_slot(child))
             self._listen(rt, "uplink_rx", t_cu + d0, t_cu + d1)
             slot = sched.downlink_slot(child)
-            t_cd = anchor + (slot - anchor_slot) * t_slot
+            t_cd = slot_start(anchor, anchor_slot, slot)
             due[slot] = (t_cd, self._ev_child_downlink, (rt, frame, slot, t_cd))
 
         if st.pending_accepts:
-            t_od = anchor + (sched.downlink_slot(address) - anchor_slot) * t_slot
+            t_od = slot_start(anchor, anchor_slot, sched.downlink_slot(address))
             self._listen(rt, "downlink_rx", t_od + d0, t_od + d1)
 
         lu = self.listen_until_frame
         if lu is None or frame <= lu:
-            t_join = anchor + (sched.join_slot - anchor_slot) * t_slot
+            t_join = slot_start(anchor, anchor_slot, sched.join_slot)
             join_close = t_join + timing.join_accept_offset - timing.join_rx_margin
             self._listen(rt, "join_rx", t_join + timing.t_offset, join_close)
             if is_relay:
@@ -461,7 +464,7 @@ class Simulator:
             self._wake(rt, anchor)
 
         if frame % self.sc.k == address % self.sc.k:
-            t_app = anchor + (sched.first_idle_slot - anchor_slot) * t_slot
+            t_app = slot_start(anchor, anchor_slot, sched.first_idle_slot)
             self._push(t_app, _P_SVC, st.node_id, self._ev_app, rt, frame, t_app)
 
     def _wake(self, rt: _NodeRt, now: float) -> None:
@@ -710,9 +713,7 @@ class Simulator:
         st = rt.st
         in_join_slot = covering is not None and covering.purpose == "join_rx"
         up, down = len(st.uplink_queue), len(st.downlink_queue)
-        actions = handle_rx(
-            st, tx.packet, tx.end, self.sched, self.timing, in_join_slot=in_join_slot
-        )
+        actions = handle_rx(st, tx.packet, self.sched, in_join_slot=in_join_slot)
         if len(st.uplink_queue) > up or len(st.downlink_queue) > down:
             self._wake(rt, tx.end)
         for act in actions:
@@ -725,7 +726,9 @@ class Simulator:
         kind = type(act)
         if kind is Resync:
             # The parent's beacon arrives only in this node's beacon window.
-            anchor = self._resync(rt, act.reference_global, tx.frame)
+            # Not the candidate's formula below: the floats differ at times.
+            ref = tx.end - self.timing.t_bcn - self.timing.beacon_tx_offset
+            anchor = self._resync(rt, ref, tx.frame)
             self._close_beacon(rt, tx.end)
             self._enter_frame(rt, tx.frame, anchor, resynced=True)
         elif kind is CandidateBeacon:
@@ -759,7 +762,7 @@ class Simulator:
         rt.attempt_scheduled = True
         addr = best_parent((a, info[0]) for a, info in rt.candidates.items())
         _rssi, ref, _frame = rt.candidates[addr]
-        t_join = ref + (self.sched.join_slot - addr) * self.t_slot
+        t_join = self._slot_start(ref, addr, self.sched.join_slot)
         while t_join <= now:
             t_join += self.t_frame
         self._push(t_join, _P_SVC, st.node_id, self._ev_join_attempt, rt, t_join)
@@ -774,7 +777,7 @@ class Simulator:
         heard = [(addr, info[0]) for addr, info in sorted(rt.candidates.items())]
         parent, req = join_procedure(st, heard)
         _rssi, ref, frame = rt.candidates[parent]
-        slot_start = ref + (self.sched.join_slot - parent) * self.t_slot
+        slot_start = self._slot_start(ref, parent, self.sched.join_slot)
         backoff = self.rng.randrange(JOIN_BACKOFF_SLOTS)
         t_tx = slot_start + self.timing.join_request_offsets[backoff]
         # A stale reference (the chosen parent's beacon was lost this

@@ -11,8 +11,9 @@ references propagate down the tree within a single frame.
 
 State transitions are pure: ``handle_rx`` mutates the passed NodeState
 and returns a list of action records for the caller (the simulation
-engine, or a test) to execute. The protocol layer knows nothing about
-event scheduling or radio physics beyond packet sizes.
+engine, or a test) to execute. The protocol layer keeps no time: each
+node's clock and every slot instant live in the engine. It knows nothing
+about event scheduling or radio physics beyond packet sizes.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from enum import Enum, IntEnum
 from typing import ClassVar, NamedTuple
 
 from .phy import RadioParams, time_on_air
-from .timebase import VirtualClock
 
 #: Fixed MAC header: network_id, sender_id, dest_id, origin_id, seq/kind.
 MAC_HEADER_BYTES = 5
@@ -313,7 +313,6 @@ class NodeState:
     """
 
     node_id: int
-    clock: VirtualClock = field(default_factory=VirtualClock)
     network_id: int = 1
     mode: NodeMode = NodeMode.UNJOINED
     parent_id: int | None = None
@@ -345,17 +344,16 @@ def make_relay(node_id: int, **kw) -> NodeState:
 
 # --- actions returned by the state machine for the caller to execute ---
 #
-# The ones ``handle_rx`` returns per beacon or data packet (Resync,
-# CandidateBeacon, SendAck) are built with ``tuple.__new__(Cls, (...))``,
-# which skips the generated ``__new__`` and its arity check; a test checks
-# every action over the corpus instead. The caller dispatches on the exact
-# type.
+# Of those ``handle_rx`` returns per beacon or data packet, Resync is one
+# shared instance, and CandidateBeacon and SendAck are built with
+# ``tuple.__new__(Cls, (...))``, which skips the generated ``__new__`` and
+# its arity check; a test checks every action over the corpus instead. The
+# caller dispatches on the exact type.
 
 
 class Resync(NamedTuple):
-    """Re-anchor the clock on this slot-start reference (global seconds)."""
-
-    reference_global: float
+    """The parent's beacon was heard: re-anchor the node's clock on it. The
+    caller, which knows when the beacon ended, builds the reference."""
 
 
 class SendAck(NamedTuple):
@@ -388,6 +386,8 @@ class QueueDrop(NamedTuple):
     packet: MacPacket
     slot: int | None
 
+
+_RESYNC = Resync()
 
 Action = Resync | SendAck | SendJoinAccept | BecameSynchronized | CandidateBeacon | QueueDrop
 
@@ -499,18 +499,14 @@ def _join_accept(
 def handle_rx(
     node: NodeState,
     packet: MacPacket,
-    arrival_global: float,
     schedule: FrameSchedule,
-    timing: SlotTiming,
     in_join_slot: bool = False,
 ) -> list[Action]:
     """Apply one successfully decoded packet to the node state.
 
-    ``arrival_global`` is the decode-completion instant. Beacons from
-    the node's parent yield a Resync action carrying the reconstructed
-    slot-start reference (decode end minus beacon airtime minus the
-    intra-slot offset); the caller owns the clock update. Wrong network
-    ids are ignored silently; kinds a node cannot interpret in its
+    A beacon from the node's parent resets the miss count and yields a
+    Resync; the caller owns the reference and the clock update. Wrong
+    network ids are ignored silently; kinds a node cannot interpret in its
     current mode count as protocol errors.
     """
     if packet.network_id != node.network_id:
@@ -542,9 +538,8 @@ def handle_rx(
     # Synchronized from here on.
     if kind is BEACON:
         if packet.sender_id == node.parent_id:
-            ref = arrival_global - timing.t_bcn - timing.beacon_tx_offset
             node.consecutive_beacon_misses = 0
-            actions.append(tuple.__new__(Resync, (ref,)))
+            actions.append(_RESYNC)
         return actions
 
     if kind is ACK:

@@ -30,7 +30,7 @@ from lorahop import (
 import lorahop.cli
 import lorahop.engine
 from lorahop.engine import _P_SVC, PacketEvent, ProtocolEvent, QueueSample, Simulator, SyncSample, _Window
-from lorahop.phy import lorawan_time_on_air
+from lorahop.phy import lorawan_time_on_air, time_on_air
 from lorahop.protocol import (
     ACK_ONAIR_BYTES,
     BEACON_ONAIR_BYTES,
@@ -1165,6 +1165,35 @@ def test_spreading_factor_with_a_slot_sized_for_it(topology, sf, ticks_per_slot,
     # The join slot follows from the radio too, so no scenario sets it by hand.
     doc = _sf_doc(topology, sf, ticks_per_slot, ldro)
     _assert_syncs_every_edge(run(parse_scenario(doc)))
+
+
+@pytest.mark.parametrize("sf, ticks_per_slot", [(9, None), (8, 12000)])
+def test_beacon_reference_is_the_beacon_end_less_its_airtime_and_offset(sf, ticks_per_slot, monkeypatch):
+    # Every clock re-anchor takes the slot start of the parent's beacon of
+    # that frame: its end, less the airtime of a beacon on the radio in use,
+    # less the beacon's offset in its slot.
+    sc = parse_scenario(_sf_doc("line4", sf, ticks_per_slot))
+    refs = []
+    real_resync = lorahop.engine.resync
+
+    def recording_resync(clock, beacon_ref_global, expected_local_tick):
+        refs.append((beacon_ref_global, expected_local_tick))
+        return real_resync(clock, beacon_ref_global, expected_local_tick)
+
+    monkeypatch.setattr(lorahop.engine, "resync", recording_resync)
+    trace = run(sc)
+    t_bcn = time_on_air(BEACON_ONAIR_BYTES, sc.radio)
+    beacon_start = {
+        (ev.sender, ev.frame): ev.t
+        for ev in trace.packet_events
+        if ev.event == "tx" and ev.kind == "beacon"
+    }
+    assert len(refs) > 100
+    for ref, tick in refs:
+        frame, rest = divmod(tick, sc.schedule.frame_ticks)
+        parent = rest // sc.schedule.ticks_per_slot
+        end = beacon_start[parent, frame] + t_bcn
+        assert abs(ref - (end - t_bcn - sc.timing.beacon_tx_offset)) <= 1e-9, (parent, frame)
 
 
 def _assert_syncs_every_edge(trace) -> None:

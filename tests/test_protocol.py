@@ -109,7 +109,6 @@ def test_packets_and_actions_are_immutable():
     pkt = MacPacket(PacketKind.UP_DATA, 1, 2, 0, 2, 4, b"abc")
     for rec, field in (
         (pkt, "dest_id"),
-        (Resync(1.0), "reference_global"),
         (SendAck(2, 4), "seq"),
         (SendJoinAccept(pkt), "packet"),
         (BecameSynchronized(0), "parent_id"),
@@ -268,10 +267,10 @@ def test_ack_pops_matching_head():
     leaf = _synced_leaf(11, 2)
     leaf.uplink_queue.append(MacPacket(PacketKind.UP_DATA, 1, 2, 0, 2, 4, b"abc"))
     wrong = MacPacket(PacketKind.ACK, 1, 0, 2, 0, 5)
-    assert handle_rx(leaf, wrong, 0.0, SCHED, TIMING) == []
+    assert handle_rx(leaf, wrong, SCHED) == []
     assert len(leaf.uplink_queue) == 1
     right = MacPacket(PacketKind.ACK, 1, 0, 2, 0, 4)
-    acts = handle_rx(leaf, right, 0.0, SCHED, TIMING)
+    acts = handle_rx(leaf, right, SCHED)
     assert acts == []
     assert not leaf.uplink_queue
 
@@ -282,36 +281,28 @@ def test_ack_pops_matching_head():
 def test_wrong_network_ignored():
     leaf = _synced_leaf(11, 2)
     alien = MacPacket(PacketKind.BEACON, 2, 0, 255, 0, 0)
-    assert handle_rx(leaf, alien, 1.0, SCHED, TIMING) == []
+    assert handle_rx(leaf, alien, SCHED) == []
     assert leaf.protocol_errors == 0
 
 
 def test_parent_beacon_resyncs():
+    # The engine builds the reference (test_engine checks it at SF9 and SF8).
     leaf = _synced_leaf(11, 2)
     leaf.consecutive_beacon_misses = 2
-    arrival = 100.0
-    acts = handle_rx(leaf, make_beacon(make_relay(10), 3), arrival, SCHED, TIMING)
-    (act,) = acts
-    assert isinstance(act, Resync)
-    assert act.reference_global == pytest.approx(arrival - TIMING.t_bcn - TIMING.beacon_tx_offset)
+    (act,) = handle_rx(leaf, make_beacon(make_relay(10), 3), SCHED)
+    assert type(act) is Resync
     assert leaf.consecutive_beacon_misses == 0
-    # The reference backs off the beacon airtime of the radio in use.
-    sf8 = RadioParams(spreading_factor=8)
-    (act,) = handle_rx(
-        leaf, make_beacon(make_relay(10), 4), arrival, SCHED, SlotTiming(sf8)
-    )
-    assert act.reference_global == pytest.approx(arrival - time_on_air(3, sf8) - 0.030)
 
 
 def test_non_parent_beacon_no_resync():
     leaf = _synced_leaf(11, 2)
     other = _synced_leaf(12, 1)
-    assert handle_rx(leaf, make_beacon(other, 3), 100.0, SCHED, TIMING) == []
+    assert handle_rx(leaf, make_beacon(other, 3), SCHED) == []
 
 
 def test_unjoined_collects_candidates():
     st = NodeState(node_id=13)
-    acts = handle_rx(st, make_beacon(make_relay(10), 0), 5.0, SCHED, TIMING)
+    acts = handle_rx(st, make_beacon(make_relay(10), 0), SCHED)
     assert acts == [CandidateBeacon(sender_id=0)]
 
 
@@ -332,7 +323,7 @@ def test_join_procedure_prefers_strong_then_low():
 def test_relay_accepts_in_join_slot():
     relay = make_relay(10)
     req = MacPacket(PacketKind.JOIN_REQUEST, 1, 13, 0, 13, 0)
-    acts = handle_rx(relay, req, 9.0, SCHED, TIMING, in_join_slot=True)
+    acts = handle_rx(relay, req, SCHED, in_join_slot=True)
     (act,) = acts
     assert isinstance(act, SendJoinAccept)
     assert act.packet.kind is PacketKind.JOIN_ACCEPT
@@ -341,7 +332,7 @@ def test_relay_accepts_in_join_slot():
     assert 1 in relay.children
 
     # Same hardware id asks again: identical allocation, no new address.
-    acts2 = handle_rx(relay, req, 70.0, SCHED, TIMING, in_join_slot=True)
+    acts2 = handle_rx(relay, req, SCHED, in_join_slot=True)
     assert tuple(acts2[0].packet.payload) == SCHED.slot_triple(1)
     assert relay.next_address == 2
 
@@ -350,9 +341,9 @@ def test_address_exhaustion_counts_error():
     sched = build_schedule(max_nodes=2, slots_per_frame=8, ticks_per_slot=21281)
     relay = make_relay(10)
     first = MacPacket(PacketKind.JOIN_REQUEST, 1, 13, 0, 13, 0)
-    handle_rx(relay, first, 9.0, sched, TIMING, in_join_slot=True)
+    handle_rx(relay, first, sched, in_join_slot=True)
     second = MacPacket(PacketKind.JOIN_REQUEST, 1, 14, 0, 14, 0)
-    acts = handle_rx(relay, second, 70.0, sched, TIMING, in_join_slot=True)
+    acts = handle_rx(relay, second, sched, in_join_slot=True)
     assert acts == []
     assert relay.protocol_errors == 1
 
@@ -360,7 +351,7 @@ def test_address_exhaustion_counts_error():
 def test_forwarder_relays_join_request():
     mid = _synced_leaf(11, 1)
     req = MacPacket(PacketKind.JOIN_REQUEST, 1, 13, 1, 13, 0)
-    acts = handle_rx(mid, req, 9.0, SCHED, TIMING, in_join_slot=True)
+    acts = handle_rx(mid, req, SCHED, in_join_slot=True)
     assert acts == []
     assert mid.pending_accepts == {13}
     assert mid.uplink_queue[0].origin_id == 13
@@ -372,7 +363,7 @@ def test_joining_node_takes_its_accept():
     join_procedure(st, [(0, -60.0)])
     triple = SCHED.slot_triple(2)
     accept = MacPacket(PacketKind.JOIN_ACCEPT, 1, 0, 13, 13, 0, bytes(triple))
-    acts = handle_rx(st, accept, 12.0, SCHED, TIMING)
+    acts = handle_rx(st, accept, SCHED)
     (act,) = acts
     assert isinstance(act, BecameSynchronized)
     assert SCHED.slot_triple(st.address) == triple
@@ -382,7 +373,7 @@ def test_joining_node_takes_its_accept():
     # Someone else's accept means nothing to a joiner.
     st2 = NodeState(node_id=14)
     join_procedure(st2, [(0, -60.0)])
-    assert handle_rx(st2, accept, 12.0, SCHED, TIMING) == []
+    assert handle_rx(st2, accept, SCHED) == []
     assert st2.mode is NodeMode.JOINING
 
 
@@ -392,7 +383,7 @@ def test_accept_routed_down_through_forwarder():
     mid.pending_accepts.add(13)
     triple = SCHED.slot_triple(2)
     accept = MacPacket(PacketKind.JOIN_ACCEPT, 1, 0, 1, 13, 0, bytes(triple))
-    handle_rx(mid, accept, 12.0, SCHED, TIMING)
+    handle_rx(mid, accept, SCHED)
     assert 2 in mid.children
     assert not mid.pending_accepts
     # Queued for the joiner's new downlink slot, which only the
@@ -409,7 +400,7 @@ def test_forwarded_accept_is_checked_like_any_packet():
     mid.routes[13] = 256
     accept = MacPacket(PacketKind.JOIN_ACCEPT, 1, 0, 1, 13, 0, bytes(SCHED.slot_triple(2)))
     with pytest.raises(ValueError, match="dest_id 256 does not fit one byte"):
-        handle_rx(mid, accept, 12.0, SCHED, TIMING)
+        handle_rx(mid, accept, SCHED)
     assert not mid.downlink_queue
 
 
@@ -422,27 +413,27 @@ def test_full_queue_names_the_packet_it_turned_away():
     mid.routes[13] = None
     mid.queue_capacity = 0
     accept = MacPacket(PacketKind.JOIN_ACCEPT, 1, 0, 1, 13, 0, bytes(SCHED.slot_triple(2)))
-    (drop,) = handle_rx(mid, accept, 12.0, SCHED, TIMING)
+    (drop,) = handle_rx(mid, accept, SCHED)
     assert drop == QueueDrop(MacPacket(PacketKind.JOIN_ACCEPT, 1, 1, 13, 13, 0, accept.payload), SCHED.downlink_slot(2))
 
     relay = make_relay(10)
     relay.children.add(1)
     relay.queue_capacity = 0
     req = MacPacket(PacketKind.JOIN_REQUEST, 1, 1, 0, 13, 3)
-    ack, drop = handle_rx(relay, req, 30.0, SCHED, TIMING)
+    ack, drop = handle_rx(relay, req, SCHED)
     assert isinstance(ack, SendAck)
     assert drop.slot == SCHED.downlink_slot(1)
     assert drop.packet[:5] == (PacketKind.JOIN_ACCEPT, 1, 0, 1, 13)
 
     mid.children.add(2)
     data = MacPacket(PacketKind.UP_DATA, 1, 2, 1, 2, 4, b"abc")
-    assert handle_rx(mid, data, 30.0, SCHED, TIMING) == [SendAck(2, 4), QueueDrop(data, None)]
+    assert handle_rx(mid, data, SCHED) == [SendAck(2, 4), QueueDrop(data, None)]
 
 
 def test_accept_without_route_is_error():
     mid = _synced_leaf(11, 1)
     accept = MacPacket(PacketKind.JOIN_ACCEPT, 1, 0, 1, 13, 0, bytes(SCHED.slot_triple(2)))
-    assert handle_rx(mid, accept, 12.0, SCHED, TIMING) == []
+    assert handle_rx(mid, accept, SCHED) == []
     assert mid.protocol_errors == 1
 
 
@@ -453,7 +444,7 @@ def test_relay_gateway_enqueue_and_dedup():
     relay = make_relay(10)
     relay.children.add(2)
     data = MacPacket(PacketKind.UP_DATA, 1, 2, 0, 2, 4, b"abc")
-    acts = handle_rx(relay, data, 30.0, SCHED, TIMING)
+    acts = handle_rx(relay, data, SCHED)
     kinds = [type(a) for a in acts]
     assert kinds == [SendAck]
     assert acts[0].seq == 4
@@ -461,7 +452,7 @@ def test_relay_gateway_enqueue_and_dedup():
     assert list(relay.uplink_queue) == [data]
 
     # A retransmission of the same (origin, seq) is acked but not re-queued.
-    acts2 = handle_rx(relay, data, 90.0, SCHED, TIMING)
+    acts2 = handle_rx(relay, data, SCHED)
     assert [type(a) for a in acts2] == [SendAck]
     assert list(relay.uplink_queue) == [data]
 
@@ -469,14 +460,14 @@ def test_relay_gateway_enqueue_and_dedup():
 def test_uplink_from_stranger_dropped():
     relay = make_relay(10)
     data = MacPacket(PacketKind.UP_DATA, 1, 2, 0, 2, 4, b"abc")
-    assert handle_rx(relay, data, 30.0, SCHED, TIMING) == []
+    assert handle_rx(relay, data, SCHED) == []
 
 
 def test_forwarder_queues_child_data():
     mid = _synced_leaf(11, 1)
     mid.children.add(2)
     data = MacPacket(PacketKind.UP_DATA, 1, 2, 1, 2, 4, b"abc")
-    acts = handle_rx(mid, data, 30.0, SCHED, TIMING)
+    acts = handle_rx(mid, data, SCHED)
     assert [type(a) for a in acts] == [SendAck]
     assert mid.uplink_queue[0].origin_id == 2
 
@@ -487,6 +478,6 @@ def test_queue_capacity_drops():
     mid.queue_capacity = 2
     for seq in range(3):
         data = MacPacket(PacketKind.UP_DATA, 1, 2, 1, 2, seq, b"abc")
-        acts = handle_rx(mid, data, 30.0 + seq, SCHED, TIMING)
+        acts = handle_rx(mid, data, SCHED)
     assert len(mid.uplink_queue) == 2
     assert acts == [SendAck(2, 2), QueueDrop(data, None)]
