@@ -109,6 +109,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
     for dest, value in vars(args).items():  # a float flag is finite, as a scenario float is
         if type(value) is float and not math.isfinite(value):
             raise ScenarioError(f"--{dest.replace('_', '-')}: {value}, must be a finite number")
+    if args.app_period <= 0:
+        raise ScenarioError(f"--app-period: {args.app_period}, must be positive")
     if not 0 < args.duty_limit <= 1:
         raise ScenarioError(f"--duty-limit: {args.duty_limit}, must be in (0, 1]")
     if not 0 <= args.payload_bytes <= MAX_DATA_PAYLOAD_BYTES:

@@ -52,10 +52,10 @@ class JoinConfig:
     """Join-contention tuning.
 
     Synchronized nodes listen in the contention slot up to frame
-    ``listen_until_frame`` (None = always), letting energy-measurement
-    scenarios stop paying for it once the tree is formed. The contention
-    slot's anatomy (backoff step, request and accept offsets) follows from
-    the radio, in ``SlotTiming``.
+    ``listen_until_frame`` (None = always; at least 0, the first frame),
+    letting energy-measurement scenarios stop paying for it once the tree
+    is formed. The contention slot's anatomy (backoff step, request and
+    accept offsets) follows from the radio, in ``SlotTiming``.
 
     The fields are the keys of a scenario's ``join`` section, with these
     types and defaults: ``listen_until_frame`` takes an int or null, and
@@ -63,6 +63,13 @@ class JoinConfig:
     """
 
     listen_until_frame: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.listen_until_frame is not None and self.listen_until_frame < 0:
+            raise ValueError(
+                f"listen_until_frame: {self.listen_until_frame} is before the first "
+                f"frame, so no node could join"
+            )
 
 
 @dataclass(frozen=True)

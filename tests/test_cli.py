@@ -143,6 +143,9 @@ _POWER_FLAGS = ["--p-sleep", "1e-5", "--p-rx", "0.036", "--p-tx", "0.120"]
         (["--slots", "-3"], "--slots"),
         (["--app-period", "inf"], "--app-period"),
         (["--app-period", "nan"], "--app-period"),
+        (["--app-period", "0"], "--app-period"),
+        (["--app-period", "-5"], "--app-period"),
+        (["--app-period", "-5", "--k", "4", "--slots", "90"], "--app-period"),
         (["--duty-limit", "nan"], "--duty-limit"),
         (["--duty-limit", "2"], "--duty-limit"),
         (["--duty-limit", "-1"], "--duty-limit"),
@@ -171,7 +174,8 @@ _POWER_FLAGS = ["--p-sleep", "1e-5", "--p-rx", "0.036", "--p-tx", "0.120"]
     ids=[
         "tick_rate_0", "tick_rate_negative", "payload_100", "payload_negative", "drift_negative",
         "ticks_per_slot_0", "channels_0", "k_0", "nodes_0", "max_slots_0", "k_4_slots_0",
-        "slots_negative", "app_period_inf", "app_period_nan", "duty_limit_nan", "duty_limit_2",
+        "slots_negative", "app_period_inf", "app_period_nan", "app_period_0",
+        "app_period_negative", "app_period_negative_k_slots", "duty_limit_nan", "duty_limit_2",
         "duty_limit_negative", "duty_limit_0", "drift_nan", "p_sleep_nan", "p_rx_inf", "p_tx_inf",
         "p_app_nan", "tau_app_inf", "p_sleep_negative", "p_rx_below_sleep", "p_tx_below_sleep",
         "p_app_negative", "tau_app_negative", "bw_nan", "bw_inf", "bw_0", "sf_13", "sf_5", "cr_9",
@@ -181,8 +185,9 @@ _POWER_FLAGS = ["--p-sleep", "1e-5", "--p-rx", "0.036", "--p-tx", "0.120"]
 def test_plan_refuses_a_flag_simulate_would_refuse(flags, flag, capsys):
     # simulate holds a scenario to tick_rate_hz >= 1, schedule.ticks_per_slot
     # >= 1 and app_payload_bytes 0..59; the planner's guard model takes the
-    # drift as a magnitude, each count is at least 1, every float is finite
-    # and the duty-cycle limit is a fraction in (0, 1].
+    # drift as a magnitude, each count is at least 1, every float is finite,
+    # the application period is positive and the duty-cycle limit is a
+    # fraction in (0, 1].
     assert main(["plan", "--nodes", "4", "--app-period", "234", *flags]) == 2
     got = capsys.readouterr()
     assert got.out == ""
@@ -432,6 +437,15 @@ def test_simulate_refuses_a_negative_application_power(tmp_path, capsys):
     got = capsys.readouterr()
     assert got.out == ""
     assert got.err.endswith(".power: p_app: application power cannot be negative\n"), got.err
+
+
+def test_simulate_refuses_a_join_listen_limit_before_the_first_frame(tmp_path, capsys):
+    # The relay never listened in the join slot, so every node stayed joining.
+    argv = ["simulate", STAR, "--set", "join.listen_until_frame=-1", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err.endswith(".join: listen_until_frame: -1 is before the first frame, so no node could join\n"), got.err
 
 
 def test_simulate_never_builds_the_flat_interval_list(tmp_path, capsys, monkeypatch):

@@ -373,6 +373,16 @@ def test_listen_until_frame_takes_an_int_or_null_not_a_bool():
         parse_scenario(doc)
 
 
+def test_listen_until_frame_is_at_least_the_first_frame():
+    # The relay would never listen in the join slot, so no node could join.
+    assert parse_scenario(_minimal(join={"listen_until_frame": 0})).join.listen_until_frame == 0
+    message = r"^scenario\.join: listen_until_frame: -1 is before the first frame, so no node could join$"
+    with pytest.raises(ScenarioError, match=message):
+        parse_scenario(_minimal(join={"listen_until_frame": -1}))
+    with pytest.raises(ValueError, match="^listen_until_frame: "):
+        JoinConfig(listen_until_frame=-5)
+
+
 @pytest.mark.parametrize("drift", [500, -500.0])
 def test_drift_at_the_model_bound_parses(drift):
     sc = parse_scenario(_minimal(nodes=[{"id": 0, "relay": True}, {"id": 1, "drift_ppm": drift}]))
