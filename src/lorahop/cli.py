@@ -135,7 +135,15 @@ def cmd_plan(args: argparse.Namespace) -> int:
         k, slots = args.k, args.slots
     elif args.k is not None:
         k = args.k
-        slots = math.floor(args.app_period / (k * slot_seconds) + 0.5)
+        # Held to --max-slots as a float, before a huge T_app becomes a huge int.
+        exact = args.app_period / (k * slot_seconds) + 0.5
+        if exact >= args.max_slots + 1:
+            raise PlanError(
+                "capacity",
+                f"T_app = {args.app_period} s at k = {k} needs more than "
+                f"--max-slots = {args.max_slots} slots per frame",
+            )
+        slots = math.floor(exact)
         if slots < 1:
             raise PlanError(
                 "period",

@@ -172,7 +172,9 @@ class SimulationTrace:
     ``intervals_by_node`` holds each node's radio timeline, in node-id
     order: its intervals in time order, each gap a sleep row, from 0 to
     ``end_time``. ``radio_intervals`` is their node-major concatenation,
-    built on first use.
+    built on first use. ``node_measures`` holds, per node, its whole-run
+    duty cycle and mean power (None without a power profile), summed as
+    its timeline was built: what ``summary.csv`` and the CLI report.
     """
 
     scenario: Scenario
@@ -187,24 +189,12 @@ class SimulationTrace:
     parents: dict[int, int]
     addresses: dict[int, int]
     protocol_errors: dict[int, int]
+    node_measures: dict[int, tuple[float, float | None]]
 
     @cached_property
     def radio_intervals(self) -> list[tuple[int, str, float, float]]:
         """Every node's timeline, node by node: the ``radio_states.csv`` rows."""
         return list(chain.from_iterable(self.intervals_by_node.values()))
-
-    @cached_property
-    def node_measures(self) -> dict[int, tuple[float, float | None]]:
-        """Per node, its whole-run duty cycle and mean power (None without a
-        power profile): what ``summary.csv`` and the CLI report."""
-        power = self.scenario.power
-        return {
-            nid: (
-                measure_duty_cycle(self, nid, self.end_time),
-                None if power is None else measure_avg_power(self, nid, power),
-            )
-            for nid in sorted(self.final_modes)
-        }
 
     @cached_property
     def resynced_by_node(self) -> dict[int, dict[int, float]]:
@@ -859,10 +849,17 @@ class Simulator:
 
     def _finalize(self) -> SimulationTrace:
         """Close each node's open receive interval at the end of the run,
-        check its timeline and fill the gaps with sleep; sort the packet
-        events; build the trace."""
+        check its timeline, fill the gaps with sleep and sum its transmit
+        time and energy, in the order ``measure_duty_cycle`` and
+        ``measure_avg_power`` add them over the run, so ``node_measures``
+        is theirs bit for bit; sort the packet events; build the trace."""
         end = self.end_time
+        power = self.sc.power
+        # Without a profile every draw is 0 and the energy is not reported.
+        draw = _state_draw(power) if power else dict.fromkeys(("sleep", "receive", "transmit"), 0.0)
+        p_sleep = draw["sleep"]
         intervals_by_node: dict[int, list[tuple[int, str, float, float]]] = {}
+        node_measures: dict[int, tuple[float, float | None]] = {}
         for nid in sorted(self.nodes):
             rt = self.nodes[nid]
             if rt.listen_from is not None:
@@ -877,7 +874,7 @@ class Simulator:
             rows.sort(key=itemgetter(2))
             # The timeline replaces the recorded rows, which go with ``rows``.
             rt.intervals = timeline = intervals_by_node[nid] = []
-            cursor = 0.0
+            cursor = busy = energy = 0.0
             for row in rows:
                 _n, state, s, e = row
                 if not 0.0 <= s < e <= end:
@@ -886,15 +883,25 @@ class Simulator:
                     )
                 if s > cursor:
                     timeline.append((nid, "sleep", cursor, s))
+                    energy += p_sleep * (s - cursor)
                 elif s < cursor - 1e-9:
                     raise RuntimeError(
                         f"node {nid}: overlapping radio intervals at t={s:.9f}"
                     )
                 timeline.append(row)
+                d = e - s
+                if state == "transmit":
+                    busy += d
+                energy += draw[state] * d
                 if e > cursor:
                     cursor = e
             if cursor < end:
                 timeline.append((nid, "sleep", cursor, end))
+                energy += p_sleep * (end - cursor)
+            avg = None
+            if power is not None:
+                avg = _with_app_bursts(energy, self.app_intervals[nid], power, 0.0, end) / end
+            node_measures[nid] = (busy / end, avg)
 
         parents: dict[int, int] = {}
         addresses: dict[int, int] = {}
@@ -924,6 +931,7 @@ class Simulator:
             parents=parents,
             addresses=addresses,
             protocol_errors={nid: rt.st.protocol_errors for nid, rt in self.nodes.items()},
+            node_measures=node_measures,
         )
 
 
@@ -1045,13 +1053,23 @@ def measure_avg_power(
     span = end_s - start_s
     if span <= 0:
         raise ValueError("measurement span must be positive")
-    state_p = {"sleep": profile.p_sleep, "receive": profile.p_rx, "transmit": profile.p_tx}
-    energy = _state_time(trace, node_id, state_p, start_s, end_s)
-    for s, e in trace.app_intervals.get(node_id, []):
+    energy = _state_time(trace, node_id, _state_draw(profile), start_s, end_s)
+    return _with_app_bursts(energy, trace.app_intervals.get(node_id, ()), profile, start_s, end_s) / span
+
+
+def _state_draw(profile) -> dict[str, float]:
+    """The profile's power draw in each radio state."""
+    return {"sleep": profile.p_sleep, "receive": profile.p_rx, "transmit": profile.p_tx}
+
+
+def _with_app_bursts(energy: float, bursts, profile, start_s: float, end_s: float) -> float:
+    """``energy`` plus (p_app - p_sleep) over each burst's part inside
+    [start_s, end_s], added burst by burst."""
+    for s, e in bursts:
         lo, hi = max(s, start_s), min(e, end_s)
         if hi > lo:
             energy += (profile.p_app - profile.p_sleep) * (hi - lo)
-    return energy / span
+    return energy
 
 
 # ------------------------------------------------------------- export

@@ -31,7 +31,7 @@ from pathlib import Path
 import lorahop.cli
 import lorahop.engine
 import lorahop.protocol
-from lorahop.engine import Simulator
+from lorahop.engine import Simulator, measure_avg_power, measure_duty_cycle
 from lorahop.scenario import read_scenario_doc
 
 REPO = Path(__file__).resolve().parent.parent
@@ -193,7 +193,9 @@ class Audit:
     address). ``refused``: refusals by each node's queues; ``drops``:
     queue_drop rows as (node, kind). ``gapped``: nodes whose timeline has a
     gap or stops short of the end. ``intervals``: radio intervals other than
-    sleep. What it wraps is restored even if the run raises.
+    sleep. ``measure_mismatches``: nodes whose ``trace.node_measures`` are
+    not the full-run ``measure_duty_cycle`` and ``measure_avg_power``. What
+    it wraps is restored even if the run raises.
     """
 
     def __init__(self, name: str, doc: dict) -> None:
@@ -271,6 +273,16 @@ class Audit:
         self.drops = [(ev.node, ev.kind) for ev in trace.packet_events if ev.event == "queue_drop"]
         self.packet_events = len(trace.packet_events)
         self.desyncs = sum(ev.event == "desynchronized" for ev in trace.protocol_events)
+        power = trace.scenario.power
+        self.measure_mismatches = [
+            nid
+            for nid, measures in trace.node_measures.items()
+            if measures
+            != (
+                measure_duty_cycle(trace, nid, end),
+                measure_avg_power(trace, nid, power) if power else None,
+            )
+        ]
 
 
 def audit_corpus() -> dict[str, Audit]:

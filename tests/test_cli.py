@@ -213,6 +213,24 @@ def test_plan_slots_alone_refuses_a_k_below_one_or_n(capsys):
     assert capsys.readouterr().err.startswith("infeasible: capacity: n > k: 5 nodes")
 
 
+def test_plan_k_alone_holds_the_computed_slots_to_max_slots(capsys):
+    # 2340 s at k = 4 rounds to N = 901 slots of 0.649 s; 1e300 s to a
+    # 300-digit N. Each is refused against --max-slots before N is built.
+    base = ["plan", "--nodes", "4", "--k", "4"]
+    for period in ("2340", "1e300"):
+        assert main([*base, "--app-period", period]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible: capacity: T_app = "), err
+        assert "needs more than --max-slots = 90 slots per frame" in err
+    assert main([*base, "--app-period", "2340", "--max-slots", "900"]) == 3
+    assert "--max-slots = 900" in capsys.readouterr().err
+    assert main([*base, "--app-period", "2340", "--max-slots", "901"]) == 0
+    assert "slots per frame (N)    901\n" in capsys.readouterr().out
+    # An explicit --slots stays as given, above --max-slots too.
+    assert main([*base, "--app-period", "2340", "--slots", "901"]) == 0
+    assert "slots per frame (N)    901\n" in capsys.readouterr().out
+
+
 def test_plan_accepts_the_limits_themselves(capsys):
     base = ["plan", "--nodes", "4", "--app-period", "2000"]
     assert main([*base, "--payload-bytes", "59"]) == 0
@@ -497,16 +515,15 @@ def test_default_out_dir(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "runs" / "tiny" / "summary.csv").exists()
 
 
-def test_simulate_measures_each_node_once(tmp_path, capsys, monkeypatch):
-    # summary.csv and the per-node lines read the same numbers, so a node's
-    # duty cycle and mean power are each measured once per run.
-    calls: dict[str, Counter] = {}
-    for name in ("measure_duty_cycle", "measure_avg_power"):
-        counter = calls[name] = Counter()
+def test_simulate_scans_no_timeline_after_run(tmp_path, capsys, monkeypatch):
+    # The finalize step sums each node's duty cycle and energy as it builds
+    # the timeline, so summary.csv and the per-node lines rescan nothing.
+    calls = Counter()
+    for name in ("_state_time", "measure_duty_cycle", "measure_avg_power"):
 
-        def counted(trace, node_id, *args, _fn=getattr(lorahop.engine, name), _counter=counter, **kw):
-            _counter[node_id] += 1
-            return _fn(trace, node_id, *args, **kw)
+        def counted(*args, _fn=getattr(lorahop.engine, name), _name=name, **kw):
+            calls[_name] += 1
+            return _fn(*args, **kw)
 
         for module in (lorahop.engine, lorahop.cli):
             if hasattr(module, name):
@@ -515,9 +532,8 @@ def test_simulate_measures_each_node_once(tmp_path, capsys, monkeypatch):
     path = tmp_path / "tree16.json"
     path.write_text(json.dumps(doc))
     assert main(["simulate", str(path), "--out", str(tmp_path / "run")]) == 0
-    capsys.readouterr()
-    once = dict.fromkeys(range(len(doc["nodes"])), 1)
-    assert calls == {"measure_duty_cycle": once, "measure_avg_power": once}
+    assert "avg power" in capsys.readouterr().out
+    assert calls == Counter()
 
 
 @pytest.mark.parametrize(

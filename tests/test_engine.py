@@ -627,7 +627,7 @@ def test_csv_export_holds_one_block_of_lines_at_a_time(tmp_path, star32_trace):
     # slot and its share of the joined text: 47.4 kB. A whole joined file
     # is far above it.
     trace = star32_trace
-    trace.node_measures, trace.resynced_by_node  # the trace's own views, built once
+    trace.resynced_by_node  # the trace's own view, built once
     write_trace_csvs(trace, tmp_path)
     tracemalloc.start()
     try:
@@ -919,6 +919,14 @@ def test_random_scenarios_run_to_the_end(audits):
     for name, audit in audits.items():
         assert audit.gapped == [], name
     assert sum(audit.desyncs for audit in audits.values()) > 0
+
+
+def test_node_measures_are_the_full_run_scans(audits):
+    # The finalize step's sums make the scans' additions in their order, so
+    # every node's duty cycle and mean power match them bit for bit.
+    for name, audit in audits.items():
+        assert audit.measure_mismatches == [], name
+    assert len(audits) == 650
 
 
 # --- slot services on the heap ---
