@@ -22,7 +22,6 @@ from .planner import (
     PlanError,
     PowerProfile,
     app_period,
-    check_capacity,
     duty_cycle_estimate,
     mean_power,
     recommend_frame,
@@ -129,44 +128,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     except ValueError as e:
         raise PlanError("slot", str(e)) from None
     n = args.nodes
-
-    # T_app = k * N * T_SL: a forced k or N sets the other, rounded.
-    if args.k is not None and args.slots is not None:
-        k, slots = args.k, args.slots
-    elif args.k is not None:
-        k = args.k
-        # Held to --max-slots as a float, before a huge T_app becomes a huge int.
-        exact = args.app_period / (k * slot_seconds) + 0.5
-        if exact >= args.max_slots + 1:
-            raise PlanError(
-                "capacity",
-                f"T_app = {args.app_period} s at k = {k} needs more than "
-                f"--max-slots = {args.max_slots} slots per frame",
-            )
-        slots = math.floor(exact)
-        if slots < 1:
-            raise PlanError(
-                "period",
-                f"T_app = {args.app_period} s is shorter than "
-                f"k = {k} slots of {slot_seconds:.6f} s",
-            )
-    elif args.slots is not None:
-        slots = args.slots
-        k = math.floor(args.app_period / (slots * slot_seconds) + 0.5)
-        if k < 1:
-            raise PlanError(
-                "period",
-                f"T_app = {args.app_period} s rounds to k = 0 frames "
-                f"of N = {slots} slots of {slot_seconds:.6f} s",
-            )
-    else:
-        k, slots = recommend_frame(args.app_period, n, slot_seconds, args.max_slots)
-    if not check_capacity(n, k):
-        raise PlanError(
-            "capacity",
-            f"n > k: {n} nodes cannot each deliver one packet "
-            f"within k = {k} collection frames",
-        )
+    k, slots = recommend_frame(args.app_period, n, slot_seconds, args.max_slots, args.k, args.slots)
 
     try:
         build_schedule(n, slots, args.ticks_per_slot)

@@ -21,8 +21,8 @@ class PlanError(Exception):
     """A requested plan violates a hard constraint.
 
     ``constraint`` names the binding one: "capacity" (Eq. n <= k),
-    "duty-cycle", "period" (application period below the n-node
-    floor), or "slot" (a slot too short for the slot anatomy).
+    "duty-cycle", "period" (T_app short of a frame, or k * N * T_SL past
+    the float range), or "slot" (a slot too short for the slot anatomy).
     """
 
     def __init__(self, constraint: str, message: str) -> None:
@@ -169,33 +169,70 @@ def min_app_period(
 
 
 def recommend_frame(
-    t_app_target: float, n: int, slot_seconds: float, max_slots: int
+    t_app_target: float, n: int, slot_seconds: float, max_slots: int,
+    k: int | None = None, slots: int | None = None,
 ) -> tuple[int, int]:
     """Pick (k, N) for a target application period and node count.
 
-    Energy falls with larger N at fixed k*N (the beacon and app terms of
-    the power model scale with 1/(N*T_SL)), so the search starts from
-    the largest N the target period admits at k = n and walks down until
-    the rounded k = T_app / (N * T_SL) reaches n. Capping the start at
-    the target keeps the realized period from overshooting by more than
-    rounding requires.
+    T_app = k * N * T_SL. Given both, they stand; given one, the other
+    is the target over it rounded half up, with an N set from k held to
+    ``max_slots``. Given neither, N walks down from the largest the
+    target admits at k = n (capped at ``max_slots``: energy falls with
+    larger N at fixed k*N) until k reaches n. Refuses n > k as
+    "capacity", and k * N * T_SL past the float range as "period".
     """
-    if n < 1 or max_slots < 1:
-        raise ValueError("node and slot counts must be at least 1")
-    if slot_seconds <= 0:
-        raise ValueError("slot time must be positive")
-    if t_app_target < n * slot_seconds:
+    if min(n, max_slots, *(x for x in (k, slots) if x is not None)) < 1 or slot_seconds <= 0:
+        raise ValueError("n, max_slots, k and N must be at least 1, the slot time positive")
+
+    def half_up(x: int) -> int:  # the other factor of T_app = k * N * T_SL
+        return math.floor(t_app_target / (x * slot_seconds) + 0.5)
+
+    try:
+        if k is None and slots is None:
+            if t_app_target < n * slot_seconds:
+                raise PlanError(
+                    "period",
+                    f"target period {t_app_target:.3f} s cannot admit {n} node(s): "
+                    f"needs at least n*T_SL = {n * slot_seconds:.3f} s",
+                )
+            start = min(max_slots, half_up(n))
+            for slots in range(max(start, 1), 0, -1):  # at N = 1, k >= n
+                if half_up(slots) >= n:
+                    break
+        elif slots is None:
+            slots = half_up(k)
+            if slots > max_slots:
+                raise PlanError(
+                    "capacity",
+                    f"T_app = {t_app_target} s at k = {k} needs more than "
+                    f"--max-slots = {max_slots} slots per frame",
+                )
+            if slots < 1:
+                raise PlanError(
+                    "period",
+                    f"T_app = {t_app_target} s is shorter than "
+                    f"k = {k} slots of {slot_seconds:.6f} s",
+                )
+        if k is None:  # N given alone, or chosen above with k >= n
+            k = half_up(slots)
+            if k < 1:
+                raise PlanError(
+                    "period",
+                    f"T_app = {t_app_target} s rounds to k = 0 frames "
+                    f"of N = {slots} slots of {slot_seconds:.6f} s",
+                )
+        if not check_capacity(n, k):
+            raise PlanError(
+                "capacity",
+                f"n > k: {n} nodes cannot each deliver one packet "
+                f"within k = {k} collection frames",
+            )
+        if not math.isfinite(app_period(k, slots, slot_seconds)):
+            raise OverflowError
+    except OverflowError:  # an infinite k, or a k * N or k * N * T_SL past the float range
         raise PlanError(
             "period",
-            f"target period {t_app_target:.3f} s cannot admit {n} node(s): "
-            f"needs at least n*T_SL = {n * slot_seconds:.3f} s",
-        )
-    start = min(max_slots, math.floor(t_app_target / (n * slot_seconds) + 0.5))
-    for slots in range(max(start, 1), 0, -1):
-        k = math.floor(t_app_target / (slots * slot_seconds) + 0.5)
-        if k >= n:
-            return k, slots
-    raise PlanError(
-        "capacity",
-        f"no (k, N) with k >= n = {n} exists within max_N = {max_slots}",
-    )
+            f"T_app = {t_app_target} s in slots of {slot_seconds:.6f} s "
+            f"puts k * N * T_SL past the float range",
+        ) from None
+    return k, slots

@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import bisect
+import contextlib
 import dataclasses
 import gc
+import io
 import json
+import math
 import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lorahop.cli
 import lorahop.engine
@@ -229,6 +234,95 @@ def test_plan_k_alone_holds_the_computed_slots_to_max_slots(capsys):
     # An explicit --slots stays as given, above --max-slots too.
     assert main([*base, "--app-period", "2340", "--slots", "901"]) == 0
     assert "slots per frame (N)    901\n" in capsys.readouterr().out
+
+
+# 1.7e308 s over SF7 slots of 0.24 s: k * N is past the float range, and
+# with N = 1 so is k itself.
+_HUGE_PERIOD = [
+    "--nodes", "4", "--app-period", "1.7e308", "--sf", "7",
+    "--tick-rate", "1000000", "--ticks-per-slot", "240000",
+]
+
+
+@pytest.mark.parametrize(
+    "extra", [[], ["--slots", "90"], ["--slots", "1"]], ids=["alone", "slots_90", "slots_1"]
+)
+def test_plan_refuses_a_period_past_the_float_range(extra, capsys):
+    assert main(["plan", *_HUGE_PERIOD, *extra]) == 3
+    assert capsys.readouterr() == (
+        "",
+        "infeasible: period: T_app = 1.7e+308 s in slots of 0.240000 s "
+        "puts k * N * T_SL past the float range\n",
+    )
+
+
+# A printed number: an int, a fixed or exponent float, or a word Python's float() reads.
+_NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+(?:\.\d+)?(?:e[-+]?\d+)?|inf(?:inity)?|nan)(?![\w.])", re.I)
+_COUNT_FLAGS = ["--nodes", "--k", "--slots", "--max-slots", "--ticks-per-slot", "--tick-rate"]
+
+
+def _count(low: int, high: int) -> st.SearchStrategy[int]:
+    """A count mostly in ``low..high``, otherwise anywhere up to 2**64."""
+    typical = st.integers(low, high)
+    return st.one_of(typical, typical, st.integers(1, 2**64))
+
+
+def _plan(argv: list[str]) -> tuple[int, str, str]:
+    """Run ``lorahop plan`` in-process: exit code, stdout, stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(["plan", *argv])
+        except SystemExit as e:  # argparse's own refusals
+            rc = e.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(
+    app_period=st.one_of(
+        st.sampled_from([0.0, -0.0, -1.0, 5e-324, 2.2e-308, 0.5, 234.0, 1e300, 1.7e308]),
+        st.floats(1.0, 1e5),
+        st.floats(1.0, 1e308),
+        st.floats(),
+    ),
+    nodes=_count(1, 20),
+    k=st.none() | _count(1, 100),
+    slots=st.none() | _count(1, 1000),
+    max_slots=st.none() | _count(1, 1000),
+    ticks_per_slot=st.none() | st.none() | _count(10_000, 10**6),
+    tick_rate=st.none() | st.none() | _count(10_000, 10**6),
+    sf=st.sampled_from([None, 7]),
+    duty_limit=st.sampled_from([None, 1.0]),
+    below_one=st.none() | st.none() | st.none() | st.tuples(
+        st.sampled_from(_COUNT_FLAGS), st.integers(-(2**64), 0)
+    ),
+)
+@example(1.7e308, 4, None, None, None, 240000, 1000000, 7, None, None)
+@example(1.7e308, 4, None, 90, None, 240000, 1000000, 7, None, None)
+@example(1.7e308, 4, None, 1, None, 240000, 1000000, 7, None, None)
+def test_plan_frame_flags_exit_0_2_or_3_with_finite_figures(
+    app_period, nodes, k, slots, max_slots, ticks_per_slot, tick_rate, sf, duty_limit, below_one
+):
+    # Every frame flag drawn from its type, extremes included, and at most
+    # one count below 1: the plan is printed with finite figures, or refused
+    # as bad input or infeasible, and never fails at run time.
+    flags = {
+        "--nodes": nodes, "--app-period": app_period, "--k": k, "--slots": slots,
+        "--max-slots": max_slots, "--ticks-per-slot": ticks_per_slot,
+        "--tick-rate": tick_rate, "--sf": sf, "--duty-limit": duty_limit,
+    }
+    if below_one is not None:
+        flags.update([below_one])
+    rc, out, err = _plan([f"{flag}={value!r}" for flag, value in flags.items() if value is not None])
+    assert rc in (0, 2, 3), err
+    if rc == 0:
+        numbers = _NUMBER.findall(out)
+        assert len(numbers) >= 10, out
+        assert all(math.isfinite(float(x)) for x in numbers), out
+    else:
+        assert out == "" and "Traceback" not in err, err
+        assert ("--" in err) if rc == 2 else err.startswith("infeasible: "), err
 
 
 def test_plan_accepts_the_limits_themselves(capsys):

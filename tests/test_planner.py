@@ -171,6 +171,75 @@ def test_recommend_frame_infeasible():
     assert ei.value.constraint == "period"
 
 
+def _refusal(*args, **kw) -> str:
+    """The constraint recommend_frame names when it refuses these arguments."""
+    with pytest.raises(PlanError) as ei:
+        recommend_frame(*args, **kw)
+    return ei.value.constraint
+
+
+def test_recommend_frame_neither_given_searches_down_from_the_target():
+    assert recommend_frame(234.0, 4, T_SLOT, 90, k=None, slots=None) == (4, 90)
+    assert recommend_frame(234.0, 4, T_SLOT, 14) == (26, 14)  # capped at max_slots
+    assert _refusal(0.5, 4, T_SLOT, 90) == "period"  # below n * T_SL
+
+
+def test_recommend_frame_k_alone_sets_n_held_to_max_slots():
+    # 234 s at k = 26 rounds to N = 14; 2340 s at k = 4 to N = 901.
+    assert recommend_frame(234.0, 4, T_SLOT, 90, k=26) == (26, 14)
+    assert recommend_frame(2340.0, 4, T_SLOT, 901, k=4) == (4, 901)
+    assert _refusal(2340.0, 4, T_SLOT, 900, k=4) == "capacity"
+    assert _refusal(1e300, 4, T_SLOT, 90, k=4) == "capacity"
+    assert _refusal(0.5, 4, T_SLOT, 90, k=4) == "period"  # rounds to N = 0
+    assert _refusal(234.0, 5, T_SLOT, 90, k=4) == "capacity"  # n > k
+
+
+def test_recommend_frame_n_alone_sets_k_and_is_not_held_to_max_slots():
+    assert recommend_frame(234.0, 4, T_SLOT, 90, slots=14) == (26, 14)
+    assert recommend_frame(2340.0, 4, T_SLOT, 90, slots=901) == (4, 901)
+    assert _refusal(234.0, 4, T_SLOT, 90, slots=1000) == "period"  # rounds to k = 0
+    assert _refusal(234.0, 5, T_SLOT, 90, slots=90) == "capacity"  # n > k
+
+
+def test_recommend_frame_both_given_stand():
+    assert recommend_frame(234.0, 4, T_SLOT, 90, k=26, slots=14) == (26, 14)
+    assert recommend_frame(1.0, 4, T_SLOT, 90, k=4, slots=1000) == (4, 1000)
+    assert _refusal(234.0, 5, T_SLOT, 90, k=4, slots=90) == "capacity"  # n > k
+
+
+@pytest.mark.parametrize(
+    "t_app, slot, kw",
+    [
+        (1.7e308, 0.24, {}),  # k * N past the float range
+        (1.7e308, 0.24, {"slots": 90}),
+        (1.7e308, 0.24, {"slots": 1}),  # k itself past it
+        (1.0, 2.0, {"k": 10**300, "slots": 10**8}),  # k * N * T_SL past it
+        (1.0, 2.0, {"k": 2**600, "slots": 2**600}),
+    ],
+    ids=["neither", "slots_90", "slots_1", "both_period", "both_k_times_n"],
+)
+def test_recommend_frame_refuses_a_period_past_the_float_range(t_app, slot, kw):
+    with pytest.raises(PlanError, match="past the float range") as ei:
+        recommend_frame(t_app, 4, slot, 90, **kw)
+    assert ei.value.constraint == "period"
+
+
+@pytest.mark.parametrize(
+    "args, kw",
+    [
+        ((234.0, 0, T_SLOT, 90), {}),
+        ((234.0, 4, T_SLOT, 0), {}),
+        ((234.0, 4, T_SLOT, 90), {"k": 0}),
+        ((234.0, 4, T_SLOT, 90), {"slots": 0}),
+        ((234.0, 4, 0.0, 90), {}),
+    ],
+    ids=["n_0", "max_slots_0", "k_0", "slots_0", "slot_0"],
+)
+def test_recommend_frame_refuses_an_argument_out_of_its_domain(args, kw):
+    with pytest.raises(ValueError, match="at least 1, the slot time positive"):
+        recommend_frame(*args, **kw)
+
+
 def test_power_profile_validation():
     with pytest.raises(ValueError):
         PowerProfile(p_sleep=-1.0, p_rx=0.036, p_tx=0.120)
