@@ -121,7 +121,12 @@ def cmd_plan(args: argparse.Namespace) -> int:
     if args.csv is not None:
         _check_output_path("--csv", Path(args.csv), is_dir=False)
     radio = _radio_from_args(args)
-    slot_seconds = args.ticks_per_slot / args.tick_rate
+    try:
+        slot_seconds = args.ticks_per_slot / args.tick_rate
+    except OverflowError:
+        raise ScenarioError(
+            "--ticks-per-slot: the slot, ticks per slot over --tick-rate, lies past the float range"
+        ) from None
     timing = SlotTiming(radio)
     try:
         timing.validate_for(slot_seconds)

@@ -237,7 +237,6 @@ class _NodeRt:
         self.beacon: _Window | None = None
         self.windows: list[_Window] = []
         self.candidates: dict[int, tuple[float, float, int]] = {}
-        self.attempt_scheduled = False
         self.pending_accept_tx: list[MacPacket] = []
         # This frame's slot services that are not on the heap, by slot: each
         # waits for its queue to get work while its instant is ahead (_wake).
@@ -527,7 +526,6 @@ class Simulator:
         st.parent_id = None
         st.consecutive_beacon_misses = 0
         rt.candidates.clear()
-        rt.attempt_scheduled = False
         rt.due.clear()
         rt.listen_from = t
         self._log_protocol(t, st.node_id, "desynchronized", f"frame={frame}")
@@ -724,9 +722,13 @@ class Simulator:
         elif kind is CandidateBeacon:
             ref = tx.start - self.timing.beacon_tx_offset
             _per, rssi = self.sc.links[tx.sender, st.node_id]
+            # An attempt is pending exactly while an unjoined node holds a
+            # candidate, so only the first one schedules it: a joining node
+            # holds the one it asked, and only _desynchronize clears them.
+            first = not rt.candidates
             rt.candidates[act.sender_id] = (rssi, ref, tx.frame)
-            if not rt.attempt_scheduled:
-                self._maybe_schedule_attempt(rt, tx.end)
+            if first:
+                self._schedule_attempt(rt, tx.end)
         elif kind is SendAck:
             slot_start = tx.start - self.timing.data_tx_offset
             t_ack = slot_start + self.timing.ack_tx_offset
@@ -743,28 +745,17 @@ class Simulator:
             slot = tx.slot if act.slot is None else act.slot
             self._log_drop(rt, tx.end, act.packet, tx.frame, slot)
 
-    def _maybe_schedule_attempt(self, rt: _NodeRt, now: float) -> None:
-        st = rt.st
-        if st.mode not in (UNJOINED, DESYNCHRONIZED):
-            return
-        if rt.attempt_scheduled or not rt.candidates:
-            return
-        rt.attempt_scheduled = True
+    def _schedule_attempt(self, rt: _NodeRt, now: float) -> None:
         addr = best_parent((a, info[0]) for a, info in rt.candidates.items())
         _rssi, ref, _frame = rt.candidates[addr]
         t_join = self._slot_start(ref, addr, self.sched.join_slot)
         while t_join <= now:
             t_join += self.t_frame
-        self._push(t_join, _P_SVC, st.node_id, self._ev_join_attempt, rt, t_join)
+        self._push(t_join, _P_SVC, rt.st.node_id, self._ev_join_attempt, rt, t_join)
 
     def _ev_join_attempt(self, rt: _NodeRt, t_evt: float) -> None:
         st = rt.st
-        rt.attempt_scheduled = False
-        if st.mode not in (UNJOINED, DESYNCHRONIZED):
-            return
-        if not rt.candidates:
-            return
-        heard = [(addr, info[0]) for addr, info in sorted(rt.candidates.items())]
+        heard = [(addr, info[0]) for addr, info in rt.candidates.items()]
         parent, req = join_procedure(st, heard)
         _rssi, ref, frame = rt.candidates[parent]
         slot_start = self._slot_start(ref, parent, self.sched.join_slot)
@@ -786,8 +777,7 @@ class Simulator:
         if st.mode is not JOINING:
             return
         st.mode = UNJOINED
-        rt.attempt_scheduled = False
-        self._maybe_schedule_attempt(rt, now)
+        self._schedule_attempt(rt, now)
 
     def _on_synchronized(self, rt: _NodeRt, act: BecameSynchronized, tx: Transmission) -> None:
         st = rt.st

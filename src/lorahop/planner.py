@@ -21,8 +21,9 @@ class PlanError(Exception):
     """A requested plan violates a hard constraint.
 
     ``constraint`` names the binding one: "capacity" (Eq. n <= k),
-    "duty-cycle", "period" (T_app short of a frame, or k * N * T_SL past
-    the float range), or "slot" (a slot too short for the slot anatomy).
+    "duty-cycle", "period" (T_app short of a frame, or n * T_SL or
+    k * N * T_SL past the float range), or "slot" (a slot too short for
+    the slot anatomy).
     """
 
     def __init__(self, constraint: str, message: str) -> None:
@@ -179,7 +180,8 @@ def recommend_frame(
     ``max_slots``. Given neither, N walks down from the largest the
     target admits at k = n (capped at ``max_slots``: energy falls with
     larger N at fixed k*N) until k reaches n. Refuses n > k as
-    "capacity", and k * N * T_SL past the float range as "period".
+    "capacity", and n * T_SL or k * N * T_SL past the float range as
+    "period".
     """
     if min(n, max_slots, *(x for x in (k, slots) if x is not None)) < 1 or slot_seconds <= 0:
         raise ValueError("n, max_slots, k and N must be at least 1, the slot time positive")
@@ -189,11 +191,18 @@ def recommend_frame(
 
     try:
         if k is None and slots is None:
-            if t_app_target < n * slot_seconds:
+            try:
+                floor = n * slot_seconds
+            except OverflowError:
+                raise PlanError(
+                    "period",
+                    f"{n} nodes in slots of {slot_seconds:.6f} s put n * T_SL past the float range",
+                ) from None
+            if t_app_target < floor:
                 raise PlanError(
                     "period",
                     f"target period {t_app_target:.3f} s cannot admit {n} node(s): "
-                    f"needs at least n*T_SL = {n * slot_seconds:.3f} s",
+                    f"needs at least n*T_SL = {floor:.3f} s",
                 )
             start = min(max_slots, half_up(n))
             for slots in range(max(start, 1), 0, -1):  # at N = 1, k >= n

@@ -172,8 +172,8 @@ def _section(d: dict, key: str, cls: type, ctx: str) -> Any:
     return _build(dict(_take(d, key, dict, ctx, default={})), cls, f"{ctx}.{key}")
 
 
-def _parse_nodes(raw: Any, ctx: str) -> tuple[NodeConfig, ...]:
-    if not isinstance(raw, list) or not raw:
+def _parse_nodes(raw: list, ctx: str) -> tuple[NodeConfig, ...]:
+    if not raw:
         raise ScenarioError(f"{ctx}: 'nodes' must be a non-empty list")
     nodes = []
     for i, item in enumerate(raw):
@@ -201,9 +201,7 @@ def _parse_nodes(raw: Any, ctx: str) -> tuple[NodeConfig, ...]:
     return tuple(nodes)
 
 
-def _parse_links(raw: Any, ids: set[int], ctx: str) -> dict[tuple[int, int], tuple[float, float]]:
-    if not isinstance(raw, list):
-        raise ScenarioError(f"{ctx}: 'links' must be a list")
+def _parse_links(raw: list, ids: set[int], ctx: str) -> dict[tuple[int, int], tuple[float, float]]:
     links: dict[tuple[int, int], tuple[float, float]] = {}
     for i, item in enumerate(raw):
         c = f"{ctx}.links[{i}]"
@@ -307,11 +305,26 @@ def parse_scenario(doc: dict, source: str = "scenario") -> Scenario:
     except ValueError as e:
         raise ScenarioError(f"{source}.radio.{e}") from e
     try:
-        scenario.timing.validate_for(scenario.slot_seconds)
+        slot_seconds = scenario.slot_seconds
+    except OverflowError:
+        raise ScenarioError(
+            f"{sc}.ticks_per_slot: the slot, ticks_per_slot / tick_rate_hz, lies past the float range"
+        ) from None
+    try:
+        scenario.timing.validate_for(slot_seconds)
     except ValueError as e:
         raise ScenarioError(f"{source}.schedule: {e}") from e
 
     _check_connected(nodes, links, scenario.relay_id)
+    # The engine keys its events in nanoseconds.
+    try:
+        end_ns = scenario.frames * scenario.frame_seconds * 1e9
+    except OverflowError:  # an int too large for a float
+        end_ns = math.inf
+    if end_ns == math.inf:
+        raise ScenarioError(
+            f"{source}.frames: the run end, frames * T_F in nanoseconds, lies past the float range"
+        )
     return scenario
 
 

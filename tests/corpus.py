@@ -32,6 +32,7 @@ import lorahop.cli
 import lorahop.engine
 import lorahop.protocol
 from lorahop.engine import Simulator, measure_avg_power, measure_duty_cycle
+from lorahop.protocol import DESYNCHRONIZED, UNJOINED
 from lorahop.scenario import read_scenario_doc
 
 REPO = Path(__file__).resolve().parent.parent
@@ -190,17 +191,23 @@ class Audit:
     up to the end that found no work, of ``service_pops``. ``early_pushes``:
     slot services keyed before the event being handled. ``out_of_order``:
     pops keyed before the previous pop, as (handler, node address, parent
-    address). ``refused``: refusals by each node's queues; ``drops``:
-    queue_drop rows as (node, kind). ``gapped``: nodes whose timeline has a
-    gap or stops short of the end. ``intervals``: radio intervals other than
-    sleep. ``measure_mismatches``: nodes whose ``trace.node_measures`` are
-    not the full-run ``measure_duty_cycle`` and ``measure_avg_power``. What
-    it wraps is restored even if the run raises.
+    address). ``attempt_pops``: join-attempt pops; ``idle_attempts``: those
+    whose node is not unjoined or desynchronized, or holds no candidate, as
+    (time, node, mode). ``double_attempts``: join-attempt pushes for a node
+    that has one pending, as (time, node). ``refused``: refusals by each
+    node's queues; ``drops``: queue_drop rows as (node, kind). ``gapped``:
+    nodes whose timeline has a gap or stops short of the end.
+    ``intervals``: radio intervals other than sleep. ``measure_mismatches``:
+    nodes whose ``trace.node_measures`` are not the full-run
+    ``measure_duty_cycle`` and ``measure_avg_power``. What it wraps is
+    restored even if the run raises.
     """
 
     def __init__(self, name: str, doc: dict) -> None:
-        self.service_pops = self.pushes = 0
+        self.service_pops = self.pushes = self.attempt_pops = 0
         self.idle_pops, self.early_pushes, self.out_of_order = [], [], []
+        self.idle_attempts, self.double_attempts = [], []
+        attempting = set()  # nodes with a join attempt on the heap
         self.refused = Counter()
         end_ns = 0
         current = (-1,)  # the entry being handled: keys below it are in the past
@@ -213,6 +220,12 @@ class Audit:
             if entry[:3] < current[:3]:
                 self.out_of_order.append((fn.__name__, args[0].st.address, args[0].st.parent_id))
             current = entry
+            if fn.__name__ == "_ev_join_attempt":
+                self.attempt_pops += 1
+                attempting.discard(nid)
+                st = args[0].st
+                if st.mode not in (UNJOINED, DESYNCHRONIZED) or not args[0].candidates:
+                    self.idle_attempts.append((t_ns, nid, st.mode.value))
             work = _SERVICE_WORK.get(fn.__name__)
             if work is not None and t_ns <= end_ns:
                 self.service_pops += 1
@@ -222,6 +235,10 @@ class Audit:
 
         def watched_push(heap, entry):
             self.pushes += 1
+            if entry[4].__name__ == "_ev_join_attempt":
+                if entry[2] in attempting:
+                    self.double_attempts.append((entry[0], entry[2]))
+                attempting.add(entry[2])
             if entry[4].__name__ in _SERVICE_WORK and entry[:3] < current[:3]:
                 self.early_pushes.append((entry[4].__name__, entry[:3], current[:3]))
             push(heap, entry)

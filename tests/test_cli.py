@@ -256,6 +256,41 @@ def test_plan_refuses_a_period_past_the_float_range(extra, capsys):
     )
 
 
+_BIG = 10**400  # an int past the float range
+
+
+@pytest.mark.parametrize(
+    "argv, refusal",
+    [
+        pytest.param(
+            ["plan", "--nodes", "4", "--app-period", "234", "--ticks-per-slot", str(_BIG)],
+            "--ticks-per-slot: the slot, ticks per slot over --tick-rate, lies past the float range",
+            id="plan_ticks_per_slot",
+        ),
+        pytest.param(
+            ["simulate", STAR, "--frames", "2", "--set", f"schedule.ticks_per_slot={_BIG}"],
+            "star4.json.schedule.ticks_per_slot: the slot, ticks_per_slot / tick_rate_hz, "
+            "lies past the float range",
+            id="simulate_ticks_per_slot",
+        ),
+        pytest.param(
+            ["simulate", STAR, "--frames", str(_BIG)],
+            "star4.json.frames: the run end, frames * T_F in nanoseconds, lies past the float range",
+            id="simulate_frames",
+        ),
+        pytest.param(
+            ["simulate", STAR, "--frames", str(10**299)],
+            "star4.json.frames: the run end, frames * T_F in nanoseconds, lies past the float range",
+            id="simulate_frames_in_nanoseconds",
+        ),
+    ],
+)
+def test_an_int_past_the_float_range_is_refused_as_bad_input(argv, refusal, tmp_path, capsys):
+    out = ["--out", str(tmp_path / "out")] if argv[0] == "simulate" else []
+    assert main([*argv, *out]) == 2
+    assert capsys.readouterr() == ("", f"error: {refusal}\n")
+
+
 # A printed number: an int, a fixed or exponent float, or a word Python's float() reads.
 _NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+(?:\.\d+)?(?:e[-+]?\d+)?|inf(?:inity)?|nan)(?![\w.])", re.I)
 _COUNT_FLAGS = ["--nodes", "--k", "--slots", "--max-slots", "--ticks-per-slot", "--tick-rate"]
@@ -301,6 +336,12 @@ def _plan(argv: list[str]) -> tuple[int, str, str]:
 @example(1.7e308, 4, None, None, None, 240000, 1000000, 7, None, None)
 @example(1.7e308, 4, None, 90, None, 240000, 1000000, 7, None, None)
 @example(1.7e308, 4, None, 1, None, 240000, 1000000, 7, None, None)
+@example(234.0, _BIG, None, None, None, None, None, None, None, None)
+@example(234.0, 4, _BIG, None, None, None, None, None, None, None)
+@example(234.0, 4, None, _BIG, None, None, None, None, None, None)
+@example(234.0, 4, None, None, _BIG, None, None, None, None, None)
+@example(234.0, 4, None, None, None, _BIG, None, None, None, None)
+@example(234.0, 4, None, None, None, None, _BIG, None, None, None)
 def test_plan_frame_flags_exit_0_2_or_3_with_finite_figures(
     app_period, nodes, k, slots, max_slots, ticks_per_slot, tick_rate, sf, duty_limit, below_one
 ):

@@ -929,6 +929,16 @@ def test_node_measures_are_the_full_run_scans(audits):
     assert len(audits) == 650
 
 
+def test_a_join_attempt_is_pending_exactly_while_an_unjoined_node_holds_a_candidate(audits):
+    # Only a node's first candidate, or a join timeout that leaves it
+    # unjoined, schedules an attempt; _ev_join_attempt checks neither the
+    # node's mode nor its candidates, so each attempt must find both.
+    for name, audit in audits.items():
+        assert audit.idle_attempts == [], name
+        assert audit.double_attempts == [], name
+    assert sum(audit.attempt_pops for audit in audits.values()) > sum(audit.desyncs for audit in audits.values()) > 0
+
+
 # --- slot services on the heap ---
 
 

@@ -128,6 +128,21 @@ def test_mean_power_takes_the_drift_as_a_magnitude():
         mean_power(PROFILE, T_BCN, T_SLOT, 90, 4, -10.0)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((0.0, T_SLOT, 90, 4, 10.0), "^durations must be positive$"),
+        ((T_BCN, -T_SLOT, 90, 4, 10.0), "^durations must be positive$"),
+        ((T_BCN, T_SLOT, 0, 4, 10.0), "^k and N must be at least 1$"),
+        ((T_BCN, T_SLOT, 90, 0, 10.0), "^k and N must be at least 1$"),
+    ],
+    ids=["beacon_0", "slot_negative", "slots_0", "k_0"],
+)
+def test_mean_power_refusals(args, message):
+    with pytest.raises(ValueError, match=message):
+        mean_power(PROFILE, *args)
+
+
 def test_check_capacity():
     assert check_capacity(4, 4)
     assert check_capacity(3, 4)
@@ -222,6 +237,14 @@ def test_recommend_frame_refuses_a_period_past_the_float_range(t_app, slot, kw):
     with pytest.raises(PlanError, match="past the float range") as ei:
         recommend_frame(t_app, 4, slot, 90, **kw)
     assert ei.value.constraint == "period"
+
+
+def test_recommend_frame_names_n_times_t_sl_past_the_float_range():
+    # The n-node floor n * T_SL overflows before any k * N is formed.
+    with pytest.raises(PlanError) as ei:
+        recommend_frame(234.0, 10**400, T_SLOT, 90)
+    assert ei.value.constraint == "period"
+    assert str(ei.value) == f"{10**400} nodes in slots of 0.649445 s put n * T_SL past the float range"
 
 
 @pytest.mark.parametrize(

@@ -57,6 +57,19 @@ def test_layout_capacity_floor():
         build_schedule(max_nodes=4, slots_per_frame=13, ticks_per_slot=21281)
 
 
+@pytest.mark.parametrize(
+    "max_nodes, slots, ticks, message",
+    [
+        (0, 8, 21281, r"^need at least one addressable node \(the relay\)$"),
+        (2, 8, 0, r"^ticks per slot must be at least 1$"),
+    ],
+    ids=["max_nodes_0", "ticks_per_slot_0"],
+)
+def test_build_schedule_refusals(max_nodes, slots, ticks, message):
+    with pytest.raises(ValueError, match=message):
+        build_schedule(max_nodes, slots, ticks)
+
+
 def _frame_seconds(schedule: FrameSchedule, tick_rate_hz: int) -> float:
     """T_F of a scenario with this frame schedule and tick rate."""
     return Scenario(

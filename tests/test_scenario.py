@@ -19,7 +19,7 @@ from lorahop import (
     SlotTiming,
     load_scenario,
 )
-from lorahop.scenario import JoinConfig, ScenarioError, apply_override, parse_scenario
+from lorahop.scenario import JoinConfig, ScenarioError, apply_override, parse_scenario, read_scenario_doc
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -414,3 +414,92 @@ def test_round_trips_through_json(tmp_path):
     sc = load_scenario(p)
     assert sc.name == "rt"
     assert sc.seed == 9
+
+
+def _read_text(tmp_path: Path, text: str) -> dict:
+    p = tmp_path / "doc.json"
+    p.write_text(text)
+    return read_scenario_doc(p)
+
+
+def _set(key: str, value: str) -> None:
+    apply_override(_minimal(), key, value)
+
+
+@pytest.mark.parametrize(
+    "refuse, message",
+    [
+        pytest.param(
+            lambda tmp: parse_scenario(_minimal(nodes=[])),
+            r"^scenario: 'nodes' must be a non-empty list$",
+            id="nodes_empty",
+        ),
+        pytest.param(
+            lambda tmp: parse_scenario(_minimal(nodes={"id": 0})),
+            r"^scenario\.nodes: expected list, got dict$",
+            id="nodes_not_a_list",
+        ),
+        pytest.param(
+            lambda tmp: parse_scenario(_minimal(nodes=[{"id": 0, "relay": True}, 1])),
+            r"^scenario\.nodes\[1\]: expected an object$",
+            id="node_not_an_object",
+        ),
+        pytest.param(
+            lambda tmp: parse_scenario(_minimal(links={"from": 0, "to": 1})),
+            r"^scenario\.links: expected list, got dict$",
+            id="links_not_a_list",
+        ),
+        pytest.param(
+            lambda tmp: parse_scenario(_minimal(links=[[0, 1]])),
+            r"^scenario\.links\[0\]: expected an object$",
+            id="link_not_an_object",
+        ),
+        pytest.param(
+            lambda tmp: parse_scenario([_minimal()]),
+            r"^scenario: top level must be an object$",
+            id="parse_top_level_not_an_object",
+        ),
+        pytest.param(
+            lambda tmp: _read_text(tmp, "[]"),
+            r"doc\.json: top level must be an object$",
+            id="read_top_level_not_an_object",
+        ),
+        pytest.param(
+            lambda tmp: parse_scenario(
+                _minimal(schedule={"max_nodes": 2, "slots_per_frame": 8, "ticks_per_slot": 21281, "tick_rate_hz": 0})
+            ),
+            r"^scenario\.schedule\.tick_rate_hz: must be positive$",
+            id="tick_rate_0",
+        ),
+        pytest.param(
+            lambda tmp: parse_scenario(_minimal(frames=0)),
+            r"^scenario\.frames: must be at least 1$",
+            id="frames_0",
+        ),
+        pytest.param(
+            lambda tmp: parse_scenario(_minimal(queue_capacity=0)),
+            r"^scenario\.queue_capacity: must be at least 1$",
+            id="queue_capacity_0",
+        ),
+        pytest.param(
+            lambda tmp: _set("nodes.2", "{}"),
+            r"^--set nodes\.2: '2' is not a valid list index$",
+            id="set_list_element_past_the_end",
+        ),
+        pytest.param(
+            lambda tmp: _set("nodes.0.id.x", "1"),
+            r"^--set nodes\.0\.id\.x: cannot assign into a scalar$",
+            id="set_into_a_scalar",
+        ),
+    ],
+)
+def test_each_refusal_names_what_it_refuses(refuse, message, tmp_path):
+    with pytest.raises(ScenarioError, match=message):
+        refuse(tmp_path)
+
+
+def test_apply_override_writes_a_list_element():
+    doc = _minimal()
+    apply_override(doc, "nodes.1", '{"id": 1, "drift_ppm": 5}')
+    assert doc["nodes"][1] == {"id": 1, "drift_ppm": 5}
+    assert parse_scenario(doc).nodes[1].drift_ppm == 5.0
