@@ -693,6 +693,53 @@ def test_plain_window_interval_is_recorded_once_and_clipped_at_the_end():
     assert receive == [(1.0, 1.5), (end - 0.5, end)]
 
 
+# --- a listening sender stops listening at its transmission's start ---
+
+
+def _listening_request(sim: Simulator, start: float) -> float:
+    """Leaf 1, unjoined and listening from 0, puts a JoinRequest on the air
+    at ``start``; return its end."""
+    rt = sim.nodes[1]
+    rt.listen_from = 0.0
+    req = MacPacket(PacketKind.JOIN_REQUEST, rt.st.network_id, 1, 0, 1, 0)
+    sim._transmit(rt, req, start, 0, sim.sched.join_slot)
+    return start + sim._toa(req.onair_bytes)
+
+
+@pytest.mark.parametrize("gap_ns, heard", [(0, []), (1, ["rx"])])
+def test_listening_sender_hears_a_packet_only_if_it_ends_before_its_start(gap_ns, heard):
+    # At an equal nanosecond the sender's transmission has started, so the
+    # packet ends after its listening stopped; one nanosecond earlier it
+    # ends while the sender still listens.
+    sim = Simulator(load_scenario(REPO / "scenarios" / "star4.json"))
+    ack_end_ns = round(_ack_from_relay(sim, 1.01) * 1e9)
+    start = (ack_end_ns + gap_ns) / 1e9
+    assert round(start * 1e9) == ack_end_ns + gap_ns
+    _listening_request(sim, start)
+    _drain(sim)
+    assert [ev.event for ev in sim.packet_events if ev.node == 1 and ev.kind == "ack"] == heard
+
+
+def test_listening_sender_whose_transmission_starts_past_the_end_listens_to_the_end():
+    sim = Simulator(load_scenario(REPO / "scenarios" / "star4.json"))
+    end = sim.end_time
+    _listening_request(sim, end + 0.5)
+    _drain(sim)
+    assert sim._finalize().intervals_by_node[1] == [(1, "receive", 0.0, end)]
+
+
+def test_listening_sender_transmitting_over_the_end_listens_up_to_its_start():
+    # The transmission does not end by the end of the run, so it has no
+    # transmit row; the listening still stops at its start.
+    sim = Simulator(load_scenario(REPO / "scenarios" / "star4.json"))
+    end = sim.end_time
+    airtime = sim._toa(MacPacket(PacketKind.JOIN_REQUEST, 1, 1, 0, 1, 0).onair_bytes)
+    start = end - airtime / 2
+    assert _listening_request(sim, start) > end
+    _drain(sim)
+    assert sim._finalize().intervals_by_node[1] == [(1, "receive", 0.0, start), (1, "sleep", start, end)]
+
+
 @pytest.mark.parametrize("past_end, logged", [(0.0, True), (1e-6, False)])
 def test_relay_uplink_is_logged_only_if_it_ends_by_the_end(past_end, logged):
     # The LoRaWAN uplink reaches no node; its transmit interval and tx event
