@@ -23,9 +23,9 @@ since the close decides between a miss, the flywheel and a desync. Every
 other receive window is plain: it closes at its end time, so its receive
 interval is recorded when it opens. Every transmission joins one on-air
 list when it is scheduled, and delivery reads the ones that may overlap
-the packet it resolves. Only a sender that is listening gets a start
-event, which cuts its listen interval; it listens again from the
-transmission's end (half-duplex).
+the packet it resolves; its end is its one heap event. A listening
+sender's listen interval is recorded up to the start when it is scheduled,
+and it listens again from the transmission's end (half-duplex).
 
 Radio model: one channel, zero propagation delay, no capture
 (overlapping transmissions at a listener destroy each other), per-link
@@ -54,7 +54,6 @@ from .protocol import (
     JOINING,
     JOIN_BACKOFF_SLOTS,
     JOIN_RETRY_FRAMES,
-    SYNCHRONIZED,
     UNJOINED,
     UP_DATA,
     BecameSynchronized,
@@ -85,10 +84,9 @@ LORAWAN_CHANNEL = "lorawan"
 # Event priorities: frame bookkeeping first, then radio edges in causal
 # order, then slot services and timers.
 _P_FRAME = 0
-_P_TX_START = 1
-_P_TX_END = 2
-_P_CLOSE = 3
-_P_SVC = 4
+_P_TX_END = 1
+_P_CLOSE = 2
+_P_SVC = 3
 
 
 class Transmission:
@@ -230,6 +228,8 @@ class _NodeRt:
         self.frame_local = frame_ticks * self.tick
         self.anchor: float = 0.0
         self.listen_from: float | None = None
+        # The start of its own transmission that ends its listening, until that ends.
+        self.listen_until: float | None = None
         # The node's radio intervals in the order they were recorded.
         self.intervals: list[tuple[int, str, float, float]] = []
         # The open parent-beacon window, which closes by event; every window
@@ -611,16 +611,10 @@ class Simulator:
         end = start + self._toa(pkt.onair_bytes)
         tx = Transmission(nid, pkt, start, end, frame, slot)
         self.on_air.append(tx)
-        if rt.listen_from is not None:
-            self._push(start, _P_TX_START, nid, self._ev_tx_start, rt, tx)
+        if rt.listen_from is not None:  # half-duplex: it stops listening at the start
+            self._log_receive(rt, rt.listen_from, start)
+            rt.listen_until = start
         self._push(end, _P_TX_END, nid, self._ev_tx_end, rt, tx)
-
-    def _ev_tx_start(self, rt: _NodeRt, tx: Transmission) -> None:
-        # Half-duplex: only a listening sender gets a start event (see
-        # _transmit); it stops receiving while it transmits, and the gap
-        # also voids coverage of overlapping packets.
-        self._log_receive(rt, rt.listen_from, tx.start)
-        rt.listen_from = None
 
     def _ev_tx_end(self, rt: _NodeRt, tx: Transmission) -> None:
         nid = rt.st.node_id
@@ -628,9 +622,9 @@ class Simulator:
         # The packet's columns, shared by its tx event and every listener's.
         cols = _packet_columns(tx.packet, "0", tx.frame, tx.slot)
         self.packet_events.append(tuple.__new__(PacketEvent, (tx.start, nid, "tx") + cols))
-        # Only a node that is not synchronized listens without pause, and
-        # only its own transmission (see _ev_tx_start) stops it.
-        if rt.listen_from is None and rt.st.mode is not SYNCHRONIZED:
+        # A node that listened up to the start listens again from the end.
+        if rt.listen_until is not None:
+            rt.listen_until = None
             rt.listen_from = tx.end
         self._deliver(tx, cols)
 
@@ -653,7 +647,11 @@ class Simulator:
         for win in rt.windows:
             if win.open_t <= tx.start and tx.end <= win.close_t:
                 return True, True, win
-        if rt.listen_from is not None and rt.listen_from <= tx.start:
+        listen_from = rt.listen_from
+        if listen_from is not None and rt.listen_until is not None:
+            if round(tx.end * 1e9) >= round(rt.listen_until * 1e9):
+                listen_from = None  # its own transmission started first, also at an equal ns
+        if listen_from is not None and listen_from <= tx.start:
             return True, True, None
         if beacon is not None and beacon.open_t < tx.end and beacon.close_t > tx.start:
             return False, True, None
@@ -668,7 +666,7 @@ class Simulator:
                 if round(win.close_t * 1e9) < end_ns:
                     continue
                 return False, True, None
-        if rt.listen_from is not None and rt.listen_from < tx.end:
+        if listen_from is not None and listen_from < tx.end:
             return False, True, None
         return False, False, None
 
@@ -852,8 +850,8 @@ class Simulator:
         node_measures: dict[int, tuple[float, float | None]] = {}
         for nid in sorted(self.nodes):
             rt = self.nodes[nid]
-            if rt.listen_from is not None:
-                self._log_receive(rt, rt.listen_from, end)
+            if rt.listen_from is not None and rt.listen_until is None:
+                self._log_receive(rt, rt.listen_from, end)  # else recorded up to its transmission
             if rt.beacon is not None:
                 self._close_beacon(rt, rt.beacon.close_t)
             # Every record site clips its interval to the run already.

@@ -767,6 +767,14 @@ def test_committed_line4_needs_few_heap_events_per_frame(audits):
     assert line4.pushes / line4.frames < 16
 
 
+def test_committed_star32_needs_few_heap_events_per_frame_beside_its_join_attempts(audits):
+    # 31 leaves join from cold. Each join attempt is three pushes: itself,
+    # its JoinRequest's end and its timeout. The rest, per frame, read 9.93
+    # while a listening sender's transmission also pushed a start event.
+    star32 = audits["star32"]
+    assert (star32.pushes - 3 * star32.attempt_pops) / star32.frames < 3
+
+
 # --- memory after a run ---
 
 
