@@ -147,12 +147,11 @@ def cmd_plan(args: argparse.Namespace) -> int:
     t_data_lorawan = lorawan_time_on_air(args.payload_bytes, radio)
 
     m0 = n - 1  # in every tree this MAC builds, the relay forwards all other nodes' traffic
-    duty_relay = duty_cycle_estimate(
-        m0, k, args.channels, t_app, t_ack, t_data_lorawan, t_bcn
-    )
-    duty_leaf = duty_cycle_estimate(
-        0, k, args.channels, t_app, t_ack, t_data_hop, t_bcn
-    )
+    try:
+        duty_relay = duty_cycle_estimate(m0, k, args.channels, t_app, t_ack, t_data_lorawan, t_bcn)
+        duty_leaf = duty_cycle_estimate(0, k, args.channels, t_app, t_ack, t_data_hop, t_bcn)
+    except OverflowError:  # T_app * c; every other product is held finite by the plan
+        raise ScenarioError("--channels: the channel count lies past the float range") from None
     if duty_relay > args.duty_limit:
         raise PlanError(
             "duty-cycle",
@@ -174,6 +173,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
                 p_app=args.p_app,
                 tau_app=args.tau_app,
             )
+            profile.check_period(k, t_frame)
         except ValueError as e:  # PowerProfile names the field first; its flag is --field
             field, _, reason = str(e).partition(": ")
             raise ScenarioError(f"--{field.replace('_', '-')}: {reason}") from None

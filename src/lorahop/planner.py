@@ -60,6 +60,17 @@ class PowerProfile:
         if self.tau_app < 0:
             raise ValueError("tau_app: application run time cannot be negative")
 
+    def check_period(self, k: int, frame_seconds: float) -> None:
+        """Refuse an application run longer than its sampling period, one
+        sample every ``k`` frames of ``frame_seconds``: the next sample
+        would start while the last run goes on. Named by field, as above."""
+        if self.tau_app / frame_seconds > k:  # no k * T_F, which may pass the float range
+            raise ValueError(
+                f"tau_app: the application runs {self.tau_app} s, longer than its sampling "
+                f"period k * T_F = {k * frame_seconds:.6f} s, so the next sample starts "
+                f"while the last run goes on"
+            )
+
 
 def app_period(k: int, slots_per_frame: int, slot_seconds: float) -> float:
     """Application period T_app = k * N * T_SL.

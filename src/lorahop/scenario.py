@@ -325,6 +325,11 @@ def parse_scenario(doc: dict, source: str = "scenario") -> Scenario:
         raise ScenarioError(
             f"{source}.frames: the run end, frames * T_F in nanoseconds, lies past the float range"
         )
+    if power is not None:
+        try:
+            power.check_period(scenario.k, scenario.frame_seconds)
+        except ValueError as e:
+            raise ScenarioError(f"{source}.power.{e}") from None
     return scenario
 
 

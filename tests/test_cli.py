@@ -283,6 +283,11 @@ _BIG = 10**400  # an int past the float range
             "star4.json.frames: the run end, frames * T_F in nanoseconds, lies past the float range",
             id="simulate_frames_in_nanoseconds",
         ),
+        pytest.param(
+            ["plan", "--nodes", "4", "--app-period", "234", "--channels", str(_BIG)],
+            "--channels: the channel count lies past the float range",
+            id="plan_channels",
+        ),
     ],
 )
 def test_an_int_past_the_float_range_is_refused_as_bad_input(argv, refusal, tmp_path, capsys):
@@ -293,7 +298,7 @@ def test_an_int_past_the_float_range_is_refused_as_bad_input(argv, refusal, tmp_
 
 # A printed number: an int, a fixed or exponent float, or a word Python's float() reads.
 _NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+(?:\.\d+)?(?:e[-+]?\d+)?|inf(?:inity)?|nan)(?![\w.])", re.I)
-_COUNT_FLAGS = ["--nodes", "--k", "--slots", "--max-slots", "--ticks-per-slot", "--tick-rate"]
+_COUNT_FLAGS = ["--nodes", "--k", "--slots", "--max-slots", "--ticks-per-slot", "--tick-rate", "--channels"]
 
 
 def _count(low: int, high: int) -> st.SearchStrategy[int]:
@@ -332,26 +337,29 @@ def _plan(argv: list[str]) -> tuple[int, str, str]:
     below_one=st.none() | st.none() | st.none() | st.tuples(
         st.sampled_from(_COUNT_FLAGS), st.integers(-(2**64), 0)
     ),
+    channels=st.none() | _count(1, 16),
 )
-@example(1.7e308, 4, None, None, None, 240000, 1000000, 7, None, None)
-@example(1.7e308, 4, None, 90, None, 240000, 1000000, 7, None, None)
-@example(1.7e308, 4, None, 1, None, 240000, 1000000, 7, None, None)
-@example(234.0, _BIG, None, None, None, None, None, None, None, None)
-@example(234.0, 4, _BIG, None, None, None, None, None, None, None)
-@example(234.0, 4, None, _BIG, None, None, None, None, None, None)
-@example(234.0, 4, None, None, _BIG, None, None, None, None, None)
-@example(234.0, 4, None, None, None, _BIG, None, None, None, None)
-@example(234.0, 4, None, None, None, None, _BIG, None, None, None)
+@example(1.7e308, 4, None, None, None, 240000, 1000000, 7, None, None, None)
+@example(1.7e308, 4, None, 90, None, 240000, 1000000, 7, None, None, None)
+@example(1.7e308, 4, None, 1, None, 240000, 1000000, 7, None, None, None)
+@example(234.0, _BIG, None, None, None, None, None, None, None, None, None)
+@example(234.0, 4, _BIG, None, None, None, None, None, None, None, None)
+@example(234.0, 4, None, _BIG, None, None, None, None, None, None, None)
+@example(234.0, 4, None, None, _BIG, None, None, None, None, None, None)
+@example(234.0, 4, None, None, None, _BIG, None, None, None, None, None)
+@example(234.0, 4, None, None, None, None, _BIG, None, None, None, None)
+@example(234.0, 4, None, None, None, None, None, None, None, None, _BIG)
 def test_plan_frame_flags_exit_0_2_or_3_with_finite_figures(
-    app_period, nodes, k, slots, max_slots, ticks_per_slot, tick_rate, sf, duty_limit, below_one
+    app_period, nodes, k, slots, max_slots, ticks_per_slot, tick_rate, sf, duty_limit, below_one,
+    channels,
 ):
-    # Every frame flag drawn from its type, extremes included, and at most
+    # Every frame flag and --channels drawn from its type, extremes included, and at most
     # one count below 1: the plan is printed with finite figures, or refused
     # as bad input or infeasible, and never fails at run time.
     flags = {
         "--nodes": nodes, "--app-period": app_period, "--k": k, "--slots": slots,
         "--max-slots": max_slots, "--ticks-per-slot": ticks_per_slot,
-        "--tick-rate": tick_rate, "--sf": sf, "--duty-limit": duty_limit,
+        "--tick-rate": tick_rate, "--sf": sf, "--duty-limit": duty_limit, "--channels": channels,
     }
     if below_one is not None:
         flags.update([below_one])
@@ -364,6 +372,28 @@ def test_plan_frame_flags_exit_0_2_or_3_with_finite_figures(
     else:
         assert out == "" and "Traceback" not in err, err
         assert ("--" in err) if rc == 2 else err.startswith("infeasible: "), err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        pytest.param(
+            ["plan", "--nodes", "4", "--app-period", "234", *_POWER_FLAGS, "--p-app", "0.03",
+             "--tau-app", "1000"],
+            "--tau-app", id="plan",
+        ),
+        pytest.param(["simulate", STAR, "--set", "power.tau_app=1000"], "star4.json.power.tau_app", id="simulate"),
+    ],
+)
+def test_an_application_run_longer_than_its_sampling_period_is_refused(argv, flag, tmp_path, capsys):
+    # Both sample every 4 frames of 90 slots, 233.8 s apart.
+    out = ["--out", str(tmp_path / "out")] if argv[0] == "simulate" else []
+    assert main([*argv, *out]) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"error: {flag}: the application runs 1000.0 s, longer than its sampling period "
+        f"k * T_F = 233.800049 s, so the next sample starts while the last run goes on\n",
+    )
 
 
 def test_plan_accepts_the_limits_themselves(capsys):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from lorahop import (
@@ -276,3 +278,12 @@ def test_power_profile_refusal_names_the_field(field, value):
     kw = dict(p_sleep=1e-5, p_rx=0.036, p_tx=0.120, p_app=0.030, tau_app=1.0)
     with pytest.raises(ValueError, match=f"^{field}: "):
         PowerProfile(**{**kw, field: value})
+
+
+def test_application_run_may_last_its_sampling_period_but_no_longer():
+    # One sample every 4 frames of 0.5 s: a run of 2 s ends as the next starts.
+    PowerProfile(p_sleep=0.0, p_rx=0.0, p_tx=0.0, tau_app=2.0).check_period(4, 0.5)
+    longer = PowerProfile(p_sleep=0.0, p_rx=0.0, p_tx=0.0, tau_app=math.nextafter(2.0, 3.0))
+    with pytest.raises(ValueError, match="^tau_app: .* the next sample starts while the last run goes on$"):
+        longer.check_period(4, 0.5)
+    longer.check_period(10**400, 0.5)  # a period past the float range holds any run
