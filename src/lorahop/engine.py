@@ -684,10 +684,14 @@ class Simulator:
             return
         # A transmission delivered later ends no earlier than tx and lasts at
         # most t_data_max, so one that ended by tx.start - t_data_max
-        # overlaps neither it nor tx.
+        # overlaps neither it nor tx. The list is in the order the
+        # transmissions were scheduled, so it is rebuilt only once its first
+        # one has ended by then: in a contended join slot most deliveries
+        # find nothing to drop.
         horizon = tx.start - self.timing.t_data_max
-        self.on_air = on_air = [o for o in self.on_air if o.end > horizon]
-        outcomes = deliver(tx, listeners, on_air, self.sc.links, self.rng)
+        if self.on_air[0].end <= horizon:
+            self.on_air = [o for o in self.on_air if o.end > horizon]
+        outcomes = deliver(tx, listeners, self.on_air, self.sc.links, self.rng)
         packet_events = self.packet_events
         for nid, outcome in outcomes.items():
             event = "rx" if outcome == "received" else outcome

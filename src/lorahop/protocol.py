@@ -419,8 +419,15 @@ def forwarding_step(node: NodeState) -> MacPacket | None:
 
 def best_parent(heard_beacons: Iterable[tuple[int, float]]) -> int:
     """The address to join among overheard ``(address, rssi)`` beacons:
-    strongest RSSI wins, ties to the lowest address."""
-    return min(heard_beacons, key=lambda sr: (-sr[1], sr[0]))[0]
+    strongest RSSI wins, ties to the lowest address. A plain loop, not
+    ``min`` with a key function: each join attempt asks twice."""
+    best, best_rssi = None, 0.0
+    for addr, rssi in heard_beacons:
+        if best is None or rssi > best_rssi or (rssi == best_rssi and addr < best):
+            best, best_rssi = addr, rssi
+    if best is None:
+        raise ValueError("cannot join without having heard a beacon")
+    return best
 
 
 def join_procedure(
@@ -431,8 +438,6 @@ def join_procedure(
     The parent is the ``best_parent``. The caller places the request in the
     next join-contention slot after a random backoff.
     """
-    if not heard_beacons:
-        raise ValueError("cannot join without having heard a beacon")
     parent = best_parent(heard_beacons)
     node.mode = JOINING
     node.parent_id = parent
