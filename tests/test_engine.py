@@ -682,6 +682,25 @@ def test_plain_window_that_closes_mid_packet_does_not_receive_it():
     assert _events_at(sim, 2) == ["lost_window"]
 
 
+def test_packet_spanned_by_a_later_plain_window_is_received_past_one_that_overlaps_it():
+    # The first window overlaps the packet only in part; the second spans it.
+    sim = Simulator(load_scenario(REPO / "scenarios" / "star4.json"))
+    end = _ack_from_relay(sim, 1.01)
+    sim._listen(sim.nodes[1], "ack", 1.0, (1.01 + end) / 2)
+    sim._listen(sim.nodes[1], "ack", 1.0, end + 0.1)
+    _drain(sim)
+    assert _events_at(sim, 1) == ["rx"]
+
+
+def test_node_listening_from_before_a_packet_receives_it_past_a_window_that_closes_mid_packet():
+    sim = Simulator(load_scenario(REPO / "scenarios" / "star4.json"))
+    end = _ack_from_relay(sim, 1.01)
+    sim.nodes[1].listen_from = 0.5
+    sim._listen(sim.nodes[1], "ack", 1.0, (1.01 + end) / 2)
+    _drain(sim)
+    assert _events_at(sim, 1) == ["rx"]
+
+
 def test_plain_window_interval_is_recorded_once_and_clipped_at_the_end():
     sim = Simulator(load_scenario(REPO / "scenarios" / "star4.json"))
     end = sim.end_time
