@@ -14,9 +14,10 @@ protects.
 A synchronized node's fixed work for a frame is set up when the frame is
 scheduled: its beacon goes on the air, and its child-uplink, join and
 (while a JoinAccept is due) own-downlink windows open. A slot service
-that reads a queue at slot time (own uplink, child downlink, LoRaWAN, the
-relay's JoinAccept answer) waits off the heap until one rule (_wake) finds
-work for its slot in its queue, while the slot is still ahead. The
+that reads a queue at slot time (own uplink, child downlink, LoRaWAN)
+waits off the heap until one rule (_wake) finds work for its slot in its
+queue, while the slot is still ahead. The relay answers a JoinRequest
+when it hears it, with no waiting service of its own. The
 application sample is a heap event every collection period. A node's one
 open parent-beacon window is a field of its own, and closes by event,
 since the close decides between a miss, the flywheel and a desync. Every
@@ -119,7 +120,6 @@ class _Window(NamedTuple):
 
     open_t: float
     close_t: float
-    purpose: str
     frame: int | None  # the frame of a beacon window; a plain one has none
 
 
@@ -237,7 +237,9 @@ class _NodeRt:
         self.beacon: _Window | None = None
         self.windows: list[_Window] = []
         self.candidates: dict[int, tuple[float, float, int]] = {}
-        self.pending_accept_tx: list[MacPacket] = []
+        # The relay's last answered JoinAccept instant: a later request of
+        # that join slot waits for the downlink.
+        self.answered: float | None = None
         # This frame's slot services that are not on the heap, by slot: each
         # waits for its queue to get work while its instant is ahead (_wake).
         self.due: dict[int, tuple] = {}
@@ -390,9 +392,9 @@ class Simulator:
         only at the next frame's beacon-window close, after every slot of
         this frame, so neither this nor any slot service of the frame checks
         the mode. Every slot service that reads a queue at slot time (own
-        uplink, LoRaWAN, child downlink, JoinAccept answer) waits in
-        ``rt.due``; one call of _wake then puts on the heap those whose
-        queue already holds work for their slot.
+        uplink, LoRaWAN, child downlink) waits in ``rt.due``; one call of
+        _wake then puts on the heap those whose queue already holds work
+        for their slot.
 
         Every slot instant comes from _slot_start on the anchor. The anchor
         lies on the parent's beacon slot, so ``anchor_slot`` is the
@@ -429,27 +431,24 @@ class Simulator:
         d0, d1 = timing.data_window
         for child in sorted(st.children):
             t_cu = slot_start(anchor, anchor_slot, sched.uplink_slot(child))
-            self._listen(rt, "uplink_rx", t_cu + d0, t_cu + d1)
+            self._listen(rt, t_cu + d0, t_cu + d1)
             slot = sched.downlink_slot(child)
             t_cd = slot_start(anchor, anchor_slot, slot)
             due[slot] = (t_cd, self._ev_child_downlink, (rt, frame, slot, t_cd))
 
         if st.pending_accepts:
             t_od = slot_start(anchor, anchor_slot, sched.downlink_slot(address))
-            self._listen(rt, "downlink_rx", t_od + d0, t_od + d1)
+            self._listen(rt, t_od + d0, t_od + d1)
 
         lu = self.listen_until_frame
         if lu is None or frame <= lu:
             t_join = slot_start(anchor, anchor_slot, sched.join_slot)
             join_close = t_join + timing.join_accept_offset - timing.join_rx_margin
-            self._listen(rt, "join_rx", t_join + timing.t_offset, join_close)
-            if is_relay:
-                t_acc = t_join + timing.join_accept_offset
-                due[sched.join_slot] = (t_acc, self._ev_join_respond, (rt, frame, t_acc))
+            self._listen(rt, t_join + timing.t_offset, join_close)
 
         # Every service lies at least a slot after the anchor, so the wake
         # forgets none of them as past.
-        if st.uplink_queue or st.downlink_queue or rt.pending_accept_tx:
+        if st.uplink_queue or st.downlink_queue:
             self._wake(rt, anchor)
 
         if frame % self.sc.k == address % self.sc.k:
@@ -459,12 +458,11 @@ class Simulator:
     def _wake(self, rt: _NodeRt, now: float) -> None:
         """Put on the heap each of the node's waiting services whose queue
         holds work for its slot: the uplink queue for the own-uplink slot
-        (the LoRaWAN slot on the relay), a downlink entry for its slot, and
-        a JoinAccept to answer for the join slot. ``now`` is the time of
-        the event being handled. A service whose instant has passed is
-        forgotten: its slot went by with nothing to send. At an equal
-        nanosecond the current event still comes first: it has a lower
-        priority or an earlier push."""
+        (the LoRaWAN slot on the relay) and a downlink entry for its slot.
+        ``now`` is the time of the event being handled. A service whose
+        instant has passed is forgotten: its slot went by with nothing to
+        send. At an equal nanosecond the current event still comes first:
+        it has a lower priority or an earlier push."""
         due = rt.due
         if not due:
             return
@@ -472,8 +470,6 @@ class Simulator:
         work = [slot for _pkt, slot in st.downlink_queue] if st.downlink_queue else []
         if st.uplink_queue:
             work.append(self.sched.lorawan_slot if st.is_relay else self.sched.uplink_slot(st.address))
-        if rt.pending_accept_tx:
-            work.append(self.sched.join_slot)
         now_ns = round(now * 1e9)
         for slot in work:
             svc = due.pop(slot, None)
@@ -492,7 +488,7 @@ class Simulator:
         # quantization residual, so guard = min_guard is truly sufficient.
         open_t = center - half - rt.tick
         close_t = center + half + self.timing.t_bcn
-        rt.beacon = win = tuple.__new__(_Window, (open_t, close_t, "beacon", frame))
+        rt.beacon = win = tuple.__new__(_Window, (open_t, close_t, frame))
         self._push(close_t, _P_CLOSE, rt.st.node_id, self._ev_beacon_window_close, rt, win)
 
     def _close_beacon(self, rt: _NodeRt, end: float) -> None:
@@ -533,10 +529,7 @@ class Simulator:
     # --------------------------------------------------------- slot services
 
     def _ev_lorawan(self, rt: _NodeRt, frame: int, t_slot_start: float) -> None:
-        queue = rt.st.uplink_queue
-        if not queue:
-            return
-        pkt = queue.popleft()
+        pkt = rt.st.uplink_queue.popleft()
         start = t_slot_start + self.timing.data_tx_offset
         end = start + self._lorawan_toa(len(pkt.payload))
         # No node hears the uplink, so it is logged, not delivered, and only
@@ -548,12 +541,10 @@ class Simulator:
 
     def _ev_own_uplink(self, rt: _NodeRt, frame: int, slot: int, t_slot_start: float) -> None:
         pkt = forwarding_step(rt.st)
-        if pkt is None:
-            return
         start = t_slot_start + self.timing.data_tx_offset
         self._transmit(rt, pkt, start, frame, slot)
         aw = self.timing.ack_window
-        self._listen(rt, "ack", t_slot_start + aw[0], t_slot_start + aw[1])
+        self._listen(rt, t_slot_start + aw[0], t_slot_start + aw[1])
 
     def _ev_child_downlink(self, rt: _NodeRt, frame: int, slot: int, t_slot_start: float) -> None:
         st = rt.st
@@ -563,19 +554,6 @@ class Simulator:
                 start = t_slot_start + self.timing.data_tx_offset
                 self._transmit(rt, pkt, start, frame, slot)
                 return
-
-    def _ev_join_respond(self, rt: _NodeRt, frame: int, t: float) -> None:
-        if not rt.pending_accept_tx:
-            return
-        first, *rest = rt.pending_accept_tx
-        rt.pending_accept_tx = []
-        self._transmit(rt, first, t, frame, self.sched.join_slot)
-        # The others wait for each joiner's new downlink slot (triple[2]).
-        for pkt in rest:
-            slot = pkt.payload[2]
-            if not enqueue_down(rt.st, pkt, slot):
-                self._log_drop(rt, t, pkt, frame, slot)
-        self._wake(rt, t)
 
     def _ev_app(self, rt: _NodeRt, frame: int, t: float) -> None:
         st = rt.st
@@ -598,10 +576,10 @@ class Simulator:
 
     # ------------------------------------------------------------ radio
 
-    def _listen(self, rt: _NodeRt, purpose: str, open_t: float, close_t: float) -> None:
+    def _listen(self, rt: _NodeRt, open_t: float, close_t: float) -> None:
         """Open a plain receive window: it stays open up to ``close_t``, so
         its receive interval is recorded now."""
-        rt.windows.append(tuple.__new__(_Window, (open_t, close_t, purpose, None)))
+        rt.windows.append(tuple.__new__(_Window, (open_t, close_t, None)))
         self._log_receive(rt, open_t, close_t)
 
     def _transmit(self, rt: _NodeRt, pkt: MacPacket, start: float, frame: int, slot: int) -> None:
@@ -630,56 +608,47 @@ class Simulator:
 
     # ------------------------------------------------------------ delivery
 
-    def _listening_state(
-        self, rt: _NodeRt, tx: Transmission
-    ) -> tuple[bool, bool, _Window | None]:
-        """(fully_covered, heard_at_all, covering_window) for one listener and one tx.
-
-        The covering window is the beacon window if it spans the whole
-        packet, else the first plain window that does: a widened beacon
-        window can overlap the join window at the end of the frame before.
-        A node that listens without pause covers the packet, and still
-        reports a covering window if one exists.
-        """
+    def _listening_state(self, rt: _NodeRt, tx: Transmission) -> tuple[bool, bool]:
+        """(fully_covered, heard_at_all) for one listener and one tx, from one
+        pass over its windows. A window, or a listen without pause from
+        before the start, that spans the packet covers it; one that overlaps
+        it only in part hears it and loses it."""
+        start, end = tx.start, tx.end
+        heard = False
         beacon = rt.beacon
-        if beacon is not None and beacon.open_t <= tx.start and tx.end <= beacon.close_t:
-            return True, True, beacon
-        for win in rt.windows:
-            if win.open_t <= tx.start and tx.end <= win.close_t:
-                return True, True, win
-        listen_from = rt.listen_from
-        if listen_from is not None and rt.listen_until is not None:
-            if round(tx.end * 1e9) >= round(rt.listen_until * 1e9):
-                listen_from = None  # its own transmission started first, also at an equal ns
-        if listen_from is not None and listen_from <= tx.start:
-            return True, True, None
-        if beacon is not None and beacon.open_t < tx.end and beacon.close_t > tx.start:
-            return False, True, None
+        if beacon is not None and beacon.open_t < end and beacon.close_t > start:
+            if beacon.open_t <= start and end <= beacon.close_t:
+                return True, True
+            heard = True
         end_ns = None
         for win in rt.windows:
-            if win.open_t < tx.end and win.close_t > tx.start:
-                # A plain window that closed before the packet ended no
-                # longer hears it. At an equal nanosecond it still does:
-                # an end came before a close there (_P_TX_END < _P_CLOSE).
-                if end_ns is None:
-                    end_ns = round(tx.end * 1e9)
-                if round(win.close_t * 1e9) < end_ns:
-                    continue
-                return False, True, None
-        if listen_from is not None and listen_from < tx.end:
-            return False, True, None
-        return False, False, None
+            if win.open_t < end and win.close_t > start:
+                if win.open_t <= start and end <= win.close_t:
+                    return True, True
+                if not heard:
+                    # A plain window that closed before the packet ended no
+                    # longer hears it. At an equal nanosecond it still does:
+                    # an end came before a close there (_P_TX_END < _P_CLOSE).
+                    if end_ns is None:
+                        end_ns = round(end * 1e9)
+                    heard = round(win.close_t * 1e9) >= end_ns
+        listen_from = rt.listen_from
+        if listen_from is None:
+            return False, heard
+        if rt.listen_until is not None and round(end * 1e9) >= round(rt.listen_until * 1e9):
+            return False, heard  # its own transmission started first, also at an equal ns
+        if listen_from <= start:
+            return True, True
+        return False, heard or listen_from < end
 
     def _deliver(self, tx: Transmission, cols: tuple) -> None:
         """Resolve tx at every node that hears it; ``cols`` are its
         packet-event columns after the event name."""
         listeners = []
-        covering: dict[int, _Window | None] = {}
         for nid, rt, per in self.hearers[tx.sender]:
-            covered, heard, win = self._listening_state(rt, tx)
+            covered, heard = self._listening_state(rt, tx)
             if heard:
                 listeners.append((nid, covered, per))
-                covering[nid] = win
         if not listeners:
             return
         # A transmission delivered later ends no earlier than tx and lasts at
@@ -697,11 +666,17 @@ class Simulator:
             event = "rx" if outcome == "received" else outcome
             packet_events.append(tuple.__new__(PacketEvent, (tx.end, nid, event) + cols))
             if event == "rx":
-                self._receive(self.nodes[nid], tx, covering[nid])
+                self._receive(self.nodes[nid], tx)
 
-    def _receive(self, rt: _NodeRt, tx: Transmission, covering: _Window | None) -> None:
+    def _receive(self, rt: _NodeRt, tx: Transmission) -> None:
         st = rt.st
-        in_join_slot = covering is not None and covering.purpose == "join_rx"
+        # Sent in the join slot, a packet is contention traffic unless the
+        # node's beacon window spans it: a widened beacon window can overlap
+        # the join window at the end of the frame before.
+        beacon = rt.beacon
+        in_join_slot = tx.slot == self.sched.join_slot and not (
+            beacon is not None and beacon.open_t <= tx.start and tx.end <= beacon.close_t
+        )
         up, down = len(st.uplink_queue), len(st.downlink_queue)
         actions = handle_rx(st, tx.packet, self.sched, in_join_slot=in_join_slot)
         if len(st.uplink_queue) > up or len(st.downlink_queue) > down:
@@ -716,13 +691,11 @@ class Simulator:
         kind = type(act)
         if kind is Resync:
             # The parent's beacon arrives only in this node's beacon window.
-            # Not the candidate's formula below: the floats differ at times.
-            ref = tx.end - self.timing.t_bcn - self.timing.beacon_tx_offset
-            anchor = self._resync(rt, ref, tx.frame)
+            anchor = self._resync(rt, self._beacon_ref(tx), tx.frame)
             self._close_beacon(rt, tx.end)
             self._enter_frame(rt, tx.frame, anchor, resynced=True)
         elif kind is CandidateBeacon:
-            ref = tx.start - self.timing.beacon_tx_offset
+            ref = self._beacon_ref(tx)
             _per, rssi = self.sc.links[tx.sender, st.node_id]
             # An attempt is pending exactly while an unjoined node holds a
             # candidate, so only the first one schedules it: a joining node
@@ -738,14 +711,28 @@ class Simulator:
             ack = MacPacket(ACK, st.network_id, sender, act.dest_id, act.dest_id, act.seq)
             self._transmit(rt, ack, t_ack, tx.frame, tx.slot)
         elif kind is SendJoinAccept:
-            rt.pending_accept_tx.append(act.packet)
-            self._wake(rt, tx.end)
+            # The relay answers the first request of a join slot at the
+            # slot's accept instant. Each later one waits for its joiner's
+            # new downlink slot (triple[2]) in a later frame: every downlink
+            # slot comes before the join slot.
+            t_acc = self._slot_start(rt.anchor, 0, self.sched.join_slot) + self.timing.join_accept_offset
+            if rt.answered != t_acc:
+                rt.answered = t_acc
+                self._transmit(rt, act.packet, t_acc, tx.frame, self.sched.join_slot)
+            else:
+                slot = act.packet.payload[2]
+                if not enqueue_down(st, act.packet, slot):
+                    self._log_drop(rt, t_acc, act.packet, tx.frame, slot)
         elif kind is BecameSynchronized:
             self._on_synchronized(rt, act, tx)
         elif kind is QueueDrop:
             # An uplink drop keeps the slot the packet arrived in.
             slot = tx.slot if act.slot is None else act.slot
             self._log_drop(rt, tx.end, act.packet, tx.frame, slot)
+
+    def _beacon_ref(self, tx: Transmission) -> float:
+        """A heard beacon's reference: the start of its sender's beacon slot."""
+        return tx.start - self.timing.beacon_tx_offset
 
     def _schedule_attempt(self, rt: _NodeRt, now: float) -> None:
         addr = best_parent((a, info[0]) for a, info in rt.candidates.items())

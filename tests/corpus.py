@@ -173,7 +173,6 @@ _SERVICE_WORK = {
     "_ev_own_uplink": lambda rt, frame, slot, t: bool(rt.st.uplink_queue),
     "_ev_lorawan": lambda rt, frame, t: bool(rt.st.uplink_queue),
     "_ev_child_downlink": lambda rt, frame, slot, t: any(s == slot for _p, s in rt.st.downlink_queue),
-    "_ev_join_respond": lambda rt, frame, t: bool(rt.pending_accept_tx),
 }
 
 # The queue admission calls, under each module that calls them by name.

@@ -39,6 +39,7 @@ from lorahop.protocol import (
     Action,
     BecameSynchronized,
     NodeMode,
+    SendJoinAccept,
     handle_rx,
     make_beacon,
 )
@@ -414,9 +415,10 @@ def test_finalize_rejects_intervals_that_share_a_start_in_either_order(rows):
 
 
 def test_finalize_orders_packet_events_tied_on_time_node_and_event_by_their_columns():
-    # The relay refusing two JoinAccepts at one _ev_join_respond instant logs
-    # two queue_drop rows with the same (t, node, event); they come out in
-    # the order of their remaining columns, not in the order they were logged.
+    # The relay refusing two JoinAccepts of one join slot logs two queue_drop
+    # rows at its accept instant, with the same (t, node, event); they come
+    # out in the order of their remaining columns, not in the order they
+    # were logged.
     sim = Simulator(load_scenario(REPO / "scenarios" / "star4.json"))
     late, early = (
         PacketEvent(40.0, 0, "queue_drop", "join_accept", 0, hw, hw, hw, 20, "0", 2, slot)
@@ -664,7 +666,7 @@ def _ack_from_relay(sim: Simulator, start: float) -> float:
 def test_packet_ending_at_a_plain_window_close_is_received():
     sim = Simulator(load_scenario(REPO / "scenarios" / "star4.json"))
     end = _ack_from_relay(sim, 1.01)
-    sim._listen(sim.nodes[1], "ack", 1.0, end)
+    sim._listen(sim.nodes[1], 1.0, end)
     _drain(sim)
     assert _events_at(sim, 1) == ["rx"]
 
@@ -675,8 +677,8 @@ def test_plain_window_that_closes_mid_packet_does_not_receive_it():
     # is still open at its end, loses it to the window.
     sim = Simulator(load_scenario(REPO / "scenarios" / "star4.json"))
     end = _ack_from_relay(sim, 1.01)
-    sim._listen(sim.nodes[1], "ack", 1.0, (1.01 + end) / 2)
-    sim._listen(sim.nodes[2], "ack", (1.01 + end) / 2, end + 0.1)
+    sim._listen(sim.nodes[1], 1.0, (1.01 + end) / 2)
+    sim._listen(sim.nodes[2], (1.01 + end) / 2, end + 0.1)
     _drain(sim)
     assert _events_at(sim, 1) == []
     assert _events_at(sim, 2) == ["lost_window"]
@@ -686,8 +688,8 @@ def test_packet_spanned_by_a_later_plain_window_is_received_past_one_that_overla
     # The first window overlaps the packet only in part; the second spans it.
     sim = Simulator(load_scenario(REPO / "scenarios" / "star4.json"))
     end = _ack_from_relay(sim, 1.01)
-    sim._listen(sim.nodes[1], "ack", 1.0, (1.01 + end) / 2)
-    sim._listen(sim.nodes[1], "ack", 1.0, end + 0.1)
+    sim._listen(sim.nodes[1], 1.0, (1.01 + end) / 2)
+    sim._listen(sim.nodes[1], 1.0, end + 0.1)
     _drain(sim)
     assert _events_at(sim, 1) == ["rx"]
 
@@ -696,7 +698,7 @@ def test_node_listening_from_before_a_packet_receives_it_past_a_window_that_clos
     sim = Simulator(load_scenario(REPO / "scenarios" / "star4.json"))
     end = _ack_from_relay(sim, 1.01)
     sim.nodes[1].listen_from = 0.5
-    sim._listen(sim.nodes[1], "ack", 1.0, (1.01 + end) / 2)
+    sim._listen(sim.nodes[1], 1.0, (1.01 + end) / 2)
     _drain(sim)
     assert _events_at(sim, 1) == ["rx"]
 
@@ -704,8 +706,8 @@ def test_node_listening_from_before_a_packet_receives_it_past_a_window_that_clos
 def test_plain_window_interval_is_recorded_once_and_clipped_at_the_end():
     sim = Simulator(load_scenario(REPO / "scenarios" / "star4.json"))
     end = sim.end_time
-    sim._listen(sim.nodes[1], "ack", 1.0, 1.5)
-    sim._listen(sim.nodes[1], "ack", end - 0.5, end + 1.0)
+    sim._listen(sim.nodes[1], 1.0, 1.5)
+    sim._listen(sim.nodes[1], end - 0.5, end + 1.0)
     _drain(sim)
     trace = sim._finalize()
     receive = [(s, e) for n, state, s, e in trace.radio_intervals if n == 1 and state == "receive"]
@@ -1017,8 +1019,8 @@ def test_a_join_attempt_is_pending_exactly_while_an_unjoined_node_holds_a_candid
 
 
 def test_no_slot_service_pops_without_work(audits):
-    # An own-uplink, LoRaWAN, child-downlink or JoinAccept-answer event goes
-    # on the heap only once its queue holds work for its slot.
+    # An own-uplink, LoRaWAN or child-downlink event goes on the heap only
+    # once its queue holds work for its slot.
     for name, audit in audits.items():
         assert audit.idle_pops == [], name
     assert sum(audit.service_pops for audit in audits.values()) > 0
@@ -1107,7 +1109,7 @@ def test_child_data_into_a_full_gateway_queue_is_dropped():
     relay.st.uplink_queue.append(_up_data(2, 0, 9))
     slot = sim.sched.uplink_slot(1)
     tx = Transmission(1, _up_data(1, 0, 4), 20.0, 20.2, frame=3, slot=slot)
-    sim._receive(relay, tx, None)
+    sim._receive(relay, tx)
     assert _drop_rows(sim) == [(20.2, 0, "up_data", "lorawan", 3, slot)]
     assert len(relay.st.uplink_queue) == 1
     # The packet was still acknowledged: the drop is the relay's, not the link's.
@@ -1143,7 +1145,7 @@ def test_forwarder_drop_of_a_join_accept_names_the_readdressed_copy():
     mid.st.downlink_queue.append((_up_data(1, 2, 9), sim.sched.downlink_slot(2)))
     accept = MacPacket(PacketKind.JOIN_ACCEPT, 1, 0, 1, 13, 6, bytes(sim.sched.slot_triple(3)))
     tx = Transmission(0, accept, 40.0, 40.2, frame=6, slot=sim.sched.downlink_slot(1))
-    sim._receive(mid, tx, None)
+    sim._receive(mid, tx)
     # Sender 1 and dest 13 are the re-addressed copy's; the slot is the
     # joiner's downlink slot it was bound for.
     assert [(ev.kind, ev.sender, ev.dest, ev.origin, ev.frame, ev.slot) for ev in sim.packet_events] == [
@@ -1152,18 +1154,26 @@ def test_forwarder_drop_of_a_join_accept_names_the_readdressed_copy():
 
 
 def test_join_accepts_past_the_first_queue_for_the_downlink_and_drop_beyond_it():
+    # Three requests heard in frame 2's join slot: the first is answered on
+    # the air at the slot's accept instant, the second waits for its
+    # joiner's downlink slot, and the third finds the queue full.
     sim = _capacity_one_sim("star4")
     relay = sim.nodes[0]
+    relay.anchor = 2 * sim.t_frame
+    join_slot = sim.sched.join_slot
+    t_acc = sim._slot_start(relay.anchor, 0, join_slot) + sim.timing.join_accept_offset
     accepts = [
         MacPacket(PacketKind.JOIN_ACCEPT, 1, 0, hw, hw, hw, bytes(sim.sched.slot_triple(a)))
         for a, hw in ((1, 11), (2, 12), (3, 13))
     ]
-    relay.pending_accept_tx = list(accepts)
-    sim._ev_join_respond(relay, 2, 40.0)
-    assert [t.packet for t in sim.on_air] == [accepts[0]]
+    for i, accept in enumerate(accepts):
+        request = MacPacket(PacketKind.JOIN_REQUEST, 1, 0, 0, accept.origin_id, 0)
+        start = t_acc - 0.5 + 0.1 * i
+        tx = Transmission(accept.origin_id, request, start, start + 0.05, frame=2, slot=join_slot)
+        sim._apply_action(relay, SendJoinAccept(accept), tx)
+    assert [(t.packet, t.start, t.frame, t.slot) for t in sim.on_air] == [(accepts[0], t_acc, 2, join_slot)]
     assert list(relay.st.downlink_queue) == [(accepts[1], sim.sched.downlink_slot(2))]
-    assert _drop_rows(sim) == [(40.0, 0, "join_accept", "0", 2, sim.sched.downlink_slot(3))]
-    assert relay.pending_accept_tx == []
+    assert _drop_rows(sim) == [(t_acc, 0, "join_accept", "0", 2, sim.sched.downlink_slot(3))]
 
 
 def test_child_data_into_a_full_forwarder_queue_is_dropped():
@@ -1174,7 +1184,7 @@ def test_child_data_into_a_full_forwarder_queue_is_dropped():
     mid.st.uplink_queue.append(_up_data(1, 0, 9))
     slot = sim.sched.uplink_slot(2)
     tx = Transmission(2, _up_data(2, 1, 4), 30.0, 30.2, frame=5, slot=slot)
-    sim._receive(mid, tx, None)
+    sim._receive(mid, tx)
     assert _drop_rows(sim) == [(30.2, 1, "up_data", "0", 5, slot)]
     assert [p.seq for p in mid.st.uplink_queue] == [9]
 
