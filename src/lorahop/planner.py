@@ -31,6 +31,13 @@ class PlanError(Exception):
         self.constraint = constraint
 
 
+# The largest draw of any state, in watts. A LoRa radio draws under 0.5 W
+# at its +20 dBm maximum (SX1276: 120 mA at 3.3 V), and a battery sensor's
+# application load is of the same order; 10 W holds both with room to
+# spare, and keeps every energy and mean power the models report finite.
+MAX_DRAW_W = 10.0
+
+
 @dataclass(frozen=True)
 class PowerProfile:
     """Device power draw per radio/application state, in watts.
@@ -38,8 +45,8 @@ class PowerProfile:
     ``p_app`` is the draw while the sensing application runs, for
     ``tau_app`` seconds per application period; both models add
     ``p_app - p_sleep`` over that time, so a ``p_app`` below ``p_sleep``
-    lowers the mean. No draw is negative. Each refusal names the field
-    first.
+    lowers the mean. No draw is negative or above ``MAX_DRAW_W``. Each
+    refusal names the field first.
     """
 
     p_sleep: float
@@ -49,6 +56,12 @@ class PowerProfile:
     tau_app: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("p_sleep", "p_rx", "p_tx", "p_app"):
+            draw = getattr(self, name)
+            if draw > MAX_DRAW_W:
+                raise ValueError(
+                    f"{name}: {draw:g} W is above the {MAX_DRAW_W:g} W a LoRa sensor node draws at most"
+                )
         if self.p_sleep < 0:
             raise ValueError("p_sleep: sleep power cannot be negative")
         if self.p_rx < self.p_sleep:

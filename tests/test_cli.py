@@ -164,6 +164,7 @@ _POWER_FLAGS = ["--p-sleep", "1e-5", "--p-rx", "0.036", "--p-tx", "0.120"]
         (["--p-sleep", "-1", "--p-rx", "1", "--p-tx", "1"], "--p-sleep"),
         (["--p-sleep", "1e-5", "--p-rx", "1e-6", "--p-tx", "0.120"], "--p-rx"),
         (["--p-sleep", "1e-5", "--p-rx", "0.036", "--p-tx", "1e-6"], "--p-tx"),
+        (["--p-sleep", "1e-5", "--p-rx", "0.036", "--p-tx", "1e308"], "--p-tx"),
         ([*_POWER_FLAGS, "--p-app", "-1", "--tau-app", "30"], "--p-app"),
         ([*_POWER_FLAGS, "--tau-app", "-1"], "--tau-app"),
         (["--bw", "nan"], "--bw"),
@@ -183,8 +184,8 @@ _POWER_FLAGS = ["--p-sleep", "1e-5", "--p-rx", "0.036", "--p-tx", "0.120"]
         "app_period_negative", "app_period_negative_k_slots", "duty_limit_nan", "duty_limit_2",
         "duty_limit_negative", "duty_limit_0", "drift_nan", "p_sleep_nan", "p_rx_inf", "p_tx_inf",
         "p_app_nan", "tau_app_inf", "p_sleep_negative", "p_rx_below_sleep", "p_tx_below_sleep",
-        "p_app_negative", "tau_app_negative", "bw_nan", "bw_inf", "bw_0", "sf_13", "sf_5", "cr_9",
-        "preamble_0", "sf6_explicit_header", "sf12_without_ldro",
+        "p_tx_1e308", "p_app_negative", "tau_app_negative", "bw_nan", "bw_inf", "bw_0", "sf_13",
+        "sf_5", "cr_9", "preamble_0", "sf6_explicit_header", "sf12_without_ldro",
     ],
 )
 def test_plan_refuses_a_flag_simulate_would_refuse(flags, flag, capsys):
@@ -620,6 +621,15 @@ def test_simulate_refuses_a_negative_application_power(tmp_path, capsys):
     got = capsys.readouterr()
     assert got.out == ""
     assert got.err.endswith(".power: p_app: application power cannot be negative\n"), got.err
+
+
+def test_simulate_refuses_a_draw_above_the_physical_bound(tmp_path, capsys):
+    # At 1e308 W the run printed "avg power inf mW" for nodes 0 and 1.
+    argv = ["simulate", LINE4, "--frames", "3", "--set", "power.p_tx=1e308", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err.endswith(".power: p_tx: 1e+308 W is above the 10 W a LoRa sensor node draws at most\n"), got.err
 
 
 def test_simulate_refuses_a_join_listen_limit_before_the_first_frame(tmp_path, capsys):

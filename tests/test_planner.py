@@ -16,6 +16,7 @@ from lorahop import (
     min_app_period,
     recommend_frame,
 )
+from lorahop.planner import MAX_DRAW_W
 
 T_SLOT = 21281 / 32768  # 0.649444580078125 s
 T_BCN = 0.103424
@@ -278,6 +279,18 @@ def test_power_profile_refusal_names_the_field(field, value):
     kw = dict(p_sleep=1e-5, p_rx=0.036, p_tx=0.120, p_app=0.030, tau_app=1.0)
     with pytest.raises(ValueError, match=f"^{field}: "):
         PowerProfile(**{**kw, field: value})
+
+
+@pytest.mark.parametrize("field", ["p_sleep", "p_rx", "p_tx", "p_app"])
+def test_power_profile_holds_each_draw_to_its_physical_bound(field):
+    # A draw may reach MAX_DRAW_W but not pass it; at 1e308 W the mean
+    # power was inf or a 309-digit figure.
+    kw = dict(p_sleep=1e-5, p_rx=0.036, p_tx=0.120, p_app=0.030, tau_app=1.0)
+    PowerProfile(**{**kw, "p_rx": MAX_DRAW_W, "p_tx": MAX_DRAW_W, field: MAX_DRAW_W})
+    for value in (math.nextafter(MAX_DRAW_W, math.inf), 1e308):
+        refused = {**kw, "p_rx": MAX_DRAW_W, "p_tx": MAX_DRAW_W, field: value}
+        with pytest.raises(ValueError, match=f"^{field}: .* W is above the 10 W a LoRa sensor node draws at most$"):
+            PowerProfile(**refused)
 
 
 def test_application_run_may_last_its_sampling_period_but_no_longer():
