@@ -32,7 +32,7 @@ import lorahop.cli
 import lorahop.engine
 import lorahop.protocol
 from lorahop.engine import Simulator, measure_avg_power, measure_duty_cycle
-from lorahop.protocol import DESYNCHRONIZED, UNJOINED
+from lorahop.protocol import DESYNCHRONIZED, JOINING, SYNCHRONIZED, UNJOINED
 from lorahop.scenario import read_scenario_doc
 
 REPO = Path(__file__).resolve().parent.parent
@@ -175,6 +175,26 @@ _SERVICE_WORK = {
     "_ev_child_downlink": lambda rt, frame, slot, t: any(s == slot for _p, s in rt.st.downlink_queue),
 }
 
+
+def mode_fault(rt) -> str | None:
+    """The first fact of the node's runtime ``rt`` that disagrees with its
+    mode, or None. A synchronized node holds an address, and one that is
+    not the relay a parent; a joining node holds the parent it asked; a
+    node that is not synchronized listens."""
+    st = rt.st
+    if st.mode is SYNCHRONIZED:
+        if st.address is None:
+            return "synchronized without an address"
+        if st.parent_id is None and not st.is_relay:
+            return "synchronized without a parent"
+        return None
+    if st.mode is JOINING and st.parent_id is None:
+        return "joining without a parent"
+    if rt.listen_from is None:
+        return f"{st.mode.value} and not listening"
+    return None
+
+
 # The queue admission calls, under each module that calls them by name.
 ENQUEUES = [(m, name) for m in (lorahop.protocol, lorahop.engine) for name in ("enqueue_up", "enqueue_down")]
 
@@ -198,13 +218,17 @@ class Audit:
     nodes whose timeline has a gap or stops short of the end.
     ``intervals``: radio intervals other than sleep. ``measure_mismatches``:
     nodes whose ``trace.node_measures`` are not the full-run
-    ``measure_duty_cycle`` and ``measure_avg_power``. What it wraps is
-    restored even if the run raises.
+    ``measure_duty_cycle`` and ``measure_avg_power``. ``mode_pops``: every
+    pop, each checked against its node's mode; ``mode_faults``: those
+    whose node's facts disagree with it (see ``mode_fault``), as
+    (handler, time, node, fault). What it wraps is restored even if the
+    run raises.
     """
 
     def __init__(self, name: str, doc: dict) -> None:
-        self.service_pops = self.pushes = self.attempt_pops = 0
+        self.service_pops = self.pushes = self.attempt_pops = self.mode_pops = 0
         self.idle_pops, self.early_pushes, self.out_of_order = [], [], []
+        self.mode_faults = []
         self.idle_attempts, self.double_attempts = [], []
         attempting = set()  # nodes with a join attempt on the heap
         self.refused = Counter()
@@ -219,6 +243,10 @@ class Audit:
             if entry[:3] < current[:3]:
                 self.out_of_order.append((fn.__name__, args[0].st.address, args[0].st.parent_id))
             current = entry
+            self.mode_pops += 1
+            fault = mode_fault(args[0])
+            if fault is not None:
+                self.mode_faults.append((fn.__name__, t_ns, nid, fault))
             if fn.__name__ == "_ev_join_attempt":
                 self.attempt_pops += 1
                 attempting.discard(nid)

@@ -1015,6 +1015,17 @@ def test_a_join_attempt_is_pending_exactly_while_an_unjoined_node_holds_a_candid
     assert sum(audit.attempt_pops for audit in audits.values()) > sum(audit.desyncs for audit in audits.values()) > 0
 
 
+def test_every_node_holds_the_facts_its_mode_promises_at_every_pop(audits):
+    # A node gets its address only from a JoinAccept, its parent when it
+    # asks to join, and loses both together on a desync; only a
+    # synchronized node stops listening. The engine and the protocol layer
+    # send no fallback address for a node that breaks this, so every pop
+    # must find each node's facts agreeing with its mode.
+    for name, audit in audits.items():
+        assert audit.mode_faults == [], name
+    assert sum(audit.mode_pops for audit in audits.values()) > len(audits)
+
+
 # --- slot services on the heap ---
 
 
