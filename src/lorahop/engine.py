@@ -55,6 +55,8 @@ from .protocol import (
     JOINING,
     JOIN_BACKOFF_SLOTS,
     JOIN_RETRY_FRAMES,
+    NETWORK_ID,
+    SYNCHRONIZED,
     UNJOINED,
     UP_DATA,
     BecameSynchronized,
@@ -240,9 +242,11 @@ class _NodeRt:
         # The relay's last answered JoinAccept instant: a later request of
         # that join slot waits for the downlink.
         self.answered: float | None = None
-        # This frame's slot services that are not on the heap, by slot: each
-        # waits for its queue to get work while its instant is ahead (_wake).
-        self.due: dict[int, tuple] = {}
+        # This frame's slot services that are not on the heap, each waiting
+        # for its queue to get work while its instant is ahead (_wake): a
+        # child-downlink service by its slot, the own uplink (the relay's
+        # LoRaWAN uplink) by None, as a QueueDrop names the uplink queue.
+        self.due: dict[int | None, tuple] = {}
 
 
 class Simulator:
@@ -391,10 +395,11 @@ class Simulator:
         accept arrives in that window). A synchronized node leaves that mode
         only at the next frame's beacon-window close, after every slot of
         this frame, so neither this nor any slot service of the frame checks
-        the mode. Every slot service that reads a queue at slot time (own
-        uplink, LoRaWAN, child downlink) waits in ``rt.due``; one call of
-        _wake then puts on the heap those whose queue already holds work
-        for their slot.
+        the mode; only the application sample, at slot 3M + 2, may come
+        after that close (_ev_app). Every slot service that reads a queue at
+        slot time (own uplink, LoRaWAN, child downlink) waits in ``rt.due``;
+        one call of _wake then puts on the heap those whose queue already
+        holds work for their slot.
 
         Every slot instant comes from _slot_start on the anchor. The anchor
         lies on the parent's beacon slot, so ``anchor_slot`` is the
@@ -420,13 +425,12 @@ class Simulator:
 
         rt.due = due = {}
         if is_relay:
-            slot = sched.lorawan_slot
-            t_up = slot_start(anchor, anchor_slot, slot)
-            due[slot] = (t_up, self._ev_lorawan, (rt, frame, t_up))
+            t_up = slot_start(anchor, anchor_slot, sched.lorawan_slot)
+            due[None] = (t_up, self._ev_lorawan, (rt, frame, t_up))
         else:
             slot = sched.uplink_slot(address)
             t_up = slot_start(anchor, anchor_slot, slot)
-            due[slot] = (t_up, self._ev_own_uplink, (rt, frame, slot, t_up))
+            due[None] = (t_up, self._ev_own_uplink, (rt, frame, slot, t_up))
 
         d0, d1 = timing.data_window
         for child in sorted(st.children):
@@ -457,8 +461,8 @@ class Simulator:
 
     def _wake(self, rt: _NodeRt, now: float) -> None:
         """Put on the heap each of the node's waiting services whose queue
-        holds work for its slot: the uplink queue for the own-uplink slot
-        (the LoRaWAN slot on the relay) and a downlink entry for its slot.
+        holds work for its slot: the uplink queue for the own uplink (the
+        LoRaWAN uplink on the relay) and a downlink entry for its slot.
         ``now`` is the time of the event being handled. A service whose
         instant has passed is forgotten: its slot went by with nothing to
         send. At an equal nanosecond the current event still comes first:
@@ -469,7 +473,7 @@ class Simulator:
         st = rt.st
         work = [slot for _pkt, slot in st.downlink_queue] if st.downlink_queue else []
         if st.uplink_queue:
-            work.append(self.sched.lorawan_slot if st.is_relay else self.sched.uplink_slot(st.address))
+            work.append(None)
         now_ns = round(now * 1e9)
         for slot in work:
             svc = due.pop(slot, None)
@@ -560,15 +564,16 @@ class Simulator:
         sc = self.sc
         if sc.power is not None and sc.power.tau_app > 0:
             self.app_intervals[st.node_id].append((t, t + sc.power.tau_app))
-        if sc.app_payload_bytes <= 0:
+        # Slot 3M + 2 is the next frame's slot 0 when N = 3M + 2. A long frame
+        # on a fast crystal closes the node's next beacon window before that,
+        # and a fourth miss in a row there has taken the node's address: it
+        # has nothing to send the sample from.
+        if sc.app_payload_bytes <= 0 or st.mode is not SYNCHRONIZED:
             return
         addr = st.address
-        sender = addr if addr is not None else 0
-        dest = st.parent_id if st.parent_id is not None else sender
+        dest = st.parent_id if st.parent_id is not None else addr  # the relay has no parent
         # Fields in order: kind, network, sender, dest, origin, seq, payload.
-        pkt = MacPacket(
-            UP_DATA, st.network_id, sender, dest, sender, st.next_seq(), bytes(sc.app_payload_bytes)
-        )
+        pkt = MacPacket(UP_DATA, NETWORK_ID, addr, dest, addr, st.next_seq(), bytes(sc.app_payload_bytes))
         if enqueue_up(st, pkt):
             self._wake(rt, t)
         else:
@@ -707,8 +712,7 @@ class Simulator:
         elif kind is SendAck:
             slot_start = tx.start - self.timing.data_tx_offset
             t_ack = slot_start + self.timing.ack_tx_offset
-            sender = st.address if st.address is not None else 0
-            ack = MacPacket(ACK, st.network_id, sender, act.dest_id, act.dest_id, act.seq)
+            ack = MacPacket(ACK, NETWORK_ID, st.address, act.dest_id, act.dest_id, act.seq)
             self._transmit(rt, ack, t_ack, tx.frame, tx.slot)
         elif kind is SendJoinAccept:
             # The relay answers the first request of a join slot at the
@@ -1001,9 +1005,6 @@ def _state_time(
     for _n, state, s, e in trace.intervals_by_node.get(node_id, ()):
         w = weights.get(state)
         if w is None:
-            continue
-        if start_s <= s and e <= end_s:
-            total += w * (e - s)  # the clip below would give the same hi - lo
             continue
         lo, hi = max(s, start_s), min(e, end_s)
         if hi > lo:

@@ -173,24 +173,16 @@ def min_app_period(
     t_ack: float,
     t_data: float,
     t_bcn: float,
-    n: int | None = None,
-    frame_seconds: float | None = None,
 ) -> float:
-    """Shortest application period a node can sustain.
-
-    The regulatory bound rearranges the duty-cycle formula around the
-    limit; if the node count and frame time are supplied, the capacity
-    floor n * T_F applies too and the larger of the two wins.
+    """Shortest application period a node can sustain under the duty-cycle
+    limit: the duty-cycle formula rearranged around the limit. The capacity
+    rule n <= k is ``check_capacity``'s, and ``recommend_frame`` holds a
+    plan to it.
     """
     if not 0 < duty_limit <= 1:
         raise ValueError("duty limit must be in (0, 1]")
     airtime = m_i * t_ack + (1 + m_i) * t_data + k * t_bcn
-    bound = airtime / (duty_limit * c)
-    if n is not None:
-        if frame_seconds is None or frame_seconds <= 0:
-            raise ValueError("capacity floor needs a positive frame time")
-        bound = max(bound, n * frame_seconds)
-    return bound
+    return airtime / (duty_limit * c)
 
 
 def recommend_frame(

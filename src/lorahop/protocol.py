@@ -39,8 +39,11 @@ MAX_DATA_PAYLOAD_BYTES = MAX_ONAIR_BYTES - MAC_HEADER_BYTES
 #: JoinAccept payload: the assigned (beacon, uplink, downlink) indices.
 JOIN_ACCEPT_PAYLOAD_BYTES = 3
 
-#: sender/dest value for nodes that do not hold an address (yet).
+#: The dest of a beacon, which any node may hear.
 BROADCAST_ID = 255
+
+#: The network id every node of a run shares and every packet carries.
+NETWORK_ID = 1
 
 #: seq travels in a 5-bit field packed with the 3-bit kind.
 SEQ_MODULO = 32
@@ -302,6 +305,10 @@ class NodeState:
 
     ``address`` is the node's beacon slot index, None while it holds
     none; the schedule derives its uplink and downlink slots from it.
+    A synchronized node holds an address, and one that is not the relay
+    a parent; a joining node holds the parent it asked. The state machine
+    sets and clears each with the mode, so no packet falls back to a
+    made-up sender: a ``MacPacket`` refuses None.
     ``parent_id`` and ``children`` hold addresses, not hardware ids;
     ``node_id`` is the hardware id. ``routes`` maps the hardware id of a
     joining descendant to the address of the direct child leading to it
@@ -313,7 +320,6 @@ class NodeState:
     """
 
     node_id: int
-    network_id: int = 1
     mode: NodeMode = NodeMode.UNJOINED
     parent_id: int | None = None
     children: set[int] = field(default_factory=set)
@@ -393,27 +399,23 @@ Action = Resync | SendAck | SendJoinAccept | BecameSynchronized | CandidateBeaco
 
 
 def make_beacon(node: NodeState, frame_index: int) -> MacPacket:
+    """The beacon of a synchronized node."""
     addr = node.address
-    if addr is None:
-        addr = BROADCAST_ID
     # Fields in order: kind, network, sender, dest, origin, seq.
-    return MacPacket(
-        BEACON, node.network_id, addr, BROADCAST_ID, addr, frame_index % SEQ_MODULO
-    )
+    return MacPacket(BEACON, NETWORK_ID, addr, BROADCAST_ID, addr, frame_index % SEQ_MODULO)
 
 
-def forwarding_step(node: NodeState) -> MacPacket | None:
-    """Packet to transmit in the node's own uplink slot, if any.
+def forwarding_step(node: NodeState) -> MacPacket:
+    """Packet to transmit in the node's own uplink slot: the head of its
+    uplink queue, from its address to its parent. The caller holds that
+    the node is synchronized, not the relay, and has a queued packet.
 
     The head of the queue stays put until its ack arrives; a retry is
     therefore a byte-identical retransmission.
     """
-    if not node.uplink_queue or node.parent_id is None:
-        return None
     head = node.uplink_queue[0]
-    sender = node.address if node.address is not None else BROADCAST_ID
     return MacPacket(
-        head.kind, head.network_id, sender, node.parent_id, head.origin_id, head.seq, head.payload
+        head.kind, head.network_id, node.address, node.parent_id, head.origin_id, head.seq, head.payload
     )
 
 
@@ -443,7 +445,7 @@ def join_procedure(
     node.parent_id = parent
     req = MacPacket(
         kind=JOIN_REQUEST,
-        network_id=node.network_id,
+        network_id=NETWORK_ID,
         sender_id=node.node_id,
         dest_id=parent,
         origin_id=node.node_id,
@@ -492,7 +494,7 @@ def _join_accept(
         return None
     return MacPacket(
         kind=JOIN_ACCEPT,
-        network_id=relay.network_id,
+        network_id=NETWORK_ID,
         sender_id=relay.address,
         dest_id=dest,
         origin_id=origin_hw,
@@ -514,20 +516,16 @@ def handle_rx(
     network ids are ignored silently; kinds a node cannot interpret in its
     current mode count as protocol errors.
     """
-    if packet.network_id != node.network_id:
+    if packet.network_id != NETWORK_ID:
         return []
     actions: list[Action] = []
     kind = packet.kind
 
-    if node.mode in (UNJOINED, DESYNCHRONIZED):
+    if node.mode is not SYNCHRONIZED:
+        # A beacon is a candidate parent; a joining node takes its own accept.
         if kind is BEACON:
             actions.append(tuple.__new__(CandidateBeacon, (packet.sender_id,)))
-        return actions
-
-    if node.mode is JOINING:
-        if kind is BEACON:
-            actions.append(tuple.__new__(CandidateBeacon, (packet.sender_id,)))
-        elif kind is JOIN_ACCEPT and packet.origin_id == node.node_id:
+        elif kind is JOIN_ACCEPT and node.mode is JOINING and packet.origin_id == node.node_id:
             triple = tuple(packet.payload)
             if len(triple) != 3:
                 node.protocol_errors += 1
@@ -535,9 +533,7 @@ def handle_rx(
             node.address = triple[0]
             node.mode = SYNCHRONIZED
             node.consecutive_beacon_misses = 0
-            actions.append(
-                BecameSynchronized(node.parent_id if node.parent_id is not None else 0)
-            )
+            actions.append(BecameSynchronized(node.parent_id))
         return actions
 
     # Synchronized from here on.
@@ -614,9 +610,8 @@ def handle_rx(
             dest, slot = packet.origin_id, triple[2]
         else:
             dest, slot = nxt, schedule.downlink_slot(nxt)
-        sender = node.address if node.address is not None else 0
         forwarded = MacPacket(
-            packet.kind, packet.network_id, sender, dest, packet.origin_id, packet.seq, packet.payload
+            packet.kind, packet.network_id, node.address, dest, packet.origin_id, packet.seq, packet.payload
         )
         if not enqueue_down(node, forwarded, slot):
             actions.append(QueueDrop(forwarded, slot))

@@ -36,6 +36,7 @@ from lorahop.protocol import (
     BEACON_ONAIR_BYTES,
     MAC_HEADER_BYTES,
     MAX_DATA_PAYLOAD_BYTES,
+    NETWORK_ID,
     Action,
     BecameSynchronized,
     NodeMode,
@@ -722,7 +723,7 @@ def _listening_request(sim: Simulator, start: float) -> float:
     at ``start``; return its end."""
     rt = sim.nodes[1]
     rt.listen_from = 0.0
-    req = MacPacket(PacketKind.JOIN_REQUEST, rt.st.network_id, 1, 0, 1, 0)
+    req = MacPacket(PacketKind.JOIN_REQUEST, NETWORK_ID, 1, 0, 1, 0)
     sim._transmit(rt, req, start, 0, sim.sched.join_slot)
     return start + sim._toa(req.onair_bytes)
 
@@ -915,6 +916,23 @@ def test_beacon_window_widens_per_miss_up_to_a_slot_and_resets_on_resync(base_sl
     assert half_width(0) == pytest.approx(min(base, T_SLOT) / 2, abs=1e-9)
 
 
+def test_a_node_desynchronized_before_its_sample_instant_queues_no_sample():
+    # With N = 3M + 2 a node samples at the next frame's slot 0. In frames
+    # of 8 slots of 50 s, a leaf 500 ppm fast opens each beacon window
+    # 0.2 s further ahead of the relay's beacon: it misses every one, and
+    # its fourth miss closes before that frame's sample. The leaf holds no
+    # address then, so it queues no sample, where it once queued one from
+    # address 0, the relay's.
+    doc = generated_doc("slide", [(0, 1)], 8, 1, False)
+    doc["schedule"]["ticks_per_slot"] = 50 * 32768
+    doc["nodes"][1]["drift_ppm"] = -500.0
+    sim = Simulator(parse_scenario(doc))
+    trace = sim.run()
+    assert trace.final_modes[1] == "desynchronized"
+    queued = sim.nodes[1].st.uplink_queue
+    assert queued and {p.origin_id for p in queued} == {1}
+
+
 # --- a widened beacon window over the join window before it ---
 
 
@@ -961,7 +979,7 @@ def test_join_request_in_both_windows_is_not_join_slot_traffic(in_beacon_window)
     # request is a stray uplink from a node that is no child and is ignored;
     # in the join window alone, node 1 forwards it and awaits the accept.
     sim, open_t, close_t = _beacon_window_over_the_join_window()
-    req = MacPacket(PacketKind.JOIN_REQUEST, sim.nodes[2].st.network_id, 2, 1, 2, 0)
+    req = MacPacket(PacketKind.JOIN_REQUEST, NETWORK_ID, 2, 1, 2, 0)
     airtime = sim._toa(req.onair_bytes)
     start = open_t + 0.005 if in_beacon_window else open_t - airtime - 0.005
     assert start + airtime < close_t

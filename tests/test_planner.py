@@ -84,15 +84,6 @@ def test_min_app_period_inverts_duty():
     t = min_app_period(3, 4, 1, 0.01, T_ACK, T_DATA_LW, T_BCN)
     assert t == pytest.approx(179.3024, rel=1e-12)
     assert duty_cycle_estimate(3, 4, 1, t, T_ACK, T_DATA_LW, T_BCN) == pytest.approx(0.01)
-
-
-def test_min_app_period_capacity_floor():
-    t_frame = 90 * T_SLOT
-    # With the 1% limit slack, n frames of capacity dominate.
-    t = min_app_period(0, 1, 1, 0.01, T_ACK, T_DATA_HOP, T_BCN, n=4, frame_seconds=t_frame)
-    assert t == pytest.approx(4 * t_frame)
-    with pytest.raises(ValueError):
-        min_app_period(0, 1, 1, 0.01, T_ACK, T_DATA_HOP, T_BCN, n=4)
     with pytest.raises(ValueError):
         min_app_period(0, 1, 1, 0.0, T_ACK, T_DATA_HOP, T_BCN)
 
