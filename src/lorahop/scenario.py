@@ -176,6 +176,7 @@ def _parse_nodes(raw: list, ctx: str) -> tuple[NodeConfig, ...]:
     if not raw:
         raise ScenarioError(f"{ctx}: 'nodes' must be a non-empty list")
     nodes = []
+    ids = set()
     for i, item in enumerate(raw):
         c = f"{ctx}.nodes[{i}]"
         if not isinstance(item, dict):
@@ -184,6 +185,9 @@ def _parse_nodes(raw: list, ctx: str) -> tuple[NodeConfig, ...]:
         node_id = _take(item, "id", int, c)
         if not 0 <= node_id <= _BYTE_MAX:
             raise ScenarioError(f"{c}.id: {node_id} does not fit the one-byte node id (0..{_BYTE_MAX})")
+        if node_id in ids:
+            raise ScenarioError(f"{c}.id: {node_id} is a duplicate node id")
+        ids.add(node_id)
         is_relay = _take(item, "relay", bool, c, default=False)
         drift = _take(item, "drift_ppm", float, c, default=0.0)
         if not -MAX_DRIFT_PPM <= drift <= MAX_DRIFT_PPM:
@@ -192,9 +196,6 @@ def _parse_nodes(raw: list, ctx: str) -> tuple[NodeConfig, ...]:
             )
         _reject_unknown(item, c)
         nodes.append(NodeConfig(node_id=node_id, is_relay=is_relay, drift_ppm=drift))
-    ids = [n.node_id for n in nodes]
-    if len(set(ids)) != len(ids):
-        raise ScenarioError(f"{ctx}: duplicate node ids")
     relays = [n for n in nodes if n.is_relay]
     if len(relays) != 1:
         raise ScenarioError(f"{ctx}: exactly one node must set relay=true, found {len(relays)}")
@@ -268,7 +269,7 @@ def parse_scenario(doc: dict, source: str = "scenario") -> Scenario:
     try:
         schedule = build_schedule(max_nodes, slots, ticks)
     except ValueError as e:
-        raise ScenarioError(f"{source}: {e}") from e
+        raise ScenarioError(f"{sc}: {e}") from e
 
     radio = _section(d, "radio", RadioParams, source)
     guard = _section(d, "guard", GuardConfig, source)
@@ -324,6 +325,15 @@ def parse_scenario(doc: dict, source: str = "scenario") -> Scenario:
     if end_ns == math.inf:
         raise ScenarioError(
             f"{source}.frames: the run end, frames * T_F in nanoseconds, lies past the float range"
+        )
+    # Up to a frame past the end, where the last beacon window closes, the
+    # shortest airtime must still move an instant: a transmission ends after
+    # its start.
+    last, t_ack = (scenario.frames + 1) * scenario.frame_seconds, scenario.timing.t_ack
+    if last + t_ack == last:
+        raise ScenarioError(
+            f"{source}.frames: the run end, frames * T_F of the schedule, lies too late for "
+            f"float seconds to resolve the radio's {t_ack:g} s ack airtime"
         )
     if power is not None:
         try:

@@ -10,6 +10,7 @@ import io
 import json
 import math
 import re
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -796,6 +797,89 @@ def test_simulate_rejects_a_non_finite_float_by_its_key(key, value, tmp_path, ca
     where = re.sub(r"\.(\d+)", r"[\1]", key)  # nodes.1.drift_ppm -> nodes[1].drift_ppm
     assert err.startswith(f"error: line4.json.{where}: "), err
     assert "finite" in err
+
+
+# Every key `simulate --set` can set, by its type: each section's keys, the
+# schedule's, the top-level scalars, and a node's and a link's (their index
+# is drawn, one past the end included).
+_SET_KEYS = {
+    **{f"{section}.{key}": kind for section, cls in _SECTIONS.items() for key, kind, _req in _schema(cls)},
+    **dict.fromkeys(("schedule.max_nodes", "schedule.slots_per_frame", "schedule.ticks_per_slot",
+                     "schedule.tick_rate_hz", "schema_version"), int),
+    # tick_rate_hz is a Scenario field read from the schedule section.
+    **{key: kind for key, kind, _req in _schema(Scenario) if kind in (int, str) and key != "tick_rate_hz"},
+    "nodes.{}.id": int, "nodes.{}.relay": bool, "nodes.{}.drift_ppm": float,
+    "links.{}.from": int, "links.{}.to": int, "links.{}.per": float, "links.{}.rssi": float,
+    "links.{}.bidir": bool,
+}
+_INTS = st.one_of(st.sampled_from([0, -1, 1, 2**64, -(2**64)]), st.integers(0, 100), st.integers(-(2**64), 2**64))
+# No digit, and no "i" or "n", so no drawn name prints as a number, inf or nan.
+_STRINGS = st.text(alphabet="abcdefxyz _-", max_size=8)
+_VALUES_BY_TYPE = {
+    int: _INTS,
+    float: st.one_of(st.sampled_from([0.0, -0.0, -1.0, 5e-324, 1e300, 1.7e308, -1.7e308]), st.floats()),
+    bool: st.booleans(),
+    str: _STRINGS,
+    int | None: st.none() | _INTS,
+}
+# A rule across two sections may name the other: a radio whose slot anatomy
+# outgrows the slot is refused under the schedule.
+_ALSO_NAMED = {"radio": "schedule"}
+# Any key may also get a value of another type.
+_ANY_VALUE = st.one_of(
+    st.sampled_from([None, True, False, 0, -1, 5e-324, 1e300, 1.7e308, 2**64, [], {}]), _STRINGS
+)
+
+
+@st.composite
+def _set_overrides(draw) -> tuple[str, object]:
+    key = draw(st.sampled_from(sorted(_SET_KEYS)))
+    value = draw(_VALUES_BY_TYPE[_SET_KEYS[key]] | _ANY_VALUE)
+    return key.format(draw(st.integers(0, 4))), value
+
+
+def _finite_csv_fields(out_dir: Path) -> bool:
+    """Whether every field of every CSV in ``out_dir`` that reads as a number is finite."""
+    for csv in out_dir.glob("*.csv"):
+        for field in re.split(r"[,\n]", csv.read_text()):
+            try:
+                number = float(field)
+            except ValueError:
+                continue
+            if not math.isfinite(number):
+                return False
+    return True
+
+
+@settings(max_examples=800, deadline=None, derandomize=True)
+@given(override=_set_overrides())
+@example(override=("schedule.max_nodes", 0))
+@example(override=("nodes.1.id", 0))
+@example(override=("radio.bandwidth_hz", 1e300))
+@example(override=("schedule.slots_per_frame", 2**64))
+def test_simulate_set_exits_0_or_2_with_finite_figures_or_the_key_named(override):
+    # One --set of any settable key on star4, its value drawn from the key's
+    # type with extremes, or of another type: the run prints finite figures
+    # and writes finite CSV fields, or is refused as bad input naming the
+    # key by its section or its field, and never fails at run time. The
+    # named examples were refused naming neither, the last two by a
+    # transmission that ended at its start.
+    key, value = override
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        out_dir = Path(tmp) / "out"
+        rc = main(["simulate", STAR, "--frames", "2", "--set", f"{key}={json.dumps(value)}",
+                   "--out", str(out_dir)])
+        finite_csvs = rc != 0 or _finite_csv_fields(out_dir)
+    out, err = out.getvalue(), err.getvalue()
+    assert rc in (0, 2, 3) and "Traceback" not in err, err
+    if rc == 0:
+        assert all(math.isfinite(float(x)) for x in _NUMBER.findall(out)), out
+        assert finite_csvs
+    else:
+        parts = key.split(".")
+        names = "|".join({parts[0], parts[-1], _ALSO_NAMED.get(parts[0], parts[0])})
+        assert out == "" and re.search(rf"\b({names})\b", err), err
 
 
 def test_cli_defaults_are_the_dataclass_defaults():

@@ -198,6 +198,26 @@ def test_duplicate_node_ids():
         parse_scenario(doc)
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"radio": {"bandwidth_hz": 1e300}},
+        {"schedule": {"max_nodes": 2, "slots_per_frame": 2**64, "ticks_per_slot": 21281}},
+        {"frames": 10**15},
+    ],
+    ids=["ack_airtime_vanishes", "frame_too_long", "run_too_long"],
+)
+def test_a_run_end_where_an_ack_airtime_vanishes_is_refused(overrides):
+    # Past about 2**52 ack airtimes, the spacing of float seconds exceeds an
+    # ack: a transmission would end at its start.
+    with pytest.raises(
+        ScenarioError,
+        match=r"^scenario\.frames: the run end, frames \* T_F of the schedule, lies too late for "
+        r"float seconds to resolve the radio's \S+ s ack airtime$",
+    ):
+        parse_scenario(_minimal(**overrides))
+
+
 def test_link_validation():
     with pytest.raises(ScenarioError, match="unknown node"):
         parse_scenario(_minimal(links=[{"from": 0, "to": 9}]))
