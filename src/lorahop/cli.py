@@ -28,7 +28,7 @@ from .planner import (
 )
 from .protocol import MAC_HEADER_BYTES, MAX_DATA_PAYLOAD_BYTES, SlotTiming, build_schedule
 from .scenario import Scenario, ScenarioError, apply_override, parse_scenario, read_scenario_doc
-from .timebase import DEFAULT_TICK_RATE_HZ
+from .timebase import DEFAULT_TICK_RATE_HZ, check_relative_drift
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -116,8 +116,10 @@ def cmd_plan(args: argparse.Namespace) -> int:
         raise ScenarioError(
             f"--payload-bytes: {args.payload_bytes} B, must be 0..{MAX_DATA_PAYLOAD_BYTES}"
         )
-    if args.drift_ppm < 0:
-        raise ScenarioError(f"--drift-ppm: {args.drift_ppm}, a magnitude, cannot be negative")
+    try:
+        check_relative_drift(args.drift_ppm)
+    except ValueError as e:
+        raise ScenarioError(f"--drift-ppm: {e}") from None
     if args.csv is not None:
         _check_output_path("--csv", Path(args.csv), is_dir=False)
     radio = _radio_from_args(args)

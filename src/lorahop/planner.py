@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .timebase import check_relative_drift
+
 
 class PlanError(Exception):
     """A requested plan violates a hard constraint.
@@ -120,8 +122,7 @@ def mean_power(
     """
     if t_beacon <= 0 or slot_seconds <= 0:
         raise ValueError("durations must be positive")
-    if relative_drift_ppm < 0:
-        raise ValueError("relative drift is a magnitude, cannot be negative")
+    check_relative_drift(relative_drift_ppm)
     if slots_per_frame < 1 or k < 1:
         raise ValueError("k and N must be at least 1")
     frame = slots_per_frame * slot_seconds

@@ -19,6 +19,8 @@ DEFAULT_TICK_RATE_HZ = 32768
 
 #: Largest crystal frequency error, either way, that the clock model takes.
 MAX_DRIFT_PPM = 500.0
+#: Largest drift of one such crystal against another: each at the bound, opposite ways.
+MAX_RELATIVE_DRIFT_PPM = 2 * MAX_DRIFT_PPM
 
 #: Snap tolerance, in ticks, when locating the next tick edge. Protects
 #: instants that are mathematically on an edge from float rounding noise
@@ -126,6 +128,18 @@ def resync(clock: VirtualClock, beacon_ref_global: float, expected_local_tick: i
     return VirtualClock(clock.tick_rate_hz, clock.drift_ppm, expected_local_tick, edge)
 
 
+def check_relative_drift(relative_drift_ppm: float) -> None:
+    """Refuse a relative drift that is negative, since it is a magnitude,
+    or above ``MAX_RELATIVE_DRIFT_PPM``."""
+    if relative_drift_ppm < 0:
+        raise ValueError("relative drift is a magnitude, cannot be negative")
+    if relative_drift_ppm > MAX_RELATIVE_DRIFT_PPM:
+        raise ValueError(
+            f"relative drift of {relative_drift_ppm:g} ppm is above {MAX_RELATIVE_DRIFT_PPM:g} ppm, "
+            f"the most two crystals within +/-{MAX_DRIFT_PPM:g} ppm differ by"
+        )
+
+
 def min_guard(relative_drift_ppm: float, frame_seconds: float) -> float:
     """Smallest guard time T_g that keeps a beacon inside the window.
 
@@ -133,8 +147,7 @@ def min_guard(relative_drift_ppm: float, frame_seconds: float) -> float:
     (relative drift) * T_F against its parent, and the window must cover
     that slide on either side: T_g / 2 >= drift * T_F.
     """
-    if relative_drift_ppm < 0:
-        raise ValueError("relative drift is a magnitude, cannot be negative")
+    check_relative_drift(relative_drift_ppm)
     if frame_seconds <= 0:
         raise ValueError("frame time must be positive")
     return 2.0 * relative_drift_ppm * 1e-6 * frame_seconds

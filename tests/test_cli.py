@@ -23,6 +23,7 @@ import lorahop.engine
 from lorahop import GuardConfig, PowerProfile, RadioParams, Scenario, SlotTiming
 from lorahop.cli import _radio_from_args, main
 from lorahop.scenario import JoinConfig, ScenarioError, _schema, parse_scenario, read_scenario_doc
+from lorahop.timebase import MAX_RELATIVE_DRIFT_PPM
 from corpus import CORPUS, GENERATED
 
 REPO = Path(__file__).resolve().parent.parent
@@ -340,24 +341,30 @@ def _plan(argv: list[str]) -> tuple[int, str, str]:
         st.sampled_from(_COUNT_FLAGS), st.integers(-(2**64), 0)
     ),
     channels=st.none() | _count(1, 16),
+    drift_ppm=st.none() | st.sampled_from([0.0, -1.0, 5e-324, 10.0, 1000.0, 1000.001, 1e6, 1e300]) | st.floats(),
 )
-@example(1.7e308, 4, None, None, None, 240000, 1000000, 7, None, None, None)
-@example(1.7e308, 4, None, 90, None, 240000, 1000000, 7, None, None, None)
-@example(1.7e308, 4, None, 1, None, 240000, 1000000, 7, None, None, None)
-@example(234.0, _BIG, None, None, None, None, None, None, None, None, None)
-@example(234.0, 4, _BIG, None, None, None, None, None, None, None, None)
-@example(234.0, 4, None, _BIG, None, None, None, None, None, None, None)
-@example(234.0, 4, None, None, _BIG, None, None, None, None, None, None)
-@example(234.0, 4, None, None, None, _BIG, None, None, None, None, None)
-@example(234.0, 4, None, None, None, None, _BIG, None, None, None, None)
-@example(234.0, 4, None, None, None, None, None, None, None, None, _BIG)
+@example(1.7e308, 4, None, None, None, 240000, 1000000, 7, None, None, None, None)
+@example(1.7e308, 4, None, 90, None, 240000, 1000000, 7, None, None, None, None)
+@example(1.7e308, 4, None, 1, None, 240000, 1000000, 7, None, None, None, None)
+@example(234.0, _BIG, None, None, None, None, None, None, None, None, None, None)
+@example(234.0, 4, _BIG, None, None, None, None, None, None, None, None, None)
+@example(234.0, 4, None, _BIG, None, None, None, None, None, None, None, None)
+@example(234.0, 4, None, None, _BIG, None, None, None, None, None, None, None)
+@example(234.0, 4, None, None, None, _BIG, None, None, None, None, None, None)
+@example(234.0, 4, None, None, None, None, _BIG, None, None, None, None, None)
+@example(234.0, 4, None, None, None, None, None, None, None, None, _BIG, None)
+@example(234.0, 4, None, None, None, None, None, None, None, None, None, 1e6)
+@example(234.0, 4, None, None, None, None, None, None, None, None, None, 1e300)
 def test_plan_frame_flags_exit_0_2_or_3_with_finite_figures(
     app_period, nodes, k, slots, max_slots, ticks_per_slot, tick_rate, sf, duty_limit, below_one,
-    channels,
+    channels, drift_ppm,
 ):
-    # Every frame flag and --channels drawn from its type, extremes included, and at most
-    # one count below 1: the plan is printed with finite figures, or refused
-    # as bad input or infeasible, and never fails at run time.
+    # Every frame flag, --channels and --drift-ppm drawn from its type,
+    # extremes included, and at most one count below 1: the plan is printed
+    # with finite figures, or refused as bad input or infeasible, and never
+    # fails at run time. A drift comes with the power flags, so the mean
+    # leaf power is printed, and it stays at most p_tx, the largest draw; a
+    # drift past two crystals at the clock model's bound is bad input.
     flags = {
         "--nodes": nodes, "--app-period": app_period, "--k": k, "--slots": slots,
         "--max-slots": max_slots, "--ticks-per-slot": ticks_per_slot,
@@ -365,12 +372,18 @@ def test_plan_frame_flags_exit_0_2_or_3_with_finite_figures(
     }
     if below_one is not None:
         flags.update([below_one])
-    rc, out, err = _plan([f"{flag}={value!r}" for flag, value in flags.items() if value is not None])
+    power = [] if drift_ppm is None else [*_POWER_FLAGS, f"--drift-ppm={drift_ppm!r}"]
+    rc, out, err = _plan([f"{flag}={value!r}" for flag, value in flags.items() if value is not None] + power)
     assert rc in (0, 2, 3), err
+    if drift_ppm is not None and not 0 <= drift_ppm <= MAX_RELATIVE_DRIFT_PPM:
+        assert rc == 2, out
     if rc == 0:
         numbers = _NUMBER.findall(out)
         assert len(numbers) >= 10, out
         assert all(math.isfinite(float(x)) for x in numbers), out
+        if drift_ppm is not None:
+            mean_mw = float(re.search(r"mean leaf power +(\S+) mW", out).group(1))
+            assert mean_mw <= 120.0, out
     else:
         assert out == "" and "Traceback" not in err, err
         assert ("--" in err) if rc == 2 else err.startswith("infeasible: "), err
@@ -396,6 +409,19 @@ def test_an_application_run_longer_than_its_sampling_period_is_refused(argv, fla
         f"error: {flag}: the application runs 1000.0 s, longer than its sampling period "
         f"k * T_F = 233.800049 s, so the next sample starts while the last run goes on\n",
     )
+
+
+@pytest.mark.parametrize("drift", ["1000.001", "1e6", "1e300"])
+def test_plan_refuses_a_relative_drift_past_two_crystals_at_the_clock_bound(drift, capsys):
+    # Two crystals within +/-500 ppm differ by at most 1000 ppm; at 1e300 the
+    # plan once printed a 300-digit mean leaf power.
+    assert main(["plan", "--nodes", "4", "--app-period", "234", *_POWER_FLAGS, "--drift-ppm", drift]) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"error: --drift-ppm: relative drift of {float(drift):g} ppm is above 1000 ppm, "
+        f"the most two crystals within +/-500 ppm differ by\n",
+    )
+    assert main(["plan", "--nodes", "4", "--app-period", "234", *_POWER_FLAGS, "--drift-ppm", "1000"]) == 0
 
 
 def test_plan_accepts_the_limits_themselves(capsys):

@@ -137,6 +137,12 @@ def test_mean_power_refusals(args, message):
         mean_power(PROFILE, *args)
 
 
+def test_mean_power_takes_at_most_two_crystals_at_the_clock_bound():
+    mean_power(PROFILE, T_BCN, T_SLOT, 90, 4, 1000.0)
+    with pytest.raises(ValueError, match="^relative drift of 1e\\+300 ppm is above 1000 ppm"):
+        mean_power(PROFILE, T_BCN, T_SLOT, 90, 4, 1e300)
+
+
 def test_check_capacity():
     assert check_capacity(4, 4)
     assert check_capacity(3, 4)

@@ -12,7 +12,7 @@ from lorahop import (
     resync,
     ticks_to_global,
 )
-from lorahop.timebase import next_tick_edge
+from lorahop.timebase import MAX_RELATIVE_DRIFT_PPM, next_tick_edge
 
 NOMINAL_TICK = 1.0 / 32768  # 30.517578125 us exactly in binary float
 
@@ -108,6 +108,12 @@ def test_min_guard_validation():
         min_guard(-1.0, 58.45)
     with pytest.raises(ValueError):
         min_guard(10.0, 0.0)
+
+
+def test_min_guard_takes_at_most_two_crystals_at_the_clock_bound():
+    assert min_guard(MAX_RELATIVE_DRIFT_PPM, 10.0) == pytest.approx(2 * 1000e-6 * 10.0, rel=1e-12)
+    with pytest.raises(ValueError, match="^relative drift of 1000.5 ppm is above 1000 ppm"):
+        min_guard(1000.5, 10.0)
 
 
 def test_clock_validation():
