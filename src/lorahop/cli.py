@@ -18,17 +18,10 @@ from .engine import measure_sync_error, run, sync_pairs, write_trace_csvs
 # Unused here; the benchmark's traced run wraps them under these names.
 from .engine import measure_avg_power, measure_duty_cycle  # noqa: F401
 from .phy import LORAWAN_OVERHEAD_BYTES, RadioParams, check_modem, lorawan_time_on_air, time_on_air
-from .planner import (
-    PlanError,
-    PowerProfile,
-    app_period,
-    duty_cycle_estimate,
-    mean_power,
-    recommend_frame,
-)
-from .protocol import MAC_HEADER_BYTES, MAX_DATA_PAYLOAD_BYTES, SlotTiming, build_schedule
-from .scenario import Scenario, ScenarioError, apply_override, parse_scenario, read_scenario_doc
-from .timebase import DEFAULT_TICK_RATE_HZ, check_relative_drift
+from .planner import PlanError, app_period, duty_cycle_estimate, mean_power, recommend_frame
+from .protocol import MAC_HEADER_BYTES
+from .scenario import SCHEMA_VERSION, Scenario, ScenarioError, apply_override, parse_scenario, read_scenario_doc
+from .timebase import check_relative_drift
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -36,36 +29,58 @@ EXIT_INFEASIBLE = 3
 EXIT_RUNTIME = 4
 
 
-# The RadioParams field each radio value flag sets.
-_RADIO_FLAGS = {
-    "--sf": "spreading_factor",
-    "--bw": "bandwidth_hz",
-    "--cr": "coding_rate_denominator",
-    "--preamble": "preamble_symbols",
+# The scenario key each flag of toa and plan sets. The key is the flag's
+# argparse dest, and a flag left out leaves the key to its default; a
+# refusal of the key is named by the flag.
+_FLAGS = {
+    "schedule.max_nodes": "--nodes", "schedule.slots_per_frame": "--slots",
+    "schedule.ticks_per_slot": "--ticks-per-slot", "schedule.tick_rate_hz": "--tick-rate",
+    "k": "--k", "app_payload_bytes": "--payload-bytes",
+    "radio.spreading_factor": "--sf", "radio.bandwidth_hz": "--bw",
+    "radio.coding_rate_denominator": "--cr", "radio.preamble_symbols": "--preamble",
+    "radio.explicit_header": "--implicit-header", "radio.crc_on": "--no-crc",
+    "radio.low_data_rate_opt": "--ldro",
+    "power.p_sleep": "--p-sleep", "power.p_rx": "--p-rx", "power.p_tx": "--p-tx",
+    "power.p_app": "--p-app", "power.tau_app": "--tau-app",
 }
-# The flag that satisfies each modem rule, by the setting check_modem names first.
-_MODEM_FLAGS = {"explicit_header": "--implicit-header", "low_data_rate_opt": "--ldro"}
 
 
-def _radio_from_args(args: argparse.Namespace) -> RadioParams:
-    values = {field: getattr(args, flag[2:]) for flag, field in _RADIO_FLAGS.items()}
-    # RadioParams holds each limit; tried one field at a time, its error names the flag.
-    for flag, field in _RADIO_FLAGS.items():
-        try:
-            RadioParams(**{field: values[field]})
-        except ValueError as e:
-            raise ScenarioError(f"{flag}: {e}") from None
-    radio = RadioParams(
-        **values,
-        explicit_header=not args.implicit_header,
-        crc_on=not args.no_crc,
-        low_data_rate_opt=args.ldro,
-    )
+def _given(args: argparse.Namespace) -> dict[str, object]:
+    """The scenario key of each flag given, with its value."""
+    return {key: value for key, value in vars(args).items() if key in _FLAGS and value is not None}
+
+
+def _by_flag(key: str, reason: str) -> ScenarioError:
+    """A refusal of scenario ``key``, named by its flag. A section's class
+    names the refused field first."""
+    field, sep, rest = reason.partition(": ")
+    if sep and f"{key}.{field}" in _FLAGS:
+        key, reason = f"{key}.{field}", rest
+    return ScenarioError(f"{_FLAGS[key]}: {reason}")
+
+
+def _plan_scenario(n: int, keys: dict[str, object]) -> Scenario:
+    """Parse the one-frame star of ``n`` nodes around the relay, node 0,
+    that ``keys`` (dotted key: value) set. The frame rules raise their own
+    ``PlanError``; a refusal of a key names its flag."""
+    doc: dict = {
+        "schema_version": SCHEMA_VERSION, "frames": 1,
+        "nodes": [{"id": i, "relay": i == 0} for i in range(n)],
+        "links": [{"from": i, "to": 0} for i in range(1, n)],
+    }
+    for key, value in keys.items():
+        section, _, field = key.rpartition(".")
+        (doc.setdefault(section, {}) if section else doc)[field] = value
     try:
-        check_modem(radio)
-    except ValueError as e:
-        raise ScenarioError(f"{_MODEM_FLAGS[str(e).partition(':')[0]]}: {e}") from None
-    return radio
+        return parse_scenario(doc, source="plan")
+    except ScenarioError as e:
+        if isinstance(e.__cause__, PlanError):
+            raise e.__cause__ from None
+        where, _, reason = str(e).partition(": ")
+        key = where.removeprefix("plan.")
+        if key == "frames":  # the one key no flag sets: the frame is too long to simulate
+            raise PlanError("period", reason) from None
+        raise _by_flag(key, reason) from None
 
 
 def _check_output_path(flag: str, path: Path, is_dir: bool) -> None:
@@ -82,7 +97,11 @@ def _check_output_path(flag: str, path: Path, is_dir: bool) -> None:
 
 
 def cmd_toa(args: argparse.Namespace) -> int:
-    radio = _radio_from_args(args)
+    try:
+        radio = RadioParams(**{key.removeprefix("radio."): value for key, value in _given(args).items()})
+        check_modem(radio)
+    except ValueError as e:
+        raise _by_flag("radio", str(e)) from None
     toa = lorawan_time_on_air if args.lorawan else time_on_air
     try:
         seconds = toa(args.payload, radio)
@@ -93,60 +112,48 @@ def cmd_toa(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    # The limits simulate holds a scenario to, named by flag.
+    keys = _given(args)
+    # plan's own flags; parse_scenario holds every flag that sets a key.
+    # recommend_frame reads --slots before a scenario holds it.
     for flag, count in (
-        ("--nodes", args.nodes),
-        ("--k", args.k),
-        ("--slots", args.slots),
-        ("--ticks-per-slot", args.ticks_per_slot),
-        ("--tick-rate", args.tick_rate),
+        ("--slots", keys.get("schedule.slots_per_frame")),
         ("--max-slots", args.max_slots),
         ("--channels", args.channels),
     ):
         if count is not None and count < 1:
             raise ScenarioError(f"{flag}: {count}, must be at least 1")
     for dest, value in vars(args).items():  # a float flag is finite, as a scenario float is
-        if type(value) is float and not math.isfinite(value):
+        if type(value) is float and dest not in _FLAGS and not math.isfinite(value):
             raise ScenarioError(f"--{dest.replace('_', '-')}: {value}, must be a finite number")
     if args.app_period <= 0:
         raise ScenarioError(f"--app-period: {args.app_period}, must be positive")
     if not 0 < args.duty_limit <= 1:
         raise ScenarioError(f"--duty-limit: {args.duty_limit}, must be in (0, 1]")
-    if not 0 <= args.payload_bytes <= MAX_DATA_PAYLOAD_BYTES:
-        raise ScenarioError(
-            f"--payload-bytes: {args.payload_bytes} B, must be 0..{MAX_DATA_PAYLOAD_BYTES}"
-        )
     try:
         check_relative_drift(args.drift_ppm)
     except ValueError as e:
         raise ScenarioError(f"--drift-ppm: {e}") from None
     if args.csv is not None:
         _check_output_path("--csv", Path(args.csv), is_dir=False)
-    radio = _radio_from_args(args)
-    try:
-        slot_seconds = args.ticks_per_slot / args.tick_rate
-    except OverflowError:
-        raise ScenarioError(
-            "--ticks-per-slot: the slot, ticks per slot over --tick-rate, lies past the float range"
-        ) from None
-    timing = SlotTiming(radio)
-    try:
-        timing.validate_for(slot_seconds)
-    except ValueError as e:
-        raise PlanError("slot", str(e)) from None
-    n = args.nodes
-    k, slots = recommend_frame(args.app_period, n, slot_seconds, args.max_slots, args.k, args.slots)
+    power = {key for key in keys if key.startswith("power.")}
+    if power and not {"power.p_sleep", "power.p_rx", "power.p_tx"} <= power:
+        raise ScenarioError("power model needs --p-sleep, --p-rx and --p-tx together")
 
-    try:
-        build_schedule(n, slots, args.ticks_per_slot)
-    except ValueError as e:
-        raise PlanError("capacity", str(e)) from None
+    # The relay alone on the fewest slots that hold n nodes gives the slot
+    # that (k, N) are chosen for; the star on that frame is the plan.
+    n = keys["schedule.max_nodes"]
+    frame = {key: value for key, value in keys.items() if key not in power}
+    relay = _plan_scenario(1, {**frame, "schedule.slots_per_frame": 3 * n + 2})
+    k, slots = recommend_frame(
+        args.app_period, n, relay.slot_seconds, args.max_slots, keys.get("k"), keys.get("schedule.slots_per_frame")
+    )
+    plan = _plan_scenario(n, {**keys, "k": k, "schedule.slots_per_frame": slots})
 
+    slot_seconds, t_frame = plan.slot_seconds, plan.frame_seconds
     t_app = app_period(k, slots, slot_seconds)
-    t_frame = slots * slot_seconds
-    t_bcn, t_ack = timing.t_bcn, timing.t_ack
-    t_data_hop = time_on_air(MAC_HEADER_BYTES + args.payload_bytes, radio)
-    t_data_lorawan = lorawan_time_on_air(args.payload_bytes, radio)
+    t_bcn, t_ack = plan.timing.t_bcn, plan.timing.t_ack
+    t_data_hop = time_on_air(MAC_HEADER_BYTES + plan.app_payload_bytes, plan.radio)
+    t_data_lorawan = lorawan_time_on_air(plan.app_payload_bytes, plan.radio)
 
     m0 = n - 1  # in every tree this MAC builds, the relay forwards all other nodes' traffic
     try:
@@ -162,24 +169,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
         )
 
     power_w = None
-    if args.p_rx is not None or args.p_tx is not None or args.p_sleep is not None:
-        if None in (args.p_rx, args.p_tx, args.p_sleep):
-            raise ScenarioError(
-                "power model needs --p-sleep, --p-rx and --p-tx together"
-            )
-        try:
-            profile = PowerProfile(
-                p_sleep=args.p_sleep,
-                p_rx=args.p_rx,
-                p_tx=args.p_tx,
-                p_app=args.p_app,
-                tau_app=args.tau_app,
-            )
-            profile.check_period(k, t_frame)
-        except ValueError as e:  # PowerProfile names the field first; its flag is --field
-            field, _, reason = str(e).partition(": ")
-            raise ScenarioError(f"--{field.replace('_', '-')}: {reason}") from None
-        power_w = mean_power(profile, t_bcn, slot_seconds, slots, k, args.drift_ppm)
+    if plan.power is not None:
+        power_w = mean_power(plan.power, t_bcn, slot_seconds, slots, k, args.drift_ppm)
 
     rows = [
         ("nodes (n)", f"{n}"),
@@ -189,7 +180,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         ("slot length", f"{slot_seconds:.6f} s"),
         ("frame length (T_F)", f"{t_frame:.6f} s"),
         ("app period (T_app)", f"{t_app:.6f} s"),
-        ("payload", f"{args.payload_bytes} B"),
+        ("payload", f"{plan.app_payload_bytes} B"),
         ("relay duty cycle", f"{duty_relay * 100:.3f} %  (m_0 = {m0})"),
         ("leaf duty cycle", f"{duty_leaf * 100:.3f} %"),
     ]
@@ -285,20 +276,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    radio = RadioParams()
+    def add_key(p: argparse.ArgumentParser, key: str, **kwargs) -> None:
+        p.add_argument(_FLAGS[key], dest=key, **kwargs)
 
     def add_radio(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--sf", type=int, default=radio.spreading_factor, help="spreading factor (default %(default)s)"
-        )
-        p.add_argument("--bw", type=float, default=radio.bandwidth_hz, help="bandwidth in Hz")
-        p.add_argument(
-            "--cr", type=int, default=radio.coding_rate_denominator, help="coding rate denominator 4/x"
-        )
-        p.add_argument("--preamble", type=int, default=radio.preamble_symbols, help="preamble symbols")
-        p.add_argument("--implicit-header", action="store_true")
-        p.add_argument("--no-crc", action="store_true")
-        p.add_argument("--ldro", action="store_true", help="low data rate optimization")
+        add_key(p, "radio.spreading_factor", type=int, metavar="SF", help="spreading factor")
+        add_key(p, "radio.bandwidth_hz", type=float, metavar="BW", help="bandwidth in Hz")
+        add_key(p, "radio.coding_rate_denominator", type=int, metavar="CR", help="coding rate denominator 4/x")
+        add_key(p, "radio.preamble_symbols", type=int, metavar="PREAMBLE", help="preamble symbols")
+        add_key(p, "radio.explicit_header", action="store_false", default=None)
+        add_key(p, "radio.crc_on", action="store_false", default=None)
+        add_key(p, "radio.low_data_rate_opt", action="store_true", default=None, help="low data rate optimization")
 
     t = sub.add_parser("toa", help="time on air for one payload")
     t.add_argument("--payload", type=int, required=True, metavar="BYTES")
@@ -310,21 +298,21 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(fn=cmd_toa)
 
     p = sub.add_parser("plan", help="dimension a deployment")
-    p.add_argument("--nodes", type=int, required=True, help="total nodes n incl. relay")
+    add_key(p, "schedule.max_nodes", type=int, required=True, metavar="NODES", help="total nodes n incl. relay")
     p.add_argument("--app-period", type=float, required=True, metavar="SECONDS")
-    p.add_argument("--k", type=int, default=None, help="force the collection factor")
-    p.add_argument("--slots", type=int, default=None, help="force slots per frame N")
-    p.add_argument("--ticks-per-slot", type=int, default=21281)
-    p.add_argument("--tick-rate", type=int, default=DEFAULT_TICK_RATE_HZ, help="crystal ticks per second")
+    add_key(p, "k", type=int, metavar="K", help="force the collection factor")
+    add_key(p, "schedule.slots_per_frame", type=int, metavar="SLOTS", help="force slots per frame N")
+    add_key(p, "schedule.ticks_per_slot", type=int, default=21281, metavar="TICKS_PER_SLOT")
+    add_key(p, "schedule.tick_rate_hz", type=int, metavar="TICK_RATE", help="crystal ticks per second")
     p.add_argument("--max-slots", type=int, default=90, help="largest N to consider")
-    p.add_argument("--payload-bytes", type=int, default=Scenario.app_payload_bytes)
+    add_key(p, "app_payload_bytes", type=int, metavar="PAYLOAD_BYTES")
     p.add_argument("--channels", type=int, default=1)
     p.add_argument("--duty-limit", type=float, default=0.01, help="fraction, default 0.01")
-    p.add_argument("--p-sleep", type=float, default=None, metavar="W")
-    p.add_argument("--p-rx", type=float, default=None, metavar="W")
-    p.add_argument("--p-tx", type=float, default=None, metavar="W")
-    p.add_argument("--p-app", type=float, default=0.0, metavar="W")
-    p.add_argument("--tau-app", type=float, default=0.0, metavar="S")
+    add_key(p, "power.p_sleep", type=float, metavar="W")
+    add_key(p, "power.p_rx", type=float, metavar="W")
+    add_key(p, "power.p_tx", type=float, metavar="W")
+    add_key(p, "power.p_app", type=float, metavar="W")
+    add_key(p, "power.tau_app", type=float, metavar="S")
     p.add_argument("--drift-ppm", type=float, default=10.0, help="worst relative drift")
     p.add_argument("--csv", type=str, default=None, metavar="PATH")
     add_radio(p)

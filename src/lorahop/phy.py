@@ -29,7 +29,7 @@ class RadioParams:
 
     Defaults match a typical EU868 sub-band profile: SF9, 125 kHz,
     coding rate 4/5, 8-symbol preamble, explicit header, CRC on,
-    low-data-rate optimization off.
+    low-data-rate optimization off. Each refusal names the field first.
     """
 
     spreading_factor: int = 9
@@ -42,15 +42,15 @@ class RadioParams:
 
     def __post_init__(self) -> None:
         if not 6 <= self.spreading_factor <= 12:
-            raise ValueError(f"spreading factor {self.spreading_factor} outside 6..12")
+            raise ValueError(f"spreading_factor: {self.spreading_factor} outside 6..12")
         if not 0 < self.bandwidth_hz < math.inf:
-            raise ValueError("bandwidth must be finite and positive")
+            raise ValueError("bandwidth_hz: must be finite and positive")
         if not 5 <= self.coding_rate_denominator <= 8:
             raise ValueError(
-                f"coding rate denominator {self.coding_rate_denominator} outside 5..8"
+                f"coding_rate_denominator: {self.coding_rate_denominator} outside 5..8"
             )
         if self.preamble_symbols < 1:
-            raise ValueError("preamble needs at least one symbol")
+            raise ValueError("preamble_symbols: needs at least one symbol")
 
 
 def symbol_time(params: RadioParams = RadioParams()) -> float:

@@ -19,13 +19,16 @@ from dataclasses import dataclass
 from .timebase import check_relative_drift
 
 
-class PlanError(Exception):
+class PlanError(ValueError):
     """A requested plan violates a hard constraint.
 
-    ``constraint`` names the binding one: "capacity" (Eq. n <= k),
-    "duty-cycle", "period" (T_app short of a frame, or n * T_SL or
-    k * N * T_SL past the float range), or "slot" (a slot too short for
-    the slot anatomy).
+    ``constraint`` names the binding one: "capacity" (Eq. n <= k, or a
+    frame layout ``build_schedule`` refuses), "duty-cycle", "period"
+    (T_app short of a frame, n * T_SL or k * N * T_SL past the float
+    range, or a frame too long to simulate), or "slot" (a slot too short
+    for the slot anatomy, refused by ``SlotTiming.validate_for``). A
+    ``ValueError``, so a caller that holds input to these rules, such as
+    the scenario parser, catches it as one.
     """
 
     def __init__(self, constraint: str, message: str) -> None:

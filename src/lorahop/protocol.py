@@ -26,6 +26,7 @@ from enum import Enum, IntEnum
 from typing import ClassVar, NamedTuple
 
 from .phy import RadioParams, time_on_air
+from .planner import PlanError
 
 #: Fixed MAC header: network_id, sender_id, dest_id, origin_id, seq/kind.
 MAC_HEADER_BYTES = 5
@@ -223,19 +224,21 @@ class SlotTiming:
         return self.ack_window[1]
 
     def validate_for(self, slot_seconds: float) -> None:
-        """Raise ValueError if a slot cannot hold the data exchange or the join slot."""
+        """Raise ``PlanError("slot")`` if a slot cannot hold the data exchange or the join slot."""
         if self.slot_budget() > slot_seconds:
-            raise ValueError(
+            raise PlanError(
+                "slot",
                 f"slot anatomy needs {self.slot_budget():.6f} s "
-                f"but a slot lasts {slot_seconds:.6f} s"
+                f"but a slot lasts {slot_seconds:.6f} s",
             )
         accept_end = self.join_accept_offset + time_on_air(
             MAC_HEADER_BYTES + JOIN_ACCEPT_PAYLOAD_BYTES, self.radio
         )
         if accept_end > slot_seconds:
-            raise ValueError(
+            raise PlanError(
+                "slot",
                 f"join slot anatomy needs {accept_end:.3f} s "
-                f"but a slot lasts {slot_seconds:.3f} s"
+                f"but a slot lasts {slot_seconds:.3f} s",
             )
 
 
@@ -279,22 +282,25 @@ def build_schedule(
 
     [M beacon][1 LoRaWAN][M uplink][M downlink][1 join][idle...]; needs
     N >= 3M + 2. A JoinAccept carries each slot of the triple in one byte,
-    and the last downlink slot is 3M, so M is at most 85.
+    and the last downlink slot is 3M, so M is at most 85. A layout past
+    either bound is refused as ``PlanError("capacity")``.
     """
     if max_nodes < 1:
         raise ValueError("need at least one addressable node (the relay)")
     if max_nodes > 85:
-        raise ValueError(
+        raise PlanError(
+            "capacity",
             f"schedule.max_nodes: {max_nodes} exceeds 85: a JoinAccept carries each "
-            f"assigned slot in one byte, and the last downlink slot is 3 * max_nodes"
+            f"assigned slot in one byte, and the last downlink slot is 3 * max_nodes",
         )
     if ticks_per_slot < 1:
         raise ValueError("ticks per slot must be at least 1")
     needed = 3 * max_nodes + 2
     if slots_per_frame < needed:
-        raise ValueError(
+        raise PlanError(
+            "capacity",
             f"{slots_per_frame} slots cannot hold {max_nodes} nodes: "
-            f"layout needs 3M+2 = {needed} slots"
+            f"layout needs 3M+2 = {needed} slots",
         )
     return FrameSchedule(slots_per_frame, ticks_per_slot, max_nodes)
 

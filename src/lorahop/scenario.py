@@ -138,6 +138,12 @@ def _take(d: dict, key: str, kind: Any, ctx: str, default: Any = _REQUIRED):
     return v
 
 
+def _at_least_one(ctx: str, **counts: int) -> None:
+    for key, count in counts.items():
+        if count < 1:
+            raise ScenarioError(f"{ctx}.{key}: must be at least 1")
+
+
 def _reject_unknown(d: dict, ctx: str) -> None:
     if d:
         raise ScenarioError(f"{ctx}: unknown key '{sorted(d)[0]}'")
@@ -264,8 +270,7 @@ def parse_scenario(doc: dict, source: str = "scenario") -> Scenario:
     ticks = _take(sched_d, "ticks_per_slot", int, sc)
     tick_rate = _take(sched_d, "tick_rate_hz", int, sc, default=DEFAULT_TICK_RATE_HZ)
     _reject_unknown(sched_d, sc)
-    if tick_rate < 1:
-        raise ScenarioError(f"{sc}.tick_rate_hz: must be positive")
+    _at_least_one(sc, max_nodes=max_nodes, slots_per_frame=slots, ticks_per_slot=ticks, tick_rate_hz=tick_rate)
     try:
         schedule = build_schedule(max_nodes, slots, ticks)
     except ValueError as e:
@@ -290,16 +295,11 @@ def parse_scenario(doc: dict, source: str = "scenario") -> Scenario:
         schedule=schedule, tick_rate_hz=tick_rate, radio=radio,
         guard=guard, join=join, nodes=nodes, links=links, power=power,
     )
-    if scenario.frames < 1:
-        raise ScenarioError(f"{source}.frames: must be at least 1")
-    if scenario.k < 1:
-        raise ScenarioError(f"{source}.k: must be at least 1")
+    _at_least_one(source, frames=scenario.frames, k=scenario.k, queue_capacity=scenario.queue_capacity)
     if not 0 <= scenario.app_payload_bytes <= MAX_DATA_PAYLOAD_BYTES:
         raise ScenarioError(
             f"{source}.app_payload_bytes: must be 0..{MAX_DATA_PAYLOAD_BYTES}"
         )
-    if scenario.queue_capacity < 1:
-        raise ScenarioError(f"{source}.queue_capacity: must be at least 1")
 
     try:
         check_modem(radio)
@@ -313,8 +313,8 @@ def parse_scenario(doc: dict, source: str = "scenario") -> Scenario:
         ) from None
     try:
         scenario.timing.validate_for(slot_seconds)
-    except ValueError as e:
-        raise ScenarioError(f"{source}.schedule: {e}") from e
+    except ValueError as e:  # the radio sets the anatomy, the schedule the slot
+        raise ScenarioError(f"{sc}, {source}.radio: {e}") from e
 
     _check_connected(nodes, links, scenario.relay_id)
     # The engine keys its events in nanoseconds.

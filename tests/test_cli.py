@@ -21,9 +21,9 @@ from hypothesis import strategies as st
 import lorahop.cli
 import lorahop.engine
 from lorahop import GuardConfig, PowerProfile, RadioParams, Scenario, SlotTiming
-from lorahop.cli import _radio_from_args, main
+from lorahop.cli import main
 from lorahop.scenario import JoinConfig, ScenarioError, _schema, parse_scenario, read_scenario_doc
-from lorahop.timebase import MAX_RELATIVE_DRIFT_PPM
+from lorahop.timebase import DEFAULT_TICK_RATE_HZ, MAX_RELATIVE_DRIFT_PPM
 from corpus import CORPUS, GENERATED
 
 REPO = Path(__file__).resolve().parent.parent
@@ -123,7 +123,7 @@ def test_plan_and_simulate_accept_the_same_slots(sf, capsys):
     plan = ["plan", "--nodes", "4", "--app-period", "3600", "--duty-limit", "1", *flags]
     assert main([*plan, "--ticks-per-slot", str(ticks)]) == 0
     doc["schedule"]["ticks_per_slot"] = ticks - 1
-    with pytest.raises(ScenarioError, match=r"^scenario\.schedule: (join )?slot anatomy needs "):
+    with pytest.raises(ScenarioError, match=r"^scenario\.schedule, scenario\.radio: (join )?slot anatomy needs "):
         parse_scenario(doc)
     capsys.readouterr()
     assert main([*plan, "--ticks-per-slot", str(ticks - 1)]) == 3
@@ -267,7 +267,7 @@ _BIG = 10**400  # an int past the float range
     [
         pytest.param(
             ["plan", "--nodes", "4", "--app-period", "234", "--ticks-per-slot", str(_BIG)],
-            "--ticks-per-slot: the slot, ticks per slot over --tick-rate, lies past the float range",
+            "--ticks-per-slot: the slot, ticks_per_slot / tick_rate_hz, lies past the float range",
             id="plan_ticks_per_slot",
         ),
         pytest.param(
@@ -355,6 +355,7 @@ def _plan(argv: list[str]) -> tuple[int, str, str]:
 @example(234.0, 4, None, None, None, None, None, None, None, None, _BIG, None)
 @example(234.0, 4, None, None, None, None, None, None, None, None, None, 1e6)
 @example(234.0, 4, None, None, None, None, None, None, None, None, None, 1e300)
+@example(234.0, 4, 4, 10**15, None, None, None, None, None, None, None, None)
 def test_plan_frame_flags_exit_0_2_or_3_with_finite_figures(
     app_period, nodes, k, slots, max_slots, ticks_per_slot, tick_rate, sf, duty_limit, below_one,
     channels, drift_ppm,
@@ -385,8 +386,70 @@ def test_plan_frame_flags_exit_0_2_or_3_with_finite_figures(
             mean_mw = float(re.search(r"mean leaf power +(\S+) mW", out).group(1))
             assert mean_mw <= 120.0, out
     else:
-        assert out == "" and "Traceback" not in err, err
+        assert out == "" and "Traceback" not in err and "plan." not in err, err
         assert ("--" in err) if rc == 2 else err.startswith("infeasible: "), err
+
+
+def test_plan_refuses_a_frame_too_long_to_simulate(capsys):
+    # 10**15 slots make a 6.5e14 s frame, too late for float seconds to
+    # resolve an airtime: simulate refuses it, and plan once printed it.
+    argv = ["plan", "--nodes", "4", "--k", "4", "--slots", str(10**15), "--app-period", "234"]
+    assert main(argv) == 3
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err.startswith("infeasible: period: the run end, frames * T_F of the schedule, lies too late"), got.err
+
+
+_FLOAT_EXTREMES = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -0.0, 5e-324, 1e308, float(2**64)]) | st.floats()
+_INT_EXTREMES = st.sampled_from([-(2**64), -1, 0, 2**64]) | st.integers(-(2**64), 2**64)
+# Each flag that sets a radio, payload or power key: a typical value and
+# the extremes of its type.
+_KEY_FLAGS = {
+    "--payload-bytes": (st.integers(0, 59), _INT_EXTREMES),
+    "--sf": (st.integers(7, 10), _INT_EXTREMES),
+    "--bw": (st.sampled_from([125_000.0, 250_000.0, 500_000.0]), _FLOAT_EXTREMES),
+    "--cr": (st.integers(5, 8), _INT_EXTREMES),
+    "--preamble": (st.integers(1, 20), _INT_EXTREMES),
+    "--p-sleep": (st.floats(0.0, 1e-3), _FLOAT_EXTREMES),
+    "--p-rx": (st.floats(0.01, 0.1), _FLOAT_EXTREMES),
+    "--p-tx": (st.floats(0.01, 0.5), _FLOAT_EXTREMES),
+    "--p-app": (st.floats(0.0, 0.1), _FLOAT_EXTREMES),
+    "--tau-app": (st.floats(0.0, 60.0), _FLOAT_EXTREMES),
+}
+_POWER = ("--p-sleep", "--p-rx", "--p-tx", "--p-app", "--tau-app")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    typical=st.fixed_dictionaries({flag: st.none() | typical for flag, (typical, _) in _KEY_FLAGS.items()}),
+    power=st.booleans(),
+    switches=st.sets(st.sampled_from(["--implicit-header", "--no-crc", "--ldro"])),
+    extremes=st.dictionaries(
+        st.sampled_from(sorted(_KEY_FLAGS)), st.none(), max_size=2
+    ).flatmap(lambda chosen: st.fixed_dictionaries({flag: _KEY_FLAGS[flag][1] for flag in chosen})),
+    ticks_per_slot=st.sampled_from([None, 300_000]),
+)
+@example({}, False, set(), {"--sf": 2**64, "--bw": math.nan}, None)
+@example({}, True, set(), {"--p-tx": 1e308, "--tau-app": 5e-324}, None)
+def test_plan_key_flags_exit_0_2_or_3_naming_the_flag(typical, power, switches, extremes, ticks_per_slot):
+    # The radio, payload and power flags, each a scenario key, drawn from
+    # their types with up to two extremes; the power flags come as a set or
+    # not at all, unless an extreme sets one alone. The plan is printed with
+    # finite figures, or refused as bad input naming a flag, never a key,
+    # or as infeasible.
+    flags = {flag: value for flag, value in typical.items() if power or flag not in _POWER}
+    if power:
+        flags.update({flag: 0.01 for flag in _POWER[:3] if flags.get(flag) is None})
+    flags.update(extremes, **{"--ticks-per-slot": ticks_per_slot})
+    argv = ["--nodes", "4", "--app-period", "3600", "--duty-limit", "1", *sorted(switches)]
+    argv += [f"{flag}={value!r}" for flag, value in flags.items() if value is not None]
+    rc, out, err = _plan(argv)
+    assert rc in (0, 2, 3) and "Traceback" not in err and "plan." not in err, err
+    if rc == 0:
+        assert all(math.isfinite(float(x)) for x in _NUMBER.findall(out)), out
+    else:
+        assert out == "", out
+        assert re.match(r"error: .*--[a-z]", err) if rc == 2 else err.startswith("infeasible: "), err
 
 
 @pytest.mark.parametrize(
@@ -763,7 +826,7 @@ def test_toa_refuses_a_bandwidth_that_is_not_finite(bw, capsys):
     assert main(["toa", "--payload", "5", "--bw", bw]) == 2
     got = capsys.readouterr()
     assert got.out == ""
-    assert got.err == "error: --bw: bandwidth must be finite and positive\n"
+    assert got.err == "error: --bw: must be finite and positive\n"
 
 
 @pytest.mark.parametrize(
@@ -848,9 +911,6 @@ _VALUES_BY_TYPE = {
     str: _STRINGS,
     int | None: st.none() | _INTS,
 }
-# A rule across two sections may name the other: a radio whose slot anatomy
-# outgrows the slot is refused under the schedule.
-_ALSO_NAMED = {"radio": "schedule"}
 # Any key may also get a value of another type.
 _ANY_VALUE = st.one_of(
     st.sampled_from([None, True, False, 0, -1, 5e-324, 1e300, 1.7e308, 2**64, [], {}]), _STRINGS
@@ -883,13 +943,15 @@ def _finite_csv_fields(out_dir: Path) -> bool:
 @example(override=("nodes.1.id", 0))
 @example(override=("radio.bandwidth_hz", 1e300))
 @example(override=("schedule.slots_per_frame", 2**64))
+@example(override=("radio.preamble_symbols", 15))
 def test_simulate_set_exits_0_or_2_with_finite_figures_or_the_key_named(override):
     # One --set of any settable key on star4, its value drawn from the key's
     # type with extremes, or of another type: the run prints finite figures
     # and writes finite CSV fields, or is refused as bad input naming the
     # key by its section or its field, and never fails at run time. The
-    # named examples were refused naming neither, the last two by a
-    # transmission that ended at its start.
+    # named examples were refused naming neither: the third and fourth by
+    # a transmission that ended at its start, the last as a slot anatomy
+    # refused under the schedule alone.
     key, value = override
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -904,14 +966,29 @@ def test_simulate_set_exits_0_or_2_with_finite_figures_or_the_key_named(override
         assert finite_csvs
     else:
         parts = key.split(".")
-        names = "|".join({parts[0], parts[-1], _ALSO_NAMED.get(parts[0], parts[0])})
+        names = "|".join({parts[0], parts[-1]})
         assert out == "" and re.search(rf"\b({names})\b", err), err
 
 
-def test_cli_defaults_are_the_dataclass_defaults():
+def test_cli_defaults_are_the_dataclass_defaults(monkeypatch, capsys):
+    # A flag that sets a scenario key holds no default of its own, so a key
+    # left out takes the scenario's; only the required keys have one here.
     parse = lorahop.cli.build_parser().parse_args
-    assert _radio_from_args(parse(["toa", "--payload", "1"])) == RadioParams()
-    plan = parse(["plan", "--nodes", "4", "--app-period", "234"])
-    assert _radio_from_args(plan) == RadioParams()
+    plan_argv = ["plan", "--nodes", "4", "--app-period", "234"]
+    for argv in (["toa", "--payload", "1"], plan_argv):
+        given = {key for key, value in vars(parse(argv)).items() if key in lorahop.cli._FLAGS and value is not None}
+        assert given <= {"schedule.max_nodes", "schedule.ticks_per_slot"}, argv
+    parsed = []
+
+    def kept(doc, source):
+        parsed.append(parse_scenario(doc, source))
+        return parsed[-1]
+
+    monkeypatch.setattr(lorahop.cli, "parse_scenario", kept)
+    assert main(plan_argv) == 0
+    capsys.readouterr()
     defaults = {f.name: f.default for f in dataclasses.fields(Scenario)}
-    assert plan.payload_bytes == defaults["app_payload_bytes"]
+    for plan in parsed:
+        assert plan.radio == RadioParams() and plan.power is None
+        assert plan.app_payload_bytes == defaults["app_payload_bytes"]
+        assert plan.tick_rate_hz == DEFAULT_TICK_RATE_HZ
