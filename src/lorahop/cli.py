@@ -21,7 +21,7 @@ from .phy import LORAWAN_OVERHEAD_BYTES, RadioParams, check_modem, lorawan_time_
 from .planner import PlanError, app_period, duty_cycle_estimate, mean_power, recommend_frame
 from .protocol import MAC_HEADER_BYTES
 from .scenario import SCHEMA_VERSION, Scenario, ScenarioError, apply_override, parse_scenario, read_scenario_doc
-from .timebase import check_relative_drift
+from .timebase import DEFAULT_TICK_RATE_HZ, check_relative_drift
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -76,10 +76,12 @@ def _plan_scenario(n: int, keys: dict[str, object]) -> Scenario:
     except ScenarioError as e:
         if isinstance(e.__cause__, PlanError):
             raise e.__cause__ from None
-        where, _, reason = str(e).partition(": ")
-        key = where.removeprefix("plan.")
-        if key == "frames":  # the one key no flag sets: the frame is too long to simulate
-            raise PlanError("period", reason) from None
+        key, _, reason = str(e).removeprefix("plan.").partition(": ")
+        if key == "frames":  # the one key no flag sets, 1 here: the frame is too long
+            sched = doc["schedule"]
+            t_frame = sched["slots_per_frame"] * (sched["ticks_per_slot"] / sched.get("tick_rate_hz", DEFAULT_TICK_RATE_HZ))
+            frame = f"of T_F = {t_frame:g} s" if math.isfinite(t_frame) else "past the float range"
+            raise PlanError("period", f"a frame {frame} is too long to simulate in float seconds") from None
         raise _by_flag(key, reason) from None
 
 

@@ -221,7 +221,9 @@ def _packet_columns(pkt: MacPacket, channel: str, frame: int, slot: int) -> tupl
 class _NodeRt:
     """Engine-side runtime wrapped around one protocol NodeState: the
     timing the protocol cannot know, its crystal ``clock`` first. The MAC
-    facts (address, parent, miss count, queues) live in ``st`` alone."""
+    facts (address, parent, miss count, queues) live in ``st`` alone. The
+    listen start ``listen_from`` is set here: a leaf listens from 0.0 until
+    it synchronizes, and the relay never listens continuously."""
 
     def __init__(self, st: NodeState, clock: VirtualClock, frame_ticks: int):
         self.st = st
@@ -229,7 +231,7 @@ class _NodeRt:
         self.tick = local_tick_duration(clock)
         self.frame_local = frame_ticks * self.tick
         self.anchor: float = 0.0
-        self.listen_from: float | None = None
+        self.listen_from: float | None = None if st.is_relay else 0.0
         # The start of its own transmission that ends its listening, until that ends.
         self.listen_until: float | None = None
         # The node's radio intervals in the order they were recorded.
@@ -314,11 +316,7 @@ class Simulator:
         heapq.heappush(self.heap, (round(t * 1e9), prio, node_id, self._seq, fn, args))
 
     def run(self) -> SimulationTrace:
-        relay = self.nodes[self.relay_id]
-        for rt in self.nodes.values():
-            if rt.st.node_id != self.relay_id:
-                rt.listen_from = 0.0
-        self._push(0.0, _P_FRAME, self.relay_id, self._ev_relay_frame, relay, 0, 0.0)
+        self._push(0.0, _P_FRAME, self.relay_id, self._ev_relay_frame, self.nodes[self.relay_id], 0, 0.0)
         end_ns = round(self.end_time * 1e9)
         try:
             while self.heap:
@@ -775,8 +773,7 @@ class Simulator:
     def _on_synchronized(self, rt: _NodeRt, act: BecameSynchronized, tx: Transmission) -> None:
         st = rt.st
         parent = act.parent_id
-        if rt.listen_from is not None:
-            self._log_receive(rt, rt.listen_from, tx.end)
+        self._log_receive(rt, rt.listen_from, tx.end)
         rt.listen_from = None
         info = rt.candidates.get(parent)
         if info is None:

@@ -206,7 +206,12 @@ class Audit:
 
     ``digest``: the document's digest line, from ``stdout`` (without the
     ``wrote`` lines, whose file names are ``wrote``) and ``csv_hashes``, the
-    SHA-256 of each CSV by file name. ``idle_pops``: slot-service pops
+    SHA-256 of each CSV by file name. ``wide_sync_rows``: the
+    ``sync_samples.csv`` rows whose |epsilon| reaches 40 us, as (frame,
+    parent, child, epsilon in us). ``parent_from``: per node, the parent
+    address it tracks from the frame of each of its synchronized events,
+    and None from that of each desynchronized one, as (frame, address), in
+    the order of the events. ``idle_pops``: slot-service pops
     up to the end that found no work, of ``service_pops``. ``early_pushes``:
     slot services keyed before the event being handled. ``out_of_order``:
     pops keyed before the previous pop, as (handler, node address, parent
@@ -298,8 +303,15 @@ class Audit:
         try:
             for m, attr, wrapper in wraps:
                 setattr(m, attr, wrapper)
-            self.stdout, self.csv_hashes, self.wrote = simulate(json.dumps(doc))
+            self.stdout, csvs, self.wrote = simulate(json.dumps(doc))
+            self.csv_hashes = csv_hashes(csvs)
             self.digest = digest_line(name, self.stdout, self.csv_hashes)
+            rows = (line.split(",") for line in csvs["sync_samples.csv"].decode().splitlines()[1:])
+            self.wide_sync_rows = [
+                (int(frame), int(parent), int(child), float(eps))
+                for frame, parent, child, eps in rows
+                if abs(float(eps)) >= 40.0
+            ]
         finally:
             for m, attr, original in saved:
                 setattr(m, attr, original)
@@ -317,6 +329,12 @@ class Audit:
         self.drops = [(ev.node, ev.kind) for ev in trace.packet_events if ev.event == "queue_drop"]
         self.packet_events = len(trace.packet_events)
         self.desyncs = sum(ev.event == "desynchronized" for ev in trace.protocol_events)
+        self.parent_from = {}
+        for ev in trace.protocol_events:
+            if ev.event in ("synchronized", "desynchronized"):
+                fields = dict(field.split("=") for field in ev.detail.split())
+                parent = int(fields["parent"]) if "parent" in fields else None
+                self.parent_from.setdefault(ev.node, []).append((int(fields["frame"]), parent))
         power = trace.scenario.power
         self.measure_mismatches = [
             nid
@@ -340,10 +358,10 @@ def audit_corpus() -> dict[str, Audit]:
     return audits
 
 
-def simulate(text: str, args: tuple[str, ...] = ()) -> tuple[str, dict[str, str], list[str]]:
+def simulate(text: str, args: tuple[str, ...] = ()) -> tuple[str, dict[str, bytes], list[str]]:
     """``lorahop simulate`` on scenario ``text``: its stdout without the
-    ``wrote`` lines, each CSV's SHA-256 by file name, and the file names
-    the ``wrote`` lines give."""
+    ``wrote`` lines, each CSV's bytes by file name, and the file names the
+    ``wrote`` lines give."""
     with tempfile.TemporaryDirectory() as tmp:
         path, out_dir = Path(tmp) / "scenario.json", Path(tmp) / "out"
         path.write_text(text)
@@ -352,10 +370,15 @@ def simulate(text: str, args: tuple[str, ...] = ()) -> tuple[str, dict[str, str]
             rc = lorahop.cli.main(["simulate", str(path), *args, "--out", str(out_dir)])
         if rc != 0:
             raise RuntimeError(f"simulate exited {rc}: {stderr.getvalue().strip()}")
-        csv_hashes = {csv.name: hashlib.sha256(csv.read_bytes()).hexdigest() for csv in out_dir.glob("*.csv")}
+        csvs = {csv.name: csv.read_bytes() for csv in out_dir.glob("*.csv")}
     lines = stdout.getvalue().splitlines(keepends=True)
     wrote = [Path(line[len("wrote ") :].rstrip("\n")).name for line in lines if line.startswith("wrote ")]
-    return "".join(line for line in lines if not line.startswith("wrote ")), csv_hashes, wrote
+    return "".join(line for line in lines if not line.startswith("wrote ")), csvs, wrote
+
+
+def csv_hashes(csvs: dict[str, bytes]) -> dict[str, str]:
+    """Each CSV's SHA-256 by file name."""
+    return {csv_name: hashlib.sha256(data).hexdigest() for csv_name, data in csvs.items()}
 
 
 def digest_line(name: str, stdout: str, csv_hashes: dict[str, str]) -> str:
@@ -370,7 +393,8 @@ def digest_line(name: str, stdout: str, csv_hashes: dict[str, str]) -> str:
 
 def digest(name: str, text: str, args: tuple[str, ...] = ()) -> str:
     """The digest line of ``lorahop simulate`` on scenario ``text``."""
-    return digest_line(name, *simulate(text, args)[:2])
+    stdout, csvs, _wrote = simulate(text, args)
+    return digest_line(name, stdout, csv_hashes(csvs))
 
 
 # Short bench jobs by digest name: (workload, seed, frames; None for the full length).

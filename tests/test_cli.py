@@ -393,11 +393,19 @@ def test_plan_frame_flags_exit_0_2_or_3_with_finite_figures(
 def test_plan_refuses_a_frame_too_long_to_simulate(capsys):
     # 10**15 slots make a 6.5e14 s frame, too late for float seconds to
     # resolve an airtime: simulate refuses it, and plan once printed it.
+    # The refusal names that frame, not the run of frames plan sets.
     argv = ["plan", "--nodes", "4", "--k", "4", "--slots", str(10**15), "--app-period", "234"]
     assert main(argv) == 3
     got = capsys.readouterr()
     assert got.out == ""
-    assert got.err.startswith("infeasible: period: the run end, frames * T_F of the schedule, lies too late"), got.err
+    assert got.err == "infeasible: period: a frame of T_F = 6.49445e+14 s is too long to simulate in float seconds\n"
+
+
+def test_plan_refuses_a_frame_past_the_float_range(capsys):
+    # 257 slots of 10**308 s: the relay's own frame has no float length.
+    argv = ["plan", "--nodes", "85", "--tick-rate", "1", "--ticks-per-slot", str(10**308), "--app-period", "1e308"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "infeasible: period: a frame past the float range is too long to simulate in float seconds\n"
 
 
 _FLOAT_EXTREMES = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -0.0, 5e-324, 1e308, float(2**64)]) | st.floats()

@@ -45,7 +45,7 @@ from lorahop.protocol import (
     make_beacon,
 )
 from lorahop.scenario import ScenarioError, parse_scenario, read_scenario_doc
-from corpus import CORPUS, ENQUEUES, GENERATED, Audit, generated_doc
+from corpus import CORPUS, ENQUEUES, GENERATED, Audit, generated_doc, mode_fault
 
 REPO = Path(__file__).resolve().parent.parent
 T_SLOT = 21281 / 32768
@@ -675,8 +675,11 @@ def test_packet_ending_at_a_plain_window_close_is_received():
 def test_plain_window_that_closes_mid_packet_does_not_receive_it():
     # Closed before the packet ends, the window no longer hears it: no rx
     # and no loss at the listener. A window that opens mid-packet, and so
-    # is still open at its end, loses it to the window.
+    # is still open at its end, loses it to the window. Both listeners are
+    # synchronized, so they hear only through their windows.
     sim = Simulator(load_scenario(REPO / "scenarios" / "star4.json"))
+    _synchronize(sim, 1, address=1, parent=0)
+    _synchronize(sim, 2, address=2, parent=0)
     end = _ack_from_relay(sim, 1.01)
     sim._listen(sim.nodes[1], 1.0, (1.01 + end) / 2)
     sim._listen(sim.nodes[2], (1.01 + end) / 2, end + 0.1)
@@ -696,9 +699,9 @@ def test_packet_spanned_by_a_later_plain_window_is_received_past_one_that_overla
 
 
 def test_node_listening_from_before_a_packet_receives_it_past_a_window_that_closes_mid_packet():
+    # Leaf 1 is unjoined, so it listens from 0.0.
     sim = Simulator(load_scenario(REPO / "scenarios" / "star4.json"))
     end = _ack_from_relay(sim, 1.01)
-    sim.nodes[1].listen_from = 0.5
     sim._listen(sim.nodes[1], 1.0, (1.01 + end) / 2)
     _drain(sim)
     assert _events_at(sim, 1) == ["rx"]
@@ -706,6 +709,7 @@ def test_node_listening_from_before_a_packet_receives_it_past_a_window_that_clos
 
 def test_plain_window_interval_is_recorded_once_and_clipped_at_the_end():
     sim = Simulator(load_scenario(REPO / "scenarios" / "star4.json"))
+    _synchronize(sim, 1, address=1, parent=0)
     end = sim.end_time
     sim._listen(sim.nodes[1], 1.0, 1.5)
     sim._listen(sim.nodes[1], end - 0.5, end + 1.0)
@@ -722,7 +726,6 @@ def _listening_request(sim: Simulator, start: float) -> float:
     """Leaf 1, unjoined and listening from 0, puts a JoinRequest on the air
     at ``start``; return its end."""
     rt = sim.nodes[1]
-    rt.listen_from = 0.0
     req = MacPacket(PacketKind.JOIN_REQUEST, NETWORK_ID, 1, 0, 1, 0)
     sim._transmit(rt, req, start, 0, sim.sched.join_slot)
     return start + sim._toa(req.onair_bytes)
@@ -946,7 +949,11 @@ def _beacon_window_over_the_join_window() -> tuple[Simulator, float, float]:
     on a slot that holds the join slot the overlap falls short of a
     JoinRequest. Node 1's -500 ppm crystal, the model's limit, ends its
     96 s frame (92 slots of 1.044 s) 48 ms early and widens the overlap
-    to hold one."""
+    to hold one.
+
+    Node 2 is synchronized under node 1 too, before it entered a frame:
+    it has no window, so it neither hears node 1's beacon nor sends a
+    request of its own, and a test's packets are the only traffic."""
     doc = generated_doc("line3", [(0, 1), (1, 2)], 1, 3, False)
     doc["radio"] = {"spreading_factor": 10}
     doc["schedule"] = {"max_nodes": 30, "slots_per_frame": 92, "ticks_per_slot": 34200}
@@ -954,6 +961,7 @@ def _beacon_window_over_the_join_window() -> tuple[Simulator, float, float]:
     doc["guard"]["base_guard"] = parse_scenario(doc).slot_seconds
     sim = Simulator(parse_scenario(doc))
     _synchronize(sim, 1, address=1, parent=0)
+    _synchronize(sim, 2, address=2, parent=1)
     rt = sim.nodes[1]
     sim._enter_frame(rt, 0, 0.0, resynced=True)
     beacon_open = rt.frame_local + sim.timing.beacon_tx_offset - sim.t_slot / 2 - rt.tick
@@ -1044,6 +1052,16 @@ def test_every_node_holds_the_facts_its_mode_promises_at_every_pop(audits):
     assert sum(audit.mode_pops for audit in audits.values()) > len(audits)
 
 
+def test_every_node_holds_the_facts_its_mode_promises_from_construction():
+    # Before run() pushes its first event, every leaf is unjoined, so it
+    # must already listen: the facts the audit checks at every pop hold
+    # from the simulator's construction, not from a set-up step of run().
+    for name, make in CORPUS.items():
+        sim = Simulator(parse_scenario(make()))
+        faults = {nid: mode_fault(rt) for nid, rt in sim.nodes.items()}
+        assert set(faults.values()) == {None}, (name, faults)
+
+
 # --- slot services on the heap ---
 
 
@@ -1094,7 +1112,12 @@ def _capacity_one_sim(topology: str) -> Simulator:
 
 
 def _synchronize(sim: Simulator, node: int, address: int, parent: int) -> None:
-    st = sim.nodes[node].st
+    """Leaf ``node`` synchronized at 0.0 with ``address`` under ``parent``.
+    It stops listening, as _on_synchronized makes it, before it heard
+    anything, so it hears only through its windows."""
+    rt = sim.nodes[node]
+    rt.listen_from = None
+    st = rt.st
     st.mode = NodeMode.SYNCHRONIZED
     st.parent_id = parent
     st.address = address
@@ -1343,10 +1366,9 @@ def test_delivery_remembers_transmissions_a_long_packet_overlaps():
     doc = _sf_doc("line4", 12, ticks_per_slot=180000, ldro=True)
     doc["radio"]["coding_rate_denominator"] = 8
     sim = Simulator(parse_scenario(doc))
-    sim.nodes[1].listen_from = 0.0
 
     def send(sender, kind, payload, start):
-        """Put a packet on the air from a sender that is not listening; return its end."""
+        """Put a packet on the air from a sender; return its end."""
         pkt = MacPacket(kind, 1, sender, 1, sender, 0, payload)
         sim._transmit(sim.nodes[sender], pkt, start, 0, 5)
         return start + sim._toa(pkt.onair_bytes)
